@@ -5,8 +5,11 @@ operations the tracing model is built from (dense matmuls, elementwise
 nonlinearities, row gather/scatter, reductions) on a recorded tape, plus
 parameter storage, Adam updates and a finite-difference gradient checker.
 
-Gradients accumulate without in-place mutation, so the reduction order is
-fixed by tape construction order and two runs with identical inputs produce
+Gather vjps return a `SparseGrad` (index, values) instead of a zeroed
+full-size array, so backward pays for the rows a gather touched. `backward`
+adds in place only into gradient buffers it allocated itself, one per node,
+and always in reverse tape order; the reduction order is therefore fixed by
+tape construction order and two runs with identical inputs produce
 bitwise-identical gradients.
 """
 
@@ -321,31 +324,52 @@ def concat(parts, axis: int = 1) -> Node:
     return _make(val, tuple(edges))
 
 
+class SparseGrad:
+    """A gradient that is zero outside `index`, as returned by gather vjps.
+
+    `index` is whatever selected the gathered values: a row index array or
+    an `np.ix_` tuple. `add_into` adds the values into a full-size buffer
+    with `np.add.at`, so duplicate indices sum. Large blocks whose index
+    arrays are non-negative and strictly increasing (hence unique) take a
+    plain indexed add instead, which is faster there.
+    """
+
+    __slots__ = ("index", "values")
+
+    def __init__(self, index, values):
+        self.index = index
+        self.values = values
+
+    def add_into(self, buf: np.ndarray) -> None:
+        index, values = self.index, self.values
+        if values.size >= _PLAIN_ADD_MIN_SIZE and all(
+                _unique_sorted(p.ravel())
+                for p in (index if isinstance(index, tuple) else (index,))):
+            buf[index] += values
+        else:
+            np.add.at(buf, index, values)
+
+
+# below about this many values np.add.at costs less than the uniqueness check
+# plus a plain indexed add (measured with numpy 2.4)
+_PLAIN_ADD_MIN_SIZE = 1024
+
+
+def _unique_sorted(idx: np.ndarray) -> bool:
+    return idx.size < 2 or (idx[0] >= 0 and bool((idx[1:] > idx[:-1]).all()))
+
+
 def gather_rows(a, idx) -> Node:
     """Select rows `idx` of a 2-D node (embedding/memory lookup)."""
     a = as_node(a)
     idx = np.asarray(idx, dtype=np.int64)
-    val = a.value[idx]
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return out
-
-    return _make(val, ((a, vjp),))
+    return _make(a.value[idx], ((a, lambda g: SparseGrad(idx, g)),))
 
 
 def gather_submatrix(a, ix) -> Node:
     """Select a row/column block of a 2-D node; `ix` comes from np.ix_."""
     a = as_node(a)
-    val = a.value[ix]
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, ix, g)
-        return out
-
-    return _make(val, ((a, vjp),))
+    return _make(a.value[ix], ((a, lambda g: SparseGrad(ix, g)),))
 
 
 def scatter_rows(rows, idx, n_rows: int) -> Node:
@@ -441,9 +465,12 @@ def backward(root: Node) -> None:
     """Reverse sweep from a scalar node, populating `.grad` on the tape.
 
     Uses the active linear recording when one exists, otherwise falls back
-    to a depth-first topological sort. Accumulation allocates fresh arrays
-    (never `+=` in place), which makes shared upstream gradients safe and
-    keeps the reduction order fixed.
+    to a depth-first topological sort. A node's first dense contribution is
+    kept as is (it may be shared with other nodes); from its second
+    contribution on, or its first `SparseGrad`, the node gets a buffer that
+    backward allocates for it alone, and later contributions are added into
+    that buffer in place. Contributions arrive in reverse tape order, so the
+    reduction order is fixed and gradients are bitwise deterministic.
     """
     if root.value.size != 1:
         raise ValueError("backward requires a scalar loss node")
@@ -471,13 +498,29 @@ def backward(root: Node) -> None:
                     stack.append((parent, False))
 
     root.grad = np.ones_like(root.value)
+    owned: set[int] = set()  # ids of nodes whose grad buffer backward allocated
     for node in reversed(topo):
         g = node.grad
         if g is None:
             continue
         for parent, vjp in node.edges:
             contrib = vjp(g)
-            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+            grad = parent.grad
+            if type(contrib) is SparseGrad:
+                if id(parent) not in owned:
+                    grad = parent.grad = np.zeros_like(parent.value) \
+                        if grad is None else grad.copy()
+                    owned.add(id(parent))
+                contrib.add_into(grad)
+            elif grad is None:
+                parent.grad = contrib
+            elif (id(parent) in owned and contrib.shape == grad.shape
+                  and contrib.dtype == grad.dtype):
+                grad += contrib
+                parent.grad = grad  # a numpy scalar grad is rebound, not mutated
+            else:
+                parent.grad = grad + contrib
+                owned.add(id(parent))
 
 
 # ---------------------------------------------------------------------------
@@ -528,24 +571,36 @@ class ParameterStore:
         return self._params[name].value
 
     def bind(self) -> dict[str, Node]:
-        """Create leaf nodes and start a fresh tape recording."""
-        start_tape()
-        self._bound = {
+        """Create leaf nodes; with gradients enabled, start a fresh recording.
+
+        A bind under `no_grad` records nothing and leaves any recording (and
+        the leaves a later `backward` reads) as it was.
+        """
+        bound = {
             name: Node(p.value, (), requires_grad=True)
             for name, p in self._params.items()
         }
-        return self._bound
+        if _GRAD_ENABLED:
+            start_tape()
+            self._bound = bound
+        return bound
+
+    def release(self) -> None:
+        """Drop the bound leaves and stop the recording without a backward."""
+        self._bound = None
+        stop_tape()
 
     def backward(self, loss: Node) -> None:
         """Run the reverse sweep and accumulate into the gradient slots."""
         if self._bound is None:
             raise RuntimeError("backward called without a bound forward pass")
-        backward(loss)
-        for name, node in self._bound.items():
-            if node.grad is not None:
-                self._params[name].grad += node.grad
-        self._bound = None
-        stop_tape()
+        try:
+            backward(loss)
+            for name, node in self._bound.items():
+                if node.grad is not None:
+                    self._params[name].grad += node.grad
+        finally:
+            self.release()
 
     def zero_grad(self) -> None:
         for p in self._params.values():
@@ -664,7 +719,6 @@ def grad_check(store: ParameterStore, build_loss, rng,
     def eval_loss() -> tuple[float, bytes]:
         with no_grad(), collect_smoothness() as branch_log:
             val = build_loss(store.bind()).value.item()
-            store._bound = None
             return val, branch_log.digest()
 
     report = GradCheckReport(tolerance=tolerance, n_checked=0, n_skipped=0,
@@ -701,5 +755,4 @@ def grad_check(store: ParameterStore, build_loss, rng,
         if rel >= tolerance:
             report.failures.append((name, int(local), rel))
 
-    stop_tape()
     return report

@@ -15,7 +15,10 @@ Propagation never reaches beyond the layer count in hops, so the per-step
 heads run on row subsets: seeded heads (gain/loss/progress) only compute the
 rows inside the seeds' hop support, and retrieval only computes the examined
 rows from their inward neighborhood. A `Plan` freezes those row sets; the
-full-matrix path remains for the heads that need every row.
+full-matrix path remains for the heads that need every row. A plan depends
+only on the graphs, the layer count and the KC set, so `GrktModel`, which
+owns the graphs, builds each one once and reuses it across steps and
+evaluation passes.
 """
 
 from __future__ import annotations

@@ -164,7 +164,8 @@ class BatchCache:
     Edge correlations, constrained weights, kernel rate matrices and
     per-question embeddings/difficulties/requirement scores depend only on
     the parameters, so they are built once and reused by every sequence until
-    the next optimizer step.
+    the next optimizer step. Propagation plans do not depend on the
+    parameters; `plan_in`/`plan_out` fetch them from the model's own cache.
     """
 
     def __init__(self, model: "GrktModel", bound: dict[str, E.Node], mode: str):
@@ -213,8 +214,6 @@ class BatchCache:
         self._diff: dict = {}
         self._alpha: dict = {}
         self._alpha_col: dict = {}
-        self._plan_in: dict = {}
-        self._plan_out: dict = {}
 
     def mlp(self, head: str, x: E.Node) -> E.Node:
         b = self.bound
@@ -251,16 +250,10 @@ class BatchCache:
         return self._alpha_col[q]
 
     def plan_in(self, kcs: tuple[int, ...]) -> Plan:
-        if kcs not in self._plan_in:
-            self._plan_in[kcs] = plan_inward(self.model.gt, kcs,
-                                             self.model.hp.layers)
-        return self._plan_in[kcs]
+        return self.model.plan("in", kcs)
 
     def plan_out(self, kcs: tuple[int, ...]) -> Plan:
-        if kcs not in self._plan_out:
-            self._plan_out[kcs] = plan_outward(self.model.gt, kcs,
-                                               self.model.hp.layers)
-        return self._plan_out[kcs]
+        return self.model.plan("out", kcs)
 
 
 class GrktModel:
@@ -279,6 +272,16 @@ class GrktModel:
         self.specs: dict[str, GnnSpec] = make_specs(hp.d_e, hp.d_k, hp.layers)
         self.store = store if store is not None \
             else init_parameters(hp, n_questions, n_kcs)
+        # plans depend only on the graphs, the layer count and the KC set
+        self._plans: dict[tuple, Plan] = {}
+
+    def plan(self, direction: str, kcs: tuple[int, ...]) -> Plan:
+        """The inward ("in") or outward ("out") plan for `kcs`, built once."""
+        key = (direction, kcs)
+        if key not in self._plans:
+            build = plan_inward if direction == "in" else plan_outward
+            self._plans[key] = build(self.gt, kcs, self.hp.layers)
+        return self._plans[key]
 
     def begin(self, mode: str = "eval") -> tuple[dict[str, E.Node], BatchCache]:
         bound = self.store.bind()

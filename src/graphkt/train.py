@@ -194,6 +194,7 @@ def train_fold(ds: Dataset, fold: FoldSplit, cfg: TrainConfig,
             loss = bce_loss_node(preds)
             loss_val = loss.value.item()
             if not np.isfinite(loss_val):
+                model.store.release()
                 raise TrainingDiverged(epoch, b)
             model.store.zero_grad()
             model.store.backward(loss)

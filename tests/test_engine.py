@@ -287,3 +287,218 @@ def test_grad_check_skips_gate_flips():
                           n_coords=1, max_attempts=8)
     assert report.n_checked == 0
     assert report.n_skipped == 8
+
+
+# -- sparse gather gradients ---------------------------------------------------
+
+
+def _dense_gather_rows(a, idx):
+    """Reference gather with a dense vjp: a zeroed full array plus add.at."""
+    a = E.as_node(a)
+    idx = np.asarray(idx, dtype=np.int64)
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        np.add.at(out, idx, g)
+        return out
+
+    return E._make(a.value[idx], ((a, vjp),))
+
+
+def _dense_gather_submatrix(a, ix):
+    a = E.as_node(a)
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        np.add.at(out, ix, g)
+        return out
+
+    return E._make(a.value[ix], ((a, vjp),))
+
+
+def _with_dense_gathers(monkeypatch, fn):
+    """Run `fn` with the reference dense-vjp gathers patched into the engine."""
+    with monkeypatch.context() as m:
+        m.setattr(E, "gather_rows", _dense_gather_rows)
+        m.setattr(E, "gather_submatrix", _dense_gather_submatrix)
+        return fn()
+
+
+# a width of 700 puts the six gathered rows above the size where SparseGrad
+# tries a plain indexed add
+@pytest.mark.parametrize("width", [3, 700])
+@pytest.mark.parametrize("idx", [[3, 1, 3, 3, 0, 1], [0, 1, 2, 3, 4, 5],
+                                 [-1, 1, 2, 3, 4, 5]])
+def test_gather_rows_sums_like_add_at(idx, width):
+    # -1 and 5 name the same row of a 6-row array although they increase
+    rng = np.random.default_rng(11)
+    store = E.ParameterStore()
+    store.add("W", rng.normal(size=(6, width)))
+    weights = rng.normal(size=(6, width))
+    bound = store.bind()
+    store.backward(E.sum_all(E.mul(E.gather_rows(bound["W"], idx), weights)))
+    expected = np.zeros((6, width))
+    np.add.at(expected, idx, weights)
+    assert np.array_equal(store["W"].grad, expected)
+
+
+@pytest.mark.parametrize("n", [2, 40])
+def test_gather_submatrix_sums_like_add_at(n):
+    rng = np.random.default_rng(12)
+    store = E.ParameterStore()
+    store.add("W", rng.normal(size=(n + 2, n + 2)))
+    rows, cols = [2, 0, 2] + list(range(3, n)), [1, 1] + list(range(2, n))
+    ix = np.ix_(rows, cols)
+    weights = rng.normal(size=(len(rows), len(cols)))
+    bound = store.bind()
+    store.backward(E.sum_all(E.mul(E.gather_submatrix(bound["W"], ix), weights)))
+    expected = np.zeros((n + 2, n + 2))
+    np.add.at(expected, ix, weights)
+    assert np.array_equal(store["W"].grad, expected)
+
+
+def test_gather_submatrix_unique_block_matches_add_at():
+    rng = np.random.default_rng(16)
+    store = E.ParameterStore()
+    store.add("W", rng.normal(size=(50, 50)))
+    ix = np.ix_(np.arange(0, 50, 2), np.arange(1, 50))
+    weights = rng.normal(size=(25, 49))
+    bound = store.bind()
+    store.backward(E.sum_all(E.mul(E.gather_submatrix(bound["W"], ix), weights)))
+    expected = np.zeros((50, 50))
+    np.add.at(expected, ix, weights)
+    assert np.array_equal(store["W"].grad, expected)
+
+
+def test_dense_and_sparse_contributions_match_dense_reference(monkeypatch):
+    # memory H feeds gathers (sparse vjps) and adds (dense vjps), interleaved
+    rng = np.random.default_rng(13)
+    store = E.ParameterStore()
+    store.add("H0", rng.normal(size=(6, 3)))
+    store.add("U", rng.normal(size=(6, 3)))
+    store.add("W", rng.normal(size=(3, 3)))
+
+    def build(bound):
+        H = bound["H0"]
+        terms = []
+        for rows in ([0, 2], [1, 2, 5], [4], [0, 3, 5]):
+            picked = E.gather_rows(H, rows)
+            terms.append(E.sum_all(E.sigmoid(E.matmul(picked, bound["W"]))))
+            H = E.add(E.mul(H, 0.9), E.mul(bound["U"], 0.1))
+        block = E.gather_submatrix(H, np.ix_([1, 4], [0, 2]))
+        terms.append(E.sum_all(E.mul(block, block)))
+        return E.add_n(terms)
+
+    def grads():
+        store.zero_grad()
+        store.backward(build(store.bind()))
+        return {n: store[n].grad.copy() for n in store.names()}
+
+    sparse = grads()
+    dense = _with_dense_gathers(monkeypatch, grads)
+    for name in store.names():
+        assert np.abs(sparse[name] - dense[name]).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("path", ["tape", "dfs"])
+def test_leaf_with_only_sparse_contributions_is_settled(path):
+    store = E.ParameterStore()
+    store.add("W", np.arange(12.0).reshape(4, 3))
+    bound = store.bind()
+    loss = E.sum_all(E.add(E.gather_rows(bound["W"], [2, 0]),
+                           E.gather_rows(bound["W"], [2, 2])))
+    if path == "dfs":
+        store.release()  # no recording: backward sorts the graph itself
+    E.backward(loss)
+    expected = np.zeros((4, 3))
+    expected[0] = 1.0
+    expected[2] = 3.0
+    assert np.array_equal(bound["W"].grad, expected)
+
+
+def test_gather_vjp_from_edges_is_callable():
+    # tracing wraps the vjps in Node.edges: each must stay a plain callable
+    # whose result backward accepts
+    rng = np.random.default_rng(14)
+    store = E.ParameterStore()
+    store.add("W", rng.normal(size=(4, 4)))
+    bound = store.bind()
+    rows = E.gather_rows(bound["W"], [1, 3])
+    block = E.gather_submatrix(bound["W"], np.ix_([0, 2], [1, 3]))
+    for node, index in ((rows, np.array([1, 3])), (block, np.ix_([0, 2], [1, 3]))):
+        (parent, vjp), = node.edges
+        assert parent is bound["W"] and callable(vjp)
+        g = rng.normal(size=node.value.shape)
+        out = np.zeros((4, 4))
+        vjp(g).add_into(out)
+        expected = np.zeros((4, 4))
+        np.add.at(expected, index, g)
+        assert np.array_equal(out, expected)
+    store.release()
+
+
+def test_model_gradients_match_dense_reference_and_repeat(monkeypatch):
+    from graphkt.model import GrktModel, HyperParams
+    from graphkt.train import bce_loss_node
+    from tests.conftest import random_graphs, random_sequence
+
+    rng = np.random.default_rng(15)
+    n_kcs, n_q = 9, 7
+    hp = HyperParams(d_e=4, d_k=3, d_h=5, layers=2, seed=3)
+    model = GrktModel(hp, n_q, n_kcs, random_graphs(rng, n_kcs, 6, 6))
+    for name in model.store.names():
+        arr = model.store.value(name)
+        arr[...] = rng.normal(0.0, 0.7, size=arr.shape)
+    seqs = [random_sequence(rng, n_q, n_kcs, 8, student=s, max_kcs=3)
+            for s in range(3)]
+
+    def grads():
+        store = model.store
+        store.zero_grad()
+        _, cache = model.begin("train")
+        preds = []
+        for seq in seqs:
+            preds.extend(model.forward_sequence(seq, cache).preds)
+        store.backward(bce_loss_node(preds))
+        return {n: store[n].grad.copy() for n in store.names()}
+
+    first, second = grads(), grads()
+    dense = _with_dense_gathers(monkeypatch, grads)
+    for name in model.store.names():
+        assert np.array_equal(first[name], second[name]), name
+        assert np.abs(first[name] - dense[name]).max() < 1e-12, name
+    assert any(np.any(first[n] != 0) for n in model.store.names()
+               if n.startswith("gnn.prg"))  # stage 3 gave some progress
+
+
+# -- recording lifetime ------------------------------------------------------
+
+
+def test_no_grad_bind_starts_no_recording():
+    store = E.ParameterStore()
+    store.add("W", np.ones((2, 2)))
+    with E.no_grad():
+        store.bind()
+    assert E._TAPE is None and store._bound is None
+
+
+def test_no_grad_bind_keeps_a_running_recording():
+    store = E.ParameterStore()
+    store.add("W", np.ones((2, 2)))
+    bound = store.bind()
+    loss = E.sum_all(E.mul(bound["W"], 2.0))
+    with E.no_grad():
+        store.bind()
+    store.backward(loss)
+    assert np.array_equal(store["W"].grad, np.full((2, 2), 2.0))
+    assert E._TAPE is None
+
+
+def test_failed_backward_stops_recording():
+    store = E.ParameterStore()
+    store.add("W", np.ones((2, 2)))
+    bound = store.bind()
+    with pytest.raises(ValueError):
+        store.backward(E.mul(bound["W"], 2.0))
+    assert E._TAPE is None and store._bound is None
+

@@ -274,3 +274,83 @@ def test_graphs_for_fold_uses_training_split_only():
     cfg_full = tiny_config(min_cooccurrence=1, use_full_graphs=True)
     with_test = graphs_for_fold(ds, fold, cfg_full)
     assert with_test.edge_count("P") == 1
+
+
+# -- recording lifetime and plan reuse ----------------------------------------------
+
+
+def test_no_recording_left_after_evaluation():
+    ds = tiny_dataset()
+    fold = make_folds(ds, k=3, val_frac=0.2, seed=0)[0]
+    cfg = tiny_config()
+    model = GrktModel(cfg.hp, ds.n_questions, ds.n_kcs,
+                      graphs_for_fold(ds, fold, cfg))
+    evaluate(model, ds, fold.test, cfg)
+    assert E._TAPE is None and model.store._bound is None
+    model.reask_scores(ds.sequences[fold.test[0]])
+    assert E._TAPE is None and model.store._bound is None
+
+
+def test_no_recording_left_after_divergence(monkeypatch):
+    import graphkt.train as train_mod
+
+    class NanMemoryModel(GrktModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.store.value("H0")[...] = np.nan
+
+    monkeypatch.setattr(train_mod, "GrktModel", NanMemoryModel)
+    ds = tiny_dataset()
+    fold = make_folds(ds, k=3, val_frac=0.2, seed=0)[0]
+    with pytest.raises(TrainingDiverged) as err:
+        train_fold(ds, fold, tiny_config())
+    assert (err.value.epoch, err.value.batch) == (0, 0)
+    assert E._TAPE is None
+
+
+def test_plans_built_once_per_kc_set_and_graph_set(monkeypatch):
+    import graphkt.model as model_mod
+    from graphkt.gnn import plan_inward, plan_outward
+
+    builds = []
+
+    def counting(direction, build):
+        def wrapper(gt, kcs, layers):
+            builds.append((gt, direction, tuple(kcs)))
+            return build(gt, kcs, layers)
+        return wrapper
+
+    monkeypatch.setattr(model_mod, "plan_inward", counting("in", plan_inward))
+    monkeypatch.setattr(model_mod, "plan_outward", counting("out", plan_outward))
+
+    ds = tiny_dataset(n_kcs=4, seed=2)
+    fold = make_folds(ds, k=3, val_frac=0.2, seed=0)[0]
+    cfg = tiny_config()
+    graphs = KcRelationGraphs(ds.n_kcs, {(0, 1): 0.9}, {(1, 2): 0.8, (2, 3): 0.7})
+    model = GrktModel(cfg.hp, ds.n_questions, ds.n_kcs, graphs)
+    for _ in range(2):
+        _, cache = model.begin("train")
+        preds = []
+        for idx in fold.train:
+            preds.extend(model.forward_sequence(ds.sequences[idx], cache).preds)
+        model.store.zero_grad()
+        model.store.backward(bce_loss_node(preds))
+        model.store.adam_step(cfg.hp.lr)
+    evaluate(model, ds, fold.train, cfg)
+    assert builds and len(set(builds)) == len(builds)
+
+    other = GrktModel(cfg.hp, ds.n_questions, ds.n_kcs,
+                      KcRelationGraphs.empty(ds.n_kcs))
+    n_before = len(builds)
+    evaluate(other, ds, fold.train, cfg)
+    assert len(builds) > n_before
+    assert len(set(builds)) == len(builds)
+    for gt, direction, kcs in builds:
+        owner = model if gt is model.gt else other
+        assert gt is owner.gt
+        fresh = (plan_inward if direction == "in" else plan_outward)(
+            owner.gt, kcs, cfg.hp.layers)
+        assert owner.plan(direction, kcs).row_sets == fresh.row_sets
+    # the empty graph set never widens a plan past its seeds
+    assert all(other.plan(d, k).row_sets == (k,) * (cfg.hp.layers + 1)
+               for gt, d, k in builds if gt is other.gt)
