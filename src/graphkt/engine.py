@@ -329,9 +329,7 @@ class SparseGrad:
 
     `index` is whatever selected the gathered values: a row index array or
     an `np.ix_` tuple. `add_into` adds the values into a full-size buffer
-    with `np.add.at`, so duplicate indices sum. Large blocks whose index
-    arrays are non-negative and strictly increasing (hence unique) take a
-    plain indexed add instead, which is faster there.
+    with `np.add.at`, so duplicate indices sum.
     """
 
     __slots__ = ("index", "values")
@@ -341,22 +339,7 @@ class SparseGrad:
         self.values = values
 
     def add_into(self, buf: np.ndarray) -> None:
-        index, values = self.index, self.values
-        if values.size >= _PLAIN_ADD_MIN_SIZE and all(
-                _unique_sorted(p.ravel())
-                for p in (index if isinstance(index, tuple) else (index,))):
-            buf[index] += values
-        else:
-            np.add.at(buf, index, values)
-
-
-# below about this many values np.add.at costs less than the uniqueness check
-# plus a plain indexed add (measured with numpy 2.4)
-_PLAIN_ADD_MIN_SIZE = 1024
-
-
-def _unique_sorted(idx: np.ndarray) -> bool:
-    return idx.size < 2 or (idx[0] >= 0 and bool((idx[1:] > idx[:-1]).all()))
+        np.add.at(buf, self.index, self.values)
 
 
 def gather_rows(a, idx) -> Node:

@@ -2,9 +2,16 @@
 
 import pytest
 
+from graphkt import engine
 from graphkt.data import Dataset, IdMap, Response, ResponseSequence
 from graphkt.graphs import KcRelationGraphs
 from graphkt.model import GrktModel, HyperParams
+
+
+@pytest.fixture(autouse=True)
+def no_recording():
+    """Start each test with no tape recording, whatever earlier tests left."""
+    engine.stop_tape()
 
 
 def make_dataset(rows, n_questions=None, n_kcs=None, seq_len=None):
