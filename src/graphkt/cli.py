@@ -129,43 +129,37 @@ def _parse_config_file(path) -> dict:
     return out
 
 
-_HYPER_KEYS = {"d_e": int, "d_k": int, "d_h": int, "layers": int,
-               "lr": float, "l2": float, "eta": float, "seed": int,
-               "batch_size": int, "patience": int}
-_TRAIN_KEYS = {"max_epochs": int, "no_lf": bool, "no_sim": bool,
-               "no_pre": bool, "use_full_graphs": bool,
-               "min_cooccurrence": int}
+# the options `train` reads from flags or a --config file: HyperParams
+# fields, and TrainConfig fields keyed by their flag's name
+_HYPER_FIELDS = ("d_e", "d_k", "d_h", "layers", "lr", "l2", "eta", "seed",
+                 "batch_size", "patience")
+_TRAIN_FIELDS = {"max_epochs": "max_epochs", "no_lf": "disable_stage3",
+                 "no_sim": "drop_similarity", "no_pre": "drop_prerequisite",
+                 "use_full_graphs": "use_full_graphs",
+                 "min_cooccurrence": "min_cooccurrence"}
 
 
 def _train_config(args) -> TrainConfig:
+    """CLI flags over --config values over the dataclass defaults."""
     file_cfg = _parse_config_file(args.config) if args.config else {}
 
-    def pick(key, cast, default):
+    def pick(key, default):
         arg = getattr(args, key, None)
         if arg is not None and arg is not False:
             return arg
         if key in file_cfg:
             raw = file_cfg[key]
-            return raw.lower() in ("1", "true", "yes") if cast is bool else cast(raw)
+            if isinstance(default, bool):
+                return raw.lower() in ("1", "true", "yes")
+            return type(default)(raw)
         return default
 
-    hp = HyperParams(
-        d_e=pick("d_e", int, 128), d_k=pick("d_k", int, 16),
-        d_h=pick("d_h", int, 128), layers=pick("layers", int, 2),
-        lr=pick("lr", float, 5e-3), l2=pick("l2", float, 1e-6),
-        eta=pick("eta", float, 0.6), seed=pick("seed", int, 0),
-        batch_size=pick("batch_size", int, 32),
-        patience=pick("patience", int, 10),
-    )
-    return TrainConfig(
-        hp=hp,
-        max_epochs=pick("max_epochs", int, 200),
-        disable_stage3=pick("no_lf", bool, False),
-        drop_similarity=pick("no_sim", bool, False),
-        drop_prerequisite=pick("no_pre", bool, False),
-        use_full_graphs=pick("use_full_graphs", bool, False),
-        min_cooccurrence=pick("min_cooccurrence", int, 10),
-    )
+    hp_defaults, cfg_defaults = HyperParams(), TrainConfig()
+    hp = HyperParams(**{key: pick(key, getattr(hp_defaults, key))
+                        for key in _HYPER_FIELDS})
+    return TrainConfig(hp=hp, **{
+        name: pick(key, getattr(cfg_defaults, name))
+        for key, name in _TRAIN_FIELDS.items()})
 
 
 def _load_graphs_arg(args, ds) -> KcRelationGraphs | None:
@@ -222,7 +216,6 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     ds = _load_data(args)
     cfg = _train_config(args)
-    cfg.hp.seed = args.seed if args.seed is not None else cfg.hp.seed
     graphs = _load_graphs_arg(args, ds)
 
     if args.fold == "all":
@@ -238,7 +231,7 @@ def cmd_train(args) -> int:
     folds = make_folds(ds, k=args.k, val_frac=args.val_frac, seed=cfg.hp.seed)
     fold = folds[int(args.fold)]
     model, report = train_fold(ds, fold, cfg, graphs=graphs)
-    model.save(out / "checkpoint.json")
+    model.save(out / "checkpoint.json", disable_stage3=cfg.disable_stage3)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
     _write_manifest(out, args)
@@ -253,8 +246,8 @@ def cmd_eval(args) -> int:
     graphs = _load_graphs_arg(args, ds)
     if graphs is None:
         raise CliError("--graphs is required for eval")
-    model = GrktModel.load(args.checkpoint, graphs)
-    cfg = _train_config(args)
+    model, disable_stage3 = GrktModel.load(args.checkpoint, graphs)
+    cfg = TrainConfig(hp=model.hp, disable_stage3=disable_stage3)
     if args.fold == "all":
         indices = range(len(ds.sequences))
     else:
@@ -276,7 +269,7 @@ def cmd_trace(args) -> int:
     graphs = _load_graphs_arg(args, ds)
     if graphs is None:
         raise CliError("--graphs is required for trace")
-    model = GrktModel.load(args.checkpoint, graphs)
+    model, disable_stage3 = GrktModel.load(args.checkpoint, graphs)
 
     if args.student is not None:
         if args.student not in ds.students.to_dense:
@@ -291,7 +284,8 @@ def cmd_trace(args) -> int:
         _, cache = model.begin("eval")
         for idx in indices:
             res = model.forward_sequence(ds.sequences[idx], cache,
-                                         seq_index=idx, emit_trace=True)
+                                         seq_index=idx, emit_trace=True,
+                                         disable_stage3=disable_stage3)
             rows.extend(trace_rows(res.trace))
 
     with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
@@ -396,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-frac", type=float, default=0.1)
     p.set_defaults(func=cmd_train)
 
+    # eval and trace take the model and its stage-3 ablation from the
+    # checkpoint
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_data_flags(p)
-    _add_hyper_flags(p)
     p.add_argument("--out")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graphs", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--fold", default="all", help="fold index or 'all'")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--val-frac", type=float, default=0.1)

@@ -5,11 +5,13 @@ operations the tracing model is built from (dense matmuls, elementwise
 nonlinearities, row gather/scatter, reductions) on a recorded tape, plus
 parameter storage, Adam updates and a finite-difference gradient checker.
 
-Gather vjps return a `SparseGrad` (index, values) instead of a zeroed
-full-size array, so backward pays for the rows a gather touched. `backward`
-adds in place only into gradient buffers it allocated itself, one per node,
-and always in reverse tape order; the reduction order is therefore fixed by
-tape construction order and two runs with identical inputs produce
+`ParameterStore.bind` starts a linear recording of every grad-requiring
+node; `backward` is one reverse sweep over that recording, which must end at
+the loss. Gather vjps return a `SparseGrad` (index, values) instead of a
+zeroed full-size array, so backward pays for the rows a gather touched.
+`backward` adds in place only into gradient buffers it allocated itself, one
+per node, and always in reverse tape order; the reduction order is therefore
+fixed by tape construction order and two runs with identical inputs produce
 bitwise-identical gradients.
 """
 
@@ -445,44 +447,28 @@ def constrain_nonneg_matrix(raw):
 
 
 def backward(root: Node) -> None:
-    """Reverse sweep from a scalar node, populating `.grad` on the tape.
+    """Reverse sweep over the active recording, populating `.grad`.
 
-    Uses the active linear recording when one exists, otherwise falls back
-    to a depth-first topological sort. A node's first dense contribution is
-    kept as is (it may be shared with other nodes); from its second
-    contribution on, or its first `SparseGrad`, the node gets a buffer that
-    backward allocates for it alone, and later contributions are added into
-    that buffer in place. Contributions arrive in reverse tape order, so the
-    reduction order is fixed and gradients are bitwise deterministic.
+    The recording must end at `root`: creation order is then a topological
+    order (an op's inputs always exist before it), so one reverse pass
+    reaches every node after all of its consumers. A node's first dense
+    contribution is kept as is (it may be shared with other nodes); from its
+    second contribution on, or its first `SparseGrad`, the node gets a buffer
+    that backward allocates for it alone, and later contributions are added
+    into that buffer in place. Contributions arrive in reverse tape order, so
+    the reduction order is fixed and gradients are bitwise deterministic.
     """
     if root.value.size != 1:
         raise ValueError("backward requires a scalar loss node")
     if not root.requires_grad:
         raise RuntimeError("loss does not depend on any trainable parameter")
-
-    if _TAPE is not None and _TAPE and _TAPE[-1] is root:
-        # the recording ends at the loss node: creation order is topological
-        topo = _TAPE
-    else:
-        topo = []
-        visited: set[int] = set()
-        stack: list[tuple[Node, bool]] = [(root, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent, _ in node.edges:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
+    if not _TAPE or _TAPE[-1] is not root:
+        raise RuntimeError("the recording does not end at the loss node: "
+                           "bind the parameters, then build the loss last")
 
     root.grad = np.ones_like(root.value)
     owned: set[int] = set()  # ids of nodes whose grad buffer backward allocated
-    for node in reversed(topo):
+    for node in reversed(_TAPE):
         g = node.grad
         if g is None:
             continue

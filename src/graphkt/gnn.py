@@ -15,10 +15,10 @@ Propagation never reaches beyond the layer count in hops, so the per-step
 heads run on row subsets: seeded heads (gain/loss/progress) only compute the
 rows inside the seeds' hop support, and retrieval only computes the examined
 rows from their inward neighborhood. A `Plan` freezes those row sets; the
-full-matrix path remains for the heads that need every row. A plan depends
-only on the graphs, the layer count and the KC set, so `GrktModel`, which
-owns the graphs, builds each one once and reuses it across steps and
-evaluation passes.
+full-matrix path remains for the heads that need every row. Inward and
+outward plans share one hop expansion. A plan depends only on the graphs,
+the layer count and the KC set, so `GrktModel`, which owns the graphs,
+builds each one once and reuses it across steps and evaluation passes.
 """
 
 from __future__ import annotations
@@ -104,13 +104,6 @@ class GraphTensors:
             self.mask_norm[which] = m
             self.has_edges[which] = bool(m.any())
 
-    def union_neighbors(self, nodes) -> set[int]:
-        out: set[int] = set()
-        for c in nodes:
-            for which in GRAPH_KINDS:
-                out.update(self.graphs.neighbors(which, c))
-        return out
-
 
 def _sigmoid(x: float) -> float:
     if x >= 0:
@@ -186,27 +179,30 @@ class Plan:
                                     dtype=np.int64))
 
 
+def _hop_row_sets(gt: GraphTensors, kcs, layers: int) -> list[tuple[int, ...]]:
+    """Sorted 0..layers-hop neighborhoods of `kcs` over P, S and R."""
+    cur = set(kcs)
+    row_sets = [tuple(sorted(cur))]
+    for _ in range(layers):
+        cur |= {n for c in cur for which in GRAPH_KINDS
+                for n in gt.graphs.neighbors(which, c)}
+        row_sets.append(tuple(sorted(cur)))
+    return row_sets
+
+
 def plan_outward(gt: GraphTensors, seeds, layers: int) -> Plan:
     """Row sets for seeded propagation: layer l covers the l-hop support."""
-    seeds = sorted(set(seeds))
-    row_sets = [tuple(seeds)]
-    cur = set(seeds)
-    for _ in range(layers):
-        cur = cur | gt.union_neighbors(cur)
-        row_sets.append(tuple(sorted(cur)))
-    return Plan(row_sets)
+    return Plan(_hop_row_sets(gt, seeds, layers))
 
 
 def plan_inward(gt: GraphTensors, targets, layers: int) -> Plan:
-    """Row sets for reading specific output rows: expand neighborhoods down."""
-    targets = sorted(set(targets))
-    row_sets = [tuple(targets)]
-    cur = set(targets)
-    for _ in range(layers):
-        cur = cur | gt.union_neighbors(cur)
-        row_sets.append(tuple(sorted(cur)))
-    row_sets.reverse()
-    return Plan(row_sets)
+    """Row sets for reading specific output rows: the outward sets reversed.
+
+    The neighbor union over P, S and R is symmetric (S reverses P and R is
+    undirected), so the rows feeding a target within l hops are exactly the
+    rows it reaches within l hops.
+    """
+    return Plan(_hop_row_sets(gt, targets, layers)[::-1])
 
 
 def _apply_output_activation(spec: GnnSpec, out: E.Node) -> E.Node:

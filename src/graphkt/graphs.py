@@ -27,15 +27,12 @@ GRAPH_KINDS = ("P", "S", "R")
 class GraphBuildConfig:
     eta: float
     min_cooccurrence: int = 10
-    window: str = "student-history"
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.min_cooccurrence < 1:
             raise ValueError("min_cooccurrence must be at least 1")
-        if self.window != "student-history":
-            raise ValueError(f"unsupported window {self.window!r}")
 
 
 class KcRelationGraphs:
@@ -97,10 +94,6 @@ class KcRelationGraphs:
     @classmethod
     def empty(cls, n_kcs: int) -> "KcRelationGraphs":
         return cls(n_kcs, {}, {})
-
-
-def neighbors(graphs: KcRelationGraphs, which: str, c: int) -> list[int]:
-    return list(graphs.neighbors(which, c))
 
 
 @dataclass

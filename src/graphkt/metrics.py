@@ -30,7 +30,6 @@ class EvalRecord:
     label: int
     question: int
     mastery: float
-    mask: bool = True
 
 
 @dataclass
@@ -124,8 +123,6 @@ def gaucm(records) -> float:
     """
     by_question: dict[int, list[tuple[float, int]]] = {}
     for r in records:
-        if not r.mask:
-            continue
         by_question.setdefault(r.question, []).append((r.mastery, r.label))
 
     num = 0.0

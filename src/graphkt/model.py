@@ -21,10 +21,15 @@ three stages:
 
 Between-question gaps are measured in minutes and capped at 30 days so the
 exponential kernels stay away from their degenerate limit for outlier gaps.
+
+`GrktModel.steps` is the recurrence: the one place that runs the three stages
+in order and owns the memory bank. Sequence predictions, mastery traces,
+re-ask probes and replay prediction all consume its per-response records.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +39,6 @@ from .data import Response, ResponseSequence
 from .gnn import (GnnSpec, GraphTensors, Plan, gnn_forward, gnn_forward_rows,
                   make_specs, plan_inward, plan_outward)
 from .graphs import GRAPH_KINDS, KcRelationGraphs
-from .metrics import EvalRecord
 
 DT_CAP_MINUTES = 43200.0  # 30 days
 
@@ -95,8 +99,16 @@ class MasteryTrace:
 class SeqResult:
     preds: list[tuple[E.Node, int]]
     trace: MasteryTrace | None = None
-    records: list[EvalRecord] | None = None
-    reask: list[tuple[float, int]] | None = None
+
+
+@dataclass
+class Step:
+    """One response as the recurrence processed it (see `GrktModel.steps`)."""
+    response: Response
+    a_hat: E.Node    # stage-1 probability of a correct answer
+    mastery: E.Node  # stage-1 mastery of the examined KCs
+    before: E.Node   # memory before the strengthening update
+    after: E.Node    # memory after it
 
 
 def _mlp_dims(head: str, hp: HyperParams) -> tuple[int, int]:
@@ -382,77 +394,76 @@ class GrktModel:
         counters[learned_mask] += 1
         return new_H
 
-    # -- sequence-level API -------------------------------------------------
+    # -- the recurrence -----------------------------------------------------
 
-    def forward_sequence(self, seq: ResponseSequence, cache: BatchCache,
-                         seq_index: int = 0, emit_trace: bool = False,
-                         want_records: bool = False, want_reask: bool = False,
-                         disable_stage3: bool = False) -> SeqResult:
-        """Run the three-stage recurrence over one sequence's real steps."""
+    def steps(self, responses: Sequence[Response], cache: BatchCache,
+              disable_stage3: bool = False) -> Iterator[Step]:
+        """Run stages 1 -> 2 -> 3 over `responses`, yielding one Step each.
+
+        Stage 1 predicts each response from the memory so far, stage 2
+        strengthens the memory with the observed outcome, and stage 3 (unless
+        disabled) carries it across the gap to the next response. The
+        generator owns the memory and the per-KC learning counters; a step's
+        stage 3 runs when the consumer asks for the next step.
+        """
         H = cache.h0
         counters = np.zeros(self.n_kcs, dtype=np.int64)
-        preds: list[tuple[E.Node, int]] = []
-        trace = MasteryTrace(seq.student, seq_index) if emit_trace else None
-        records: list[EvalRecord] | None = [] if want_records else None
-        reask: list[tuple[float, int]] | None = [] if want_reask else None
-
-        for t in range(seq.valid_len):
-            r = seq.responses[t]
+        for t, r in enumerate(responses):
             a_hat, _, mastery = self.stage1_predict(H, r.question, r.kcs, cache)
-            preds.append((a_hat, r.correct))
-            if records is not None:
-                records.append(EvalRecord(
-                    score=a_hat.value.item(), label=r.correct,
-                    question=r.question, mastery=mastery.value.item()))
-
-            pre = self._mastery_vector(H, cache) if emit_trace else None
-            H = self.stage2_strengthen(H, r.question, r.kcs, r.correct, cache)
-            if trace is not None:
-                trace.steps.append(TraceStep(
-                    examined=r.kcs, pre=pre,
-                    post=self._mastery_vector(H, cache),
-                    step=t, timestamp=r.timestamp,
-                    predicted=a_hat.value.item(), correct=r.correct))
-            if reask is not None:
-                again, _, _ = self.stage1_predict(H, r.question, r.kcs, cache)
-                reask.append((again.value.item(), r.correct))
-
-            if not disable_stage3 and t + 1 < seq.valid_len:
-                nxt = seq.responses[t + 1]
+            after = self.stage2_strengthen(H, r.question, r.kcs, r.correct, cache)
+            yield Step(r, a_hat, mastery, H, after)
+            H = after
+            if not disable_stage3 and t + 1 < len(responses):
+                nxt = responses[t + 1]
                 H = self.stage3_learn_forget(
                     H, r.question, r.kcs, nxt.question, nxt.kcs,
                     float(nxt.timestamp - r.timestamp), counters, cache)
 
-        return SeqResult(preds=preds, trace=trace, records=records, reask=reask)
+    def trace_step(self, step: Step, t: int, cache: BatchCache) -> TraceStep:
+        """Per-KC mastery around the strengthening update of step `t`."""
+        r = step.response
+        return TraceStep(examined=r.kcs,
+                         pre=self._mastery_vector(step.before, cache),
+                         post=self._mastery_vector(step.after, cache),
+                         step=t, timestamp=r.timestamp,
+                         predicted=step.a_hat.value.item(), correct=r.correct)
+
+    def reask(self, step: Step, cache: BatchCache) -> tuple[float, int]:
+        """Score the same question asked again right after the response.
+
+        A counterfactual probe: it reads the strengthened memory and changes
+        nothing. Returns (score, observed correctness).
+        """
+        r = step.response
+        again, _, _ = self.stage1_predict(step.after, r.question, r.kcs, cache)
+        return again.value.item(), r.correct
+
+    def forward_sequence(self, seq: ResponseSequence, cache: BatchCache,
+                         seq_index: int = 0, emit_trace: bool = False,
+                         disable_stage3: bool = False) -> SeqResult:
+        """Predictions (and optionally a trace) over one sequence's real steps."""
+        preds: list[tuple[E.Node, int]] = []
+        trace = MasteryTrace(seq.student, seq_index) if emit_trace else None
+        for t, step in enumerate(self.steps(seq.real(), cache, disable_stage3)):
+            preds.append((step.a_hat, step.response.correct))
+            if trace is not None:
+                trace.steps.append(self.trace_step(step, t, cache))
+        return SeqResult(preds=preds, trace=trace)
 
     def predict_next(self, history: list[Response], q_next: int,
                      kcs_next: tuple[int, ...], t_next: int,
                      cache: BatchCache, disable_stage3: bool = False) -> float:
         """Replay a history, bridge the final gap, and score a new question."""
-        H = cache.h0
-        counters = np.zeros(self.n_kcs, dtype=np.int64)
-        for t, r in enumerate(history):
-            H = self.stage2_strengthen(H, r.question, r.kcs, r.correct, cache)
-            if disable_stage3:
-                continue
-            if t + 1 < len(history):
-                nxt = history[t + 1]
-                H = self.stage3_learn_forget(
-                    H, r.question, r.kcs, nxt.question, nxt.kcs,
-                    float(nxt.timestamp - r.timestamp), counters, cache)
-            else:
-                H = self.stage3_learn_forget(
-                    H, r.question, r.kcs, q_next, kcs_next,
-                    float(t_next - r.timestamp), counters, cache)
-        a_hat, _, _ = self.stage1_predict(H, q_next, kcs_next, cache)
-        return a_hat.value.item()
+        probe = Response(q_next, kcs_next, 0, t_next)  # its label is never read
+        *_, last = self.steps([*history, probe], cache, disable_stage3)
+        return last.a_hat.value.item()
 
     def reask_scores(self, seq: ResponseSequence) -> list[tuple[float, int]]:
         """Counterfactual immediate re-ask of each answered question."""
         with E.no_grad():
             _, cache = self.begin("eval")
-            result = self.forward_sequence(seq, cache, want_reask=True)
-        return result.reask
+            return [self.reask(step, cache)
+                    for step in self.steps(seq.real(), cache)]
 
     def mastery(self, H_value: np.ndarray, c: int) -> float:
         """Project one KC's memory row to its scalar mastery."""
@@ -464,17 +475,26 @@ class GrktModel:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path) -> None:
+    def save(self, path, disable_stage3: bool = False) -> None:
+        """Write a checkpoint; `disable_stage3` records the stage-3 ablation."""
         hyper = self.hp.to_dict()
         hyper["n_questions"] = self.n_questions
         hyper["n_kcs"] = self.n_kcs
+        hyper["disable_stage3"] = disable_stage3
         self.store.save(path, hyper, self.hp.seed)
 
     @classmethod
-    def load(cls, path, graphs: KcRelationGraphs) -> "GrktModel":
+    def load(cls, path,
+             graphs: KcRelationGraphs) -> tuple["GrktModel", bool]:
+        """Read a checkpoint; returns the model and its stage-3 ablation.
+
+        Checkpoints written before the ablation was recorded ran stage 3.
+        """
         store, hyper, _ = E.ParameterStore.load(path)
         hp = HyperParams.from_dict(hyper)
-        return cls(hp, hyper["n_questions"], hyper["n_kcs"], graphs, store=store)
+        model = cls(hp, hyper["n_questions"], hyper["n_kcs"], graphs,
+                    store=store)
+        return model, bool(hyper.get("disable_stage3", False))
 
 
 def trace_rows(trace: MasteryTrace) -> list[dict]:

@@ -136,25 +136,27 @@ def _predictions(model: GrktModel, ds: Dataset, indices,
 
 def evaluate(model: GrktModel, ds: Dataset, indices,
              cfg: TrainConfig) -> metrics.ReasonabilityReport:
-    """All five metrics over the given sequences."""
+    """All five metrics over the given sequences, from one recurrence pass."""
     records = []
-    traces = []
+    trace_steps = []
     reask_pairs = []
     with E.no_grad():
         _, cache = model.begin("eval")
         for idx in indices:
-            res = model.forward_sequence(
-                ds.sequences[idx], cache, seq_index=idx, emit_trace=True,
-                want_records=True, want_reask=True,
-                disable_stage3=cfg.disable_stage3)
-            records.extend(res.records)
-            traces.append(res.trace)
-            reask_pairs.extend(res.reask)
+            steps = model.steps(ds.sequences[idx].real(), cache,
+                                cfg.disable_stage3)
+            for t, step in enumerate(steps):
+                r = step.response
+                records.append(metrics.EvalRecord(
+                    score=step.a_hat.value.item(), label=r.correct,
+                    question=r.question, mastery=step.mastery.value.item()))
+                trace_steps.append(model.trace_step(step, t, cache))
+                reask_pairs.append(model.reask(step, cache))
     pairs = [(r.score, r.label) for r in records]
     return metrics.ReasonabilityReport(
         auc=metrics.auc(pairs),
         acc=metrics.accuracy(pairs),
-        consistency=metrics.consistency(traces),
+        consistency=metrics.consistency(trace_steps),
         gaucm=metrics.gaucm(records),
         repetition=metrics.accuracy(reask_pairs),
     )

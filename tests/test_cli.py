@@ -5,7 +5,13 @@ import json
 
 import pytest
 
-from graphkt.cli import run
+from graphkt import engine as E
+from graphkt import metrics
+from graphkt.cli import _train_config, build_parser, run
+from graphkt.data import ingest_csv, preprocess
+from graphkt.graphs import import_graphs
+from graphkt.model import GrktModel, trace_rows
+from graphkt.train import TrainConfig
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -138,3 +144,48 @@ def test_config_file_with_cli_override(pipeline, tmp_path):
     assert len(report["train_losses"]) <= 2  # CLI --max-epochs wins
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["config"] == str(cfg)
+
+
+def test_train_without_hyper_flags_resolves_to_defaults():
+    args = build_parser().parse_args(["train", "--data", "log.csv"])
+    assert _train_config(args) == TrainConfig()
+
+
+def test_no_lf_checkpoint_is_evaluated_and_traced_without_stage3(pipeline,
+                                                                  tmp_path):
+    data = str(pipeline / "synth" / "data.csv")
+    graphs = str(pipeline / "graphs" / "graphs.txt")
+    common = ["--data", data, "--seq-len", "12", "--min-len", "4",
+              "--graphs", graphs]
+    ck = tmp_path / "train" / "checkpoint.json"
+    assert run(["train", *common, "--out", str(tmp_path / "train"),
+                "--seed", "1", "--fold", "0", "--k", "3", "--val-frac", "0.2",
+                "--d-e", "3", "--d-k", "3", "--d-h", "4", "--layers", "1",
+                "--max-epochs", "1", "--no-lf"]) == 0
+    evaluate = ["eval", *common, "--checkpoint", str(ck),
+                "--out", str(tmp_path / "eval")]
+    assert run(evaluate + ["--no-lf"]) == 2  # the checkpoint decides
+    assert run(evaluate) == 0
+    assert run(["trace", *common, "--checkpoint", str(ck), "--seq", "0",
+                "--out", str(tmp_path / "trace")]) == 0
+
+    ds = preprocess(ingest_csv(data), seq_len=12, min_len=4)
+    model, disable_stage3 = GrktModel.load(ck, import_graphs(graphs))
+    assert disable_stage3
+
+    def forward(stage3_off):
+        with E.no_grad():
+            _, cache = model.begin("eval")
+            return [model.forward_sequence(seq, cache, seq_index=i,
+                                           emit_trace=True,
+                                           disable_stage3=stage3_off)
+                    for i, seq in enumerate(ds.sequences)]
+
+    without = forward(True)
+    pairs = [(p.value.item(), a) for res in without for p, a in res.preds]
+    scored = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    assert scored["auc"] == metrics.auc(pairs)
+    assert scored["acc"] == metrics.accuracy(pairs)
+    traced = json.loads((tmp_path / "trace" / "trace.json").read_text())
+    assert traced == trace_rows(without[0].trace)
+    assert traced != trace_rows(forward(False)[0].trace)

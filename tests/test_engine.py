@@ -380,20 +380,31 @@ def test_dense_and_sparse_contributions_match_dense_reference(monkeypatch):
         assert np.abs(sparse[name] - dense[name]).max() < 1e-12, name
 
 
-@pytest.mark.parametrize("path", ["tape", "dfs"])
-def test_leaf_with_only_sparse_contributions_is_settled(path):
+def test_leaf_with_only_sparse_contributions_is_settled():
     store = E.ParameterStore()
     store.add("W", np.arange(12.0).reshape(4, 3))
     bound = store.bind()
     loss = E.sum_all(E.add(E.gather_rows(bound["W"], [2, 0]),
                            E.gather_rows(bound["W"], [2, 2])))
-    if path == "dfs":
-        store.release()  # no recording: backward sorts the graph itself
     E.backward(loss)
     expected = np.zeros((4, 3))
     expected[0] = 1.0
     expected[2] = 3.0
     assert np.array_equal(bound["W"].grad, expected)
+
+
+def test_backward_requires_the_recording_to_end_at_the_loss():
+    store = E.ParameterStore()
+    store.add("W", np.ones((2, 2)))
+    bound = store.bind()
+    loss = E.sum_all(E.mul(bound["W"], 2.0))
+    E.mul(bound["W"], 3.0)  # recorded after the loss
+    with pytest.raises(RuntimeError, match="does not end at the loss"):
+        E.backward(loss)
+    store.release()
+    with pytest.raises(RuntimeError, match="does not end at the loss"):
+        E.backward(loss)  # no recording at all
+    assert bound["W"].grad is None
 
 
 def test_gather_vjp_from_edges_is_callable():

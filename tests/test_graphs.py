@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphkt.graphs import (GraphBuildConfig, KcRelationGraphs, build_graphs,
                             export_graphs, import_graphs, load_labeled_graphs,
-                            neighbors, prerequisite_score, similarity_score)
+                            prerequisite_score, similarity_score)
 from tests.conftest import make_dataset
 
 
@@ -183,9 +183,9 @@ def test_no_self_loops_enforced():
 
 def test_neighbors_isolated_node():
     g = KcRelationGraphs(4, {(0, 1): 0.9}, {})
-    assert neighbors(g, "R", 3) == []
-    assert neighbors(g, "S", 0) == []
-    assert neighbors(g, "S", 1) == [0]
+    assert g.neighbors("R", 3) == ()
+    assert g.neighbors("S", 0) == ()
+    assert g.neighbors("S", 1) == (0,)
 
 
 @given(st.integers(0, 10_000))

@@ -374,6 +374,25 @@ def test_predict_next_matches_two_step_replay(desk_model):
     assert got == want.value.item()
 
 
+@pytest.mark.parametrize("disable_stage3", [False, True])
+def test_predict_next_is_the_last_prediction_of_forward_sequence(
+        disable_stage3):
+    rng = np.random.default_rng(42)
+    hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=2, seed=42)
+    model = randomize(GrktModel(hp, 5, 7, random_graphs(rng, 7)), 0.6,
+                      seed=43)
+    seq = random_sequence(rng, 5, 7, 9, max_kcs=3)
+    *history, probe = seq.responses
+    with E.no_grad():
+        _, cache = model.begin("eval")
+        got = model.predict_next(history, probe.question, probe.kcs,
+                                 probe.timestamp, cache,
+                                 disable_stage3=disable_stage3)
+        res = model.forward_sequence(seq, cache,
+                                     disable_stage3=disable_stage3)
+    assert got == res.preds[-1][0].value.item()
+
+
 def test_predict_next_invariant_outside_support():
     rng = np.random.default_rng(40)
     hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=2, seed=40)
@@ -416,8 +435,8 @@ def test_model_save_load_roundtrip(tmp_path, desk_model, desk_sequence):
     model = randomize(desk_model, 0.5, seed=50)
     path = tmp_path / "model.json"
     model.save(path)
-    loaded = GrktModel.load(path, model.graphs)
-    assert loaded.hp == model.hp
+    loaded, disable_stage3 = GrktModel.load(path, model.graphs)
+    assert loaded.hp == model.hp and disable_stage3 is False
     _, c1 = model.begin("eval")
     _, c2 = loaded.begin("eval")
     p1 = [p.value.item() for p, _ in

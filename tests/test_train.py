@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from graphkt import engine as E
+from graphkt import metrics
 from graphkt.data import Response, make_folds, preprocess
 from graphkt.graphs import KcRelationGraphs
 from graphkt.model import GrktModel, HyperParams
 from graphkt.train import (TrainConfig, TrainingDiverged, apply_ablation,
                            bce_loss, bce_loss_node, cross_validate, evaluate,
                            graphs_for_fold, train_fold)
-from tests.conftest import make_dataset
+from tests.conftest import make_dataset, random_graphs, random_sequence
+from tests.test_model import randomize
 
 
 # -- bce loss -----------------------------------------------------------------
@@ -233,6 +235,54 @@ def test_evaluate_full_metric_set():
     for value in report.to_dict().values():
         assert 0.0 <= value <= 1.0
     assert report.consistency == 1.0
+
+
+@pytest.mark.parametrize("disable_stage3", [False, True])
+def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
+    # evaluate's inputs to the metrics equal what forward_sequence and
+    # reask_scores produce on their own, bit for bit
+    rng = np.random.default_rng(60)
+    rows = [(s, r.question, r.kcs, r.correct, r.timestamp)
+            for s in range(5)
+            for r in random_sequence(rng, 5, 7, 8, max_kcs=3).responses]
+    ds = make_dataset(rows, n_questions=5, n_kcs=7)
+    hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=2, seed=60)
+    model = randomize(GrktModel(hp, 5, 7, random_graphs(rng, 7)), 0.6,
+                      seed=61)
+    cfg = TrainConfig(hp=hp, disable_stage3=disable_stage3)
+    indices = [3, 0, 4]
+
+    seen = {}
+    for name in ("auc", "accuracy", "consistency"):
+        def spy(arg, fn=getattr(metrics, name), name=name):
+            seen.setdefault(name, []).append(list(arg))
+            return fn(arg)
+        monkeypatch.setattr(metrics, name, spy)
+    report = evaluate(model, ds, indices, cfg)
+    monkeypatch.undo()
+
+    with E.no_grad():
+        _, cache = model.begin("eval")
+        results = [model.forward_sequence(ds.sequences[i], cache, seq_index=i,
+                                          emit_trace=True,
+                                          disable_stage3=disable_stage3)
+                   for i in indices]
+    pairs = [(p.value.item(), a) for res in results for p, a in res.preds]
+    assert seen["auc"][0] == pairs and seen["accuracy"][0] == pairs
+    steps = [step for res in results for step in res.trace.steps]
+    (traced,) = seen["consistency"]
+    assert len(traced) == len(steps)
+    for got, want in zip(traced, steps):
+        assert (got.examined, got.step, got.timestamp, got.predicted,
+                got.correct) == (want.examined, want.step, want.timestamp,
+                                 want.predicted, want.correct)
+        assert np.array_equal(got.pre, want.pre)
+        assert np.array_equal(got.post, want.post)
+    if not disable_stage3:  # reask_scores always runs stage 3
+        seqs = [ds.sequences[i] for i in indices]
+        assert seen["accuracy"][1] == [pair for seq in seqs
+                                       for pair in model.reask_scores(seq)]
+        assert report.repetition == metrics.repetition(model, seqs)
 
 
 def test_cross_validate_aggregates():
