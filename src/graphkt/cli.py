@@ -116,7 +116,11 @@ def _add_hyper_flags(p):
                    help="mine graphs from the whole dataset, not the fold")
 
 
-def _parse_config_file(path) -> dict:
+def _parse_config_file(path) -> dict[str, tuple[int, str]]:
+    """`key = value` lines as {key: (line number, raw value)}.
+
+    A key that `train` does not read fails with the file and line.
+    """
     out = {}
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -125,7 +129,10 @@ def _parse_config_file(path) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key not in _HYPER_FIELDS and key not in _TRAIN_FIELDS:
+            raise CliError(f"{path}:{line_no}: unknown key {key!r}")
+        out[key] = (line_no, value)
     return out
 
 
@@ -137,6 +144,17 @@ _TRAIN_FIELDS = {"max_epochs": "max_epochs", "no_lf": "disable_stage3",
                  "no_sim": "drop_similarity", "no_pre": "drop_prerequisite",
                  "use_full_graphs": "use_full_graphs",
                  "min_cooccurrence": "min_cooccurrence"}
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _convert(raw: str, default):
+    """Read a config value as the type of its default; ValueError if it fails."""
+    if isinstance(default, bool):
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(raw)
+        return _BOOLEANS[raw.lower()]
+    return type(default)(raw)
 
 
 def _train_config(args) -> TrainConfig:
@@ -148,10 +166,12 @@ def _train_config(args) -> TrainConfig:
         if arg is not None and arg is not False:
             return arg
         if key in file_cfg:
-            raw = file_cfg[key]
-            if isinstance(default, bool):
-                return raw.lower() in ("1", "true", "yes")
-            return type(default)(raw)
+            line_no, raw = file_cfg[key]
+            try:
+                return _convert(raw, default)
+            except ValueError:
+                raise CliError(f"{args.config}:{line_no}: {key} = {raw!r} is "
+                               f"not a valid {type(default).__name__}") from None
         return default
 
     hp_defaults, cfg_defaults = HyperParams(), TrainConfig()
@@ -213,9 +233,9 @@ def cmd_build_graphs(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _train_config(args)  # a bad config fails before any work
     out = _out_dir(args)
     ds = _load_data(args)
-    cfg = _train_config(args)
     graphs = _load_graphs_arg(args, ds)
 
     if args.fold == "all":

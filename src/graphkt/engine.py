@@ -13,10 +13,23 @@ zeroed full-size array, so backward pays for the rows a gather touched.
 per node, and always in reverse tape order; the reduction order is therefore
 fixed by tape construction order and two runs with identical inputs produce
 bitwise-identical gradients.
+
+The sweep consumes the recording: each node leaves it as it is processed and
+drops its vjp edges and its gradient (the root keeps its gradient), so the
+tape is freed during backward. Leaves are never recorded; their gradients
+stay for `ParameterStore.backward` to read. A tape holds no reference cycles,
+so Python's cyclic garbage collector has nothing to find in it: it is paused
+while a recording is live and put back as it was when the recording stops.
+Every recording therefore ends in `ParameterStore.backward` or `release`.
+
+`matmul` takes N-D operands (numpy's batched matmul over leading axes, a 2-D
+operand broadcast against a stack); with `stack` this lets one op chain
+propagate over all relation graphs at once.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from contextlib import contextmanager
@@ -27,6 +40,7 @@ import numpy as np
 _GRAD_ENABLED = True
 _SMOOTH_LOG: "SmoothnessLog | None" = None
 _TAPE: "list[Node] | None" = None
+_GC_WAS_ENABLED = False  # the collector's state before the live recording
 
 EXP_CLAMP_LO = -60.0
 EXP_CLAMP_HI = 0.0
@@ -122,15 +136,23 @@ def start_tape() -> None:
     Node creation order is a valid topological order (an op's inputs always
     exist before it), so `backward` can sweep the recording in reverse
     without a graph search. Each recording covers one bind/forward/backward
-    round.
+    round. The cyclic garbage collector is paused until `stop_tape`.
     """
-    global _TAPE
+    global _TAPE, _GC_WAS_ENABLED
+    if _TAPE is None:
+        _GC_WAS_ENABLED = gc.isenabled()
+        gc.disable()
     _TAPE = []
 
 
 def stop_tape() -> None:
+    """End the recording, if any, and put the collector back as it was."""
     global _TAPE
+    if _TAPE is None:
+        return
     _TAPE = None
+    if _GC_WAS_ENABLED:
+        gc.enable()
 
 
 def _make(value: np.ndarray, edges) -> Node:
@@ -230,11 +252,18 @@ def scale(a, c: float) -> Node:
 
 
 def matmul(a, b) -> Node:
+    """Matrix product; N-D operands multiply matrix stacks over leading axes.
+
+    A 2-D operand against a stack is broadcast, and its gradient is summed
+    back over the stack axes.
+    """
     a, b = as_node(a), as_node(b)
     val = a.value @ b.value
     return _make(val, (
-        (a, lambda g: g @ b.value.T),
-        (b, lambda g: a.value.T @ g),
+        (a, lambda g: _unbroadcast(g @ b.value.swapaxes(-1, -2),
+                                   a.value.shape)),
+        (b, lambda g: _unbroadcast(a.value.swapaxes(-1, -2) @ g,
+                                   b.value.shape)),
     ))
 
 
@@ -326,6 +355,13 @@ def concat(parts, axis: int = 1) -> Node:
     return _make(val, tuple(edges))
 
 
+def stack(nodes) -> Node:
+    """Stack same-shaped nodes along a new leading axis."""
+    nodes = [as_node(n) for n in nodes]
+    val = np.stack([n.value for n in nodes])
+    return _make(val, [(n, lambda g, i=i: g[i]) for i, n in enumerate(nodes)])
+
+
 class SparseGrad:
     """A gradient that is zero outside `index`, as returned by gather vjps.
 
@@ -352,7 +388,10 @@ def gather_rows(a, idx) -> Node:
 
 
 def gather_submatrix(a, ix) -> Node:
-    """Select a row/column block of a 2-D node; `ix` comes from np.ix_."""
+    """Select a row/column block of a node; `ix` comes from np.ix_.
+
+    A stack of matrices takes `(slice(None), *ix)`: the same block of each.
+    """
     a = as_node(a)
     return _make(a.value[ix], ((a, lambda g: SparseGrad(ix, g)),))
 
@@ -457,22 +496,33 @@ def backward(root: Node) -> None:
     that backward allocates for it alone, and later contributions are added
     into that buffer in place. Contributions arrive in reverse tape order, so
     the reduction order is fixed and gradients are bitwise deterministic.
+
+    The sweep pops each node off the recording and drops its edges and,
+    except for the root, its gradient, so the recording is empty afterwards
+    and only leaves (never recorded) and the root keep a gradient.
     """
     if root.value.size != 1:
         raise ValueError("backward requires a scalar loss node")
     if not root.requires_grad:
         raise RuntimeError("loss does not depend on any trainable parameter")
-    if not _TAPE or _TAPE[-1] is not root:
+    tape = _TAPE
+    if not tape or tape[-1] is not root:
         raise RuntimeError("the recording does not end at the loss node: "
                            "bind the parameters, then build the loss last")
 
     root.grad = np.ones_like(root.value)
-    owned: set[int] = set()  # ids of nodes whose grad buffer backward allocated
-    for node in reversed(_TAPE):
-        g = node.grad
+    # ids of nodes whose grad buffer backward allocated; no node is created
+    # during the sweep, so a freed node's id is never reused by a live one
+    owned: set[int] = set()
+    while tape:
+        node = tape.pop()
+        g, edges = node.grad, node.edges
+        node.edges = ()
+        if node is not root:
+            node.grad = None
         if g is None:
             continue
-        for parent, vjp in node.edges:
+        for parent, vjp in edges:
             contrib = vjp(g)
             grad = parent.grad
             if type(contrib) is SparseGrad:

@@ -4,8 +4,14 @@ Each layer aggregates, per relation graph, the mean over a node's neighbors
 of the neighbor feature times a square weight matrix, scaled by a learned
 edge-correlation score (and, for the heads that look at the current question,
 a question-KC requirement score). A ReLU feed-forward projection follows
-unless the head disables it, the three graph branches are summed, and a
-residual connection applies whenever layer width is preserved.
+unless the head disables it, the graph branches are summed, and a residual
+connection applies whenever layer width is preserved.
+
+The graphs that have edges are stacked: the adjacency is one (G, C, C) node
+and each layer's weights one (G, d, d) stack (plus the feed-forward stack),
+so a layer is one op chain for all graphs at once (`_messages`, shared by the
+full and the restricted path), summed over the graph axis at the end. With
+no edges at all (G = 0) the messages are zero.
 
 The retrieval head keeps its weights non-negative (softmax-constrained
 columns) and drops the feed-forward so that larger neighbor memories can
@@ -84,25 +90,28 @@ def make_specs(d_e: int, d_k: int, layers: int) -> dict[str, GnnSpec]:
 
 
 class GraphTensors:
-    """Dense per-graph adjacency masks pre-scaled by 1/degree.
+    """Adjacency masks, pre-scaled by 1/degree, of the graphs with edges.
 
-    Rows with no neighbors get a zero row, so an empty neighbor list simply
-    contributes nothing instead of dividing by zero.
+    `kinds` names those graphs in `GRAPH_KINDS` order and `mask_norm` stacks
+    their masks, shape (len(kinds), C, C). Rows with no neighbors are zero,
+    so an empty neighbor list contributes nothing instead of dividing by zero.
     """
 
     def __init__(self, graphs: KcRelationGraphs):
         self.graphs = graphs
         self.n_kcs = graphs.n_kcs
-        self.mask_norm: dict[str, np.ndarray] = {}
-        self.has_edges: dict[str, bool] = {}
+        masks = {}
         for which in GRAPH_KINDS:
             m = np.zeros((graphs.n_kcs, graphs.n_kcs))
             for i in range(graphs.n_kcs):
                 nbrs = graphs.neighbors(which, i)
                 if nbrs:
                     m[i, list(nbrs)] = 1.0 / len(nbrs)
-            self.mask_norm[which] = m
-            self.has_edges[which] = bool(m.any())
+            if m.any():
+                masks[which] = m
+        self.kinds: tuple[str, ...] = tuple(masks)
+        self.mask_norm = np.stack(list(masks.values())) if masks \
+            else np.zeros((0, graphs.n_kcs, graphs.n_kcs))
 
 
 def _sigmoid(x: float) -> float:
@@ -215,55 +224,64 @@ def _apply_output_activation(spec: GnnSpec, out: E.Node) -> E.Node:
     return out
 
 
-def gnn_forward(spec: GnnSpec, x: E.Node, gt: GraphTensors,
-                weights: dict[tuple[str, int], tuple[E.Node, E.Node | None]],
-                agg_mats: dict[str, E.Node],
-                alpha_row: E.Node | None = None) -> E.Node:
-    """Run one head over all KC rows.
+# one layer's (W, O) stacks; O is None for heads without a feed-forward
+LayerWeights = tuple[E.Node, "E.Node | None"]
 
-    `agg_mats[G]` is the degree-normalized, correlation-scaled adjacency for
-    graph G (shared across layers and heads for one parameter state).
-    `alpha_row` carries the per-KC question requirement scores and must be
-    present exactly when the head uses them.
+
+def _messages(feats: E.Node, sub: E.Node | None, weights: list[LayerWeights],
+              layer: int, n_rows: int, d_cur: int) -> E.Node:
+    """Layer `layer`'s messages over all stacked graphs, summed over graphs.
+
+    `sub` is the (G, n_rows, n_feats) adjacency block, or None when no graph
+    has edges, in which case the messages are zero.
     """
-    if spec.use_question_scores != (alpha_row is not None):
+    if sub is None:
+        return E.as_node(np.zeros((n_rows, d_cur), dtype=feats.value.dtype))
+    w, o = weights[layer - 1]
+    branch = E.matmul(sub, E.matmul(feats, w))
+    if o is not None:
+        branch = E.matmul(E.relu(branch), o)
+    return E.sum_axis(branch, 0, keepdims=False)
+
+
+def _check_question_context(spec: GnnSpec, alpha) -> None:
+    if spec.use_question_scores != (alpha is not None):
         raise ValueError(f"head {spec.name!r} "
                          f"{'requires' if spec.use_question_scores else 'rejects'} "
                          "question context")
+
+
+def gnn_forward(spec: GnnSpec, x: E.Node, gt: GraphTensors,
+                weights: list[LayerWeights], agg: E.Node | None,
+                alpha_row: E.Node | None = None) -> E.Node:
+    """Run one head over all KC rows.
+
+    `agg` is the (G, C, C) degree-normalized, correlation-scaled adjacency
+    stack (shared across layers and heads for one parameter state; None when
+    no graph has edges) and `weights[l-1]` layer l's stacks. `alpha_row`
+    carries the per-KC question requirement scores and must be present
+    exactly when the head uses them.
+    """
+    _check_question_context(spec, alpha_row)
     if x.value.shape != (gt.n_kcs, spec.dims[0]):
         raise ValueError(f"input shape {x.value.shape} does not match "
                          f"({gt.n_kcs}, {spec.dims[0]})")
 
-    scaled = {}
-    for which in GRAPH_KINDS:
-        if not gt.has_edges[which]:
-            continue
-        agg = agg_mats[which]
-        if alpha_row is not None:
-            agg = E.mul(agg, alpha_row)  # scale neighbor columns
-        scaled[which] = agg
+    sub = agg
+    if agg is not None and alpha_row is not None:
+        sub = E.mul(agg, alpha_row)  # scale neighbor columns
 
     out = x
     for layer in range(1, len(spec.dims)):
         d_prev, d_cur = spec.dims[layer - 1], spec.dims[layer]
-        fused: E.Node | None = None
-        for which in scaled:
-            w, o = weights[(which, layer)]
-            branch = E.matmul(scaled[which], E.matmul(out, w))
-            if spec.use_feedforward:
-                branch = E.matmul(E.relu(branch), o)
-            fused = branch if fused is None else E.add(fused, branch)
-        if fused is None:
-            zeros = np.zeros((gt.n_kcs, d_cur), dtype=out.value.dtype)
-            fused = E.as_node(zeros)
+        fused = _messages(out, sub, weights, layer, gt.n_kcs, d_cur)
         out = E.add(fused, out) if d_prev == d_cur else fused
 
     return _apply_output_activation(spec, out)
 
 
 def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
-                     weights: dict[tuple[str, int], tuple[E.Node, E.Node | None]],
-                     agg_mats: dict[str, E.Node],
+                     weights: list[LayerWeights], agg: E.Node | None,
                      alpha_col: E.Node | None = None) -> E.Node:
     """Restricted propagation over a plan's row sets.
 
@@ -272,10 +290,7 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
     `alpha_col` is the (n_kcs, 1) question requirement column. Returns the
     features of `plan.output_rows`.
     """
-    if spec.use_question_scores != (alpha_col is not None):
-        raise ValueError(f"head {spec.name!r} "
-                         f"{'requires' if spec.use_question_scores else 'rejects'} "
-                         "question context")
+    _check_question_context(spec, alpha_col)
     if x0.value.shape != (len(plan.row_sets[0]), spec.dims[0]):
         raise ValueError("layer-0 features do not match the plan's row set")
 
@@ -287,18 +302,10 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
         if alpha_col is not None:
             feats = E.mul(E.gather_rows(alpha_col, plan.row_arrays[layer - 1]),
                           feats)
-        fused: E.Node | None = None
-        for which in GRAPH_KINDS:
-            if not gt.has_edges[which]:
-                continue
-            w, o = weights[(which, layer)]
-            sub = E.gather_submatrix(agg_mats[which], plan.ix[layer - 1])
-            branch = E.matmul(sub, E.matmul(feats, w))
-            if spec.use_feedforward:
-                branch = E.matmul(E.relu(branch), o)
-            fused = branch if fused is None else E.add(fused, branch)
-        if fused is None:
-            fused = E.as_node(np.zeros((n_cur, d_cur), dtype=out.value.dtype))
+        sub = None
+        if agg is not None:
+            sub = E.gather_submatrix(agg, (slice(None), *plan.ix[layer - 1]))
+        fused = _messages(feats, sub, weights, layer, n_cur, d_cur)
         if d_prev == d_cur:
             mode, idx = plan.align[layer - 1]
             if mode == "gather":

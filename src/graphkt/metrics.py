@@ -140,15 +140,15 @@ def gaucm(records) -> float:
     return num / den
 
 
-def repetition(model, sequences) -> float:
+def repetition(model, sequences, disable_stage3: bool = False) -> float:
     """Accuracy of immediately re-asked questions against the observed answer.
 
-    `model.reask_scores(seq)` must return, per real response, the model's
-    probability for the same question asked again right after the response
-    was processed (a counterfactual probe: the re-ask itself must not change
-    the model state).
+    `model.reask_scores(seq, disable_stage3)` must return, per real response,
+    the model's probability for the same question asked again right after
+    the response was processed (a counterfactual probe: the re-ask itself
+    must not change the model state), with the stage-3 ablation applied.
     """
     pairs = []
     for seq in sequences:
-        pairs.extend(model.reask_scores(seq))
+        pairs.extend(model.reask_scores(seq, disable_stage3))
     return accuracy(pairs)

@@ -173,7 +173,8 @@ def init_parameters(hp: HyperParams, n_questions: int, n_kcs: int,
 class BatchCache:
     """Per-parameter-state tape nodes shared across a batch.
 
-    Edge correlations, constrained weights, kernel rate matrices and
+    Edge correlations (stacked into one adjacency node over the graphs with
+    edges), stacked and constrained GNN weights, kernel rate matrices and
     per-question embeddings/difficulties/requirement scores depend only on
     the parameters, so they are built once and reused by every sequence until
     the next optimizer step. Propagation plans do not depend on the
@@ -190,37 +191,38 @@ class BatchCache:
         n_c = model.n_kcs
 
         self.k_active = E.gather_rows(bound["emb.k"], np.arange(n_c))
+        self.k_t = E.transpose(self.k_active)
         self.w_h_col = E.transpose(E.softmax(bound["w_h"], axis=-1))
         self.h0 = bound["H0"]
 
-        self.base_agg: dict[str, E.Node] = {}
-        for which in GRAPH_KINDS:
-            if not model.gt.has_edges[which]:
-                continue
-            beta = E.sigmoid(E.matmul(E.matmul(self.k_active, bound[f"cor.{which}"]),
-                                      E.transpose(self.k_active)))
-            mask = model.gt.mask_norm[which].astype(model.store.dtype)
-            self.base_agg[which] = E.mul(E.as_node(mask), beta)
+        # one (G, C, C) adjacency and per head and layer one (G, d, d) weight
+        # stack over the graphs that have edges; None / empty when G == 0
+        kinds = model.gt.kinds
+        self.agg: E.Node | None = None
+        if kinds:
+            cor = E.stack([bound[f"cor.{which}"] for which in kinds])
+            beta = E.sigmoid(E.matmul(E.matmul(self.k_active, cor), self.k_t))
+            mask = model.gt.mask_norm.astype(model.store.dtype)
+            self.agg = E.mul(E.as_node(mask), beta)
 
-        self.weights: dict[str, dict] = {}
+        self.weights: dict[str, list] = {}
         for name, spec in model.specs.items():
-            per = {}
-            for layer in range(1, len(spec.dims)):
-                for which in GRAPH_KINDS:
-                    w = bound[f"gnn.{name}.W.{which}.{layer}"]
-                    if spec.nonneg_weights:
-                        w = E.softmax(w, axis=0)
-                    o = bound.get(f"gnn.{name}.O.{which}.{layer}") \
-                        if spec.use_feedforward else None
-                    per[(which, layer)] = (w, o)
+            per = []
+            for layer in range(1, len(spec.dims)) if kinds else ():
+                w = E.stack([bound[f"gnn.{name}.W.{which}.{layer}"]
+                             for which in kinds])
+                if spec.nonneg_weights:
+                    w = E.softmax(w, axis=1)  # each graph's columns
+                o = E.stack([bound[f"gnn.{name}.O.{which}.{layer}"]
+                             for which in kinds]) \
+                    if spec.use_feedforward else None
+                per.append((w, o))
             self.weights[name] = per
 
         self.learn_rates = gnn_forward(model.specs["lrn"], self.k_active,
-                                       model.gt, self.weights["lrn"],
-                                       self.base_agg)
+                                       model.gt, self.weights["lrn"], self.agg)
         self.forget_rates = gnn_forward(model.specs["fgt"], self.k_active,
-                                        model.gt, self.weights["fgt"],
-                                        self.base_agg)
+                                        model.gt, self.weights["fgt"], self.agg)
 
         self._ebar: dict = {}
         self._diff: dict = {}
@@ -252,8 +254,7 @@ class BatchCache:
         if q not in self._alpha:
             e_q = E.gather_rows(self.bound["emb.q"], [q])
             self._alpha[q] = E.sigmoid(
-                E.matmul(E.matmul(e_q, self.bound["req"]),
-                         E.transpose(self.k_active)))
+                E.matmul(E.matmul(e_q, self.bound["req"]), self.k_t))
         return self._alpha[q]
 
     def alpha_col(self, q: int) -> E.Node:
@@ -310,7 +311,7 @@ class GrktModel:
         plan = cache.plan_in(kcs)
         x0 = E.gather_rows(H, list(plan.row_sets[0]))
         rows = gnn_forward_rows(self.specs["rtv"], x0, plan, self.gt,
-                                cache.weights["rtv"], cache.base_agg,
+                                cache.weights["rtv"], cache.agg,
                                 cache.alpha_col(q))
         h_agg = E.scale(E.sum_axis(rows, 0), 1.0 / len(kcs))
         mastery = E.matmul(h_agg, cache.w_h_col)
@@ -329,7 +330,7 @@ class GrktModel:
                                          axis=1))
         plan = cache.plan_out(kcs)
         update_rows = gnn_forward_rows(self.specs[head], feats, plan, self.gt,
-                                       cache.weights[head], cache.base_agg,
+                                       cache.weights[head], cache.agg,
                                        cache.alpha_col(q))
         update = E.scatter_rows(update_rows, list(plan.output_rows), self.n_kcs)
         return E.add(H, update)
@@ -370,7 +371,7 @@ class GrktModel:
             plan = cache.plan_out(learned_idx)
             progress_rows = gnn_forward_rows(
                 self.specs["prg"], seed, plan,
-                self.gt, cache.weights["prg"], cache.base_agg)
+                self.gt, cache.weights["prg"], cache.agg)
             support = list(plan.output_rows)
             learned_mask[support] = (progress_rows.value != 0).any(axis=1)
             nvec = -(counters[support] + 1.0).reshape(-1, 1) * dt
@@ -458,12 +459,13 @@ class GrktModel:
         *_, last = self.steps([*history, probe], cache, disable_stage3)
         return last.a_hat.value.item()
 
-    def reask_scores(self, seq: ResponseSequence) -> list[tuple[float, int]]:
+    def reask_scores(self, seq: ResponseSequence,
+                     disable_stage3: bool = False) -> list[tuple[float, int]]:
         """Counterfactual immediate re-ask of each answered question."""
         with E.no_grad():
             _, cache = self.begin("eval")
             return [self.reask(step, cache)
-                    for step in self.steps(seq.real(), cache)]
+                    for step in self.steps(seq.real(), cache, disable_stage3)]
 
     def mastery(self, H_value: np.ndarray, c: int) -> float:
         """Project one KC's memory row to its scalar mastery."""

@@ -188,18 +188,21 @@ def train_fold(ds: Dataset, fold: FoldSplit, cfg: TrainConfig,
         for b, lo in enumerate(range(0, len(order), hp.batch_size)):
             batch = train_idx[order[lo:lo + hp.batch_size]]
             _, cache = model.begin("train")
-            preds = []
-            for idx in batch:
-                res = model.forward_sequence(ds.sequences[idx], cache,
-                                             disable_stage3=cfg.disable_stage3)
-                preds.extend(res.preds)
-            loss = bce_loss_node(preds)
-            loss_val = loss.value.item()
-            if not np.isfinite(loss_val):
+            try:  # every exit ends the recording (and its collector pause)
+                preds = []
+                for idx in batch:
+                    res = model.forward_sequence(
+                        ds.sequences[idx], cache,
+                        disable_stage3=cfg.disable_stage3)
+                    preds.extend(res.preds)
+                loss = bce_loss_node(preds)
+                loss_val = loss.value.item()
+                if not np.isfinite(loss_val):
+                    raise TrainingDiverged(epoch, b)
+                model.store.zero_grad()
+                model.store.backward(loss)
+            finally:
                 model.store.release()
-                raise TrainingDiverged(epoch, b)
-            model.store.zero_grad()
-            model.store.backward(loss)
             model.store.adam_step(hp.lr, l2=hp.l2)
             epoch_loss += loss_val * len(preds)
             n_steps += len(preds)

@@ -1,5 +1,7 @@
 """Shared fixtures: tiny datasets, graphs and desk-scale models."""
 
+import gc
+
 import pytest
 
 from graphkt import engine
@@ -12,6 +14,17 @@ from graphkt.model import GrktModel, HyperParams
 def no_recording():
     """Start each test with no tape recording, whatever earlier tests left."""
     engine.stop_tape()
+
+
+@pytest.fixture
+def collector():
+    """A setter for the cyclic collector's state, restored after the test."""
+    was = gc.isenabled()
+    yield lambda enabled: gc.enable() if enabled else gc.disable()
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 def make_dataset(rows, n_questions=None, n_kcs=None, seq_len=None):

@@ -7,7 +7,7 @@ import pytest
 
 from graphkt import engine as E
 from graphkt import metrics
-from graphkt.cli import _train_config, build_parser, run
+from graphkt.cli import CliError, _train_config, build_parser, run
 from graphkt.data import ingest_csv, preprocess
 from graphkt.graphs import import_graphs
 from graphkt.model import GrktModel, trace_rows
@@ -149,6 +149,46 @@ def test_config_file_with_cli_override(pipeline, tmp_path):
 def test_train_without_hyper_flags_resolves_to_defaults():
     args = build_parser().parse_args(["train", "--data", "log.csv"])
     assert _train_config(args) == TrainConfig()
+
+
+def _config_args(tmp_path, text):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(text)
+    return cfg, build_parser().parse_args(["train", "--data", "log.csv",
+                                           "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("text,line,key", [
+    ("d_e = 3\nd_ee = 3\n", 2, "d_ee"),
+    ("# widths\nd_k = 4\n\ndtype = float32\n", 4, "dtype"),
+])
+def test_config_file_rejects_unknown_keys(tmp_path, text, line, key):
+    cfg, args = _config_args(tmp_path, text)
+    with pytest.raises(CliError) as exc:
+        _train_config(args)
+    assert str(exc.value) == f"{cfg}:{line}: unknown key {key!r}"
+
+
+@pytest.mark.parametrize("text,line,key", [
+    ("d_e = 3.5\n", 1, "d_e"),
+    ("d_k = 4\nlr = fast\n", 2, "lr"),
+    ("no_lf = maybe\n", 1, "no_lf"),
+])
+def test_config_file_rejects_values_that_do_not_convert(tmp_path, capsys,
+                                                        text, line, key):
+    cfg, args = _config_args(tmp_path, text)
+    with pytest.raises(CliError, match=f"^{cfg}:{line}: {key} = "):
+        _train_config(args)
+    assert run(["train", "--data", "log.csv", "--config", str(cfg)]) == 1
+    assert f"error: {cfg}:{line}: {key} = " in capsys.readouterr().err
+
+
+def test_config_file_values_convert_to_field_types(tmp_path):
+    _, args = _config_args(tmp_path, "d-e = 3\nlr = 5e-3\nno_lf = yes\n"
+                                     "no_sim = false\n")
+    cfg = _train_config(args)
+    assert (cfg.hp.d_e, cfg.hp.lr, cfg.disable_stage3,
+            cfg.drop_similarity) == (3, 5e-3, True, False)
 
 
 def test_no_lf_checkpoint_is_evaluated_and_traced_without_stage3(pipeline,

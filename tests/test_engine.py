@@ -1,5 +1,6 @@
 """Tape engine: op gradients, constraints, Adam, checkpoints."""
 
+import gc
 import math
 
 import numpy as np
@@ -53,6 +54,22 @@ OPS = {
     "sum_axis": lambda b, c: E.sum_all(E.mul(E.sum_axis(b["W"], 0), c["row"])),
     "tile": lambda b, c: E.sum_all(E.mul(E.tile_rows(E.sum_axis(b["W"], 0), 3), c["t3"])),
     "add_n": lambda b, c: E.sum_all(E.add_n([b["W"], E.mul(b["W"], c["s"]), b["W"]])),
+    "stack": lambda b, c: E.sum_all(E.mul(E.stack(
+        [b["W"], E.mul(b["W"], 2.0), E.sigmoid(b["W"])]), c["s3"])),
+    "matmul_stack_2d": lambda b, c: E.sum_all(E.mul(E.matmul(
+        E.stack([b["W"], E.sigmoid(b["W"])]), c["x"]), c["s2x"])),
+    "matmul_2d_stack": lambda b, c: E.sum_all(E.mul(E.matmul(
+        c["x"], E.stack([E.softplus(b["W"]), b["W"]])), c["s2x"])),
+    "matmul_bcast_left": lambda b, c: E.sum_all(E.mul(
+        E.matmul(b["W"], c["x3"]), c["s2x"])),
+    "matmul_bcast_right": lambda b, c: E.sum_all(E.mul(
+        E.matmul(c["x3"], b["W"]), c["s2x"])),
+    "matmul_stack_stack": lambda b, c: E.sum_all(E.mul(E.matmul(
+        E.stack([b["W"], E.mul(b["W"], c["s"])]),
+        E.stack([E.sigmoid(b["W"]), c["x"]])), c["s2x"])),
+    "submatrix_stacked": lambda b, c: E.sum_all(E.mul(E.gather_submatrix(
+        E.stack([b["W"], E.sigmoid(b["W"])]),
+        (slice(None), *np.ix_([3, 0, 3], [1, 2]))), c["s232"])),
 }
 
 
@@ -71,6 +88,10 @@ def test_op_gradients_match_finite_differences(op_name):
         "x4": rng.normal(size=(4, 4)),
         "row": rng.normal(size=(1, 4)),
         "t3": rng.normal(size=(3, 4)),
+        "s3": rng.normal(size=(3, 4, 4)),
+        "s2x": rng.normal(size=(2, 4, 4)),
+        "x3": rng.normal(size=(2, 4, 4)),
+        "s232": rng.normal(size=(2, 3, 2)),
     }
     build = lambda bound: OPS[op_name](bound, consts)
     a = analytic_grad(build, store, "W")
@@ -350,6 +371,36 @@ def test_gather_submatrix_sums_like_add_at():
     assert np.array_equal(store["W"].grad, expected)
 
 
+def test_stacked_gather_submatrix_sums_like_add_at():
+    rng = np.random.default_rng(16)
+    store = E.ParameterStore()
+    store.add("A", rng.normal(size=(3, 4, 4)))
+    ix = (slice(None), *np.ix_([2, 0, 2], [1, 1, 3]))
+    weights = rng.normal(size=(3, 3, 3))
+    bound = store.bind()
+    block = E.gather_submatrix(bound["A"], ix)
+    assert np.array_equal(block.value,
+                          store.value("A")[:, [2, 0, 2]][:, :, [1, 1, 3]])
+    store.backward(E.sum_all(E.mul(block, weights)))
+    expected = np.zeros((3, 4, 4))
+    np.add.at(expected, ix, weights)
+    assert np.array_equal(store["A"].grad, expected)
+
+
+def test_matmul_of_2d_operands_is_unchanged():
+    # stacks go through swapaxes/_unbroadcast; plain matrices must get the
+    # same bits as the 2-D formulas
+    rng = np.random.default_rng(17)
+    a_val, b_val = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
+    g = rng.normal(size=(5, 4))
+    node = E.matmul(E.Node(a_val, requires_grad=True),
+                    E.Node(b_val, requires_grad=True))
+    (_, vjp_a), (_, vjp_b) = node.edges
+    assert np.array_equal(node.value, a_val @ b_val)
+    assert np.array_equal(vjp_a(g), g @ b_val.T)
+    assert np.array_equal(vjp_b(g), a_val.T @ g)
+
+
 def test_dense_and_sparse_contributions_match_dense_reference(monkeypatch):
     # memory H feeds gathers (sparse vjps) and adds (dense vjps), interleaved
     rng = np.random.default_rng(13)
@@ -493,3 +544,100 @@ def test_failed_backward_stops_recording():
         store.backward(E.mul(bound["W"], 2.0))
     assert E._TAPE is None and store._bound is None
 
+
+
+# -- collector pause and the consuming sweep ------------------------------------
+
+
+def _failed_backward(store, loss):
+    with pytest.raises(ValueError):
+        store.backward(E.mul(loss, np.ones(2)))  # not a scalar
+
+
+@pytest.mark.parametrize("end", [
+    lambda store, loss: store.backward(loss),
+    lambda store, loss: store.release(),
+    _failed_backward,
+], ids=["backward", "release", "failed_backward"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_is_paused_while_a_recording_is_live(collector, enabled, end):
+    collector(enabled)
+    store = E.ParameterStore()
+    store.add("W", np.ones((2, 2)))
+    with E.no_grad():
+        store.bind()
+    assert gc.isenabled() == enabled  # no recording, no pause
+    bound = store.bind()
+    assert not gc.isenabled()
+    bound = store.bind()  # a fresh recording keeps the state saved first
+    assert not gc.isenabled()
+    end(store, E.sum_all(E.mul(bound["W"], 2.0)))
+    assert gc.isenabled() == enabled
+    assert E._TAPE is None
+
+
+def _reference_backward(root):
+    """The sweep without consuming the recording, as an oracle."""
+    root.grad = np.ones_like(root.value)
+    owned = set()
+    for node in reversed(E._TAPE):
+        if node.grad is None:
+            continue
+        for parent, vjp in node.edges:
+            contrib = vjp(node.grad)
+            grad = parent.grad
+            if type(contrib) is E.SparseGrad:
+                if id(parent) not in owned:
+                    grad = parent.grad = np.zeros_like(parent.value) \
+                        if grad is None else grad.copy()
+                    owned.add(id(parent))
+                contrib.add_into(grad)
+            elif grad is None:
+                parent.grad = contrib
+            elif (id(parent) in owned and contrib.shape == grad.shape
+                  and contrib.dtype == grad.dtype):
+                grad += contrib
+                parent.grad = grad
+            else:
+                parent.grad = grad + contrib
+                owned.add(id(parent))
+
+
+def test_backward_consumes_the_recording_and_keeps_leaf_grads_bitwise():
+    from graphkt.model import GrktModel, HyperParams
+    from graphkt.train import bce_loss_node
+    from tests.conftest import random_graphs, random_sequence
+
+    rng = np.random.default_rng(18)
+    hp = HyperParams(d_e=4, d_k=3, d_h=5, layers=2, seed=4)
+    model = GrktModel(hp, 7, 9, random_graphs(rng, 9, 6, 6))
+    for name in model.store.names():
+        arr = model.store.value(name)
+        arr[...] = rng.normal(0.0, 0.7, size=arr.shape)
+    seqs = [random_sequence(rng, 7, 9, 8, student=s, max_kcs=3)
+            for s in range(3)]
+
+    def forward():
+        bound, cache = model.begin("train")
+        preds = []
+        for seq in seqs:
+            preds.extend(model.forward_sequence(seq, cache).preds)
+        return bound, bce_loss_node(preds)
+
+    bound, loss = forward()
+    _reference_backward(loss)
+    want = {name: leaf.grad for name, leaf in bound.items()}
+    model.store.release()
+
+    bound, loss = forward()
+    recorded = list(E._TAPE)
+    E.backward(loss)
+    assert E._TAPE == []
+    assert all(node.edges == () for node in recorded)
+    assert all(node.grad is None for node in recorded if node is not loss)
+    assert loss.grad == 1.0
+    for name, leaf in bound.items():
+        assert (leaf.grad is None) == (want[name] is None), name
+        if leaf.grad is not None:
+            assert np.array_equal(leaf.grad, want[name]), name
+    model.store.release()

@@ -85,7 +85,7 @@ def test_full_forward_matches_brute_force(head, layers):
     _, cache = model.begin("eval")
     alpha = cache.alpha(2) if spec.use_question_scores else None
     got = gnn_forward(spec, E.as_node(x), model.gt, cache.weights[head],
-                      cache.base_agg, alpha).value
+                      cache.agg, alpha).value
     q_emb = model.store.value("emb.q")[2] if spec.use_question_scores else None
     want = brute_force_head(spec, x, model.graphs, model.store, q_emb)
     assert np.abs(got - want).max() < 1e-10
@@ -105,10 +105,10 @@ def test_restricted_outward_matches_full(head, layers):
     alpha = cache.alpha(1) if spec.use_question_scores else None
     alpha_col = cache.alpha_col(1) if spec.use_question_scores else None
     full = gnn_forward(spec, E.as_node(x_full), model.gt, cache.weights[head],
-                       cache.base_agg, alpha).value
+                       cache.agg, alpha).value
     plan = plan_outward(model.gt, seeds, layers)
     rows = gnn_forward_rows(spec, E.as_node(feats), plan, model.gt,
-                            cache.weights[head], cache.base_agg,
+                            cache.weights[head], cache.agg,
                             alpha_col).value
     restricted = np.zeros_like(full)
     restricted[list(plan.output_rows)] = rows
@@ -126,14 +126,95 @@ def test_restricted_inward_matches_full(layers):
     x = rng.normal(size=(model.n_kcs, spec.dims[0]))
     _, cache = model.begin("eval")
     full = gnn_forward(spec, E.as_node(x), model.gt, cache.weights["rtv"],
-                       cache.base_agg, cache.alpha(0)).value
+                       cache.agg, cache.alpha(0)).value
     targets = (2, 5)
     plan = plan_inward(model.gt, targets, layers)
     x0 = x[list(plan.row_sets[0])]
     rows = gnn_forward_rows(spec, E.as_node(x0), plan, model.gt,
-                            cache.weights["rtv"], cache.base_agg,
+                            cache.weights["rtv"], cache.agg,
                             cache.alpha_col(0)).value
     assert np.abs(rows - full[list(targets)]).max() < 1e-12
+
+
+# -- stacked graphs: every ablation's graph set -------------------------------
+
+# graph sets with 3, 2 (P and its reverse S), 1 (R) and 0 non-empty graphs
+ABLATIONS = {
+    "full": ({}, 3),
+    "no_sim": ({"similarity": True}, 2),
+    "no_pre": ({"prerequisite": True}, 1),
+    "no_graphs": ({"similarity": True, "prerequisite": True}, 0),
+}
+
+
+def ablated_model(ablation, layers, seed):
+    rng = np.random.default_rng(seed)
+    drop, n_graphs = ABLATIONS[ablation]
+    hp = HyperParams(d_e=3, d_k=3, d_h=4, layers=layers, seed=seed)
+    graphs = random_graphs(rng, 7, p_edges=5, r_edges=5).drop(**drop)
+    model = GrktModel(hp, n_questions=4, n_kcs=7, graphs=graphs)
+    for name in model.store.names():
+        arr = model.store.value(name)
+        arr[...] = rng.normal(0.0, 0.6, size=arr.shape)
+    assert len(model.gt.kinds) == n_graphs
+    return model
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+@pytest.mark.parametrize("layers", [1, 2])
+def test_stacked_layers_match_brute_force_on_every_graph_set(ablation, layers):
+    model = ablated_model(ablation, layers, seed=40 + layers)
+    rng = np.random.default_rng(41)
+    _, cache = model.begin("eval")
+    q = 2
+    q_emb = model.store.value("emb.q")[q]
+    for head, spec in model.specs.items():
+        scored = spec.use_question_scores
+        x = rng.normal(size=(model.n_kcs, spec.dims[0]))
+        want = brute_force_head(spec, x, model.graphs, model.store,
+                                q_emb if scored else None)
+        got = gnn_forward(spec, E.as_node(x), model.gt, cache.weights[head],
+                          cache.agg, cache.alpha(q) if scored else None).value
+        assert np.abs(got - want).max() < 1e-10, head
+
+        alpha_col = cache.alpha_col(q) if scored else None
+        if head == "rtv":  # read two rows from their inward neighborhood
+            plan = plan_inward(model.gt, (1, 5), layers)
+            rows = gnn_forward_rows(spec, E.as_node(x[list(plan.row_sets[0])]),
+                                    plan, model.gt, cache.weights[head],
+                                    cache.agg, alpha_col).value
+            assert np.abs(rows - want[[1, 5]]).max() < 1e-10, head
+        elif head in ("gain", "loss", "prg"):  # seeded: zero outside seeds
+            seeds = (0, 4)
+            x_seeded = np.zeros_like(x)
+            x_seeded[list(seeds)] = x[list(seeds)]
+            want = brute_force_head(spec, x_seeded, model.graphs, model.store,
+                                    q_emb if scored else None)
+            plan = plan_outward(model.gt, seeds, layers)
+            rows = gnn_forward_rows(spec, E.as_node(x[list(seeds)]), plan,
+                                    model.gt, cache.weights[head], cache.agg,
+                                    alpha_col).value
+            support = list(plan.output_rows)
+            assert np.abs(rows - want[support]).max() < 1e-10, head
+            outside = sorted(set(range(model.n_kcs)) - set(support))
+            assert not want[outside].any(), head
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+def test_strengthening_leaves_rows_outside_the_hop_support_bitwise(ablation):
+    layers = 2
+    model = ablated_model(ablation, layers, seed=45)
+    rng = np.random.default_rng(46)
+    _, cache = model.begin("eval")
+    H = E.as_node(rng.normal(size=(model.n_kcs, 3)))
+    for kcs in ((0,), (2, 6), (3,)):
+        for a in (0, 1):
+            new_H = model.stage2_strengthen(H, 1, kcs, a, cache).value
+            outside = sorted(set(range(model.n_kcs))
+                             - hop_support(model.graphs, kcs, layers))
+            assert np.array_equal(new_H[outside], H.value[outside])
+            if ablation == "no_graphs":  # only the examined rows can move
+                assert outside == sorted(set(range(model.n_kcs)) - set(kcs))
 
 
 # -- sign and locality properties --------------------------------------------
@@ -145,15 +226,15 @@ def test_output_sign_constraints():
     _, cache = model.begin("eval")
     x_mem = rng.normal(size=(model.n_kcs, 3))
     gain = gnn_forward(model.specs["gain"], E.as_node(x_mem), model.gt,
-                       cache.weights["gain"], cache.base_agg, cache.alpha(0))
+                       cache.weights["gain"], cache.agg, cache.alpha(0))
     assert (gain.value >= 0).all()
     loss = gnn_forward(model.specs["loss"], E.as_node(x_mem), model.gt,
-                       cache.weights["loss"], cache.base_agg, cache.alpha(0))
+                       cache.weights["loss"], cache.agg, cache.alpha(0))
     assert (loss.value <= 0).all()
     for head in ("lrn", "fgt"):
         k_emb = model.store.value("emb.k")[: model.n_kcs]
         out = gnn_forward(model.specs[head], E.as_node(k_emb), model.gt,
-                          cache.weights[head], cache.base_agg)
+                          cache.weights[head], cache.agg)
         assert (out.value > 0).all()
 
 
@@ -164,7 +245,7 @@ def test_zero_input_gives_zero_output():
     for head in ("gain", "prg"):
         alpha = cache.alpha(0) if model.specs[head].use_question_scores else None
         out = gnn_forward(model.specs[head], E.as_node(zeros), model.gt,
-                          cache.weights[head], cache.base_agg, alpha)
+                          cache.weights[head], cache.agg, alpha)
         assert np.array_equal(out.value, zeros)
 
 
@@ -182,7 +263,7 @@ def test_path_graph_locality(layers, expected):
     x[0] = rng.normal(size=3)
     _, cache = model.begin("eval")
     out = gnn_forward(model.specs["prg"], E.as_node(x), model.gt,
-                      cache.weights["prg"], cache.base_agg).value
+                      cache.weights["prg"], cache.agg).value
     nonzero = {i for i in range(3) if np.abs(out[i]).max() > 0}
     assert nonzero <= expected
     # the brute-force oracle agrees on which rows can be reached
@@ -199,7 +280,7 @@ def test_isolated_node_passes_residual():
     x = rng.normal(size=(4, 3))
     _, cache = model.begin("eval")
     out = gnn_forward(model.specs["rtv"], E.as_node(x), model.gt,
-                      cache.weights["rtv"], cache.base_agg, cache.alpha(0))
+                      cache.weights["rtv"], cache.agg, cache.alpha(0))
     # nodes 2 and 3 have no neighbors in any graph: pure residual identity
     assert np.array_equal(out.value[2], x[2])
     assert np.array_equal(out.value[3], x[3])
@@ -211,10 +292,10 @@ def test_question_context_contract():
     x = np.zeros((model.n_kcs, 3))
     with pytest.raises(ValueError, match="requires"):
         gnn_forward(model.specs["rtv"], E.as_node(x), model.gt,
-                    cache.weights["rtv"], cache.base_agg, None)
+                    cache.weights["rtv"], cache.agg, None)
     with pytest.raises(ValueError, match="rejects"):
         gnn_forward(model.specs["prg"], E.as_node(x), model.gt,
-                    cache.weights["prg"], cache.base_agg, cache.alpha(0))
+                    cache.weights["prg"], cache.agg, cache.alpha(0))
 
 
 def test_retrieval_monotonicity():
@@ -226,7 +307,7 @@ def test_retrieval_monotonicity():
 
     def run(mem):
         return gnn_forward(model.specs["rtv"], E.as_node(mem), model.gt,
-                           cache.weights["rtv"], cache.base_agg,
+                           cache.weights["rtv"], cache.agg,
                            cache.alpha(1)).value
 
     base = run(x)

@@ -227,7 +227,7 @@ class StubModel:
     def __init__(self, fn):
         self.fn = fn
 
-    def reask_scores(self, seq):
+    def reask_scores(self, seq, disable_stage3=False):
         return [(self.fn(r), r.correct) for r in seq.real()]
 
 
@@ -269,7 +269,7 @@ def test_repetition_matches_direct_count(seed):
         lookup[id(r)] = s
 
     class Fixed:
-        def reask_scores(self, s):
+        def reask_scores(self, s, disable_stage3=False):
             return list(zip(scores, labels))
 
     want = sum(1 for s, y in zip(scores, labels)

@@ -1,5 +1,6 @@
 """Loss contract, early stopping, ablations and the fold protocol."""
 
+import gc
 import math
 
 import numpy as np
@@ -278,11 +279,11 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
                                  want.predicted, want.correct)
         assert np.array_equal(got.pre, want.pre)
         assert np.array_equal(got.post, want.post)
-    if not disable_stage3:  # reask_scores always runs stage 3
-        seqs = [ds.sequences[i] for i in indices]
-        assert seen["accuracy"][1] == [pair for seq in seqs
-                                       for pair in model.reask_scores(seq)]
-        assert report.repetition == metrics.repetition(model, seqs)
+    seqs = [ds.sequences[i] for i in indices]
+    assert seen["accuracy"][1] == [
+        pair for seq in seqs
+        for pair in model.reask_scores(seq, disable_stage3=disable_stage3)]
+    assert report.repetition == metrics.repetition(model, seqs, disable_stage3)
 
 
 def test_cross_validate_aggregates():
@@ -356,6 +357,52 @@ def test_no_recording_left_after_divergence(monkeypatch):
         train_fold(ds, fold, tiny_config())
     assert (err.value.epoch, err.value.batch) == (0, 0)
     assert E._TAPE is None
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_divergence_restores_the_collector(monkeypatch, collector, enabled):
+    import graphkt.train as train_mod
+
+    class NanMemoryModel(GrktModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.store.value("H0")[...] = np.nan
+
+    monkeypatch.setattr(train_mod, "GrktModel", NanMemoryModel)
+    collector(enabled)
+    ds = tiny_dataset()
+    fold = make_folds(ds, k=3, val_frac=0.2, seed=0)[0]
+    with pytest.raises(TrainingDiverged):
+        train_fold(ds, fold, tiny_config())
+    assert gc.isenabled() == enabled
+
+
+def test_training_steps_and_evaluation_make_no_reference_cycles(collector):
+    # what makes pausing the collector during a recording safe: a training
+    # step (forward, backward, Adam) and an evaluation pass leave nothing
+    # for it to collect
+    rng = np.random.default_rng(70)
+    rows = [(s, r.question, r.kcs, r.correct, r.timestamp)
+            for s in range(6)
+            for r in random_sequence(rng, 5, 7, 8, max_kcs=3).responses]
+    ds = make_dataset(rows, n_questions=5, n_kcs=7)
+    hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=2, seed=70)
+    model = randomize(GrktModel(hp, 5, 7, random_graphs(rng, 7)), 0.6, seed=71)
+    cfg = TrainConfig(hp=hp)
+    gc.collect()
+    collector(False)
+    for batch in ([0, 1], [2, 3], [4, 5]):
+        _, cache = model.begin("train")
+        preds = []
+        for idx in batch:
+            preds.extend(model.forward_sequence(ds.sequences[idx], cache).preds)
+        model.store.zero_grad()
+        model.store.backward(bce_loss_node(preds))
+        model.store.adam_step(hp.lr)
+    assert not gc.isenabled()
+    assert gc.collect() == 0
+    evaluate(model, ds, list(range(6)), cfg)
+    assert gc.collect() == 0
 
 
 def test_plans_built_once_per_kc_set_and_graph_set(monkeypatch):
