@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as E
-from . import metrics
 from .data import (ColumnSchema, ingest_csv, make_folds, preprocess)
 from .graphs import (GraphBuildConfig, KcRelationGraphs, build_graphs,
                      export_graphs, import_graphs, load_labeled_graphs)
@@ -32,7 +31,7 @@ from .model import BatchCache, GrktModel, HyperParams, trace_rows
 from .synth import SynthConfig, generate, write_csv, write_ground_truth
 from .train import TrainConfig, cross_validate, evaluate, train_fold
 
-FORMAT_VERSIONS = {"dataset": 1, "graphs": 1, "checkpoint": 1, "manifest": 1}
+FORMAT_VERSIONS = {"graphs": 1, "checkpoint": 1, "manifest": 1}
 
 
 class CliError(RuntimeError):
@@ -158,28 +157,45 @@ def _convert(raw: str, default):
 
 
 def _train_config(args) -> TrainConfig:
-    """CLI flags over --config values over the dataclass defaults."""
+    """CLI flags over --config values over the dataclass defaults.
+
+    A file value that does not convert, or that its dataclass rejects, fails
+    with the file and line.
+    """
     file_cfg = _parse_config_file(args.config) if args.config else {}
 
-    def pick(key, default):
+    def pick(cls, key, name):
         arg = getattr(args, key, None)
         if arg is not None and arg is not False:
             return arg
-        if key in file_cfg:
-            line_no, raw = file_cfg[key]
-            try:
-                return _convert(raw, default)
-            except ValueError:
-                raise CliError(f"{args.config}:{line_no}: {key} = {raw!r} is "
-                               f"not a valid {type(default).__name__}") from None
-        return default
+        default = getattr(cls(), name)
+        if key not in file_cfg:
+            return default
+        line_no, raw = file_cfg[key]
+        where = f"{args.config}:{line_no}"
+        try:
+            value = _convert(raw, default)
+        except ValueError:
+            raise CliError(f"{where}: {key} = {raw!r} is not a valid "
+                           f"{type(default).__name__}") from None
+        try:
+            cls(**{name: value})
+        except ValueError as exc:
+            raise CliError(f"{where}: {exc}") from None
+        return value
 
-    hp_defaults, cfg_defaults = HyperParams(), TrainConfig()
-    hp = HyperParams(**{key: pick(key, getattr(hp_defaults, key))
+    hp = HyperParams(**{key: pick(HyperParams, key, key)
                         for key in _HYPER_FIELDS})
-    return TrainConfig(hp=hp, **{
-        name: pick(key, getattr(cfg_defaults, name))
-        for key, name in _TRAIN_FIELDS.items()})
+    return TrainConfig(hp=hp, **{name: pick(TrainConfig, key, name)
+                                 for key, name in _TRAIN_FIELDS.items()})
+
+
+def _fold(args, folds):
+    """The fold `--fold` names; anything but an index 0..k-1 is a CliError."""
+    if args.fold not in {str(i) for i in range(len(folds))}:
+        raise CliError(f"--fold {args.fold}: valid folds are "
+                       f"0..{len(folds) - 1} or 'all'")
+    return folds[int(args.fold)]
 
 
 def _load_graphs_arg(args, ds) -> KcRelationGraphs | None:
@@ -248,8 +264,8 @@ def cmd_train(args) -> int:
             print(f"{key}: {value:.4f} +/- {report.std[key]:.4f}")
         return 0
 
-    folds = make_folds(ds, k=args.k, val_frac=args.val_frac, seed=cfg.hp.seed)
-    fold = folds[int(args.fold)]
+    fold = _fold(args, make_folds(ds, k=args.k, val_frac=args.val_frac,
+                                  seed=cfg.hp.seed))
     model, report = train_fold(ds, fold, cfg, graphs=graphs)
     model.save(out / "checkpoint.json", disable_stage3=cfg.disable_stage3)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -271,9 +287,8 @@ def cmd_eval(args) -> int:
     if args.fold == "all":
         indices = range(len(ds.sequences))
     else:
-        folds = make_folds(ds, k=args.k, val_frac=args.val_frac,
-                           seed=model.hp.seed)
-        indices = folds[int(args.fold)].test
+        indices = _fold(args, make_folds(ds, k=args.k, val_frac=args.val_frac,
+                                         seed=model.hp.seed)).test
     report = evaluate(model, ds, indices, cfg)
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -297,7 +312,10 @@ def cmd_trace(args) -> int:
         sid = ds.students.to_dense[args.student]
         indices = [i for i, s in enumerate(ds.sequences) if s.student == sid]
     else:
-        indices = [int(args.seq)]
+        if not 0 <= args.seq < len(ds.sequences):
+            raise CliError(f"--seq {args.seq}: valid sequence indices are "
+                           f"0..{len(ds.sequences) - 1}")
+        indices = [args.seq]
 
     rows = []
     with E.no_grad():
@@ -427,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graphs", required=True)
-    p.add_argument("--student", help="original student id")
-    p.add_argument("--seq", type=int, help="sequence index")
+    who = p.add_mutually_exclusive_group(required=True)
+    who.add_argument("--student", help="original student id")
+    who.add_argument("--seq", type=int, help="sequence index")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")

@@ -14,9 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-DATASET_FORMAT = "graphkt-dataset"
-DATASET_VERSION = 1
-
 KcId = int
 QuestionId = int
 StudentId = int
@@ -266,75 +263,3 @@ def make_folds(ds: Dataset, k: int = 5, val_frac: float = 0.1,
         ))
     return folds
 
-
-# ---------------------------------------------------------------------------
-# columnar text export / import
-
-
-def export_dataset(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{DATASET_FORMAT} {DATASET_VERSION}\n")
-        fh.write(f"seq_len {ds.seq_len if ds.seq_len is not None else 'raw'}\n")
-        for section, idmap in (("students", ds.students),
-                               ("questions", ds.questions),
-                               ("kcs", ds.kcs)):
-            fh.write(f"{section} {len(idmap)}\n")
-            for name in idmap.from_dense:
-                fh.write(name + "\n")
-        fh.write(f"qmap {len(ds.question_kcs)}\n")
-        for q, kc_ids in ds.question_kcs.items():
-            fh.write(f"{q} {','.join(map(str, kc_ids))}\n")
-        fh.write(f"sequences {len(ds.sequences)}\n")
-        for seq in ds.sequences:
-            fh.write(f"seq {seq.student} {seq.valid_len} {len(seq.responses)}\n")
-            for r in seq.responses:
-                fh.write(f"{r.question} {','.join(map(str, r.kcs))} "
-                         f"{r.correct} {r.timestamp}\n")
-
-
-def import_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        line = lines[pos]
-        pos += 1
-        return line
-
-    fmt, version = take().rsplit(" ", 1)
-    if fmt != DATASET_FORMAT or int(version) != DATASET_VERSION:
-        raise ValueError(f"unsupported dataset file header: {fmt} {version}")
-    _, seq_len_raw = take().split(" ", 1)
-    seq_len = None if seq_len_raw == "raw" else int(seq_len_raw)
-
-    maps = {}
-    for section in ("students", "questions", "kcs"):
-        name, count = take().split(" ")
-        assert name == section
-        values = [take() for _ in range(int(count))]
-        maps[section] = IdMap(from_dense=values,
-                              to_dense={v: i for i, v in enumerate(values)})
-
-    _, qcount = take().split(" ")
-    question_kcs = {}
-    for _ in range(int(qcount)):
-        q, kc_list = take().split(" ", 1)
-        question_kcs[int(q)] = tuple(int(x) for x in kc_list.split(","))
-
-    _, scount = take().split(" ")
-    sequences = []
-    for _ in range(int(scount)):
-        _, student, valid_len, n_resp = take().split(" ")
-        responses = []
-        for _ in range(int(n_resp)):
-            q, kc_list, correct, ts = take().split(" ")
-            responses.append(Response(int(q),
-                                      tuple(int(x) for x in kc_list.split(",")),
-                                      int(correct), int(ts)))
-        sequences.append(ResponseSequence(int(student), responses, int(valid_len)))
-
-    return Dataset(sequences=sequences, question_kcs=question_kcs,
-                   students=maps["students"], questions=maps["questions"],
-                   kcs=maps["kcs"], seq_len=seq_len)

@@ -103,10 +103,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Node:
     """One tape entry: a value plus vjp edges back to its inputs."""
 
@@ -240,11 +236,6 @@ def mul(a, b) -> Node:
 def neg(a) -> Node:
     a = as_node(a)
     return _make(-a.value, ((a, lambda g: -g),))
-
-
-def scale(a, c: float) -> Node:
-    a = as_node(a)
-    return _make(a.value * c, ((a, lambda g: g * c),))
 
 
 # ---------------------------------------------------------------------------
@@ -455,30 +446,6 @@ def slice_cols(a, start: int, stop: int) -> Node:
         return out
 
     return _make(val, ((a, vjp),))
-
-
-# ---------------------------------------------------------------------------
-# constrained parameterizations
-
-
-def constrain_nonneg_vector(raw):
-    """Softmax a raw vector into strictly positive weights summing to 1."""
-    if isinstance(raw, Node):
-        return softmax(raw, axis=-1)
-    raw = np.asarray(raw, dtype=np.float64)
-    return softmax(Node(raw), axis=-1).value
-
-
-def constrain_nonneg_matrix(raw):
-    """Softmax each column of a raw square matrix along the input dimension.
-
-    Every entry is strictly positive and each column sums to 1, so the matrix
-    acts as a non-negative mixing map on memory vectors.
-    """
-    if isinstance(raw, Node):
-        return softmax(raw, axis=0)
-    raw = np.asarray(raw, dtype=np.float64)
-    return softmax(Node(raw), axis=0).value
 
 
 # ---------------------------------------------------------------------------

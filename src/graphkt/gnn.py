@@ -114,43 +114,6 @@ class GraphTensors:
             else np.zeros((0, graphs.n_kcs, graphs.n_kcs))
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
-
-
-def edge_correlation(store, ci: int, cj: int, which: str) -> float:
-    """Learned correlation of two KCs on one graph, in (0, 1)."""
-    k = store.value("emb.k")
-    return float(_sigmoid(k[ci] @ store.value(f"cor.{which}") @ k[cj]))
-
-
-def question_kc_score(store, q: int, c: int) -> float:
-    """Learned requirement score of a question for a KC, in (0, 1)."""
-    e_q = store.value("emb.q")[q]
-    k_c = store.value("emb.k")[c]
-    return float(_sigmoid(e_q @ store.value("req") @ k_c))
-
-
-def hop_support(graphs: KcRelationGraphs, seeds, hops: int) -> set[int]:
-    """KCs reachable from the seeds within `hops` steps over P, S and R."""
-    frontier = set(seeds)
-    support = set(seeds)
-    for _ in range(hops):
-        nxt = set()
-        for c in frontier:
-            for which in GRAPH_KINDS:
-                nxt.update(graphs.neighbors(which, c))
-        nxt -= support
-        if not nxt:
-            break
-        support |= nxt
-        frontier = nxt
-    return support
-
-
 class Plan:
     """Per-layer row sets for a restricted propagation, with frozen indices.
 

@@ -147,35 +147,6 @@ def pair_counts(ds: Dataset, sequence_indices=None) -> PairCounts:
                       first_correct=first_correct)
 
 
-def similarity_score(ds: Dataset, ci: int, cj: int,
-                     min_cooccurrence: int = 10,
-                     counts: PairCounts | None = None) -> float | None:
-    """Fraction of ordered (ci, cj) pairs answered with equal correctness.
-
-    Returns None when the pair count is below the floor or ci == cj.
-    """
-    if ci == cj:
-        return None
-    counts = counts or pair_counts(ds)
-    denom = counts.co[ci, cj]
-    if denom < min_cooccurrence:
-        return None
-    return float(counts.equal[ci, cj] / denom)
-
-
-def prerequisite_score(ds: Dataset, ci: int, cj: int,
-                       min_cooccurrence: int = 10,
-                       counts: PairCounts | None = None) -> float | None:
-    """Among discordant ordered (ci, cj) pairs, fraction with ci correct."""
-    if ci == cj:
-        return None
-    counts = counts or pair_counts(ds)
-    denom = counts.discord[ci, cj]
-    if denom < min_cooccurrence:
-        return None
-    return float(counts.first_correct[ci, cj] / denom)
-
-
 def build_graphs(ds: Dataset, cfg: GraphBuildConfig,
                  sequence_indices=None) -> KcRelationGraphs:
     """Mine the P/S/R graphs by thresholding the pair statistics at eta.

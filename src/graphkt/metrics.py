@@ -8,7 +8,8 @@ traced mastery evolution behaves the way teachers expect:
 - gaucm: per-question AUC of mastery against correctness, weighted by how
   often the question was answered (monotonicity of mastery);
 - repetition: immediately re-asking an answered question should reproduce the
-  observed outcome.
+  observed outcome; `train.evaluate` scores the model's re-ask probes with
+  `accuracy`.
 
 Each function is paired with a brute-force oracle in the test suite.
 """
@@ -139,16 +140,3 @@ def gaucm(records) -> float:
         raise UndefinedMetric("no question has both outcome classes")
     return num / den
 
-
-def repetition(model, sequences, disable_stage3: bool = False) -> float:
-    """Accuracy of immediately re-asked questions against the observed answer.
-
-    `model.reask_scores(seq, disable_stage3)` must return, per real response,
-    the model's probability for the same question asked again right after
-    the response was processed (a counterfactual probe: the re-ask itself
-    must not change the model state), with the stage-3 ablation applied.
-    """
-    pairs = []
-    for seq in sequences:
-        pairs.extend(model.reask_scores(seq, disable_stage3))
-    return accuracy(pairs)

@@ -239,7 +239,7 @@ class BatchCache:
         key = (q, kcs)
         if key not in self._ebar:
             kc_rows = E.gather_rows(self.bound["emb.k"], list(kcs))
-            kc_avg = E.scale(E.sum_axis(kc_rows, 0), 1.0 / len(kcs))
+            kc_avg = E.mul(E.sum_axis(kc_rows, 0), 1.0 / len(kcs))
             e_q = E.gather_rows(self.bound["emb.q"], [q])
             self._ebar[key] = E.concat([kc_avg, e_q], axis=1)
         return self._ebar[key]
@@ -313,7 +313,7 @@ class GrktModel:
         rows = gnn_forward_rows(self.specs["rtv"], x0, plan, self.gt,
                                 cache.weights["rtv"], cache.agg,
                                 cache.alpha_col(q))
-        h_agg = E.scale(E.sum_axis(rows, 0), 1.0 / len(kcs))
+        h_agg = E.mul(E.sum_axis(rows, 0), 1.0 / len(kcs))
         mastery = E.matmul(h_agg, cache.w_h_col)
         a_hat = E.sigmoid(E.sub(mastery, cache.difficulty(q, kcs)))
         return a_hat, h_agg, mastery
@@ -466,11 +466,6 @@ class GrktModel:
             _, cache = self.begin("eval")
             return [self.reask(step, cache)
                     for step in self.steps(seq.real(), cache, disable_stage3)]
-
-    def mastery(self, H_value: np.ndarray, c: int) -> float:
-        """Project one KC's memory row to its scalar mastery."""
-        w = E.constrain_nonneg_vector(self.store.value("w_h")).ravel()
-        return float(H_value[c] @ w)
 
     def _mastery_vector(self, H: E.Node, cache: BatchCache) -> np.ndarray:
         return (H.value @ cache.w_h_col.value).ravel().copy()

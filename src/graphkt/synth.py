@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, IdMap, Response, ResponseSequence
-from .graphs import GraphBuildConfig, KcRelationGraphs, build_graphs
+from .graphs import KcRelationGraphs
 
 
 @dataclass
@@ -200,32 +200,3 @@ def write_ground_truth(result: SynthResult, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
 
-
-@dataclass
-class RecoveryReport:
-    precision: dict[str, float]
-    recall: dict[str, float]
-    mined_edges: dict[str, int]
-    planted_edges: dict[str, int]
-
-
-def planted_graph_recovery_check(ds: Dataset, planted: KcRelationGraphs,
-                                 cfg: GraphBuildConfig) -> RecoveryReport:
-    """Compare statistics-mined edges against the planted ground truth."""
-    mined = build_graphs(ds, cfg)
-    precision, recall, n_mined, n_planted = {}, {}, {}, {}
-
-    def undirected(scores):
-        return {tuple(sorted(e)) for e in scores}
-
-    for kind, mined_set, planted_set in (
-        ("P", set(mined.p_scores), set(planted.p_scores)),
-        ("R", undirected(mined.r_scores), undirected(planted.r_scores)),
-    ):
-        hit = len(mined_set & planted_set)
-        precision[kind] = hit / len(mined_set) if mined_set else 1.0
-        recall[kind] = hit / len(planted_set) if planted_set else 1.0
-        n_mined[kind] = len(mined_set)
-        n_planted[kind] = len(planted_set)
-    return RecoveryReport(precision=precision, recall=recall,
-                          mined_edges=n_mined, planted_edges=n_planted)

@@ -38,18 +38,9 @@ class TrainConfig:
     max_epochs: int = 200
     disable_stage3: bool = False       # -LF
     drop_similarity: bool = False      # -SIM
-    drop_prerequisite: bool = False    # -PRE
-    drop_all_graphs: bool = False      # -SIM-PRE
+    drop_prerequisite: bool = False    # -PRE; with -SIM, no graphs at all
     use_full_graphs: bool = False
     min_cooccurrence: int = 10
-
-    @property
-    def effective_drop_similarity(self) -> bool:
-        return self.drop_similarity or self.drop_all_graphs
-
-    @property
-    def effective_drop_prerequisite(self) -> bool:
-        return self.drop_prerequisite or self.drop_all_graphs
 
 
 @dataclass
@@ -74,24 +65,6 @@ class TrainReport:
         }
 
 
-def bce_loss(predictions) -> float:
-    """Mean binary cross entropy over unmasked (score, label, mask) triples.
-
-    Scores are clamped to [1e-7, 1 - 1e-7] before the log.
-    """
-    total = 0.0
-    count = 0
-    for score, label, mask in predictions:
-        if not mask:
-            continue
-        p = min(max(score, 1e-7), 1.0 - 1e-7)
-        total += -(np.log(p) if label == 1 else np.log(1.0 - p))
-        count += 1
-    if count == 0:
-        raise ValueError("loss over an empty unmasked set is undefined")
-    return total / count
-
-
 def bce_loss_node(preds: list[tuple[E.Node, int]]) -> E.Node:
     """Tape-level BCE over one batch's (prediction node, label) pairs."""
     if not preds:
@@ -101,19 +74,22 @@ def bce_loss_node(preds: list[tuple[E.Node, int]]) -> E.Node:
         pc = E.clip(p, 1e-7, 1.0 - 1e-7)
         inner = pc if label == 1 else E.sub(1.0, pc)
         terms.append(E.neg(E.log(inner)))
-    return E.scale(E.sum_all(E.add_n(terms)), 1.0 / len(terms))
+    return E.mul(E.sum_all(E.add_n(terms)), 1.0 / len(terms))
 
 
 def apply_ablation(graphs: KcRelationGraphs, cfg: TrainConfig) -> KcRelationGraphs:
-    if cfg.effective_drop_similarity or cfg.effective_drop_prerequisite:
-        return graphs.drop(similarity=cfg.effective_drop_similarity,
-                           prerequisite=cfg.effective_drop_prerequisite)
+    if cfg.drop_similarity or cfg.drop_prerequisite:
+        return graphs.drop(similarity=cfg.drop_similarity,
+                           prerequisite=cfg.drop_prerequisite)
     return graphs
 
 
 def graphs_for_fold(ds: Dataset, fold: FoldSplit, cfg: TrainConfig) -> KcRelationGraphs:
-    """Mine graphs from the fold's non-test sequences (or everything)."""
-    if cfg.drop_all_graphs:
+    """Mine graphs from the fold's non-test sequences (or everything).
+
+    With both relation kinds dropped nothing is mined.
+    """
+    if cfg.drop_similarity and cfg.drop_prerequisite:
         return KcRelationGraphs.empty(ds.n_kcs)
     indices = None if cfg.use_full_graphs else list(fold.train) + list(fold.val)
     mined = build_graphs(ds, GraphBuildConfig(eta=cfg.hp.eta,

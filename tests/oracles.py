@@ -1,0 +1,180 @@
+"""Straight-line oracles the tests compare the program against.
+
+Each function restates one concept of the model, the graph statistics or the
+metrics in its most direct scalar form: one KC pair, one memory row, one
+response at a time. The program computes the same quantities batched on the
+tape; tests check it against these.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from graphkt.data import Dataset
+from graphkt.graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
+                            PairCounts, build_graphs, pair_counts)
+from graphkt.metrics import accuracy
+
+
+# -- learned scores and projections ----------------------------------------------
+
+
+def _sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + np.exp(-x))
+    e = np.exp(x)
+    return e / (1.0 + e)
+
+
+def edge_correlation(store, ci: int, cj: int, which: str) -> float:
+    """Learned correlation of two KCs on one graph, in (0, 1)."""
+    k = store.value("emb.k")
+    return float(_sigmoid(k[ci] @ store.value(f"cor.{which}") @ k[cj]))
+
+
+def question_kc_score(store, q: int, c: int) -> float:
+    """Learned requirement score of a question for a KC, in (0, 1)."""
+    e_q = store.value("emb.q")[q]
+    k_c = store.value("emb.k")[c]
+    return float(_sigmoid(e_q @ store.value("req") @ k_c))
+
+
+def _softmax(raw: np.ndarray, axis: int) -> np.ndarray:
+    ex = np.exp(raw - raw.max(axis=axis, keepdims=True))
+    return ex / ex.sum(axis=axis, keepdims=True)
+
+
+def constrain_nonneg_vector(raw) -> np.ndarray:
+    """Softmax a raw vector into strictly positive weights summing to 1."""
+    return _softmax(np.asarray(raw, dtype=np.float64), axis=-1)
+
+
+def constrain_nonneg_matrix(raw) -> np.ndarray:
+    """Softmax each column of a raw square matrix along the input dimension.
+
+    Every entry is strictly positive and each column sums to 1, so the matrix
+    acts as a non-negative mixing map on memory vectors.
+    """
+    return _softmax(np.asarray(raw, dtype=np.float64), axis=0)
+
+
+def mastery(store, H_value: np.ndarray, c: int) -> float:
+    """Project one KC's memory row to its scalar mastery."""
+    w = constrain_nonneg_vector(store.value("w_h")).ravel()
+    return float(H_value[c] @ w)
+
+
+# -- graph structure and statistics ----------------------------------------------
+
+
+def hop_support(graphs: KcRelationGraphs, seeds, hops: int) -> set[int]:
+    """KCs within `hops` steps of the seeds over P, S and R.
+
+    An independent breadth-first expansion over the union adjacency.
+    """
+    adj = {c: set() for c in range(graphs.n_kcs)}
+    for which in GRAPH_KINDS:
+        for c in range(graphs.n_kcs):
+            adj[c] |= set(graphs.neighbors(which, c))
+    seen = set(seeds)
+    frontier = set(seeds)
+    for _ in range(hops):
+        frontier = {n for c in frontier for n in adj[c]} - seen
+        seen |= frontier
+    return seen
+
+
+def similarity_score(ds: Dataset, ci: int, cj: int,
+                     min_cooccurrence: int = 10,
+                     counts: PairCounts | None = None) -> float | None:
+    """Fraction of ordered (ci, cj) pairs answered with equal correctness.
+
+    Returns None when the pair count is below the floor or ci == cj.
+    """
+    if ci == cj:
+        return None
+    counts = counts or pair_counts(ds)
+    denom = counts.co[ci, cj]
+    if denom < min_cooccurrence:
+        return None
+    return float(counts.equal[ci, cj] / denom)
+
+
+def prerequisite_score(ds: Dataset, ci: int, cj: int,
+                       min_cooccurrence: int = 10,
+                       counts: PairCounts | None = None) -> float | None:
+    """Among discordant ordered (ci, cj) pairs, fraction with ci correct."""
+    if ci == cj:
+        return None
+    counts = counts or pair_counts(ds)
+    denom = counts.discord[ci, cj]
+    if denom < min_cooccurrence:
+        return None
+    return float(counts.first_correct[ci, cj] / denom)
+
+
+@dataclass
+class RecoveryReport:
+    precision: dict[str, float]
+    recall: dict[str, float]
+    mined_edges: dict[str, int]
+    planted_edges: dict[str, int]
+
+
+def planted_graph_recovery_check(ds: Dataset, planted: KcRelationGraphs,
+                                 cfg: GraphBuildConfig) -> RecoveryReport:
+    """Compare statistics-mined edges against the planted ground truth."""
+    mined = build_graphs(ds, cfg)
+    precision, recall, n_mined, n_planted = {}, {}, {}, {}
+
+    def undirected(scores):
+        return {tuple(sorted(e)) for e in scores}
+
+    for kind, mined_set, planted_set in (
+        ("P", set(mined.p_scores), set(planted.p_scores)),
+        ("R", undirected(mined.r_scores), undirected(planted.r_scores)),
+    ):
+        hit = len(mined_set & planted_set)
+        precision[kind] = hit / len(mined_set) if mined_set else 1.0
+        recall[kind] = hit / len(planted_set) if planted_set else 1.0
+        n_mined[kind] = len(mined_set)
+        n_planted[kind] = len(planted_set)
+    return RecoveryReport(precision=precision, recall=recall,
+                          mined_edges=n_mined, planted_edges=n_planted)
+
+
+# -- loss and metrics -------------------------------------------------------------
+
+
+def bce_loss(predictions) -> float:
+    """Mean binary cross entropy over unmasked (score, label, mask) triples.
+
+    Scores are clamped to [1e-7, 1 - 1e-7] before the log.
+    """
+    total = 0.0
+    count = 0
+    for score, label, mask in predictions:
+        if not mask:
+            continue
+        p = min(max(score, 1e-7), 1.0 - 1e-7)
+        total += -(np.log(p) if label == 1 else np.log(1.0 - p))
+        count += 1
+    if count == 0:
+        raise ValueError("loss over an empty unmasked set is undefined")
+    return total / count
+
+
+def repetition(model, sequences, disable_stage3: bool = False) -> float:
+    """Accuracy of immediately re-asked questions against the observed answer.
+
+    `model.reask_scores(seq, disable_stage3)` must return, per real response,
+    the model's probability for the same question asked again right after
+    the response was processed (a counterfactual probe: the re-ask itself
+    must not change the model state), with the stage-3 ablation applied.
+    """
+    pairs = []
+    for seq in sequences:
+        pairs.extend(model.reask_scores(seq, disable_stage3))
+    return accuracy(pairs)

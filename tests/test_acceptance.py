@@ -14,14 +14,14 @@ import pytest
 from graphkt import engine as E
 from graphkt.data import (ColumnSchema, Response, ResponseSequence,
                           make_folds, preprocess)
-from graphkt.gnn import hop_support
 from graphkt.graphs import KcRelationGraphs
 from graphkt.metrics import EvalRecord, UndefinedMetric, accuracy, auc, \
-    consistency, gaucm, repetition
+    consistency, gaucm
 from graphkt.model import BatchCache, GrktModel, HyperParams
 from graphkt.synth import SynthConfig, generate
 from graphkt.train import TrainConfig, bce_loss_node, train_fold
 from tests.conftest import random_graphs, random_sequence
+from tests.oracles import hop_support, repetition
 from tests.test_metrics import (FakeSeq, StubModel, accuracy_oracle,
                                 auc_oracle, consistency_oracle, gaucm_oracle)
 from tests.test_model import randomize
@@ -501,7 +501,8 @@ def test_acceptance_6_synthetic_learning_and_ablation():
     _, full_report = train_fold(ds, fold, TrainConfig(hp=hp, max_epochs=5),
                                 graphs=res.graphs)
     _, ablation_report = train_fold(
-        ds, fold, TrainConfig(hp=hp, max_epochs=5, drop_all_graphs=True),
+        ds, fold, TrainConfig(hp=hp, max_epochs=5, drop_similarity=True,
+                              drop_prerequisite=True),
         graphs=res.graphs)
 
     full_auc = full_report.test_metrics["auc"]

@@ -123,6 +123,41 @@ def test_trace_unknown_student_fails(pipeline, tmp_path):
                 "--student", "nobody", "--out", str(tmp_path / "x")]) == 1
 
 
+def test_trace_needs_exactly_one_of_student_and_seq(pipeline, tmp_path):
+    common = ["trace", "--data", str(pipeline / "synth" / "data.csv"),
+              "--seq-len", "12", "--min-len", "4",
+              "--graphs", str(pipeline / "graphs" / "graphs.txt"),
+              "--checkpoint", str(pipeline / "train" / "checkpoint.json"),
+              "--out", str(tmp_path)]
+    assert run(common) == 2
+    assert run(common + ["--seq", "0", "--student", "s00003"]) == 2
+
+
+def test_trace_seq_out_of_range_fails(pipeline, tmp_path, capsys):
+    data = str(pipeline / "synth" / "data.csv")
+    n = len(preprocess(ingest_csv(data), seq_len=12, min_len=4).sequences)
+    assert run(["trace", "--data", data, "--seq-len", "12", "--min-len", "4",
+                "--graphs", str(pipeline / "graphs" / "graphs.txt"),
+                "--checkpoint", str(pipeline / "train" / "checkpoint.json"),
+                "--seq", "999", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --seq 999: valid sequence indices are 0..{n - 1}\n")
+
+
+@pytest.mark.parametrize("command,fold", [("eval", "9"), ("train", "9"),
+                                          ("train", "x")])
+def test_fold_out_of_range_fails(pipeline, tmp_path, capsys, command, fold):
+    common = [command, "--data", str(pipeline / "synth" / "data.csv"),
+              "--seq-len", "12", "--min-len", "4",
+              "--graphs", str(pipeline / "graphs" / "graphs.txt"),
+              "--fold", fold, "--out", str(tmp_path)]
+    if command == "eval":
+        common += ["--checkpoint", str(pipeline / "train" / "checkpoint.json")]
+    assert run(common) == 1
+    assert capsys.readouterr().err == (f"error: --fold {fold}: valid folds "
+                                       f"are 0..4 or 'all'\n")
+
+
 def test_gradcheck_command(tmp_path):
     assert run(["gradcheck", "--out", str(tmp_path), "--coords", "25",
                 "--seed", "0"]) == 0
@@ -181,6 +216,23 @@ def test_config_file_rejects_values_that_do_not_convert(tmp_path, capsys,
         _train_config(args)
     assert run(["train", "--data", "log.csv", "--config", str(cfg)]) == 1
     assert f"error: {cfg}:{line}: {key} = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("d_k = 4\nd_e = -1\n", 2, "d_e must be positive"),
+    ("lr = 0\n", 1, "lr must be positive and l2 non-negative"),
+])
+def test_config_file_rejects_values_that_fail_validation(tmp_path, capsys,
+                                                         text, line, message):
+    cfg, args = _config_args(tmp_path, text)
+    with pytest.raises(CliError) as exc:
+        _train_config(args)
+    assert str(exc.value) == f"{cfg}:{line}: {message}"
+    assert run(["train", "--data", "log.csv", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+    # the same value from a flag names no file
+    assert run(["train", "--data", "log.csv", "--d-e", "-1"]) == 1
+    assert capsys.readouterr().err == "error: d_e must be positive\n"
 
 
 def test_config_file_values_convert_to_field_types(tmp_path):

@@ -1,11 +1,11 @@
-"""Ingestion, preprocessing, folds and dataset round-trips."""
+"""Ingestion, preprocessing and folds."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphkt.data import (ColumnSchema, IngestError, export_dataset,
-                          import_dataset, ingest_csv, make_folds, preprocess)
+from graphkt.data import (ColumnSchema, IngestError, ingest_csv, make_folds,
+                          preprocess)
 from tests.conftest import make_dataset
 
 
@@ -188,27 +188,3 @@ def test_folds_cover_exactly_once(n, seed):
     folds = make_folds(ds, k=5, seed=seed)
     assert sorted(i for f in folds for i in f.test) == list(range(n))
 
-
-# -- export / import -----------------------------------------------------------
-
-
-def test_dataset_roundtrip_bit_exact(tmp_path):
-    rows = [(s, (s + i) % 4, ((i % 3), ((i + s) % 3)), (s + i) % 2, 100 + 7 * i)
-            for s in range(3) for i in range(25)]
-    ds = preprocess(make_dataset(rows, n_questions=4, n_kcs=3),
-                    seq_len=10, min_len=2)
-    path = tmp_path / "ds.txt"
-    export_dataset(ds, path)
-    again = import_dataset(path)
-    assert again == ds
-    # a second round trip is byte-identical
-    path2 = tmp_path / "ds2.txt"
-    export_dataset(again, path2)
-    assert path.read_text() == path2.read_text()
-
-
-def test_import_rejects_unknown_version(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("graphkt-dataset 99\n")
-    with pytest.raises(ValueError):
-        import_dataset(path)

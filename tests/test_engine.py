@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkt import engine as E
+from tests.oracles import constrain_nonneg_matrix, constrain_nonneg_vector
 
 
 def numeric_grad(build, store, name, h=1e-6):
@@ -138,44 +139,61 @@ def test_shared_subexpression_accumulates():
 
 
 # -- constrained parameterizations -----------------------------------------
+# BatchCache constrains the (1, d_k) mastery projection `w_h` with a softmax
+# over its last axis and the retrieval head's (G, d, d) weight stack with a
+# softmax over axis 1, each graph's columns
+
+
+def projection(raw):
+    return E.softmax(E.as_node(np.array([raw], dtype=np.float64)),
+                     axis=-1).value.ravel()
+
+
+def column_mix(raw_stack):
+    return E.softmax(E.as_node(np.asarray(raw_stack, dtype=np.float64)),
+                     axis=1).value
 
 
 def test_constrain_vector_uniform_at_zero():
-    out = E.constrain_nonneg_vector(np.zeros(4))
+    out = projection(np.zeros(4))
     assert np.allclose(out, [0.25, 0.25, 0.25, 0.25], atol=0, rtol=0)
 
 
 def test_constrain_vector_closed_form():
-    out = E.constrain_nonneg_vector(np.array([math.log(2.0), 0.0]))
+    out = projection([math.log(2.0), 0.0])
     assert np.allclose(out, [2 / 3, 1 / 3], atol=1e-15)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 def test_constrain_vector_positive_and_normalized(raw):
-    out = E.constrain_nonneg_vector(np.array(raw))
+    out = projection(raw)
     assert (out > 0).all()
     assert abs(out.sum() - 1.0) < 1e-12
+    assert np.array_equal(out, constrain_nonneg_vector(raw))
 
 
 def test_constrain_matrix_uniform_at_zero():
-    out = E.constrain_nonneg_matrix(np.zeros((2, 2)))
+    out = column_mix(np.zeros((3, 2, 2)))
     assert np.allclose(out, 0.5, atol=0, rtol=0)
 
 
 def test_constrain_matrix_column_closed_form():
     raw = np.array([[math.log(3.0), 0.0], [0.0, 0.0]])
-    out = E.constrain_nonneg_matrix(raw)
-    assert abs(out[0, 0] - 0.75) < 1e-15
-    assert abs(out[1, 0] - 0.25) < 1e-15
+    out = column_mix([np.zeros((2, 2)), raw])
+    assert abs(out[1, 0, 0] - 0.75) < 1e-15
+    assert abs(out[1, 1, 0] - 0.25) < 1e-15
+    assert np.allclose(out[0], 0.5, atol=0, rtol=0)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25)
 def test_constrain_matrix_columns_sum_to_one(seed):
-    raw = np.random.default_rng(seed).normal(0, 5, size=(4, 4))
-    out = E.constrain_nonneg_matrix(raw)
+    raw = np.random.default_rng(seed).normal(0, 5, size=(3, 4, 4))
+    out = column_mix(raw)
     assert (out > 0).all()
-    assert np.allclose(out.sum(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+    for g in range(3):
+        assert np.array_equal(out[g], constrain_nonneg_matrix(raw[g]))
 
 
 # -- optimizer ---------------------------------------------------------------

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkt import engine as E
-from graphkt.gnn import (GnnSpec, edge_correlation, gnn_forward,
-                         gnn_forward_rows, hop_support, make_specs,
-                         plan_inward, plan_outward, question_kc_score)
+from graphkt.gnn import (GnnSpec, GraphTensors, gnn_forward, gnn_forward_rows,
+                         make_specs, plan_inward, plan_outward)
 from graphkt.graphs import KcRelationGraphs
 from graphkt.model import GrktModel, HyperParams
 from tests.conftest import random_graphs
+from tests.oracles import (constrain_nonneg_matrix, edge_correlation,
+                           hop_support, question_kc_score)
 
 
 def sigmoid(x):
@@ -33,7 +34,7 @@ def brute_force_head(spec, x, graphs, store, q_emb=None):
                     continue
                 w = store.value(f"gnn.{spec.name}.W.{which}.{layer}")
                 if spec.nonneg_weights:
-                    w = E.constrain_nonneg_matrix(w)
+                    w = constrain_nonneg_matrix(w)
                 w_cor = store.value(f"cor.{which}")
                 agg = np.zeros(d_prev)
                 for j in nbrs:
@@ -388,27 +389,23 @@ def test_pairwise_scores_match_cached_matrices():
 # -- hop support ---------------------------------------------------------------
 
 
-def bfs_oracle(graphs, seeds, hops):
-    """Independent breadth-first expansion over the union adjacency."""
-    adj = {c: set() for c in range(graphs.n_kcs)}
-    for which in ("P", "S", "R"):
-        for c in range(graphs.n_kcs):
-            adj[c] |= set(graphs.neighbors(which, c))
-    seen = set(seeds)
-    frontier = set(seeds)
-    for _ in range(hops):
-        frontier = {n for c in frontier for n in adj[c]} - seen
-        seen |= frontier
-    return seen
+def plan_supports(graphs, seeds, hops):
+    """The hop support as each plan direction builds it (sorted tuples)."""
+    gt = GraphTensors(graphs)
+    return (plan_outward(gt, seeds, hops).output_rows,
+            plan_inward(gt, seeds, hops).row_sets[0])
 
 
 def test_hop_support_zero_is_seeds():
     g = KcRelationGraphs(5, {(0, 1): 0.9}, {})
+    assert plan_supports(g, {0, 2}, 0) == ((0, 2), (0, 2))
     assert hop_support(g, {0, 2}, 0) == {0, 2}
 
 
 def test_hop_support_path():
     g = KcRelationGraphs(3, {}, {(0, 1): 0.9, (1, 2): 0.9})
+    assert plan_supports(g, {0}, 1) == ((0, 1), (0, 1))
+    assert plan_supports(g, {0}, 2) == ((0, 1, 2), (0, 1, 2))
     assert hop_support(g, {0}, 1) == {0, 1}
     assert hop_support(g, {0}, 2) == {0, 1, 2}
 
@@ -419,7 +416,8 @@ def test_hop_support_matches_bfs(seed, hops):
     rng = np.random.default_rng(seed)
     g = random_graphs(rng, 8, p_edges=6, r_edges=5)
     seeds = {int(x) for x in rng.choice(8, size=2, replace=False)}
-    assert hop_support(g, seeds, hops) == bfs_oracle(g, seeds, hops)
+    want = tuple(sorted(hop_support(g, seeds, hops)))
+    assert plan_supports(g, seeds, hops) == (want, want)
 
 
 # -- spec construction -----------------------------------------------------------

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkt.graphs import (GraphBuildConfig, KcRelationGraphs, build_graphs,
-                            export_graphs, import_graphs, load_labeled_graphs,
-                            prerequisite_score, similarity_score)
+                            export_graphs, import_graphs, load_labeled_graphs)
 from tests.conftest import make_dataset
+from tests.oracles import prerequisite_score, similarity_score
 
 
 def test_config_validates_eta():

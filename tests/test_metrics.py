@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkt.metrics import (EvalRecord, UndefinedMetric, accuracy, auc,
-                             consistency, gaucm, repetition)
+                             consistency, gaucm)
 from graphkt.model import TraceStep
+from tests.oracles import repetition
 
 
 # -- brute-force oracles -------------------------------------------------------

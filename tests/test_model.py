@@ -7,11 +7,13 @@ import pytest
 
 from graphkt import engine as E
 from graphkt.data import Response, ResponseSequence
-from graphkt.gnn import hop_support
 from graphkt.graphs import KcRelationGraphs
 from graphkt.metrics import consistency
-from graphkt.model import (DT_CAP_MINUTES, GrktModel, HyperParams, trace_rows)
+from graphkt.model import (DT_CAP_MINUTES, GrktModel, HyperParams, Step,
+                           trace_rows)
 from tests.conftest import random_graphs, random_sequence
+from tests.oracles import constrain_nonneg_vector, hop_support
+from tests.oracles import mastery as mastery_oracle
 
 
 def randomize(model, scale=1.0, seed=0):
@@ -25,27 +27,40 @@ def randomize(model, scale=1.0, seed=0):
 # -- mastery projection --------------------------------------------------------
 
 
+def traced_mastery(model, H):
+    """Per-KC mastery of memory H, projected as `trace_step` projects it."""
+    with E.no_grad():
+        _, cache = model.begin("eval")
+        memory = E.as_node(H)
+        step = Step(Response(0, (0,), 1, 0), E.as_node(0.5), E.as_node(0.0),
+                    memory, memory)
+        return model.trace_step(step, 0, cache).pre
+
+
 def test_mastery_zero_memory(desk_model):
     H = np.zeros((6, 4))
-    assert desk_model.mastery(H, 2) == 0.0
+    assert traced_mastery(desk_model, H)[2] == 0.0
+    assert mastery_oracle(desk_model.store, H, 2) == 0.0
 
 
 def test_mastery_uniform_weights(desk_model):
     # raw projection weights start at zero: uniform softmax = 0.25 each
     H = np.zeros((6, 4))
     H[1] = [1.0, 2.0, 3.0, 4.0]
-    assert abs(desk_model.mastery(H, 1) - 2.5) < 1e-12
+    assert abs(traced_mastery(desk_model, H)[1] - 2.5) < 1e-12
+    assert abs(mastery_oracle(desk_model.store, H, 1) - 2.5) < 1e-12
 
 
 def test_mastery_strictly_monotone(desk_model):
     rng = np.random.default_rng(0)
     desk_model.store.value("w_h")[...] = rng.normal(size=(1, 4))
     H = rng.normal(size=(6, 4))
-    base = desk_model.mastery(H, 3)
+    base = traced_mastery(desk_model, H)[3]
+    assert abs(base - mastery_oracle(desk_model.store, H, 3)) < 1e-12
     for d in range(4):
         bumped = H.copy()
         bumped[3, d] += 1.0
-        assert desk_model.mastery(bumped, 3) > base
+        assert traced_mastery(desk_model, bumped)[3] > base
 
 
 # -- stage 1 ---------------------------------------------------------------------
@@ -72,7 +87,7 @@ def test_stage1_isolated_kc_uses_own_memory():
     H = cache.h0
     a_hat, h_agg, mastery = model.stage1_predict(H, 1, (4,), cache)
     assert np.array_equal(h_agg.value.ravel(), H.value[4])
-    w = E.constrain_nonneg_vector(model.store.value("w_h")).ravel()
+    w = constrain_nonneg_vector(model.store.value("w_h")).ravel()
     d_q = cache.difficulty(1, (4,)).value.item()
     expect = 1.0 / (1.0 + math.exp(-(H.value[4] @ w - d_q)))
     assert abs(a_hat.value.item() - expect) < 1e-12
@@ -113,7 +128,7 @@ def test_stage2_signs(seed):
     down = model.stage2_strengthen(H, 0, (1, 3), 0, cache)
     assert (down.value - H.value <= 0).all()
     # mastery moves the same direction for every KC
-    w = E.constrain_nonneg_vector(model.store.value("w_h")).ravel()
+    w = constrain_nonneg_vector(model.store.value("w_h")).ravel()
     assert ((up.value - H.value) @ w >= 0).all()
     assert ((down.value - H.value) @ w <= 0).all()
 

@@ -5,9 +5,8 @@ import pytest
 
 from graphkt.data import ingest_csv
 from graphkt.graphs import GraphBuildConfig
-from graphkt.synth import (SynthConfig, generate,
-                           planted_graph_recovery_check, write_csv,
-                           write_ground_truth)
+from graphkt.synth import SynthConfig, generate, write_csv, write_ground_truth
+from tests.oracles import planted_graph_recovery_check
 
 SMALL = dict(n_kcs=10, n_questions=20, n_students=25,
              seq_len_min=8, seq_len_max=15, seed=5)

@@ -12,9 +12,10 @@ from graphkt.data import Response, make_folds, preprocess
 from graphkt.graphs import KcRelationGraphs
 from graphkt.model import GrktModel, HyperParams
 from graphkt.train import (TrainConfig, TrainingDiverged, apply_ablation,
-                           bce_loss, bce_loss_node, cross_validate, evaluate,
+                           bce_loss_node, cross_validate, evaluate,
                            graphs_for_fold, train_fold)
 from tests.conftest import make_dataset, random_graphs, random_sequence
+from tests.oracles import bce_loss, repetition
 from tests.test_model import randomize
 
 
@@ -30,6 +31,8 @@ def test_bce_perfect_predictions_hit_clamp():
     preds = [(1.0, 1, True), (0.0, 0, True)]
     want = -math.log(1.0 - 1e-7)
     assert abs(bce_loss(preds) - want) < 1e-12
+    nodes = [(E.as_node(np.array([[s]])), a) for s, a, _ in preds]
+    assert abs(bce_loss_node(nodes).value.item() - want) < 1e-12
 
 
 def test_bce_ignores_masked_steps():
@@ -185,14 +188,15 @@ def test_ablation_flags_drop_graphs():
     assert sim_only.edge_count("R") == 2
     pre_only = apply_ablation(g, tiny_config(drop_similarity=True))
     assert pre_only.edge_count("P") == 1 and pre_only.edge_count("R") == 0
-    none = apply_ablation(g, tiny_config(drop_all_graphs=True))
+    none = apply_ablation(g, tiny_config(drop_similarity=True,
+                                         drop_prerequisite=True))
     assert all(none.edge_count(k) == 0 for k in ("P", "S", "R"))
 
 
 def test_drop_all_graphs_collapses_support():
     ds = tiny_dataset()
     fold = make_folds(ds, k=3, val_frac=0.2, seed=0)[0]
-    cfg = tiny_config(drop_all_graphs=True)
+    cfg = tiny_config(drop_similarity=True, drop_prerequisite=True)
     graphs = graphs_for_fold(ds, fold, cfg)
     model = GrktModel(cfg.hp, ds.n_questions, ds.n_kcs, graphs)
     _, cache = model.begin("eval")
@@ -201,6 +205,23 @@ def test_drop_all_graphs_collapses_support():
     changed = {c for c in range(ds.n_kcs)
                if not np.array_equal(new_H.value[c], H.value[c])}
     assert changed <= {1}
+
+
+def test_both_drop_flags_skip_mining(monkeypatch):
+    import graphkt.train as train_mod
+
+    def no_mining(*args, **kwargs):
+        raise AssertionError("graphs were mined")
+
+    monkeypatch.setattr(train_mod, "build_graphs", no_mining)
+    ds = tiny_dataset()
+    fold = make_folds(ds, k=3, val_frac=0.2, seed=0)[0]
+    graphs = graphs_for_fold(ds, fold, tiny_config(drop_similarity=True,
+                                                   drop_prerequisite=True))
+    assert graphs.n_kcs == ds.n_kcs
+    assert all(graphs.edge_count(k) == 0 for k in ("P", "S", "R"))
+    with pytest.raises(AssertionError, match="mined"):
+        graphs_for_fold(ds, fold, tiny_config(drop_similarity=True))
 
 
 def test_stage3_disabled_makes_timestamps_irrelevant():
@@ -283,7 +304,7 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
     assert seen["accuracy"][1] == [
         pair for seq in seqs
         for pair in model.reask_scores(seq, disable_stage3=disable_stage3)]
-    assert report.repetition == metrics.repetition(model, seqs, disable_stage3)
+    assert report.repetition == repetition(model, seqs, disable_stage3)
 
 
 def test_cross_validate_aggregates():
