@@ -25,13 +25,15 @@ import numpy as np
 
 from . import engine as E
 from .data import (ColumnSchema, ingest_csv, make_folds, preprocess)
-from .graphs import (GraphBuildConfig, KcRelationGraphs, build_graphs,
-                     export_graphs, import_graphs, load_labeled_graphs)
+from .graphs import (GRAPH_VERSION, GraphBuildConfig, KcRelationGraphs,
+                     build_graphs, export_graphs, import_graphs,
+                     load_labeled_graphs)
 from .model import BatchCache, GrktModel, HyperParams, trace_rows
 from .synth import SynthConfig, generate, write_csv, write_ground_truth
 from .train import TrainConfig, cross_validate, evaluate, train_fold
 
-FORMAT_VERSIONS = {"graphs": 1, "checkpoint": 1, "manifest": 1}
+FORMAT_VERSIONS = {"graphs": GRAPH_VERSION,
+                   "checkpoint": E.ParameterStore.VERSION, "manifest": 1}
 
 
 class CliError(RuntimeError):
@@ -39,6 +41,7 @@ class CliError(RuntimeError):
 
 
 def _out_dir(args) -> Path:
+    """Create the output directory; called after every input check passed."""
     root = os.environ.get("GRAPHKT_OUT", ".")
     out = Path(args.out) if args.out else Path(root) / args.command
     out.mkdir(parents=True, exist_ok=True)
@@ -212,7 +215,6 @@ def _load_graphs_arg(args, ds) -> KcRelationGraphs | None:
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     cfg = SynthConfig(
         n_kcs=args.kcs, n_questions=args.questions, n_students=args.students,
         seq_len_min=args.seq_len_min, seq_len_max=args.seq_len_max,
@@ -220,6 +222,7 @@ def cmd_synth(args) -> int:
         transfer=args.transfer, noise_smoothing=args.noise_smoothing,
         mastery_noise=args.mastery_noise, seed=args.seed,
     )
+    out = _out_dir(args)
     result = generate(cfg)
     write_csv(result, out / "data.csv")
     write_ground_truth(result, out / "truth.json")
@@ -231,15 +234,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_graphs(args) -> int:
-    out = _out_dir(args)
     ds = _load_data(args)
     if args.labels:
         graphs = load_labeled_graphs(args.labels,
                                      min_confidence=args.min_confidence,
                                      n_kcs=ds.n_kcs)
+        out = _out_dir(args)
     else:
-        graphs = build_graphs(ds, GraphBuildConfig(
-            eta=args.eta, min_cooccurrence=args.min_cooccurrence))
+        mining = GraphBuildConfig(eta=args.eta,
+                                  min_cooccurrence=args.min_cooccurrence)
+        out = _out_dir(args)
+        graphs = build_graphs(ds, mining)
     export_graphs(graphs, out / "graphs.txt")
     _write_manifest(out, args, {"sparsity": graphs.sparsity()})
     sp = graphs.sparsity()
@@ -250,11 +255,14 @@ def cmd_build_graphs(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)  # a bad config fails before any work
-    out = _out_dir(args)
     ds = _load_data(args)
     graphs = _load_graphs_arg(args, ds)
+    # cross-validation splits the same folds; making them checks --k for both
+    folds = make_folds(ds, k=args.k, val_frac=args.val_frac, seed=cfg.hp.seed)
+    fold = None if args.fold == "all" else _fold(args, folds)
+    out = _out_dir(args)
 
-    if args.fold == "all":
+    if fold is None:
         report = cross_validate(ds, cfg, k=args.k, graphs=graphs,
                                 val_frac=args.val_frac)
         with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -264,8 +272,6 @@ def cmd_train(args) -> int:
             print(f"{key}: {value:.4f} +/- {report.std[key]:.4f}")
         return 0
 
-    fold = _fold(args, make_folds(ds, k=args.k, val_frac=args.val_frac,
-                                  seed=cfg.hp.seed))
     model, report = train_fold(ds, fold, cfg, graphs=graphs)
     model.save(out / "checkpoint.json", disable_stage3=cfg.disable_stage3)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -277,7 +283,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _out_dir(args)
     ds = _load_data(args)
     graphs = _load_graphs_arg(args, ds)
     if graphs is None:
@@ -289,6 +294,7 @@ def cmd_eval(args) -> int:
     else:
         indices = _fold(args, make_folds(ds, k=args.k, val_frac=args.val_frac,
                                          seed=model.hp.seed)).test
+    out = _out_dir(args)
     report = evaluate(model, ds, indices, cfg)
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -299,7 +305,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    out = _out_dir(args)
     ds = _load_data(args)
     graphs = _load_graphs_arg(args, ds)
     if graphs is None:
@@ -316,6 +321,7 @@ def cmd_trace(args) -> int:
             raise CliError(f"--seq {args.seq}: valid sequence indices are "
                            f"0..{len(ds.sequences) - 1}")
         indices = [args.seq]
+    out = _out_dir(args)
 
     rows = []
     with E.no_grad():

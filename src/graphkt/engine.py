@@ -233,11 +233,6 @@ def mul(a, b) -> Node:
     ))
 
 
-def neg(a) -> Node:
-    a = as_node(a)
-    return _make(-a.value, ((a, lambda g: -g),))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 

@@ -9,22 +9,23 @@ connection applies whenever layer width is preserved.
 
 The graphs that have edges are stacked: the adjacency is one (G, C, C) node
 and each layer's weights one (G, d, d) stack (plus the feed-forward stack),
-so a layer is one op chain for all graphs at once (`_messages`, shared by the
-full and the restricted path), summed over the graph axis at the end. With
-no edges at all (G = 0) the messages are zero.
+so a layer is one op chain for all graphs at once (`_messages`), summed over
+the graph axis at the end. With no edges at all (G = 0) the messages are
+zero.
 
 The retrieval head keeps its weights non-negative (softmax-constrained
 columns) and drops the feed-forward so that larger neighbor memories can
 never reduce the aggregate.
 
-Propagation never reaches beyond the layer count in hops, so the per-step
-heads run on row subsets: seeded heads (gain/loss/progress) only compute the
-rows inside the seeds' hop support, and retrieval only computes the examined
-rows from their inward neighborhood. A `Plan` freezes those row sets; the
-full-matrix path remains for the heads that need every row. Inward and
-outward plans share one hop expansion. A plan depends only on the graphs,
-the layer count and the KC set, so `GrktModel`, which owns the graphs,
-builds each one once and reuses it across steps and evaluation passes.
+Propagation never reaches beyond the layer count in hops, so every head runs
+on the row sets of a `Plan` (`gnn_forward_rows`): seeded heads
+(gain/loss/progress) only compute the rows inside the seeds' hop support,
+retrieval only computes the examined rows from their inward neighborhood, and
+the kernel-rate heads (lrn/fgt) run on the plan seeded with every KC, whose
+layers use the whole adjacency as is. Inward and outward plans share one hop
+expansion. A plan depends only on the graphs, the layer count and the KC set,
+so `GrktModel`, which owns the graphs, builds each one once and reuses it
+across steps and evaluation passes.
 """
 
 from __future__ import annotations
@@ -121,18 +122,21 @@ class Plan:
     maps layer l-1 features onto layer l rows for the residual: ("gather",
     idx) when the row set shrinks (inward plans), ("embed", idx) when it
     grows (outward plans, missing rows are exactly zero). `ix[l-1]` selects
-    the (rows_l, rows_{l-1}) adjacency block.
+    the (rows_l, rows_{l-1}) adjacency block, or is None when both row sets
+    hold all `n_kcs` KCs and the block is the whole adjacency.
     """
 
     __slots__ = ("row_sets", "row_arrays", "align", "ix")
 
-    def __init__(self, row_sets: list[tuple[int, ...]]):
+    def __init__(self, row_sets: list[tuple[int, ...]], n_kcs: int):
         self.row_sets = tuple(row_sets)
         self.row_arrays = tuple(np.asarray(r, dtype=np.int64) for r in row_sets)
         self.align = tuple(self._alignment(row_sets[l - 1], row_sets[l])
                            for l in range(1, len(row_sets)))
-        self.ix = tuple(np.ix_(self.row_arrays[l], self.row_arrays[l - 1])
-                        for l in range(1, len(row_sets)))
+        self.ix = tuple(
+            None if len(row_sets[l]) == len(row_sets[l - 1]) == n_kcs
+            else np.ix_(self.row_arrays[l], self.row_arrays[l - 1])
+            for l in range(1, len(row_sets)))
 
     @property
     def output_rows(self) -> tuple[int, ...]:
@@ -164,7 +168,7 @@ def _hop_row_sets(gt: GraphTensors, kcs, layers: int) -> list[tuple[int, ...]]:
 
 def plan_outward(gt: GraphTensors, seeds, layers: int) -> Plan:
     """Row sets for seeded propagation: layer l covers the l-hop support."""
-    return Plan(_hop_row_sets(gt, seeds, layers))
+    return Plan(_hop_row_sets(gt, seeds, layers), gt.n_kcs)
 
 
 def plan_inward(gt: GraphTensors, targets, layers: int) -> Plan:
@@ -174,14 +178,14 @@ def plan_inward(gt: GraphTensors, targets, layers: int) -> Plan:
     undirected), so the rows feeding a target within l hops are exactly the
     rows it reaches within l hops.
     """
-    return Plan(_hop_row_sets(gt, targets, layers)[::-1])
+    return Plan(_hop_row_sets(gt, targets, layers)[::-1], gt.n_kcs)
 
 
 def _apply_output_activation(spec: GnnSpec, out: E.Node) -> E.Node:
     if spec.output_activation == "relu":
         return E.relu(out)
     if spec.output_activation == "neg_relu":
-        return E.neg(E.relu(out))
+        return E.mul(E.relu(out), -1.0)
     if spec.output_activation == "softplus":
         return E.softplus(out)
     return out
@@ -207,53 +211,24 @@ def _messages(feats: E.Node, sub: E.Node | None, weights: list[LayerWeights],
     return E.sum_axis(branch, 0, keepdims=False)
 
 
-def _check_question_context(spec: GnnSpec, alpha) -> None:
-    if spec.use_question_scores != (alpha is not None):
-        raise ValueError(f"head {spec.name!r} "
-                         f"{'requires' if spec.use_question_scores else 'rejects'} "
-                         "question context")
-
-
-def gnn_forward(spec: GnnSpec, x: E.Node, gt: GraphTensors,
-                weights: list[LayerWeights], agg: E.Node | None,
-                alpha_row: E.Node | None = None) -> E.Node:
-    """Run one head over all KC rows.
-
-    `agg` is the (G, C, C) degree-normalized, correlation-scaled adjacency
-    stack (shared across layers and heads for one parameter state; None when
-    no graph has edges) and `weights[l-1]` layer l's stacks. `alpha_row`
-    carries the per-KC question requirement scores and must be present
-    exactly when the head uses them.
-    """
-    _check_question_context(spec, alpha_row)
-    if x.value.shape != (gt.n_kcs, spec.dims[0]):
-        raise ValueError(f"input shape {x.value.shape} does not match "
-                         f"({gt.n_kcs}, {spec.dims[0]})")
-
-    sub = agg
-    if agg is not None and alpha_row is not None:
-        sub = E.mul(agg, alpha_row)  # scale neighbor columns
-
-    out = x
-    for layer in range(1, len(spec.dims)):
-        d_prev, d_cur = spec.dims[layer - 1], spec.dims[layer]
-        fused = _messages(out, sub, weights, layer, gt.n_kcs, d_cur)
-        out = E.add(fused, out) if d_prev == d_cur else fused
-
-    return _apply_output_activation(spec, out)
-
-
 def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
                      weights: list[LayerWeights], agg: E.Node | None,
                      alpha_col: E.Node | None = None) -> E.Node:
-    """Restricted propagation over a plan's row sets.
+    """Run one head over a plan's row sets.
 
     `x0` holds the layer-0 features for `plan.row_sets[0]` (rows outside an
     outward plan's seed support are exactly zero and never materialized).
-    `alpha_col` is the (n_kcs, 1) question requirement column. Returns the
-    features of `plan.output_rows`.
+    `agg` is the (G, C, C) degree-normalized, correlation-scaled adjacency
+    stack (shared across layers and heads for one parameter state; None when
+    no graph has edges) and `weights[l-1]` layer l's stacks. `alpha_col` is
+    the (n_kcs, 1) question requirement column and must be present exactly
+    when the head uses question scores. Returns the features of
+    `plan.output_rows`.
     """
-    _check_question_context(spec, alpha_col)
+    if spec.use_question_scores != (alpha_col is not None):
+        raise ValueError(f"head {spec.name!r} "
+                         f"{'requires' if spec.use_question_scores else 'rejects'} "
+                         "question context")
     if x0.value.shape != (len(plan.row_sets[0]), spec.dims[0]):
         raise ValueError("layer-0 features do not match the plan's row set")
 
@@ -265,8 +240,8 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
         if alpha_col is not None:
             feats = E.mul(E.gather_rows(alpha_col, plan.row_arrays[layer - 1]),
                           feats)
-        sub = None
-        if agg is not None:
+        sub = agg
+        if agg is not None and plan.ix[layer - 1] is not None:
             sub = E.gather_submatrix(agg, (slice(None), *plan.ix[layer - 1]))
         fused = _messages(feats, sub, weights, layer, n_cur, d_cur)
         if d_prev == d_cur:

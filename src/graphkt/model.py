@@ -36,8 +36,8 @@ import numpy as np
 
 from . import engine as E
 from .data import Response, ResponseSequence
-from .gnn import (GnnSpec, GraphTensors, Plan, gnn_forward, gnn_forward_rows,
-                  make_specs, plan_inward, plan_outward)
+from .gnn import (GnnSpec, GraphTensors, Plan, gnn_forward_rows, make_specs,
+                  plan_inward, plan_outward)
 from .graphs import GRAPH_KINDS, KcRelationGraphs
 
 DT_CAP_MINUTES = 43200.0  # 30 days
@@ -219,14 +219,17 @@ class BatchCache:
                 per.append((w, o))
             self.weights[name] = per
 
-        self.learn_rates = gnn_forward(model.specs["lrn"], self.k_active,
-                                       model.gt, self.weights["lrn"], self.agg)
-        self.forget_rates = gnn_forward(model.specs["fgt"], self.k_active,
-                                        model.gt, self.weights["fgt"], self.agg)
+        # the kernel-rate heads cover every KC: their plan never gathers
+        every_kc = self.plan_out(tuple(range(n_c)))
+        self.learn_rates = gnn_forward_rows(model.specs["lrn"], self.k_active,
+                                            every_kc, model.gt,
+                                            self.weights["lrn"], self.agg)
+        self.forget_rates = gnn_forward_rows(model.specs["fgt"], self.k_active,
+                                             every_kc, model.gt,
+                                             self.weights["fgt"], self.agg)
 
         self._ebar: dict = {}
         self._diff: dict = {}
-        self._alpha: dict = {}
         self._alpha_col: dict = {}
 
     def mlp(self, head: str, x: E.Node) -> E.Node:
@@ -250,16 +253,12 @@ class BatchCache:
             self._diff[key] = self.mlp("diff", self.e_bar(q, kcs))
         return self._diff[key]
 
-    def alpha(self, q: int) -> E.Node:
-        if q not in self._alpha:
-            e_q = E.gather_rows(self.bound["emb.q"], [q])
-            self._alpha[q] = E.sigmoid(
-                E.matmul(E.matmul(e_q, self.bound["req"]), self.k_t))
-        return self._alpha[q]
-
     def alpha_col(self, q: int) -> E.Node:
+        """The (n_kcs, 1) requirement scores of question `q` for each KC."""
         if q not in self._alpha_col:
-            self._alpha_col[q] = E.transpose(self.alpha(q))
+            e_q = E.gather_rows(self.bound["emb.q"], [q])
+            self._alpha_col[q] = E.transpose(E.sigmoid(
+                E.matmul(E.matmul(e_q, self.bound["req"]), self.k_t)))
         return self._alpha_col[q]
 
     def plan_in(self, kcs: tuple[int, ...]) -> Plan:

@@ -73,7 +73,7 @@ def bce_loss_node(preds: list[tuple[E.Node, int]]) -> E.Node:
     for p, label in preds:
         pc = E.clip(p, 1e-7, 1.0 - 1e-7)
         inner = pc if label == 1 else E.sub(1.0, pc)
-        terms.append(E.neg(E.log(inner)))
+        terms.append(E.mul(E.log(inner), -1.0))
     return E.mul(E.sum_all(E.add_n(terms)), 1.0 / len(terms))
 
 

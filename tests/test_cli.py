@@ -9,7 +9,7 @@ from graphkt import engine as E
 from graphkt import metrics
 from graphkt.cli import CliError, _train_config, build_parser, run
 from graphkt.data import ingest_csv, preprocess
-from graphkt.graphs import import_graphs
+from graphkt.graphs import GRAPH_VERSION, import_graphs
 from graphkt.model import GrktModel, trace_rows
 from graphkt.train import TrainConfig
 
@@ -74,6 +74,9 @@ def test_pipeline_outputs_exist(pipeline):
 def test_every_run_writes_manifest(pipeline):
     for sub in ("synth", "graphs", "train", "eval"):
         manifest = json.loads((pipeline / sub / "manifest.json").read_text())
+        assert manifest["format_versions"] == {
+            "graphs": GRAPH_VERSION, "checkpoint": E.ParameterStore.VERSION,
+            "manifest": manifest["manifest_version"]}
         assert manifest["format_versions"]["checkpoint"] == 1
         assert "argv" in manifest and "config" in manifest
 
@@ -156,6 +159,42 @@ def test_fold_out_of_range_fails(pipeline, tmp_path, capsys, command, fold):
     assert run(common) == 1
     assert capsys.readouterr().err == (f"error: --fold {fold}: valid folds "
                                        f"are 0..4 or 'all'\n")
+
+
+# one failing run per subcommand that reads inputs; "{data}", "{graphs}",
+# "{checkpoint}" and "{missing}" name files of the shared pipeline
+FAILED_RUNS = {
+    "synth-density": ["synth", "--pre-density", "2"],
+    "build-graphs-missing-data": ["build-graphs", "--data", "{missing}"],
+    "build-graphs-eta": ["build-graphs", "--data", "{data}", "--eta", "2"],
+    "train-fold": ["train", "--data", "{data}", "--graphs", "{graphs}",
+                   "--fold", "9"],
+    "train-all-k": ["train", "--data", "{data}", "--graphs", "{graphs}",
+                    "--fold", "all", "--k", "1"],
+    "train-missing-graphs": ["train", "--data", "{data}",
+                             "--graphs", "{missing}"],
+    "eval-missing-data": ["eval", "--data", "{missing}", "--graphs", "{graphs}",
+                          "--checkpoint", "{checkpoint}"],
+    "eval-missing-checkpoint": ["eval", "--data", "{data}",
+                                "--graphs", "{graphs}",
+                                "--checkpoint", "{missing}"],
+    "trace-seq": ["trace", "--data", "{data}", "--graphs", "{graphs}",
+                  "--checkpoint", "{checkpoint}", "--seq", "999"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILED_RUNS))
+def test_failed_run_creates_no_output_directory(pipeline, tmp_path, case):
+    files = {"data": pipeline / "synth" / "data.csv",
+             "graphs": pipeline / "graphs" / "graphs.txt",
+             "checkpoint": pipeline / "train" / "checkpoint.json",
+             "missing": tmp_path / "missing.csv"}
+    argv = [a.format(**files) for a in FAILED_RUNS[case]]
+    if "--data" in argv:
+        argv += ["--seq-len", "12", "--min-len", "4"]
+    out = tmp_path / "runs" / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert not (tmp_path / "runs").exists()
 
 
 def test_gradcheck_command(tmp_path):

@@ -43,7 +43,7 @@ OPS = {
     "softplus": lambda b, c: E.sum_all(E.mul(E.softplus(b["W"]), c["s"])),
     "softmax_rows": lambda b, c: E.sum_all(E.mul(E.softmax(b["W"], axis=-1), c["s"])),
     "softmax_cols": lambda b, c: E.sum_all(E.mul(E.softmax(b["W"], axis=0), c["s"])),
-    "exp_clamped": lambda b, c: E.sum_all(E.clamped_exp(E.neg(E.relu(b["W"])))),
+    "exp_clamped": lambda b, c: E.sum_all(E.clamped_exp(E.mul(E.relu(b["W"]), -1.0))),
     "log_clip": lambda b, c: E.sum_all(E.log(E.clip(E.sigmoid(b["W"]), 1e-7, 1 - 1e-7))),
     "transpose_mix": lambda b, c: E.sum_all(E.matmul(E.transpose(b["W"]), c["x4"])),
     "concat_slice": lambda b, c: E.sum_all(E.slice_cols(

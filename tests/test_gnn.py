@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkt import engine as E
-from graphkt.gnn import (GnnSpec, GraphTensors, gnn_forward, gnn_forward_rows,
+from graphkt.gnn import (GnnSpec, GraphTensors, Plan, gnn_forward_rows,
                          make_specs, plan_inward, plan_outward)
 from graphkt.graphs import KcRelationGraphs
-from graphkt.model import GrktModel, HyperParams
+from graphkt.model import BatchCache, GrktModel, HyperParams
 from tests.conftest import random_graphs
 from tests.oracles import (constrain_nonneg_matrix, edge_correlation,
                            hop_support, question_kc_score)
@@ -63,6 +63,13 @@ def brute_force_head(spec, x, graphs, store, q_emb=None):
     return out
 
 
+def every_row(model, head, x, cache, alpha_col=None):
+    """Run `head` over all KC rows: `gnn_forward_rows` on the all-KC plan."""
+    plan = model.plan("out", tuple(range(model.n_kcs)))
+    return gnn_forward_rows(model.specs[head], E.as_node(x), plan, model.gt,
+                            cache.weights[head], cache.agg, alpha_col)
+
+
 def small_model(seed, layers=1, n_kcs=6):
     rng = np.random.default_rng(seed)
     hp = HyperParams(d_e=3, d_k=3, d_h=4, layers=layers, seed=seed)
@@ -84,9 +91,8 @@ def test_full_forward_matches_brute_force(head, layers):
     rng = np.random.default_rng(99)
     x = rng.normal(size=(model.n_kcs, spec.dims[0]))
     _, cache = model.begin("eval")
-    alpha = cache.alpha(2) if spec.use_question_scores else None
-    got = gnn_forward(spec, E.as_node(x), model.gt, cache.weights[head],
-                      cache.agg, alpha).value
+    alpha_col = cache.alpha_col(2) if spec.use_question_scores else None
+    got = every_row(model, head, x, cache, alpha_col).value
     q_emb = model.store.value("emb.q")[2] if spec.use_question_scores else None
     want = brute_force_head(spec, x, model.graphs, model.store, q_emb)
     assert np.abs(got - want).max() < 1e-10
@@ -103,10 +109,8 @@ def test_restricted_outward_matches_full(head, layers):
     x_full = np.zeros((model.n_kcs, spec.dims[0]))
     x_full[list(seeds)] = feats
     _, cache = model.begin("eval")
-    alpha = cache.alpha(1) if spec.use_question_scores else None
     alpha_col = cache.alpha_col(1) if spec.use_question_scores else None
-    full = gnn_forward(spec, E.as_node(x_full), model.gt, cache.weights[head],
-                       cache.agg, alpha).value
+    full = every_row(model, head, x_full, cache, alpha_col).value
     plan = plan_outward(model.gt, seeds, layers)
     rows = gnn_forward_rows(spec, E.as_node(feats), plan, model.gt,
                             cache.weights[head], cache.agg,
@@ -126,8 +130,7 @@ def test_restricted_inward_matches_full(layers):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(model.n_kcs, spec.dims[0]))
     _, cache = model.begin("eval")
-    full = gnn_forward(spec, E.as_node(x), model.gt, cache.weights["rtv"],
-                       cache.agg, cache.alpha(0)).value
+    full = every_row(model, "rtv", x, cache, cache.alpha_col(0)).value
     targets = (2, 5)
     plan = plan_inward(model.gt, targets, layers)
     x0 = x[list(plan.row_sets[0])]
@@ -174,11 +177,10 @@ def test_stacked_layers_match_brute_force_on_every_graph_set(ablation, layers):
         x = rng.normal(size=(model.n_kcs, spec.dims[0]))
         want = brute_force_head(spec, x, model.graphs, model.store,
                                 q_emb if scored else None)
-        got = gnn_forward(spec, E.as_node(x), model.gt, cache.weights[head],
-                          cache.agg, cache.alpha(q) if scored else None).value
+        alpha_col = cache.alpha_col(q) if scored else None
+        got = every_row(model, head, x, cache, alpha_col).value
         assert np.abs(got - want).max() < 1e-10, head
 
-        alpha_col = cache.alpha_col(q) if scored else None
         if head == "rtv":  # read two rows from their inward neighborhood
             plan = plan_inward(model.gt, (1, 5), layers)
             rows = gnn_forward_rows(spec, E.as_node(x[list(plan.row_sets[0])]),
@@ -226,16 +228,13 @@ def test_output_sign_constraints():
     rng = np.random.default_rng(0)
     _, cache = model.begin("eval")
     x_mem = rng.normal(size=(model.n_kcs, 3))
-    gain = gnn_forward(model.specs["gain"], E.as_node(x_mem), model.gt,
-                       cache.weights["gain"], cache.agg, cache.alpha(0))
+    gain = every_row(model, "gain", x_mem, cache, cache.alpha_col(0))
     assert (gain.value >= 0).all()
-    loss = gnn_forward(model.specs["loss"], E.as_node(x_mem), model.gt,
-                       cache.weights["loss"], cache.agg, cache.alpha(0))
+    loss = every_row(model, "loss", x_mem, cache, cache.alpha_col(0))
     assert (loss.value <= 0).all()
     for head in ("lrn", "fgt"):
         k_emb = model.store.value("emb.k")[: model.n_kcs]
-        out = gnn_forward(model.specs[head], E.as_node(k_emb), model.gt,
-                          cache.weights[head], cache.agg)
+        out = every_row(model, head, k_emb, cache)
         assert (out.value > 0).all()
 
 
@@ -244,9 +243,9 @@ def test_zero_input_gives_zero_output():
     _, cache = model.begin("eval")
     zeros = np.zeros((model.n_kcs, 3))
     for head in ("gain", "prg"):
-        alpha = cache.alpha(0) if model.specs[head].use_question_scores else None
-        out = gnn_forward(model.specs[head], E.as_node(zeros), model.gt,
-                          cache.weights[head], cache.agg, alpha)
+        alpha_col = cache.alpha_col(0) \
+            if model.specs[head].use_question_scores else None
+        out = every_row(model, head, zeros, cache, alpha_col)
         assert np.array_equal(out.value, zeros)
 
 
@@ -263,8 +262,7 @@ def test_path_graph_locality(layers, expected):
     x = np.zeros((3, 3))
     x[0] = rng.normal(size=3)
     _, cache = model.begin("eval")
-    out = gnn_forward(model.specs["prg"], E.as_node(x), model.gt,
-                      cache.weights["prg"], cache.agg).value
+    out = every_row(model, "prg", x, cache).value
     nonzero = {i for i in range(3) if np.abs(out[i]).max() > 0}
     assert nonzero <= expected
     # the brute-force oracle agrees on which rows can be reached
@@ -280,8 +278,7 @@ def test_isolated_node_passes_residual():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 3))
     _, cache = model.begin("eval")
-    out = gnn_forward(model.specs["rtv"], E.as_node(x), model.gt,
-                      cache.weights["rtv"], cache.agg, cache.alpha(0))
+    out = every_row(model, "rtv", x, cache, cache.alpha_col(0))
     # nodes 2 and 3 have no neighbors in any graph: pure residual identity
     assert np.array_equal(out.value[2], x[2])
     assert np.array_equal(out.value[3], x[3])
@@ -292,11 +289,9 @@ def test_question_context_contract():
     _, cache = model.begin("eval")
     x = np.zeros((model.n_kcs, 3))
     with pytest.raises(ValueError, match="requires"):
-        gnn_forward(model.specs["rtv"], E.as_node(x), model.gt,
-                    cache.weights["rtv"], cache.agg, None)
+        every_row(model, "rtv", x, cache, None)
     with pytest.raises(ValueError, match="rejects"):
-        gnn_forward(model.specs["prg"], E.as_node(x), model.gt,
-                    cache.weights["prg"], cache.agg, cache.alpha(0))
+        every_row(model, "prg", x, cache, cache.alpha_col(0))
 
 
 def test_retrieval_monotonicity():
@@ -307,9 +302,7 @@ def test_retrieval_monotonicity():
     _, cache = model.begin("eval")
 
     def run(mem):
-        return gnn_forward(model.specs["rtv"], E.as_node(mem), model.gt,
-                           cache.weights["rtv"], cache.agg,
-                           cache.alpha(1)).value
+        return every_row(model, "rtv", mem, cache, cache.alpha_col(1)).value
 
     base = run(x)
     for trial in range(30):
@@ -381,7 +374,7 @@ def test_pairwise_scores_match_cached_matrices():
         for j in range(model.n_kcs):
             assert abs(edge_correlation(model.store, i, j, "P")
                        - beta[i, j]) < 1e-12
-    alpha = cache.alpha(1).value.ravel()
+    alpha = cache.alpha_col(1).value.ravel()
     for c in range(model.n_kcs):
         assert abs(question_kc_score(model.store, 1, c) - alpha[c]) < 1e-12
 
@@ -418,6 +411,77 @@ def test_hop_support_matches_bfs(seed, hops):
     seeds = {int(x) for x in rng.choice(8, size=2, replace=False)}
     want = tuple(sorted(hop_support(g, seeds, hops)))
     assert plan_supports(g, seeds, hops) == (want, want)
+
+
+# -- whole-adjacency layers ------------------------------------------------------
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_plan_skips_the_gather_exactly_when_both_row_sets_are_all_kcs(seed,
+                                                                      layers):
+    rng = np.random.default_rng(seed)
+    gt = GraphTensors(random_graphs(rng, 6, p_edges=4, r_edges=4))
+    kcs = {int(x) for x in rng.choice(6, size=int(rng.integers(1, 7)),
+                                      replace=False)}
+    every_kc = plan_outward(gt, range(6), layers)
+    for plan in (plan_outward(gt, kcs, layers), plan_inward(gt, kcs, layers),
+                 every_kc):
+        for layer in range(1, layers + 1):
+            both_full = (len(plan.row_sets[layer - 1])
+                         == len(plan.row_sets[layer]) == 6)
+            assert (plan.ix[layer - 1] is None) == both_full
+    assert every_kc.ix == (None,) * layers
+    assert Plan([(0, 1), (0, 1)], 3).ix[0] is not None
+
+
+def dense_model(layers=2, n_kcs=5):
+    """Every KC pair related in every graph: one hop reaches every KC."""
+    rng = np.random.default_rng(17)
+    hp = HyperParams(d_e=3, d_k=3, d_h=4, layers=layers, seed=17)
+    pairs = [(i, j) for i in range(n_kcs) for j in range(i + 1, n_kcs)]
+    graphs = KcRelationGraphs(n_kcs, {p: 0.9 for p in pairs},
+                              {p: 0.8 for p in pairs})
+    model = GrktModel(hp, n_questions=3, n_kcs=n_kcs, graphs=graphs)
+    for name in model.store.names():
+        arr = model.store.value(name)
+        arr[...] = rng.normal(0.0, 0.6, size=arr.shape)
+    return model
+
+
+@pytest.mark.parametrize("head,direction,kcs", [
+    ("rtv", "in", (1,)), ("gain", "out", (0, 3)), ("loss", "out", (2,)),
+    ("prg", "out", (4,)), ("lrn", "out", tuple(range(5))),
+    ("fgt", "out", tuple(range(5)))])
+def test_whole_adjacency_layers_match_the_gathered_block_bitwise(head,
+                                                                 direction,
+                                                                 kcs):
+    model = dense_model()
+    plan = model.plan(direction, kcs)
+    gathering = Plan(plan.row_sets, model.n_kcs + 1)  # never all KCs
+    assert None in plan.ix and None not in gathering.ix
+    spec = model.specs[head]
+    rng = np.random.default_rng(18)
+    x0 = rng.normal(size=(len(plan.row_sets[0]), spec.dims[0]))
+    mix = rng.normal(size=(len(plan.output_rows), spec.dims[-1]))
+
+    def run(p):
+        model.store.zero_grad()
+        bound = model.store.bind()
+        cache = BatchCache(model, bound, "train")
+        alpha_col = cache.alpha_col(1) if spec.use_question_scores else None
+        out = gnn_forward_rows(spec, E.as_node(x0), p, model.gt,
+                               cache.weights[head], cache.agg, alpha_col)
+        model.store.backward(E.sum_all(E.mul(out, mix)))
+        return out.value, {name: model.store[name].grad.copy()
+                           for name in model.store.names()}
+
+    out_skip, grads_skip = run(plan)
+    out_gather, grads_gather = run(gathering)
+    assert np.array_equal(out_skip, out_gather)
+    assert any(g.any() for g in grads_skip.values())
+    for name in grads_skip:
+        assert np.array_equal(grads_skip[name], grads_gather[name]), name
 
 
 # -- spec construction -----------------------------------------------------------

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import graphkt.model
 from graphkt import engine as E
 from graphkt.data import Response, ResponseSequence
 from graphkt.graphs import KcRelationGraphs
+from graphkt.gnn import gnn_forward_rows
 from graphkt.metrics import consistency
 from graphkt.model import (DT_CAP_MINUTES, GrktModel, HyperParams, Step,
                            trace_rows)
@@ -162,6 +164,31 @@ def force_learning(model, learn=True):
     model.store.value("mlp.dcs.W1")[...] = 0.0
     model.store.value("mlp.dcs.W2")[...] = 0.0
     model.store.value("mlp.dcs.b2")[...] = [0.0, 10.0] if learn else [10.0, 0.0]
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_kernel_rates_run_on_the_all_kc_plan_without_gathering(monkeypatch,
+                                                               layers):
+    rng = np.random.default_rng(layers)
+    hp = HyperParams(d_e=4, d_k=4, d_h=5, layers=layers, seed=layers)
+    model = GrktModel(hp, 4, 7, random_graphs(rng, 7, p_edges=5, r_edges=5))
+    calls = []
+
+    def rows(spec, x0, plan, *rest):
+        calls.append((spec.name, plan))
+        return gnn_forward_rows(spec, x0, plan, *rest)
+
+    def no_gather(*args):
+        raise AssertionError("the kernel-rate heads gathered an adjacency block")
+
+    monkeypatch.setattr(graphkt.model, "gnn_forward_rows", rows)
+    monkeypatch.setattr(E, "gather_submatrix", no_gather)
+    _, cache = model.begin("train")
+    every_kc = model.plan("out", tuple(range(7)))
+    assert calls == [("lrn", every_kc), ("fgt", every_kc)]
+    assert every_kc.ix == (None,) * layers
+    assert cache.learn_rates.value.shape == cache.forget_rates.value.shape \
+        == (7, 4)
 
 
 def test_stage3_dt_zero_is_identity(desk_model):
