@@ -201,14 +201,14 @@ def _fold(args, folds):
     return folds[int(args.fold)]
 
 
-def _load_graphs_arg(args, ds) -> KcRelationGraphs | None:
-    if not getattr(args, "graphs", None):
-        return None
-    graphs = import_graphs(args.graphs)
-    if ds is not None and graphs.n_kcs != ds.n_kcs:
-        raise CliError(f"graph file covers {graphs.n_kcs} KCs, "
-                       f"dataset has {ds.n_kcs}")
-    return graphs
+def _load_checkpoint(args, ds) -> tuple[GrktModel, bool]:
+    """The model and its stage-3 ablation; it must cover the data's ids."""
+    model, disable_stage3 = GrktModel.load(args.checkpoint)
+    if (model.n_kcs, model.n_questions) != (ds.n_kcs, ds.n_questions):
+        raise CliError(f"{args.checkpoint}: the model covers {model.n_kcs} "
+                       f"KCs and {model.n_questions} questions, the data has "
+                       f"{ds.n_kcs} KCs and {ds.n_questions} questions")
+    return model, disable_stage3
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -256,7 +256,10 @@ def cmd_build_graphs(args) -> int:
 def cmd_train(args) -> int:
     cfg = _train_config(args)  # a bad config fails before any work
     ds = _load_data(args)
-    graphs = _load_graphs_arg(args, ds)
+    graphs = import_graphs(args.graphs) if args.graphs else None
+    if graphs is not None and graphs.n_kcs != ds.n_kcs:
+        raise CliError(f"graph file covers {graphs.n_kcs} KCs, "
+                       f"dataset has {ds.n_kcs}")
     # cross-validation splits the same folds; making them checks --k for both
     folds = make_folds(ds, k=args.k, val_frac=args.val_frac, seed=cfg.hp.seed)
     fold = None if args.fold == "all" else _fold(args, folds)
@@ -273,7 +276,7 @@ def cmd_train(args) -> int:
         return 0
 
     model, report = train_fold(ds, fold, cfg, graphs=graphs)
-    model.save(out / "checkpoint.json", disable_stage3=cfg.disable_stage3)
+    model.save(out / "checkpoint.npz", disable_stage3=cfg.disable_stage3)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
     _write_manifest(out, args)
@@ -284,10 +287,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = _load_data(args)
-    graphs = _load_graphs_arg(args, ds)
-    if graphs is None:
-        raise CliError("--graphs is required for eval")
-    model, disable_stage3 = GrktModel.load(args.checkpoint, graphs)
+    model, disable_stage3 = _load_checkpoint(args, ds)
     cfg = TrainConfig(hp=model.hp, disable_stage3=disable_stage3)
     if args.fold == "all":
         indices = range(len(ds.sequences))
@@ -306,10 +306,7 @@ def cmd_eval(args) -> int:
 
 def cmd_trace(args) -> int:
     ds = _load_data(args)
-    graphs = _load_graphs_arg(args, ds)
-    if graphs is None:
-        raise CliError("--graphs is required for trace")
-    model, disable_stage3 = GrktModel.load(args.checkpoint, graphs)
+    model, disable_stage3 = _load_checkpoint(args, ds)
 
     if args.student is not None:
         if args.student not in ds.students.to_dense:
@@ -346,6 +343,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.coords < 1:
+        raise CliError(f"--coords {args.coords}: must be at least 1")
     out = _out_dir(args)
     rng = np.random.default_rng(args.seed or 0)
     hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=1, seed=args.seed or 0)
@@ -434,13 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-frac", type=float, default=0.1)
     p.set_defaults(func=cmd_train)
 
-    # eval and trace take the model and its stage-3 ablation from the
-    # checkpoint
+    # eval and trace take the model, its relation graphs and its ablations
+    # from the checkpoint
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_data_flags(p)
     p.add_argument("--out")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--graphs", required=True)
     p.add_argument("--fold", default="all", help="fold index or 'all'")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--val-frac", type=float, default=0.1)
@@ -450,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--out")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--graphs", required=True)
     who = p.add_mutually_exclusive_group(required=True)
     who.add_argument("--student", help="original student id")
     who.add_argument("--seq", type=int, help="sequence index")

@@ -32,6 +32,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -44,6 +45,8 @@ _GC_WAS_ENABLED = False  # the collector's state before the live recording
 
 EXP_CLAMP_LO = -60.0
 EXP_CLAMP_HI = 0.0
+
+_HEADER = "graphkt.header"  # checkpoint entry; `ParameterStore.add` refuses it
 
 
 class SmoothnessLog:
@@ -287,12 +290,13 @@ def softplus(a) -> Node:
     return _make(out, ((a, lambda g: g / (1.0 + np.exp(-x))),))
 
 
-def clamped_exp(a, lo: float = EXP_CLAMP_LO, hi: float = EXP_CLAMP_HI) -> Node:
-    """exp(clip(x, lo, hi)); keeps huge negative kernel exponents finite."""
+def clamped_exp(a) -> Node:
+    """exp(clip(x, EXP_CLAMP_LO, EXP_CLAMP_HI)); keeps huge negative kernel
+    exponents finite."""
     a = as_node(a)
-    inside = (a.value >= lo) & (a.value <= hi)
+    inside = (a.value >= EXP_CLAMP_LO) & (a.value <= EXP_CLAMP_HI)
     _log_mask(inside)
-    out = np.exp(np.clip(a.value, lo, hi))
+    out = np.exp(np.clip(a.value, EXP_CLAMP_LO, EXP_CLAMP_HI))
     return _make(out, ((a, lambda g: g * out * inside),))
 
 
@@ -520,7 +524,7 @@ class ParameterStore:
     """Named trainable arrays with paired gradient and Adam moment slots."""
 
     FORMAT = "graphkt-checkpoint"
-    VERSION = 1
+    VERSION = 2
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
@@ -529,8 +533,8 @@ class ParameterStore:
         self._bound: dict[str, Node] | None = None
 
     def add(self, name: str, value: np.ndarray) -> None:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter {name!r}")
+        if name in self._params or name == _HEADER:
+            raise ValueError(f"duplicate or reserved parameter name {name!r}")
         arr = np.array(value, dtype=self.dtype)
         self._params[name] = Param(
             value=arr,
@@ -610,41 +614,42 @@ class ParameterStore:
 
     # -- checkpoint io ------------------------------------------------------
 
-    def save(self, path, hyper: dict, seed: int) -> None:
-        arrays = []
-        for name, p in self._params.items():
-            arrays.append({
-                "name": name,
-                "shape": list(p.value.shape),
-                "hex": [float(x).hex() for x in p.value.ravel()],
-            })
-        doc = {
-            "format": self.FORMAT,
-            "version": self.VERSION,
-            "dtype": self.dtype.name,
-            "hyper": hyper,
-            "seed": seed,
-            "step_count": self.step_count,
-            "arrays": arrays,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+    def save(self, path, fields: dict) -> None:
+        """Write the arrays and a JSON header (format, version, names in
+        order, step count and the caller's `fields`) as one npz archive."""
+        header = {"format": self.FORMAT, "version": self.VERSION,
+                  "names": self.names(), "step_count": self.step_count,
+                  **fields}
+        with open(path, "wb") as fh:  # a handle: numpy appends no ".npz"
+            np.savez(fh, **{_HEADER: np.array(json.dumps(header))},
+                     **self.snapshot())
 
     @classmethod
-    def load(cls, path) -> tuple["ParameterStore", dict, int]:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != cls.FORMAT:
-            raise ValueError(f"not a {cls.FORMAT} file: {path}")
-        if doc.get("version") != cls.VERSION:
-            raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-        store = cls(dtype=np.dtype(doc["dtype"]))
-        for entry in doc["arrays"]:
-            flat = np.array([float.fromhex(h) for h in entry["hex"]],
-                            dtype=store.dtype)
-            store.add(entry["name"], flat.reshape(entry["shape"]))
-        store.step_count = doc.get("step_count", 0)
-        return store, doc["hyper"], doc["seed"]
+    def load(cls, path) -> tuple["ParameterStore", dict]:
+        """Read an archive `save` wrote; returns the store and the fields.
+
+        Anything else (a version-1 JSON checkpoint, text, an archive without
+        the header or with object arrays, another format or version) raises
+        ValueError naming `path`. Nothing is unpickled.
+        """
+        try:
+            with open(path, "rb") as fh:
+                archive = np.lib.npyio.NpzFile(fh, allow_pickle=False)
+                # dict() rejects a header that is not a JSON object
+                fields = dict(json.loads(archive[_HEADER].item()))
+                found = (fields.pop("format"), fields.pop("version"))
+                if found != (cls.FORMAT, cls.VERSION):
+                    raise ValueError(f"format {found[0]!r} version {found[1]!r}")
+                arrays = [(name, archive[name]) for name in fields.pop("names")]
+            store = cls(dtype=arrays[0][1].dtype if arrays else np.float64)
+            for name, arr in arrays:
+                store.add(name, arr)
+            store.step_count = int(fields.pop("step_count"))
+        except (ValueError, TypeError, KeyError, AttributeError,
+                zipfile.BadZipFile) as exc:  # a non-npy entry reads as bytes
+            raise ValueError(f"{path}: not a {cls.FORMAT} version "
+                             f"{cls.VERSION} file ({exc})") from None
+        return store, fields
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +667,8 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """At least one coordinate was checked and none failed."""
+        return self.n_checked > 0 and not self.failures
 
     def summary(self) -> str:
         lines = [

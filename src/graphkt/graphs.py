@@ -35,6 +35,13 @@ class GraphBuildConfig:
             raise ValueError("min_cooccurrence must be at least 1")
 
 
+def _check_edge(i: int, j: int, n_kcs) -> None:
+    if i == j:
+        raise ValueError(f"self loop on KC {i}")
+    if not (0 <= i < n_kcs and 0 <= j < n_kcs):
+        raise ValueError(f"edge ({i}, {j}) outside KC range")
+
+
 class KcRelationGraphs:
     """Adjacency lists for the P/S/R graphs plus the scores behind each edge."""
 
@@ -45,10 +52,7 @@ class KcRelationGraphs:
         self.n_kcs = n_kcs
         self.meta = dict(meta or {})
         for (i, j) in list(p_edges) + list(r_edges):
-            if i == j:
-                raise ValueError(f"self loop on KC {i}")
-            if not (0 <= i < n_kcs and 0 <= j < n_kcs):
-                raise ValueError(f"edge ({i}, {j}) outside KC range")
+            _check_edge(i, j, n_kcs)
         self.p_scores = dict(p_edges)
         self.r_scores: dict[tuple[int, int], float] = {}
         for (i, j), s in r_edges.items():
@@ -194,20 +198,26 @@ def load_labeled_graphs(path, min_confidence: float = 5.0,
     """Load expert-labeled (src, dst, kind, confidence) rows.
 
     Confidence scores of duplicate rows are averaged per edge; only edges
-    with mean confidence strictly above `min_confidence` are kept.
+    with mean confidence strictly above `min_confidence` are kept. A row that
+    does not parse raises ValueError naming `path:line`.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or (line_no == 1 and not _is_int(row[0])):
-                continue  # optional header
-            if len(row) != 4:
-                raise ValueError(f"line {line_no}: expected 4 columns")
-            src, dst, kind, conf = row
-            kind = kind.strip().lower()
-            if kind not in ("prerequisite", "similar"):
-                raise ValueError(f"line {line_no}: unknown relation kind {kind!r}")
-            rows.append((int(src), int(dst), kind, float(conf)))
+                continue  # blank line or optional header
+            try:
+                if len(row) != 4:
+                    raise ValueError("expected 4 columns")
+                src, dst, kind, conf = row
+                kind = kind.strip().lower()
+                if kind not in ("prerequisite", "similar"):
+                    raise ValueError(f"unknown relation kind {kind!r}")
+                src, dst = int(src), int(dst)
+                _check_edge(src, dst, np.inf if n_kcs is None else n_kcs)
+                rows.append((src, dst, kind, float(conf)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     if n_kcs is None:
         n_kcs = 1 + max((max(r[0], r[1]) for r in rows), default=-1)
 
@@ -253,25 +263,30 @@ def export_graphs(graphs: KcRelationGraphs, path) -> None:
 
 
 def import_graphs(path) -> KcRelationGraphs:
+    """Read a file `export_graphs` wrote; blank lines are skipped and a line
+    that does not parse raises ValueError naming `path:line`."""
+    meta, n_kcs, edges = {}, None, {"P": {}, "R": {}}
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if header[:2] != [GRAPH_FORMAT, str(GRAPH_VERSION)]:
-            raise ValueError(f"unsupported graph file header: {' '.join(header[:2])}")
-        meta = {}
-        n_kcs = None
-        for token in header[2:]:
-            key, value = token.split("=")
-            if key == "n_kcs":
-                n_kcs = int(value)
-            elif value != "none":
-                meta[key] = float(value) if "." in value or "e" in value else int(value)
-        p_edges, r_edges = {}, {}
-        for line in fh:
-            kind, i, j, s = line.split()
-            if kind == "P":
-                p_edges[(int(i), int(j))] = float(s)
-            elif kind == "R":
-                r_edges[(int(i), int(j))] = float(s)
-            else:
-                raise ValueError(f"unknown edge kind {kind!r}")
-    return KcRelationGraphs(n_kcs, p_edges, r_edges, meta=meta)
+        line_no, header = 1, fh.readline().split()
+        try:
+            if header[:2] != [GRAPH_FORMAT, str(GRAPH_VERSION)]:
+                raise ValueError(f"unsupported graph file header: {' '.join(header[:2])}")
+            for token in header[2:]:
+                key, value = token.split("=")
+                if key == "n_kcs":
+                    n_kcs = int(value)
+                elif value != "none":
+                    meta[key] = float(value) if "." in value or "e" in value else int(value)
+            if n_kcs is None:
+                raise ValueError("header has no n_kcs=")
+            for line_no, line in enumerate(fh, start=2):
+                if line.strip():
+                    kind, i, j, s = line.split()
+                    if kind not in edges:
+                        raise ValueError(f"unknown edge kind {kind!r}")
+                    edge = (int(i), int(j))
+                    _check_edge(*edge, n_kcs)
+                    edges[kind][edge] = float(s)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return KcRelationGraphs(n_kcs, edges["P"], edges["R"], meta=meta)

@@ -77,13 +77,13 @@ def auc(pairs) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def accuracy(pairs, threshold: float = 0.5) -> float:
-    """Fraction of responses where (score >= threshold) matches the label."""
+def accuracy(pairs) -> float:
+    """Fraction of responses where (score >= 0.5) matches the label."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("accuracy of an empty set is undefined")
     hits = sum(1 for score, label in pairs
-               if (1 if score >= threshold else 0) == label)
+               if (1 if score >= 0.5 else 0) == label)
     return hits / len(pairs)
 
 

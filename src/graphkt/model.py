@@ -23,14 +23,14 @@ Between-question gaps are measured in minutes and capped at 30 days so the
 exponential kernels stay away from their degenerate limit for outlier gaps.
 
 `GrktModel.steps` is the recurrence: the one place that runs the three stages
-in order and owns the memory bank. Sequence predictions, mastery traces,
-re-ask probes and replay prediction all consume its per-response records.
+in order and owns the memory bank. Sequence predictions, mastery traces and
+re-ask probes all consume its per-response records.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,14 +67,6 @@ class HyperParams:
             raise ValueError("lr must be positive and l2 non-negative")
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HyperParams":
-        known = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        return cls(**known)
 
 
 @dataclass
@@ -450,47 +442,42 @@ class GrktModel:
                 trace.steps.append(self.trace_step(step, t, cache))
         return SeqResult(preds=preds, trace=trace)
 
-    def predict_next(self, history: list[Response], q_next: int,
-                     kcs_next: tuple[int, ...], t_next: int,
-                     cache: BatchCache, disable_stage3: bool = False) -> float:
-        """Replay a history, bridge the final gap, and score a new question."""
-        probe = Response(q_next, kcs_next, 0, t_next)  # its label is never read
-        *_, last = self.steps([*history, probe], cache, disable_stage3)
-        return last.a_hat.value.item()
-
-    def reask_scores(self, seq: ResponseSequence,
-                     disable_stage3: bool = False) -> list[tuple[float, int]]:
-        """Counterfactual immediate re-ask of each answered question."""
-        with E.no_grad():
-            _, cache = self.begin("eval")
-            return [self.reask(step, cache)
-                    for step in self.steps(seq.real(), cache, disable_stage3)]
-
     def _mastery_vector(self, H: E.Node, cache: BatchCache) -> np.ndarray:
         return (H.value @ cache.w_h_col.value).ravel().copy()
 
     # -- persistence --------------------------------------------------------
 
     def save(self, path, disable_stage3: bool = False) -> None:
-        """Write a checkpoint; `disable_stage3` records the stage-3 ablation."""
-        hyper = self.hp.to_dict()
-        hyper["n_questions"] = self.n_questions
-        hyper["n_kcs"] = self.n_kcs
-        hyper["disable_stage3"] = disable_stage3
-        self.store.save(path, hyper, self.hp.seed)
+        """Write the whole model to one checkpoint.
+
+        It holds the parameters, the settings, the stage-3 ablation and the
+        relation graphs the model was built on (after any graph ablation).
+        """
+        g = self.graphs
+        self.store.save(path, {
+            "hyper": asdict(self.hp), "n_questions": self.n_questions,
+            "disable_stage3": disable_stage3,
+            "graphs": {"n_kcs": g.n_kcs, "meta": g.meta,
+                       "p": [[int(i), int(j), float(s)]
+                             for (i, j), s in g.p_scores.items()],
+                       "r": [[int(i), int(j), float(s)]
+                             for (i, j), s in g.r_scores.items() if i < j]},
+        })
 
     @classmethod
-    def load(cls, path,
-             graphs: KcRelationGraphs) -> tuple["GrktModel", bool]:
-        """Read a checkpoint; returns the model and its stage-3 ablation.
-
-        Checkpoints written before the ablation was recorded ran stage 3.
-        """
-        store, hyper, _ = E.ParameterStore.load(path)
-        hp = HyperParams.from_dict(hyper)
-        model = cls(hp, hyper["n_questions"], hyper["n_kcs"], graphs,
-                    store=store)
-        return model, bool(hyper.get("disable_stage3", False))
+    def load(cls, path) -> tuple["GrktModel", bool]:
+        """Read a checkpoint; returns the model and its stage-3 ablation."""
+        store, fields = E.ParameterStore.load(path)
+        try:
+            g = fields["graphs"]
+            graphs = KcRelationGraphs(
+                g["n_kcs"], {(i, j): s for i, j, s in g["p"]},
+                {(i, j): s for i, j, s in g["r"]}, meta=g["meta"])
+            model = cls(HyperParams(**fields["hyper"]),
+                        fields["n_questions"], g["n_kcs"], graphs, store=store)
+            return model, bool(fields["disable_stage3"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed model fields ({exc})") from None
 
 
 def trace_rows(trace: MasteryTrace) -> list[dict]:

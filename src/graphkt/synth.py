@@ -44,7 +44,6 @@ class SynthConfig:
     depth_penalty: float = 0.8
     mastery_noise: float = 0.7
     noise_smoothing: int = 0   # graph-smoothing passes over per-student noise
-    prereq_gate: float = 0.0   # penalty for weak planted prerequisites
     gap_minutes_min: float = 5.0
     gap_minutes_max: float = 120.0
     seed: int = 0
@@ -134,13 +133,6 @@ def generate(cfg: SynthConfig) -> SynthResult:
             q = int(rng.integers(cfg.n_questions))
             kcs = question_kcs[q]
             level = float(np.mean([m[c] for c in kcs]))
-            if cfg.prereq_gate:
-                # weak prerequisites make the question harder to solve
-                prereqs = sorted({p for c in kcs
-                                  for p in graphs.neighbors("S", c)})
-                if prereqs:
-                    weakness = float(np.mean(np.logaddexp(0.0, -m[prereqs])))
-                    level -= cfg.prereq_gate * weakness
             p = cfg.guess + (1.0 - cfg.guess - cfg.slip) / (
                 1.0 + np.exp(-(level - difficulty[q])))
             a = int(rng.random() < p)

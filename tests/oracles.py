@@ -3,7 +3,8 @@
 Each function restates one concept of the model, the graph statistics or the
 metrics in its most direct scalar form: one KC pair, one memory row, one
 response at a time. The program computes the same quantities batched on the
-tape; tests check it against these.
+tape; tests check it against these. The probes of the recurrence are
+consumers of `GrktModel.steps` that only tests need.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphkt.data import Dataset
+from graphkt import engine as E
+from graphkt.data import Dataset, Response
 from graphkt.graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
                             PairCounts, build_graphs, pair_counts)
 from graphkt.metrics import accuracy
@@ -143,6 +145,35 @@ def planted_graph_recovery_check(ds: Dataset, planted: KcRelationGraphs,
         n_planted[kind] = len(planted_set)
     return RecoveryReport(precision=precision, recall=recall,
                           mined_edges=n_mined, planted_edges=n_planted)
+
+
+# -- probes of the recurrence -----------------------------------------------------
+
+
+def predict_next(model, history, q_next: int, kcs_next, t_next: int, cache,
+                 disable_stage3: bool = False) -> float:
+    """Replay a history, bridge the final gap, and score a new question."""
+    probe = Response(q_next, kcs_next, 0, t_next)  # its label is never read
+    *_, last = model.steps([*history, probe], cache, disable_stage3)
+    return last.a_hat.value.item()
+
+
+def reask_scores(model, seq, disable_stage3: bool = False):
+    """Counterfactual immediate re-ask of each answered question."""
+    with E.no_grad():
+        _, cache = model.begin("eval")
+        return [model.reask(step, cache)
+                for step in model.steps(seq.real(), cache, disable_stage3)]
+
+
+class Reasker:
+    """A `GrktModel` in the protocol `repetition` reads."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def reask_scores(self, seq, disable_stage3: bool = False):
+        return reask_scores(self.model, seq, disable_stage3)
 
 
 # -- loss and metrics -------------------------------------------------------------

@@ -9,9 +9,10 @@ from graphkt import engine as E
 from graphkt import metrics
 from graphkt.cli import CliError, _train_config, build_parser, run
 from graphkt.data import ingest_csv, preprocess
-from graphkt.graphs import GRAPH_VERSION, import_graphs
-from graphkt.model import GrktModel, trace_rows
+from graphkt.graphs import GRAPH_VERSION, KcRelationGraphs, import_graphs
+from graphkt.model import GrktModel, HyperParams, trace_rows
 from graphkt.train import TrainConfig
+from tests.test_engine import REJECTED_CHECKPOINTS
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -54,8 +55,7 @@ def pipeline(tmp_path_factory):
                 "--patience", "1"]) == 0
 
     assert run(["eval", "--data", data, "--seq-len", "12", "--min-len", "4",
-                "--graphs", str(graph_dir / "graphs.txt"),
-                "--checkpoint", str(train_dir / "checkpoint.json"),
+                "--checkpoint", str(train_dir / "checkpoint.npz"),
                 "--out", str(eval_dir)]) == 0
     return root
 
@@ -64,7 +64,7 @@ def test_pipeline_outputs_exist(pipeline):
     assert (pipeline / "synth" / "data.csv").exists()
     assert (pipeline / "synth" / "truth.json").exists()
     assert (pipeline / "graphs" / "graphs.txt").exists()
-    assert (pipeline / "train" / "checkpoint.json").exists()
+    assert (pipeline / "train" / "checkpoint.npz").exists()
     report = json.loads((pipeline / "train" / "report.json").read_text())
     assert "test_metrics" in report and report["test_metrics"]["consistency"] == 1.0
     metrics = json.loads((pipeline / "eval" / "metrics.json").read_text())
@@ -77,16 +77,15 @@ def test_every_run_writes_manifest(pipeline):
         assert manifest["format_versions"] == {
             "graphs": GRAPH_VERSION, "checkpoint": E.ParameterStore.VERSION,
             "manifest": manifest["manifest_version"]}
-        assert manifest["format_versions"]["checkpoint"] == 1
+        assert manifest["format_versions"]["checkpoint"] == 2
         assert "argv" in manifest and "config" in manifest
 
 
 def test_eval_does_not_mutate_checkpoint(pipeline, tmp_path):
-    ck = pipeline / "train" / "checkpoint.json"
+    ck = pipeline / "train" / "checkpoint.npz"
     digest_before = hashlib.sha256(ck.read_bytes()).hexdigest()
     assert run(["eval", "--data", str(pipeline / "synth" / "data.csv"),
                 "--seq-len", "12", "--min-len", "4",
-                "--graphs", str(pipeline / "graphs" / "graphs.txt"),
                 "--checkpoint", str(ck), "--out", str(tmp_path)]) == 0
     assert hashlib.sha256(ck.read_bytes()).hexdigest() == digest_before
 
@@ -95,8 +94,7 @@ def test_trace_exports_mastery_curves(pipeline, tmp_path):
     data = str(pipeline / "synth" / "data.csv")
     out = tmp_path / "trace"
     assert run(["trace", "--data", data, "--seq-len", "12", "--min-len", "4",
-                "--graphs", str(pipeline / "graphs" / "graphs.txt"),
-                "--checkpoint", str(pipeline / "train" / "checkpoint.json"),
+                "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
                 "--seq", "0", "--out", str(out)]) == 0
     lines = (out / "trace.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -111,8 +109,7 @@ def test_trace_by_student_id(pipeline, tmp_path):
     data = str(pipeline / "synth" / "data.csv")
     out = tmp_path / "trace2"
     assert run(["trace", "--data", data, "--seq-len", "12", "--min-len", "4",
-                "--graphs", str(pipeline / "graphs" / "graphs.txt"),
-                "--checkpoint", str(pipeline / "train" / "checkpoint.json"),
+                "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
                 "--student", "s00003", "--out", str(out)]) == 0
     rows = json.loads((out / "trace.json").read_text())
     assert rows and {r["student"] for r in rows} == {3}
@@ -121,16 +118,14 @@ def test_trace_by_student_id(pipeline, tmp_path):
 def test_trace_unknown_student_fails(pipeline, tmp_path):
     data = str(pipeline / "synth" / "data.csv")
     assert run(["trace", "--data", data, "--seq-len", "12", "--min-len", "4",
-                "--graphs", str(pipeline / "graphs" / "graphs.txt"),
-                "--checkpoint", str(pipeline / "train" / "checkpoint.json"),
+                "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
                 "--student", "nobody", "--out", str(tmp_path / "x")]) == 1
 
 
 def test_trace_needs_exactly_one_of_student_and_seq(pipeline, tmp_path):
     common = ["trace", "--data", str(pipeline / "synth" / "data.csv"),
               "--seq-len", "12", "--min-len", "4",
-              "--graphs", str(pipeline / "graphs" / "graphs.txt"),
-              "--checkpoint", str(pipeline / "train" / "checkpoint.json"),
+              "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
               "--out", str(tmp_path)]
     assert run(common) == 2
     assert run(common + ["--seq", "0", "--student", "s00003"]) == 2
@@ -140,8 +135,7 @@ def test_trace_seq_out_of_range_fails(pipeline, tmp_path, capsys):
     data = str(pipeline / "synth" / "data.csv")
     n = len(preprocess(ingest_csv(data), seq_len=12, min_len=4).sequences)
     assert run(["trace", "--data", data, "--seq-len", "12", "--min-len", "4",
-                "--graphs", str(pipeline / "graphs" / "graphs.txt"),
-                "--checkpoint", str(pipeline / "train" / "checkpoint.json"),
+                "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
                 "--seq", "999", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == (
         f"error: --seq 999: valid sequence indices are 0..{n - 1}\n")
@@ -152,17 +146,19 @@ def test_trace_seq_out_of_range_fails(pipeline, tmp_path, capsys):
 def test_fold_out_of_range_fails(pipeline, tmp_path, capsys, command, fold):
     common = [command, "--data", str(pipeline / "synth" / "data.csv"),
               "--seq-len", "12", "--min-len", "4",
-              "--graphs", str(pipeline / "graphs" / "graphs.txt"),
               "--fold", fold, "--out", str(tmp_path)]
     if command == "eval":
-        common += ["--checkpoint", str(pipeline / "train" / "checkpoint.json")]
+        common += ["--checkpoint", str(pipeline / "train" / "checkpoint.npz")]
+    else:
+        common += ["--graphs", str(pipeline / "graphs" / "graphs.txt")]
     assert run(common) == 1
     assert capsys.readouterr().err == (f"error: --fold {fold}: valid folds "
                                        f"are 0..4 or 'all'\n")
 
 
 # one failing run per subcommand that reads inputs; "{data}", "{graphs}",
-# "{checkpoint}" and "{missing}" name files of the shared pipeline
+# "{checkpoint}" and "{missing}" name files of the shared pipeline,
+# "{bad_graphs}" and "{bad_labels}" malformed input files
 FAILED_RUNS = {
     "synth-density": ["synth", "--pre-density", "2"],
     "build-graphs-missing-data": ["build-graphs", "--data", "{missing}"],
@@ -173,13 +169,17 @@ FAILED_RUNS = {
                     "--fold", "all", "--k", "1"],
     "train-missing-graphs": ["train", "--data", "{data}",
                              "--graphs", "{missing}"],
-    "eval-missing-data": ["eval", "--data", "{missing}", "--graphs", "{graphs}",
+    "train-malformed-graphs": ["train", "--data", "{data}",
+                               "--graphs", "{bad_graphs}"],
+    "build-graphs-malformed-labels": ["build-graphs", "--data", "{data}",
+                                      "--labels", "{bad_labels}"],
+    "eval-missing-data": ["eval", "--data", "{missing}",
                           "--checkpoint", "{checkpoint}"],
     "eval-missing-checkpoint": ["eval", "--data", "{data}",
-                                "--graphs", "{graphs}",
                                 "--checkpoint", "{missing}"],
-    "trace-seq": ["trace", "--data", "{data}", "--graphs", "{graphs}",
+    "trace-seq": ["trace", "--data", "{data}",
                   "--checkpoint", "{checkpoint}", "--seq", "999"],
+    "gradcheck-no-coords": ["gradcheck", "--coords", "0"],
 }
 
 
@@ -187,8 +187,12 @@ FAILED_RUNS = {
 def test_failed_run_creates_no_output_directory(pipeline, tmp_path, case):
     files = {"data": pipeline / "synth" / "data.csv",
              "graphs": pipeline / "graphs" / "graphs.txt",
-             "checkpoint": pipeline / "train" / "checkpoint.json",
-             "missing": tmp_path / "missing.csv"}
+             "checkpoint": pipeline / "train" / "checkpoint.npz",
+             "missing": tmp_path / "missing.csv",
+             "bad_graphs": tmp_path / "bad_graphs.txt",
+             "bad_labels": tmp_path / "bad_labels.csv"}
+    files["bad_graphs"].write_text("graphkt-graphs 1 eta=0.6\n")  # no n_kcs=
+    files["bad_labels"].write_text("src,dst,kind,confidence\n0,x,similar,7\n")
     argv = [a.format(**files) for a in FAILED_RUNS[case]]
     if "--data" in argv:
         argv += ["--seq-len", "12", "--min-len", "4"]
@@ -286,22 +290,25 @@ def test_no_lf_checkpoint_is_evaluated_and_traced_without_stage3(pipeline,
                                                                   tmp_path):
     data = str(pipeline / "synth" / "data.csv")
     graphs = str(pipeline / "graphs" / "graphs.txt")
-    common = ["--data", data, "--seq-len", "12", "--min-len", "4",
-              "--graphs", graphs]
-    ck = tmp_path / "train" / "checkpoint.json"
-    assert run(["train", *common, "--out", str(tmp_path / "train"),
+    common = ["--data", data, "--seq-len", "12", "--min-len", "4"]
+    ck = tmp_path / "train" / "checkpoint.npz"
+    assert run(["train", *common, "--graphs", graphs,
+                "--out", str(tmp_path / "train"),
                 "--seed", "1", "--fold", "0", "--k", "3", "--val-frac", "0.2",
                 "--d-e", "3", "--d-k", "3", "--d-h", "4", "--layers", "1",
                 "--max-epochs", "1", "--no-lf"]) == 0
     evaluate = ["eval", *common, "--checkpoint", str(ck),
                 "--out", str(tmp_path / "eval")]
     assert run(evaluate + ["--no-lf"]) == 2  # the checkpoint decides
+    assert run(evaluate + ["--graphs", graphs]) == 2  # and holds the graphs
     assert run(evaluate) == 0
-    assert run(["trace", *common, "--checkpoint", str(ck), "--seq", "0",
-                "--out", str(tmp_path / "trace")]) == 0
+    trace = ["trace", *common, "--checkpoint", str(ck), "--seq", "0",
+             "--out", str(tmp_path / "trace")]
+    assert run(trace + ["--graphs", graphs]) == 2
+    assert run(trace) == 0
 
     ds = preprocess(ingest_csv(data), seq_len=12, min_len=4)
-    model, disable_stage3 = GrktModel.load(ck, import_graphs(graphs))
+    model, disable_stage3 = GrktModel.load(ck)
     assert disable_stage3
 
     def forward(stage3_off):
@@ -320,3 +327,68 @@ def test_no_lf_checkpoint_is_evaluated_and_traced_without_stage3(pipeline,
     traced = json.loads((tmp_path / "trace" / "trace.json").read_text())
     assert traced == trace_rows(without[0].trace)
     assert traced != trace_rows(forward(False)[0].trace)
+
+
+@pytest.mark.parametrize("graph_flags,dropped", [
+    (["--graphs", "{graphs}"], ""),
+    (["--graphs", "{graphs}", "--no-sim"], "R"),
+    (["--graphs", "{graphs}", "--no-pre"], "P"),
+    ([], ""),  # graphs mined from the fold
+], ids=["graphs", "no-sim", "no-pre", "mined"])
+def test_eval_reproduces_train(pipeline, tmp_path, graph_flags, dropped):
+    graphs = pipeline / "graphs" / "graphs.txt"
+    fold = ["--data", str(pipeline / "synth" / "data.csv"), "--seq-len", "12",
+            "--min-len", "4", "--fold", "0", "--k", "3", "--val-frac", "0.2"]
+    flags = [f.format(graphs=graphs) for f in graph_flags]
+    assert run(["train", *fold, *flags,
+                "--out", str(tmp_path / "train"), "--seed", "1",
+                "--d-e", "3", "--d-k", "3", "--d-h", "4", "--layers", "1",
+                "--max-epochs", "2", "--patience", "1"]) == 0
+    ck = tmp_path / "train" / "checkpoint.npz"
+    assert run(["eval", *fold, "--checkpoint", str(ck),
+                "--out", str(tmp_path / "eval")]) == 0
+    trained = json.loads((tmp_path / "train" / "report.json").read_text())
+    scored = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    assert scored == trained["test_metrics"]
+    # the checkpoint carries the graphs the model trained on
+    model, _ = GrktModel.load(ck)
+    kinds = {k for k in "PR" if model.graphs.edge_count(k)}
+    assert kinds == set("PR") - set(dropped)
+    if graph_flags:
+        kept = import_graphs(graphs).drop(similarity=dropped == "R",
+                                          prerequisite=dropped == "P")
+        assert model.graphs.p_scores == kept.p_scores
+        assert model.graphs.r_scores == kept.r_scores
+
+
+# a parameter archive without the model's fields is refused too
+NOT_MODELS = {**REJECTED_CHECKPOINTS,
+              "no-model-fields": lambda p: E.ParameterStore().save(p, {})}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_MODELS))
+def test_eval_and_trace_refuse_other_files(pipeline, tmp_path, capsys, case):
+    ck = tmp_path / "checkpoint.npz"
+    NOT_MODELS[case](ck)
+    data = ["--data", str(pipeline / "synth" / "data.csv"), "--seq-len", "12",
+            "--min-len", "4", "--checkpoint", str(ck)]
+    for argv in (["eval", *data], ["trace", *data, "--seq", "0"]):
+        assert run(argv + ["--out", str(tmp_path / "runs" / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ck}: ")
+        assert not (tmp_path / "runs").exists()
+
+
+def test_checkpoint_must_cover_the_data(pipeline, tmp_path, capsys):
+    data = str(pipeline / "synth" / "data.csv")
+    ds = preprocess(ingest_csv(data), seq_len=12, min_len=4)
+    ck = tmp_path / "checkpoint.npz"
+    GrktModel(HyperParams(d_e=3, d_k=3, d_h=4, layers=1), ds.n_questions,
+              ds.n_kcs + 1, KcRelationGraphs.empty(ds.n_kcs + 1)).save(ck)
+    common = ["--data", data, "--seq-len", "12", "--min-len", "4",
+              "--checkpoint", str(ck), "--out", str(tmp_path / "runs" / "out")]
+    for argv in (["eval", *common], ["trace", *common, "--seq", "0"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"covers {ds.n_kcs + 1} KCs" in err
+        assert f"the data has {ds.n_kcs} KCs" in err
+        assert not (tmp_path / "runs").exists()

@@ -1,7 +1,12 @@
 """Tape engine: op gradients, constraints, Adam, checkpoints."""
 
 import gc
+import io
+import json
 import math
+import pickle
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -245,24 +250,113 @@ def test_training_determinism_bitwise():
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    store = E.ParameterStore()
-    store.add("A", rng.normal(size=(3, 4)) * 1e-17)
-    store.add("B", rng.normal(size=(2, 2)) * 1e12)
-    path = tmp_path / "ck.json"
-    store.save(path, {"d_e": 4, "note": "x"}, seed=42)
-    loaded, hyper, seed = E.ParameterStore.load(path)
-    assert hyper == {"d_e": 4, "note": "x"}
-    assert seed == 42
-    for name in store.names():
-        assert np.array_equal(loaded.value(name), store.value(name))
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(0)
+        store = E.ParameterStore(dtype=dtype)
+        store.add("B", rng.normal(size=(2, 2)) * 1e12)
+        store.add("A", rng.normal(size=(3, 4)) * 1e-17)
+        store.step_count = 5
+        path = tmp_path / "ck.json"  # written as is: numpy adds no ".npz"
+        store.save(path, {"hyper": {"d_e": 4, "note": "x"}, "seed": 42})
+        loaded, fields = E.ParameterStore.load(path)
+        assert fields == {"hyper": {"d_e": 4, "note": "x"}, "seed": 42}
+        assert loaded.names() == ["B", "A"] and loaded.step_count == 5
+        assert loaded.dtype == np.dtype(dtype)
+        for name in store.names():
+            want, got = store.value(name), loaded.value(name)
+            assert got.dtype == np.dtype(dtype) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_checkpoint_header_name_is_not_a_parameter_name():
+    with pytest.raises(ValueError, match="reserved"):
+        E.ParameterStore().add(E._HEADER, np.zeros(1))
+
+
+UNPICKLED = []
+
+
+def _unpickled():
+    UNPICKLED.append(True)
+    return 0.0
+
+
+class Tripwire:
+    """Records it if anything ever unpickles it."""
+
+    def __reduce__(self):
+        return _unpickled, ()
+
+
+def _binary(write):
+    """A writer that calls `write(fh)` on the path opened for writing."""
+    def to(path):
+        with open(path, "wb") as fh:
+            write(fh)
+    return to
+
+
+def _archive(path, header, **arrays):
+    entry = header if isinstance(header, np.ndarray) \
+        else np.array(json.dumps(header))
+    with open(path, "wb") as fh:
+        np.savez(fh, **{E._HEADER: entry}, **arrays)
+
+
+def _zip(path, raw, header=None):
+    """An archive whose `raw` entries are bytes, not npy arrays."""
+    with zipfile.ZipFile(path, "w") as archive:
+        if header is not None:
+            buf = io.BytesIO()
+            np.save(buf, np.array(json.dumps(header)))
+            archive.writestr(E._HEADER + ".npy", buf.getvalue())
+        for name, data in raw.items():
+            archive.writestr(name + ".npy", data)
+
+
+def _header(**changes):
+    return {"format": E.ParameterStore.FORMAT,
+            "version": E.ParameterStore.VERSION, "names": ["W"],
+            "step_count": 0, **changes}
+
+
+# files `ParameterStore.load` must refuse, each written to a given path
+REJECTED_CHECKPOINTS = {
+    "version-1-json": lambda p: p.write_text(json.dumps({
+        "format": "graphkt-checkpoint", "version": 1, "dtype": "float64",
+        "hyper": {}, "seed": 0, "step_count": 0,
+        "arrays": [{"name": "W", "shape": [1], "hex": ["0x1.0p+0"]}]})),
+    "other-json": lambda p: p.write_text(
+        '{"format": "something-else", "version": 1}'),
+    "text": lambda p: p.write_text("W = 1.0\n"),
+    "empty": lambda p: p.write_bytes(b""),
+    "pickle": lambda p: p.write_bytes(pickle.dumps(Tripwire())),
+    "single-array": _binary(lambda fh: np.save(fh, np.zeros(3))),
+    "broken-zip": lambda p: p.write_bytes(b"PK\x03\x04 not an archive"),
+    "no-header": _binary(lambda fh: np.savez(fh, W=np.zeros(3))),
+    "header-not-an-object": lambda p: _archive(p, ["W"], W=np.zeros(3)),
+    "header-object-array": lambda p: _archive(
+        p, np.array(Tripwire(), dtype=object), W=np.zeros(3)),
+    "object-parameter": lambda p: _archive(
+        p, _header(), W=np.array([Tripwire()], dtype=object)),
+    "other-format": lambda p: _archive(p, _header(format="other"),
+                                       W=np.zeros(3)),
+    "other-version": lambda p: _archive(p, _header(version=1),
+                                        W=np.zeros(3)),
+    "missing-array": lambda p: _archive(p, _header(names=["W", "V"]),
+                                        W=np.zeros(3)),
+    "raw-header": lambda p: _zip(p, {E._HEADER: json.dumps(_header())}),
+    "raw-parameter": lambda p: _zip(p, {"W": b"\x00" * 8}, _header()),
+}
 
 
 def test_checkpoint_rejects_other_files(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "something-else", "version": 1}')
-    with pytest.raises(ValueError):
-        E.ParameterStore.load(path)
+    for case, write in REJECTED_CHECKPOINTS.items():
+        path = tmp_path / f"{case}.ck"
+        write(path)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            E.ParameterStore.load(path)
+    assert not UNPICKLED
 
 
 # -- grad_check harness -------------------------------------------------------
@@ -326,6 +420,7 @@ def test_grad_check_skips_gate_flips():
                           n_coords=1, max_attempts=8)
     assert report.n_checked == 0
     assert report.n_skipped == 8
+    assert not report.passed  # nothing was checked
 
 
 # -- sparse gather gradients ---------------------------------------------------

@@ -1,5 +1,7 @@
 """Relation-graph mining, labeled loading and graph invariants."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,3 +264,62 @@ def test_graph_file_roundtrip(tmp_path):
             assert again.neighbors(which, c) == g.neighbors(which, c)
     assert again.meta["eta"] == 0.6
     assert again.meta["min_cooccurrence"] == 10
+
+
+GRAPH_HEADER = "graphkt-graphs 1 eta=0.6 min_cooccurrence=10 n_kcs=3\n"
+load_labels = functools.partial(load_labeled_graphs, n_kcs=3)
+
+
+# (loader, file text, line the error must name, part of the message)
+MALFORMED = {
+    "graphs-no-n-kcs": (import_graphs, "graphkt-graphs 1 eta=0.6\n", 1,
+                        "no n_kcs="),
+    "graphs-token": (import_graphs, "graphkt-graphs 1 eta n_kcs=3\n", 1,
+                     "unpack"),
+    "graphs-other-format": (import_graphs, "something 1 n_kcs=3\n", 1,
+                            "header"),
+    "graphs-kc-id": (import_graphs, GRAPH_HEADER + "P 0 x 0.7\n", 2,
+                     "invalid literal"),
+    "graphs-columns": (import_graphs, GRAPH_HEADER + "\nR 0 1\n", 3,
+                       "unpack"),
+    "graphs-kind": (import_graphs, GRAPH_HEADER + "Q 0 1 0.7\n", 2,
+                    "unknown edge kind"),
+    "graphs-range": (import_graphs, GRAPH_HEADER + "P 0 1 0.7\nP 0 9 0.7\n",
+                     3, "edge (0, 9) outside KC range"),
+    "graphs-self-loop": (import_graphs, GRAPH_HEADER + "R 2 2 0.7\n", 2,
+                         "self loop"),
+    "labels-kc-id": (load_labels, "src,dst,kind,confidence\n"
+                     "0,x,prerequisite,7\n", 2, "invalid literal"),
+    "labels-confidence": (load_labels, "0,1,similar,high\n", 1,
+                          "could not convert"),
+    "labels-range": (load_labels, "0,1,similar,7\n\n0,9,similar,7\n",
+                     3, "edge (0, 9) outside KC range"),
+    # without a KC count, only a negative id is out of range
+    "labels-negative": (load_labeled_graphs, "0,-1,similar,7\n", 1,
+                        "edge (0, -1) outside KC range"),
+    "labels-columns": (load_labels, "0,1,similar\n", 1,
+                       "expected 4 columns"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_graph_files_name_path_and_line(tmp_path, case):
+    loader, text, line, message = MALFORMED[case]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        loader(path)
+    assert str(exc.value).startswith(f"{path}:{line}: ")
+    assert message in str(exc.value)
+
+
+def test_graph_files_skip_blank_lines(tmp_path):
+    path = tmp_path / "graphs.txt"
+    path.write_text(GRAPH_HEADER + "\nP 0 1 0.7\n  \nR 1 2 0.8\n\n")
+    g = import_graphs(path)
+    assert (g.p_scores, g.r_scores) == ({(0, 1): 0.7},
+                                        {(1, 2): 0.8, (2, 1): 0.8})
+    labels = tmp_path / "labels.csv"
+    labels.write_text("src,dst,kind,confidence\n\n0,1,similar,7\n\n")
+    assert load_labeled_graphs(labels, n_kcs=3).r_scores == {(0, 1): 7.0,
+                                                             (1, 0): 7.0}

@@ -14,7 +14,7 @@ from graphkt.metrics import consistency
 from graphkt.model import (DT_CAP_MINUTES, GrktModel, HyperParams, Step,
                            trace_rows)
 from tests.conftest import random_graphs, random_sequence
-from tests.oracles import constrain_nonneg_vector, hop_support
+from tests.oracles import constrain_nonneg_vector, hop_support, predict_next
 from tests.oracles import mastery as mastery_oracle
 
 
@@ -400,7 +400,7 @@ def test_predict_next_empty_history(desk_model):
     model = randomize(desk_model, 0.5, seed=23)
     _, cache = model.begin("eval")
     direct, _, _ = model.stage1_predict(cache.h0, 2, (3,), cache)
-    assert model.predict_next([], 2, (3,), 500, cache) == direct.value.item()
+    assert predict_next(model, [], 2, (3,), 500, cache) == direct.value.item()
 
 
 def test_predict_next_matches_two_step_replay(desk_model):
@@ -408,7 +408,7 @@ def test_predict_next_matches_two_step_replay(desk_model):
     _, cache = model.begin("eval")
     r0 = Response(0, (0,), 1, 1000)
     # re-ask the same question immediately: dt = 0 for the interposed gap
-    got = model.predict_next([r0], 0, (0,), 1000, cache)
+    got = predict_next(model, [r0], 0, (0,), 1000, cache)
     H = model.stage2_strengthen(cache.h0, 0, (0,), 1, cache)
     counters = np.zeros(6, dtype=np.int64)
     H = model.stage3_learn_forget(H, 0, (0,), 0, (0,), 0.0, counters, cache)
@@ -427,9 +427,9 @@ def test_predict_next_is_the_last_prediction_of_forward_sequence(
     *history, probe = seq.responses
     with E.no_grad():
         _, cache = model.begin("eval")
-        got = model.predict_next(history, probe.question, probe.kcs,
-                                 probe.timestamp, cache,
-                                 disable_stage3=disable_stage3)
+        got = predict_next(model, history, probe.question, probe.kcs,
+                           probe.timestamp, cache,
+                           disable_stage3=disable_stage3)
         res = model.forward_sequence(seq, cache,
                                      disable_stage3=disable_stage3)
     assert got == res.preds[-1][0].value.item()
@@ -448,11 +448,11 @@ def test_predict_next_invariant_outside_support():
     if not outside:
         pytest.skip("random graph left no KC outside the support")
     _, cache = model.begin("eval")
-    base = model.predict_next(history, q_next, kcs_next, 1300, cache)
+    base = predict_next(model, history, q_next, kcs_next, 1300, cache)
     model.store.value("H0")[outside] += rng.normal(0, 2.0,
                                                    size=(len(outside), 4))
     _, cache2 = model.begin("eval")
-    assert model.predict_next(history, q_next, kcs_next, 1300, cache2) == base
+    assert predict_next(model, history, q_next, kcs_next, 1300, cache2) == base
 
 
 # -- persistence --------------------------------------------------------------------
@@ -475,9 +475,9 @@ def test_float32_store_stays_float32(desk_sequence):
 
 def test_model_save_load_roundtrip(tmp_path, desk_model, desk_sequence):
     model = randomize(desk_model, 0.5, seed=50)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.npz"
     model.save(path)
-    loaded, disable_stage3 = GrktModel.load(path, model.graphs)
+    loaded, disable_stage3 = GrktModel.load(path)
     assert loaded.hp == model.hp and disable_stage3 is False
     _, c1 = model.begin("eval")
     _, c2 = loaded.begin("eval")
@@ -486,3 +486,36 @@ def test_model_save_load_roundtrip(tmp_path, desk_model, desk_sequence):
     p2 = [p.value.item() for p, _ in
           loaded.forward_sequence(desk_sequence, c2).preds]
     assert p1 == p2
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("disable_stage3", [False, True])
+def test_checkpoint_is_the_whole_model(tmp_path, dtype, disable_stage3):
+    rng = np.random.default_rng(51)
+    hp = HyperParams(d_e=4, d_k=3, d_h=5, layers=2, seed=51, dtype=dtype)
+    # scores that decimal formatting would round, and graph metadata
+    p = {(0, 1): 0.1 + 0.2, (3, 2): 2.0 / 3.0, (4, 6): 1e-300}
+    r = {(1, 5): np.nextafter(0.7, 1.0), (6, 2): 5.0 / 7.0}
+    graphs = KcRelationGraphs(7, p, r, meta={"eta": 0.6,
+                                             "min_cooccurrence": 3})
+    model = randomize(GrktModel(hp, 5, 7, graphs), 0.5, seed=52)
+    model.store.step_count = 17
+    path = tmp_path / "checkpoint"  # no suffix is appended
+    model.save(path, disable_stage3=disable_stage3)
+    loaded, stage3_off = GrktModel.load(path)
+
+    assert (loaded.hp, stage3_off) == (hp, disable_stage3)
+    assert (loaded.n_questions, loaded.n_kcs) == (5, 7)
+    assert loaded.store.names() == model.store.names()
+    assert loaded.store.dtype == np.dtype(dtype)
+    assert loaded.store.step_count == 17
+    for name in model.store.names():
+        want, got = model.store.value(name), loaded.store.value(name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    g = loaded.graphs
+    assert g.n_kcs == 7 and g.meta == graphs.meta
+    assert g.p_scores == graphs.p_scores and g.r_scores == graphs.r_scores
+    for which in ("P", "S", "R"):
+        for c in range(7):
+            assert g.neighbors(which, c) == graphs.neighbors(which, c)

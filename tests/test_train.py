@@ -15,7 +15,7 @@ from graphkt.train import (TrainConfig, TrainingDiverged, apply_ablation,
                            bce_loss_node, cross_validate, evaluate,
                            graphs_for_fold, train_fold)
 from tests.conftest import make_dataset, random_graphs, random_sequence
-from tests.oracles import bce_loss, repetition
+from tests.oracles import Reasker, bce_loss, reask_scores, repetition
 from tests.test_model import randomize
 
 
@@ -303,8 +303,9 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
     seqs = [ds.sequences[i] for i in indices]
     assert seen["accuracy"][1] == [
         pair for seq in seqs
-        for pair in model.reask_scores(seq, disable_stage3=disable_stage3)]
-    assert report.repetition == repetition(model, seqs, disable_stage3)
+        for pair in reask_scores(model, seq, disable_stage3=disable_stage3)]
+    assert report.repetition == repetition(Reasker(model), seqs,
+                                           disable_stage3)
 
 
 def test_cross_validate_aggregates():
@@ -359,7 +360,7 @@ def test_no_recording_left_after_evaluation():
                       graphs_for_fold(ds, fold, cfg))
     evaluate(model, ds, fold.test, cfg)
     assert E._TAPE is None and model.store._bound is None
-    model.reask_scores(ds.sequences[fold.test[0]])
+    reask_scores(model, ds.sequences[fold.test[0]])
     assert E._TAPE is None and model.store._bound is None
 
 
