@@ -64,21 +64,18 @@ def _write_manifest(out: Path, args, extra=None) -> None:
         json.dump(doc, fh, indent=2, default=str)
 
 
-def _schema_from(args) -> ColumnSchema:
-    return ColumnSchema(
+def _load_data(args, seq_len, min_len):
+    ds = ingest_csv(args.data, ColumnSchema(
         student=args.col_student, question=args.col_question,
         kcs=args.col_kcs, correct=args.col_correct,
         timestamp=args.col_timestamp, kc_delimiter=args.kc_delimiter,
-        timestamp_is_order=args.timestamp_is_order,
-    )
+        timestamp_is_order=args.timestamp_is_order))
+    return preprocess(ds, seq_len=seq_len, min_len=min_len)
 
 
-def _load_data(args):
-    ds = ingest_csv(args.data, _schema_from(args))
-    return preprocess(ds, seq_len=args.seq_len, min_len=args.min_len)
-
-
-def _add_schema_flags(p):
+def _add_data_flags(p):
+    """--data and the CSV schema: what every reader of a log takes."""
+    p.add_argument("--data", required=True, help="response log CSV")
     p.add_argument("--col-student", default="student_id")
     p.add_argument("--col-question", default="question_id")
     p.add_argument("--col-kcs", default="kc_ids")
@@ -89,11 +86,11 @@ def _add_schema_flags(p):
                    help="treat the timestamp column as an ordering rank")
 
 
-def _add_data_flags(p):
-    p.add_argument("--data", required=True, help="response log CSV")
+def _add_preprocess_flags(p):
+    """How `preprocess` cuts the log; eval and trace read it from the
+    checkpoint."""
     p.add_argument("--seq-len", type=int, default=100)
     p.add_argument("--min-len", type=int, default=10)
-    _add_schema_flags(p)
 
 
 def _add_hyper_flags(p):
@@ -193,22 +190,18 @@ def _train_config(args) -> TrainConfig:
                                  for key, name in _TRAIN_FIELDS.items()})
 
 
-def _fold(args, folds):
-    """The fold `--fold` names; anything but an index 0..k-1 is a CliError."""
-    if args.fold not in {str(i) for i in range(len(folds))}:
-        raise CliError(f"--fold {args.fold}: valid folds are "
-                       f"0..{len(folds) - 1} or 'all'")
-    return folds[int(args.fold)]
+def _load_checkpoint(args):
+    """The model, its run, and --data preprocessed as the run preprocessed it.
 
-
-def _load_checkpoint(args, ds) -> tuple[GrktModel, bool]:
-    """The model and its stage-3 ablation; it must cover the data's ids."""
-    model, disable_stage3 = GrktModel.load(args.checkpoint)
+    The model must cover the data's ids.
+    """
+    model, run = GrktModel.load(args.checkpoint)
+    ds = _load_data(args, run["seq_len"], run["min_len"])
     if (model.n_kcs, model.n_questions) != (ds.n_kcs, ds.n_questions):
         raise CliError(f"{args.checkpoint}: the model covers {model.n_kcs} "
                        f"KCs and {model.n_questions} questions, the data has "
                        f"{ds.n_kcs} KCs and {ds.n_questions} questions")
-    return model, disable_stage3
+    return model, run, ds
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -234,7 +227,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_graphs(args) -> int:
-    ds = _load_data(args)
+    ds = _load_data(args, args.seq_len, args.min_len)
     if args.labels:
         graphs = load_labeled_graphs(args.labels,
                                      min_confidence=args.min_confidence,
@@ -255,14 +248,17 @@ def cmd_build_graphs(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)  # a bad config fails before any work
-    ds = _load_data(args)
+    ds = _load_data(args, args.seq_len, args.min_len)
     graphs = import_graphs(args.graphs) if args.graphs else None
     if graphs is not None and graphs.n_kcs != ds.n_kcs:
         raise CliError(f"graph file covers {graphs.n_kcs} KCs, "
                        f"dataset has {ds.n_kcs}")
     # cross-validation splits the same folds; making them checks --k for both
     folds = make_folds(ds, k=args.k, val_frac=args.val_frac, seed=cfg.hp.seed)
-    fold = None if args.fold == "all" else _fold(args, folds)
+    if args.fold not in {"all", *map(str, range(len(folds)))}:
+        raise CliError(f"--fold {args.fold}: valid folds are "
+                       f"0..{len(folds) - 1} or 'all'")
+    fold = None if args.fold == "all" else folds[int(args.fold)]
     out = _out_dir(args)
 
     if fold is None:
@@ -276,7 +272,9 @@ def cmd_train(args) -> int:
         return 0
 
     model, report = train_fold(ds, fold, cfg, graphs=graphs)
-    model.save(out / "checkpoint.npz", disable_stage3=cfg.disable_stage3)
+    model.save(out / "checkpoint.npz", disable_stage3=cfg.disable_stage3,
+               seq_len=args.seq_len, min_len=args.min_len, k=args.k,
+               val_frac=args.val_frac, fold=fold.fold)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
     _write_manifest(out, args)
@@ -286,14 +284,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ds = _load_data(args)
-    model, disable_stage3 = _load_checkpoint(args, ds)
-    cfg = TrainConfig(hp=model.hp, disable_stage3=disable_stage3)
+    model, run, ds = _load_checkpoint(args)
+    cfg = TrainConfig(hp=model.hp, disable_stage3=run["disable_stage3"])
     if args.fold == "all":
         indices = range(len(ds.sequences))
-    else:
-        indices = _fold(args, make_folds(ds, k=args.k, val_frac=args.val_frac,
-                                         seed=model.hp.seed)).test
+    else:  # the fold train held out, split as train split it
+        indices = make_folds(ds, k=run["k"], val_frac=run["val_frac"],
+                             seed=model.hp.seed)[run["fold"]].test
     out = _out_dir(args)
     report = evaluate(model, ds, indices, cfg)
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
@@ -305,8 +302,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    ds = _load_data(args)
-    model, disable_stage3 = _load_checkpoint(args, ds)
+    model, run, ds = _load_checkpoint(args)
 
     if args.student is not None:
         if args.student not in ds.students.to_dense:
@@ -326,7 +322,7 @@ def cmd_trace(args) -> int:
         for idx in indices:
             res = model.forward_sequence(ds.sequences[idx], cache,
                                          seq_index=idx, emit_trace=True,
-                                         disable_stage3=disable_stage3)
+                                         disable_stage3=run["disable_stage3"])
             rows.extend(trace_rows(res.trace))
 
     with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
@@ -415,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-graphs", help="mine or load relation graphs")
     _add_data_flags(p)
+    _add_preprocess_flags(p)
     p.add_argument("--out")
     p.add_argument("--eta", type=float, default=0.6)
     p.add_argument("--min-cooccurrence", type=int, default=10)
@@ -424,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on one fold or cross-validate")
     _add_data_flags(p)
+    _add_preprocess_flags(p)
     _add_hyper_flags(p)
     p.add_argument("--out")
     p.add_argument("--graphs", help="pre-built graph file (default: mine)")
@@ -433,18 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-frac", type=float, default=0.1)
     p.set_defaults(func=cmd_train)
 
-    # eval and trace take the model, its relation graphs and its ablations
-    # from the checkpoint
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
+    # eval and trace take the model, its relation graphs, its ablations and
+    # its data split from the checkpoint; no abbreviations, so a removed
+    # flag such as --k is refused rather than read as --kc-delimiter
+    p = sub.add_parser("eval", help="evaluate a checkpoint", allow_abbrev=False)
     _add_data_flags(p)
     p.add_argument("--out")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--fold", default="all", help="fold index or 'all'")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--val-frac", type=float, default=0.1)
+    p.add_argument("--fold", choices=("test", "all"), default="all",
+                   help="the fold train held out, or every sequence")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("trace", help="export per-KC mastery curves")
+    p = sub.add_parser("trace", help="export per-KC mastery curves",
+                       allow_abbrev=False)
     _add_data_flags(p)
     p.add_argument("--out")
     p.add_argument("--checkpoint", required=True)

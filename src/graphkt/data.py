@@ -91,7 +91,6 @@ class IdMap:
 @dataclass
 class Dataset:
     sequences: list[ResponseSequence]
-    question_kcs: dict[QuestionId, tuple[KcId, ...]]
     students: IdMap
     questions: IdMap
     kcs: IdMap
@@ -172,13 +171,11 @@ def ingest_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
     by_student: dict[int, list[tuple[int, Response]]] = {
         i: [] for i in range(len(students))
     }
-    question_kcs: dict[int, set[int]] = {}
     for student, question, kc_names, correct, ts in rows:
         sid = students.to_dense[student]
         qid = questions.to_dense[question]
         kc_ids = tuple(sorted({kcs.to_dense[k] for k in kc_names}))
         by_student[sid].append((ts, Response(qid, kc_ids, correct, ts)))
-        question_kcs.setdefault(qid, set()).update(kc_ids)
 
     sequences = []
     for sid in range(len(students)):
@@ -192,7 +189,6 @@ def ingest_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
 
     return Dataset(
         sequences=sequences,
-        question_kcs={q: tuple(sorted(v)) for q, v in sorted(question_kcs.items())},
         students=students,
         questions=questions,
         kcs=kcs,
@@ -207,7 +203,11 @@ def preprocess(ds: Dataset, seq_len: int = 100, min_len: int = 10) -> Dataset:
     than `min_len` real responses is dropped, otherwise it is suffix-padded
     with sentinel responses (question id |Q|, KC id |C|, correct 0, timestamp
     of the last real response) and masked downstream via `valid_len`.
+    Requires 1 <= min_len <= seq_len.
     """
+    if not 1 <= min_len <= seq_len:
+        raise ValueError(f"preprocess needs 1 <= min_len <= seq_len, got "
+                         f"seq_len={seq_len}, min_len={min_len}")
     pad_q = ds.padding_question()
     pad_kc = ds.padding_kc()
     out = []
@@ -224,7 +224,6 @@ def preprocess(ds: Dataset, seq_len: int = 100, min_len: int = 10) -> Dataset:
             out.append(ResponseSequence(seq.student, chunk, valid))
     return Dataset(
         sequences=out,
-        question_kcs=dict(ds.question_kcs),
         students=ds.students,
         questions=ds.questions,
         kcs=ds.kcs,

@@ -122,11 +122,11 @@ class Node:
         return self.value.shape
 
 
-def as_node(x, dtype=None) -> Node:
+def as_node(x) -> Node:
     """Wrap a constant array or scalar as a non-differentiable node."""
     if isinstance(x, Node):
         return x
-    return Node(np.asarray(x, dtype=dtype))
+    return Node(np.asarray(x))
 
 
 def start_tape() -> None:
@@ -405,15 +405,6 @@ def sum_all(a) -> Node:
     return _make(val, ((a, lambda g: np.full_like(a.value, float(g))),))
 
 
-def add_n(nodes) -> Node:
-    """Sum a list of same-shaped nodes in one tape entry."""
-    nodes = [as_node(n) for n in nodes]
-    val = nodes[0].value.copy()
-    for n in nodes[1:]:
-        val += n.value
-    return _make(val, [(n, lambda g: g) for n in nodes])
-
-
 def tile_rows(a, n: int) -> Node:
     """Repeat a single-row node n times."""
     a = as_node(a)
@@ -524,7 +515,7 @@ class ParameterStore:
     """Named trainable arrays with paired gradient and Adam moment slots."""
 
     FORMAT = "graphkt-checkpoint"
-    VERSION = 2
+    VERSION = 3
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)

@@ -59,10 +59,6 @@ class GnnSpec:
         if self.nonneg_weights and self.use_feedforward:
             raise ValueError("non-negative heads drop the feed-forward")
 
-    @property
-    def layers(self) -> int:
-        return len(self.dims) - 1
-
 
 def make_specs(d_e: int, d_k: int, layers: int) -> dict[str, GnnSpec]:
     """The six propagation heads used by the three model stages."""

@@ -87,33 +87,30 @@ def accuracy(pairs) -> float:
     return hits / len(pairs)
 
 
-def _iter_steps(traces):
-    for item in traces:
-        steps = getattr(item, "steps", None)
-        if steps is None:
-            yield item
-        else:
-            yield from steps
+def step_consistency(step) -> float | None:
+    """Share of all KCs whose mastery did not increase across one update.
+
+    Only a step where some examined KC's mastery strictly declines
+    qualifies; any other step has no ratio (None).
+    """
+    pre = np.asarray(step.pre, dtype=np.float64)
+    post = np.asarray(step.post, dtype=np.float64)
+    if not any(pre[c] > post[c] for c in step.examined):
+        return None
+    return int((pre >= post).sum()) / pre.size
+
+
+def mean_consistency(ratios) -> float:
+    """Mean of the qualifying ratios; 1.0 (vacuously) when there are none."""
+    kept = [r for r in ratios if r is not None]
+    return sum(kept) / len(kept) if kept else 1.0
 
 
 def consistency(traces) -> float:
-    """Mean fraction of KCs moving consistently at qualifying updates.
-
-    A step qualifies when at least one examined KC's mastery strictly
-    declines across the update; the step then contributes the fraction of all
-    KCs whose mastery did not increase. No qualifying steps means the
-    condition is vacuously satisfied and the metric is 1.0.
-    """
-    ratios = []
-    for step in _iter_steps(traces):
-        pre = np.asarray(step.pre, dtype=np.float64)
-        post = np.asarray(step.post, dtype=np.float64)
-        if not any(pre[c] > post[c] for c in step.examined):
-            continue
-        ratios.append(int((pre >= post).sum()) / pre.size)
-    if not ratios:
-        return 1.0
-    return sum(ratios) / len(ratios)
+    """Mean fraction of KCs moving consistently at qualifying updates, over
+    mastery traces or their steps."""
+    steps = (s for item in traces for s in getattr(item, "steps", [item]))
+    return mean_consistency(map(step_consistency, steps))
 
 
 def gaucm(records) -> float:

@@ -447,16 +447,21 @@ class GrktModel:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path, disable_stage3: bool = False) -> None:
-        """Write the whole model to one checkpoint.
+    def save(self, path, *, disable_stage3: bool, seq_len: int, min_len: int,
+             k: int, val_frac: float, fold: int) -> None:
+        """Write the whole model and the run that trained it to one file.
 
-        It holds the parameters, the settings, the stage-3 ablation and the
-        relation graphs the model was built on (after any graph ablation).
+        It holds the parameters, the settings, the relation graphs the model
+        was built on (after any graph ablation) and the run: the stage-3
+        ablation, `preprocess`'s lengths, and `make_folds`' `k`, `val_frac`
+        and test fold (the split seed is `hyper.seed`).
         """
         g = self.graphs
         self.store.save(path, {
             "hyper": asdict(self.hp), "n_questions": self.n_questions,
-            "disable_stage3": disable_stage3,
+            "run": {"disable_stage3": disable_stage3, "seq_len": seq_len,
+                    "min_len": min_len, "k": k, "val_frac": val_frac,
+                    "fold": fold},
             "graphs": {"n_kcs": g.n_kcs, "meta": g.meta,
                        "p": [[int(i), int(j), float(s)]
                              for (i, j), s in g.p_scores.items()],
@@ -465,8 +470,9 @@ class GrktModel:
         })
 
     @classmethod
-    def load(cls, path) -> tuple["GrktModel", bool]:
-        """Read a checkpoint; returns the model and its stage-3 ablation."""
+    def load(cls, path) -> tuple["GrktModel", dict]:
+        """Read a checkpoint; returns the model and its run, as the keyword
+        arguments `save` took."""
         store, fields = E.ParameterStore.load(path)
         try:
             g = fields["graphs"]
@@ -475,7 +481,11 @@ class GrktModel:
                 {(i, j): s for i, j, s in g["r"]}, meta=g["meta"])
             model = cls(HyperParams(**fields["hyper"]),
                         fields["n_questions"], g["n_kcs"], graphs, store=store)
-            return model, bool(fields["disable_stage3"])
+            run = {name: fields["run"][name] for name in (
+                "disable_stage3", "seq_len", "min_len", "k", "val_frac", "fold")}
+            if not 0 <= run["fold"] < run["k"]:
+                raise ValueError(f"fold {run['fold']} of {run['k']}")
+            return model, run
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed model fields ({exc})") from None
 

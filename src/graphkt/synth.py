@@ -23,6 +23,8 @@ import numpy as np
 from .data import Dataset, IdMap, Response, ResponseSequence
 from .graphs import KcRelationGraphs
 
+WRONG_ANSWER_FACTOR = 0.3  # share of the learning increment a wrong answer earns
+
 
 @dataclass
 class SynthConfig:
@@ -35,7 +37,6 @@ class SynthConfig:
     pre_density: float = 0.04     # P(edge i->j) for i < j
     sim_density: float = 0.04
     learn_increment: float = 0.8
-    wrong_answer_factor: float = 0.3
     decay_rate: float = 0.001     # per minute, toward initial mastery
     transfer: float = 0.5
     guess: float = 0.1
@@ -138,7 +139,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
             a = int(rng.random() < p)
             responses.append(Response(q, kcs, a, ts))
 
-            inc = cfg.learn_increment * (1.0 if a else cfg.wrong_answer_factor)
+            inc = cfg.learn_increment * (1.0 if a else WRONG_ANSWER_FACTOR)
             for c in kcs:
                 m[c] += inc
                 for nb in transfer_targets[c]:
@@ -155,8 +156,6 @@ def generate(cfg: SynthConfig) -> SynthResult:
     kcs_map = IdMap.from_values(f"c{c:05d}" for c in range(cfg.n_kcs))
     dataset = Dataset(
         sequences=sequences,
-        question_kcs={q: question_kcs[q] for q in sorted(
-            {r.question for s in sequences for r in s.responses})},
         students=students,
         questions=questions,
         kcs=kcs_map,

@@ -69,12 +69,13 @@ def bce_loss_node(preds: list[tuple[E.Node, int]]) -> E.Node:
     """Tape-level BCE over one batch's (prediction node, label) pairs."""
     if not preds:
         raise ValueError("loss over an empty unmasked set is undefined")
-    terms = []
-    for p, label in preds:
-        pc = E.clip(p, 1e-7, 1.0 - 1e-7)
-        inner = pc if label == 1 else E.sub(1.0, pc)
-        terms.append(E.mul(E.log(inner), -1.0))
-    return E.mul(E.sum_all(E.add_n(terms)), 1.0 / len(terms))
+    logs = []
+    for correct in (True, False):  # one column per outcome, not one per step
+        column = [p for p, label in preds if (label == 1) == correct]
+        if column:
+            pc = E.clip(E.concat(column, axis=0), 1e-7, 1.0 - 1e-7)
+            logs.append(E.log(pc if correct else E.sub(1.0, pc)))
+    return E.mul(E.sum_all(E.concat(logs, axis=0)), -1.0 / len(preds))
 
 
 def apply_ablation(graphs: KcRelationGraphs, cfg: TrainConfig) -> KcRelationGraphs:
@@ -114,7 +115,7 @@ def evaluate(model: GrktModel, ds: Dataset, indices,
              cfg: TrainConfig) -> metrics.ReasonabilityReport:
     """All five metrics over the given sequences, from one recurrence pass."""
     records = []
-    trace_steps = []
+    ratios = []  # each step's consistency, taken as soon as it is traced
     reask_pairs = []
     with E.no_grad():
         _, cache = model.begin("eval")
@@ -126,13 +127,14 @@ def evaluate(model: GrktModel, ds: Dataset, indices,
                 records.append(metrics.EvalRecord(
                     score=step.a_hat.value.item(), label=r.correct,
                     question=r.question, mastery=step.mastery.value.item()))
-                trace_steps.append(model.trace_step(step, t, cache))
+                ratios.append(metrics.step_consistency(
+                    model.trace_step(step, t, cache)))
                 reask_pairs.append(model.reask(step, cache))
     pairs = [(r.score, r.label) for r in records]
     return metrics.ReasonabilityReport(
         auc=metrics.auc(pairs),
         acc=metrics.accuracy(pairs),
-        consistency=metrics.consistency(trace_steps),
+        consistency=metrics.mean_consistency(ratios),
         gaucm=metrics.gaucm(records),
         repetition=metrics.accuracy(reask_pairs),
     )

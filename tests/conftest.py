@@ -41,12 +41,8 @@ def make_dataset(rows, n_questions=None, n_kcs=None, seq_len=None):
         n_questions = 1 + max(r[1] for r in rows)
     if n_kcs is None:
         n_kcs = 1 + max(k for r in rows for k in r[2])
-    question_kcs = {}
-    for _, q, kcs, _, _ in rows:
-        question_kcs.setdefault(q, set()).update(kcs)
     return Dataset(
         sequences=sequences,
-        question_kcs={q: tuple(sorted(v)) for q, v in sorted(question_kcs.items())},
         students=IdMap.from_values(str(s) for s in by_student),
         questions=IdMap.from_values(f"q{i}" for i in range(n_questions)),
         kcs=IdMap.from_values(f"c{i}" for i in range(n_kcs)),

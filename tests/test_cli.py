@@ -54,7 +54,7 @@ def pipeline(tmp_path_factory):
                 "--d-h", "4", "--layers", "1", "--max-epochs", "2",
                 "--patience", "1"]) == 0
 
-    assert run(["eval", "--data", data, "--seq-len", "12", "--min-len", "4",
+    assert run(["eval", "--data", data,
                 "--checkpoint", str(train_dir / "checkpoint.npz"),
                 "--out", str(eval_dir)]) == 0
     return root
@@ -77,7 +77,7 @@ def test_every_run_writes_manifest(pipeline):
         assert manifest["format_versions"] == {
             "graphs": GRAPH_VERSION, "checkpoint": E.ParameterStore.VERSION,
             "manifest": manifest["manifest_version"]}
-        assert manifest["format_versions"]["checkpoint"] == 2
+        assert manifest["format_versions"]["checkpoint"] == 3
         assert "argv" in manifest and "config" in manifest
 
 
@@ -85,7 +85,6 @@ def test_eval_does_not_mutate_checkpoint(pipeline, tmp_path):
     ck = pipeline / "train" / "checkpoint.npz"
     digest_before = hashlib.sha256(ck.read_bytes()).hexdigest()
     assert run(["eval", "--data", str(pipeline / "synth" / "data.csv"),
-                "--seq-len", "12", "--min-len", "4",
                 "--checkpoint", str(ck), "--out", str(tmp_path)]) == 0
     assert hashlib.sha256(ck.read_bytes()).hexdigest() == digest_before
 
@@ -93,7 +92,7 @@ def test_eval_does_not_mutate_checkpoint(pipeline, tmp_path):
 def test_trace_exports_mastery_curves(pipeline, tmp_path):
     data = str(pipeline / "synth" / "data.csv")
     out = tmp_path / "trace"
-    assert run(["trace", "--data", data, "--seq-len", "12", "--min-len", "4",
+    assert run(["trace", "--data", data,
                 "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
                 "--seq", "0", "--out", str(out)]) == 0
     lines = (out / "trace.csv").read_text().splitlines()
@@ -108,7 +107,7 @@ def test_trace_exports_mastery_curves(pipeline, tmp_path):
 def test_trace_by_student_id(pipeline, tmp_path):
     data = str(pipeline / "synth" / "data.csv")
     out = tmp_path / "trace2"
-    assert run(["trace", "--data", data, "--seq-len", "12", "--min-len", "4",
+    assert run(["trace", "--data", data,
                 "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
                 "--student", "s00003", "--out", str(out)]) == 0
     rows = json.loads((out / "trace.json").read_text())
@@ -117,14 +116,13 @@ def test_trace_by_student_id(pipeline, tmp_path):
 
 def test_trace_unknown_student_fails(pipeline, tmp_path):
     data = str(pipeline / "synth" / "data.csv")
-    assert run(["trace", "--data", data, "--seq-len", "12", "--min-len", "4",
+    assert run(["trace", "--data", data,
                 "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
                 "--student", "nobody", "--out", str(tmp_path / "x")]) == 1
 
 
 def test_trace_needs_exactly_one_of_student_and_seq(pipeline, tmp_path):
     common = ["trace", "--data", str(pipeline / "synth" / "data.csv"),
-              "--seq-len", "12", "--min-len", "4",
               "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
               "--out", str(tmp_path)]
     assert run(common) == 2
@@ -134,37 +132,58 @@ def test_trace_needs_exactly_one_of_student_and_seq(pipeline, tmp_path):
 def test_trace_seq_out_of_range_fails(pipeline, tmp_path, capsys):
     data = str(pipeline / "synth" / "data.csv")
     n = len(preprocess(ingest_csv(data), seq_len=12, min_len=4).sequences)
-    assert run(["trace", "--data", data, "--seq-len", "12", "--min-len", "4",
+    assert run(["trace", "--data", data,
                 "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
                 "--seq", "999", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == (
         f"error: --seq 999: valid sequence indices are 0..{n - 1}\n")
 
 
-@pytest.mark.parametrize("command,fold", [("eval", "9"), ("train", "9"),
-                                          ("train", "x")])
+@pytest.mark.parametrize("command,fold", [("eval", "9"), ("eval", "0"),
+                                          ("train", "9"), ("train", "x")])
 def test_fold_out_of_range_fails(pipeline, tmp_path, capsys, command, fold):
     common = [command, "--data", str(pipeline / "synth" / "data.csv"),
-              "--seq-len", "12", "--min-len", "4",
-              "--fold", fold, "--out", str(tmp_path)]
-    if command == "eval":
+              "--fold", fold, "--out", str(tmp_path / "out")]
+    if command == "eval":  # the checkpoint names its test fold
         common += ["--checkpoint", str(pipeline / "train" / "checkpoint.npz")]
+        assert run(common) == 2
+        assert f"invalid choice: '{fold}'" in capsys.readouterr().err
     else:
-        common += ["--graphs", str(pipeline / "graphs" / "graphs.txt")]
-    assert run(common) == 1
-    assert capsys.readouterr().err == (f"error: --fold {fold}: valid folds "
-                                       f"are 0..4 or 'all'\n")
+        common += ["--seq-len", "12", "--min-len", "4",
+                   "--graphs", str(pipeline / "graphs" / "graphs.txt")]
+        assert run(common) == 1
+        assert capsys.readouterr().err == (f"error: --fold {fold}: valid "
+                                           f"folds are 0..4 or 'all'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("eval", ["--seq-len", "12"]), ("eval", ["--min-len", "4"]),
+    ("eval", ["--k", "3"]), ("eval", ["--val-frac", "0.2"]),
+    ("trace", ["--seq-len", "12"]), ("trace", ["--min-len", "4"])])
+def test_eval_and_trace_take_the_split_from_the_checkpoint(pipeline, tmp_path,
+                                                           command, flag):
+    argv = [command, "--data", str(pipeline / "synth" / "data.csv"),
+            "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
+            "--out", str(tmp_path / "out"), *flag]
+    if command == "trace":
+        argv += ["--seq", "0"]
+    assert run(argv) == 2
+    assert not (tmp_path / "out").exists()
 
 
 # one failing run per subcommand that reads inputs; "{data}", "{graphs}",
 # "{checkpoint}" and "{missing}" name files of the shared pipeline,
-# "{bad_graphs}" and "{bad_labels}" malformed input files
+# "{bad_graphs}" and "{bad_labels}" malformed input files, "{one_sequence}"
+# a log of the pipeline's questions that preprocesses to one sequence
 FAILED_RUNS = {
     "synth-density": ["synth", "--pre-density", "2"],
     "build-graphs-missing-data": ["build-graphs", "--data", "{missing}"],
     "build-graphs-eta": ["build-graphs", "--data", "{data}", "--eta", "2"],
     "train-fold": ["train", "--data", "{data}", "--graphs", "{graphs}",
                    "--fold", "9"],
+    "train-seq-len": ["train", "--data", "{data}", "--graphs", "{graphs}",
+                      "--seq-len", "0"],
     "train-all-k": ["train", "--data", "{data}", "--graphs", "{graphs}",
                     "--fold", "all", "--k", "1"],
     "train-missing-graphs": ["train", "--data", "{data}",
@@ -177,10 +196,32 @@ FAILED_RUNS = {
                           "--checkpoint", "{checkpoint}"],
     "eval-missing-checkpoint": ["eval", "--data", "{data}",
                                 "--checkpoint", "{missing}"],
+    "eval-fewer-sequences-than-k": ["eval", "--data", "{one_sequence}",
+                                    "--checkpoint", "{checkpoint}",
+                                    "--fold", "test"],
     "trace-seq": ["trace", "--data", "{data}",
                   "--checkpoint", "{checkpoint}", "--seq", "999"],
     "gradcheck-no-coords": ["gradcheck", "--coords", "0"],
 }
+
+
+def one_sequence_log(data, tmp_path):
+    """Every question of `data` once, by one student: one sequence of 12."""
+    lines = data.read_text().splitlines()
+    header = lines[0].split(",")
+    q, s, t = (header.index(c) for c in ("question_id", "student_id",
+                                         "timestamp"))
+    first = {}
+    for line in lines[1:]:
+        first.setdefault(line.split(",")[q], line.split(","))
+    rows = []
+    for i, fields in enumerate(first.values()):
+        fields[s], fields[t] = "s0", str(i)
+        rows.append(",".join(fields))
+    assert len(rows) == 12
+    path = tmp_path / "one_sequence.csv"
+    path.write_text("\n".join([lines[0], *rows]) + "\n")
+    return path
 
 
 @pytest.mark.parametrize("case", sorted(FAILED_RUNS))
@@ -193,9 +234,10 @@ def test_failed_run_creates_no_output_directory(pipeline, tmp_path, case):
              "bad_labels": tmp_path / "bad_labels.csv"}
     files["bad_graphs"].write_text("graphkt-graphs 1 eta=0.6\n")  # no n_kcs=
     files["bad_labels"].write_text("src,dst,kind,confidence\n0,x,similar,7\n")
+    files["one_sequence"] = one_sequence_log(files["data"], tmp_path)
     argv = [a.format(**files) for a in FAILED_RUNS[case]]
-    if "--data" in argv:
-        argv += ["--seq-len", "12", "--min-len", "4"]
+    if argv[0] in ("build-graphs", "train"):  # a case's own lengths win
+        argv[1:1] = ["--seq-len", "12", "--min-len", "4"]
     out = tmp_path / "runs" / "out"
     assert run(argv + ["--out", str(out)]) == 1
     assert not (tmp_path / "runs").exists()
@@ -290,11 +332,12 @@ def test_no_lf_checkpoint_is_evaluated_and_traced_without_stage3(pipeline,
                                                                   tmp_path):
     data = str(pipeline / "synth" / "data.csv")
     graphs = str(pipeline / "graphs" / "graphs.txt")
-    common = ["--data", data, "--seq-len", "12", "--min-len", "4"]
+    common = ["--data", data]
     ck = tmp_path / "train" / "checkpoint.npz"
-    assert run(["train", *common, "--graphs", graphs,
+    assert run(["train", *common, "--seq-len", "12", "--min-len", "4",
+                "--graphs", graphs,
                 "--out", str(tmp_path / "train"),
-                "--seed", "1", "--fold", "0", "--k", "3", "--val-frac", "0.2",
+                "--seed", "1", "--fold", "1", "--k", "3", "--val-frac", "0.2",
                 "--d-e", "3", "--d-k", "3", "--d-h", "4", "--layers", "1",
                 "--max-epochs", "1", "--no-lf"]) == 0
     evaluate = ["eval", *common, "--checkpoint", str(ck),
@@ -302,14 +345,20 @@ def test_no_lf_checkpoint_is_evaluated_and_traced_without_stage3(pipeline,
     assert run(evaluate + ["--no-lf"]) == 2  # the checkpoint decides
     assert run(evaluate + ["--graphs", graphs]) == 2  # and holds the graphs
     assert run(evaluate) == 0
+    # the stored test fold is fold 1, not the first
+    assert run(["eval", *common, "--checkpoint", str(ck), "--fold", "test",
+                "--out", str(tmp_path / "eval-test")]) == 0
+    report = json.loads((tmp_path / "train" / "report.json").read_text())
+    assert json.loads((tmp_path / "eval-test" / "metrics.json").read_text()) \
+        == report["test_metrics"]
     trace = ["trace", *common, "--checkpoint", str(ck), "--seq", "0",
              "--out", str(tmp_path / "trace")]
     assert run(trace + ["--graphs", graphs]) == 2
     assert run(trace) == 0
 
     ds = preprocess(ingest_csv(data), seq_len=12, min_len=4)
-    model, disable_stage3 = GrktModel.load(ck)
-    assert disable_stage3
+    model, trained = GrktModel.load(ck)
+    assert trained["disable_stage3"] and trained["fold"] == 1
 
     def forward(stage3_off):
         with E.no_grad():
@@ -337,21 +386,33 @@ def test_no_lf_checkpoint_is_evaluated_and_traced_without_stage3(pipeline,
 ], ids=["graphs", "no-sim", "no-pre", "mined"])
 def test_eval_reproduces_train(pipeline, tmp_path, graph_flags, dropped):
     graphs = pipeline / "graphs" / "graphs.txt"
-    fold = ["--data", str(pipeline / "synth" / "data.csv"), "--seq-len", "12",
-            "--min-len", "4", "--fold", "0", "--k", "3", "--val-frac", "0.2"]
+    data = pipeline / "synth" / "data.csv"
     flags = [f.format(graphs=graphs) for f in graph_flags]
-    assert run(["train", *fold, *flags,
+    assert run(["train", "--data", str(data), "--seq-len", "12",
+                "--min-len", "4", "--fold", "0", "--k", "3",
+                "--val-frac", "0.2", *flags,
                 "--out", str(tmp_path / "train"), "--seed", "1",
                 "--d-e", "3", "--d-k", "3", "--d-h", "4", "--layers", "1",
                 "--max-epochs", "2", "--patience", "1"]) == 0
+    # eval and trace read the data split from the checkpoint alone
     ck = tmp_path / "train" / "checkpoint.npz"
-    assert run(["eval", *fold, "--checkpoint", str(ck),
-                "--out", str(tmp_path / "eval")]) == 0
+    assert run(["eval", "--data", str(data), "--checkpoint", str(ck),
+                "--fold", "test", "--out", str(tmp_path / "eval")]) == 0
     trained = json.loads((tmp_path / "train" / "report.json").read_text())
     scored = json.loads((tmp_path / "eval" / "metrics.json").read_text())
     assert scored == trained["test_metrics"]
+    assert run(["trace", "--data", str(data), "--checkpoint", str(ck),
+                "--seq", "0", "--out", str(tmp_path / "trace")]) == 0
+    model, run_fields = GrktModel.load(ck)
+    seq = preprocess(ingest_csv(data), seq_len=12, min_len=4).sequences[0]
+    with E.no_grad():
+        _, cache = model.begin("eval")
+        want = model.forward_sequence(
+            seq, cache, emit_trace=True,
+            disable_stage3=run_fields["disable_stage3"]).trace
+    traced = json.loads((tmp_path / "trace" / "trace.json").read_text())
+    assert traced == trace_rows(want)
     # the checkpoint carries the graphs the model trained on
-    model, _ = GrktModel.load(ck)
     kinds = {k for k in "PR" if model.graphs.edge_count(k)}
     assert kinds == set("PR") - set(dropped)
     if graph_flags:
@@ -361,20 +422,40 @@ def test_eval_reproduces_train(pipeline, tmp_path, graph_flags, dropped):
         assert model.graphs.r_scores == kept.r_scores
 
 
-# a parameter archive without the model's fields is refused too
+def _saved_model(path, version=None, drop=None, **run):
+    """Save a small model; `version` overrides the format version written,
+    `drop` names a field left out, `run` overrides run fields."""
+    model = GrktModel(HyperParams(d_e=3, d_k=3, d_h=4, layers=1), 12, 8,
+                      KcRelationGraphs.empty(8))
+    store_save = model.store.save
+    if version is not None:
+        model.store.VERSION = version
+    model.store.save = lambda p, fields: store_save(
+        p, {k: v for k, v in fields.items() if k != drop})
+    model.save(path, **{"disable_stage3": False, "seq_len": 12, "min_len": 4,
+                        "k": 3, "val_frac": 0.2, "fold": 0, **run})
+
+
+# a parameter archive without the model's fields is refused too, and so is
+# a model written before checkpoints held their data split
 NOT_MODELS = {**REJECTED_CHECKPOINTS,
-              "no-model-fields": lambda p: E.ParameterStore().save(p, {})}
+              "no-model-fields": lambda p: E.ParameterStore().save(p, {}),
+              "version-2": lambda p: _saved_model(p, version=2, drop="run"),
+              "no-run": lambda p: _saved_model(p, drop="run"),
+              "fold-beyond-k": lambda p: _saved_model(p, fold=3)}
 
 
 @pytest.mark.parametrize("case", sorted(NOT_MODELS))
 def test_eval_and_trace_refuse_other_files(pipeline, tmp_path, capsys, case):
     ck = tmp_path / "checkpoint.npz"
     NOT_MODELS[case](ck)
-    data = ["--data", str(pipeline / "synth" / "data.csv"), "--seq-len", "12",
-            "--min-len", "4", "--checkpoint", str(ck)]
-    for argv in (["eval", *data], ["trace", *data, "--seq", "0"]):
+    data = ["--data", str(pipeline / "synth" / "data.csv"),
+            "--checkpoint", str(ck)]
+    for argv in (["eval", *data, "--fold", "test"],
+                 ["trace", *data, "--seq", "0"]):
         assert run(argv + ["--out", str(tmp_path / "runs" / "out")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {ck}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ck}: ") and "covers" not in err
         assert not (tmp_path / "runs").exists()
 
 
@@ -383,8 +464,10 @@ def test_checkpoint_must_cover_the_data(pipeline, tmp_path, capsys):
     ds = preprocess(ingest_csv(data), seq_len=12, min_len=4)
     ck = tmp_path / "checkpoint.npz"
     GrktModel(HyperParams(d_e=3, d_k=3, d_h=4, layers=1), ds.n_questions,
-              ds.n_kcs + 1, KcRelationGraphs.empty(ds.n_kcs + 1)).save(ck)
-    common = ["--data", data, "--seq-len", "12", "--min-len", "4",
+              ds.n_kcs + 1, KcRelationGraphs.empty(ds.n_kcs + 1)).save(
+        ck, disable_stage3=False, seq_len=12, min_len=4, k=3, val_frac=0.2,
+        fold=0)
+    common = ["--data", data,
               "--checkpoint", str(ck), "--out", str(tmp_path / "runs" / "out")]
     for argv in (["eval", *common], ["trace", *common, "--seq", "0"]):
         assert run(argv) == 1

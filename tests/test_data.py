@@ -133,6 +133,19 @@ def test_preprocess_drops_short_tail():
     assert [s.valid_len for s in ds.sequences] == [100]
 
 
+@pytest.mark.parametrize("seq_len,min_len", [(0, 1), (-5, 10), (10, 0),
+                                             (10, 50)], ids=["seq-len-zero", "seq-len-negative", "min-len-zero", "min-len-above"])
+def test_preprocess_rejects_bad_lengths(seq_len, min_len):
+    with pytest.raises(ValueError) as exc:
+        preprocess(student_with(30), seq_len=seq_len, min_len=min_len)
+    assert f"seq_len={seq_len}, min_len={min_len}" in str(exc.value)
+
+
+def test_preprocess_accepts_min_len_equal_to_seq_len():
+    ds = preprocess(student_with(25), seq_len=5, min_len=5)
+    assert [s.valid_len for s in ds.sequences] == [5] * 5
+
+
 # -- folds ---------------------------------------------------------------------
 
 

@@ -59,7 +59,6 @@ OPS = {
         E.gather_submatrix(b["W"], np.ix_([0, 3], [1, 2])), c["s2"])),
     "sum_axis": lambda b, c: E.sum_all(E.mul(E.sum_axis(b["W"], 0), c["row"])),
     "tile": lambda b, c: E.sum_all(E.mul(E.tile_rows(E.sum_axis(b["W"], 0), 3), c["t3"])),
-    "add_n": lambda b, c: E.sum_all(E.add_n([b["W"], E.mul(b["W"], c["s"]), b["W"]])),
     "stack": lambda b, c: E.sum_all(E.mul(E.stack(
         [b["W"], E.mul(b["W"], 2.0), E.sigmoid(b["W"])]), c["s3"])),
     "matmul_stack_2d": lambda b, c: E.sum_all(E.mul(E.matmul(
@@ -531,7 +530,10 @@ def test_dense_and_sparse_contributions_match_dense_reference(monkeypatch):
             H = E.add(E.mul(H, 0.9), E.mul(bound["U"], 0.1))
         block = E.gather_submatrix(H, np.ix_([1, 4], [0, 2]))
         terms.append(E.sum_all(E.mul(block, block)))
-        return E.add_n(terms)
+        total = terms[0]
+        for term in terms[1:]:
+            total = E.add(total, term)
+        return total
 
     def grads():
         store.zero_grad()

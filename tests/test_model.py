@@ -473,12 +473,17 @@ def test_float32_store_stays_float32(desk_sequence):
     assert model.store.value("emb.k").dtype == np.float32
 
 
+# how a checkpoint's model was trained: the stage-3 ablation and data split
+RUN = {"disable_stage3": False, "seq_len": 12, "min_len": 4, "k": 3,
+       "val_frac": 0.2, "fold": 1}
+
+
 def test_model_save_load_roundtrip(tmp_path, desk_model, desk_sequence):
     model = randomize(desk_model, 0.5, seed=50)
     path = tmp_path / "model.npz"
-    model.save(path)
-    loaded, disable_stage3 = GrktModel.load(path)
-    assert loaded.hp == model.hp and disable_stage3 is False
+    model.save(path, **RUN)
+    loaded, run = GrktModel.load(path)
+    assert loaded.hp == model.hp and run == RUN
     _, c1 = model.begin("eval")
     _, c2 = loaded.begin("eval")
     p1 = [p.value.item() for p, _ in
@@ -501,10 +506,11 @@ def test_checkpoint_is_the_whole_model(tmp_path, dtype, disable_stage3):
     model = randomize(GrktModel(hp, 5, 7, graphs), 0.5, seed=52)
     model.store.step_count = 17
     path = tmp_path / "checkpoint"  # no suffix is appended
-    model.save(path, disable_stage3=disable_stage3)
-    loaded, stage3_off = GrktModel.load(path)
+    run = {**RUN, "disable_stage3": disable_stage3}
+    model.save(path, **run)
+    loaded, loaded_run = GrktModel.load(path)
 
-    assert (loaded.hp, stage3_off) == (hp, disable_stage3)
+    assert (loaded.hp, loaded_run) == (hp, run)
     assert (loaded.n_questions, loaded.n_kcs) == (5, 7)
     assert loaded.store.names() == model.store.names()
     assert loaded.store.dtype == np.dtype(dtype)

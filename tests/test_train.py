@@ -59,6 +59,57 @@ def test_bce_node_matches_float_path():
                - bce_loss(preds_flt)) < 1e-12
 
 
+@pytest.mark.parametrize("label", [0, 1])
+def test_bce_node_with_one_outcome(label):
+    scores = [0.2, 0.7, 0.9]
+    nodes = [(E.as_node(np.array([[s]])), label) for s in scores]
+    want = bce_loss([(s, label, True) for s in scores])
+    assert abs(bce_loss_node(nodes).value.item() - want) < 1e-12
+
+
+def per_term_bce(preds):
+    """The loss as one clip/log(/sub) chain per response, summed."""
+    total = None
+    for p, label in preds:
+        pc = E.clip(p, 1e-7, 1.0 - 1e-7)
+        term = E.mul(E.log(pc if label == 1 else E.sub(1.0, pc)), -1.0)
+        total = term if total is None else E.add(total, term)
+    return E.mul(E.sum_all(total), 1.0 / len(preds))
+
+
+def desk_setup(seed, n_students):
+    """A model at the desk widths (C=50, d_e=d_k=8, d_h=16, L=1) with
+    random parameters, and `n_students` sequences of 40 responses."""
+    rng = np.random.default_rng(seed)
+    hp = HyperParams(d_e=8, d_k=8, d_h=16, layers=1, seed=seed)
+    graphs = random_graphs(rng, 50, p_edges=40, r_edges=40)
+    model = randomize(GrktModel(hp, 30, 50, graphs), 0.5, seed=seed)
+    seqs = [random_sequence(rng, 30, 50, 40, student=s)
+            for s in range(n_students)]
+    return model, seqs
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bce_columns_match_the_per_term_chain(seed):
+    model, batch = desk_setup(seed, 8)
+
+    def loss_and_grads(build_loss):
+        _, cache = model.begin("train")
+        preds = [pred for seq in batch
+                 for pred in model.forward_sequence(seq, cache).preds]
+        loss = build_loss(preds)
+        model.store.zero_grad()
+        model.store.backward(loss)
+        return loss.value.item(), {name: model.store[name].grad.copy()
+                                   for name in model.store.names()}
+
+    want_loss, want = loss_and_grads(per_term_bce)
+    got_loss, got = loss_and_grads(bce_loss_node)
+    assert abs(got_loss - want_loss) < 1e-12
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
 # -- tiny training setups -------------------------------------------------------
 
 
@@ -275,11 +326,15 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
     indices = [3, 0, 4]
 
     seen = {}
-    for name in ("auc", "accuracy", "consistency"):
+    for name in ("auc", "accuracy"):
         def spy(arg, fn=getattr(metrics, name), name=name):
             seen.setdefault(name, []).append(list(arg))
             return fn(arg)
         monkeypatch.setattr(metrics, name, spy)
+    traced = []
+    monkeypatch.setattr(metrics, "step_consistency",
+                        lambda step, fn=metrics.step_consistency:
+                        traced.append(step) or fn(step))
     report = evaluate(model, ds, indices, cfg)
     monkeypatch.undo()
 
@@ -292,7 +347,6 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
     pairs = [(p.value.item(), a) for res in results for p, a in res.preds]
     assert seen["auc"][0] == pairs and seen["accuracy"][0] == pairs
     steps = [step for res in results for step in res.trace.steps]
-    (traced,) = seen["consistency"]
     assert len(traced) == len(steps)
     for got, want in zip(traced, steps):
         assert (got.examined, got.step, got.timestamp, got.predicted,
@@ -306,6 +360,34 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
         for pair in reask_scores(model, seq, disable_stage3=disable_stage3)]
     assert report.repetition == repetition(Reasker(model), seqs,
                                            disable_stage3)
+    assert report.consistency == metrics.consistency(steps)
+
+
+def test_evaluate_streams_consistency_over_a_desk_fold(monkeypatch):
+    # evaluate reduces each step to its ratio as soon as it is traced; the
+    # result equals the metric over the full traces, bit for bit
+    model, seqs = desk_setup(70, 10)
+    rows = [(s, r.question, r.kcs, r.correct, r.timestamp)
+            for s, seq in enumerate(seqs) for r in seq.responses]
+    ds = make_dataset(rows, n_questions=30, n_kcs=50)
+    fold = make_folds(ds, k=5, val_frac=0.1, seed=0)[0]
+    cfg = TrainConfig(hp=model.hp)
+    with E.no_grad():
+        _, cache = model.begin("eval")
+        traces = [model.forward_sequence(ds.sequences[i], cache,
+                                         emit_trace=True).trace
+                  for i in fold.test]
+    assert any(metrics.step_consistency(step) is not None
+               for t in traces for step in t.steps)
+    assert evaluate(model, ds, fold.test, cfg).consistency \
+        == metrics.consistency(traces)
+
+    # the model keeps every ratio at 1.0; a stand-in rule with varied ratios
+    # and skipped steps shows that every step counts, in order
+    monkeypatch.setattr(metrics, "step_consistency", lambda step: None
+                        if step.step % 3 == 0 else float(step.post[step.step]))
+    streamed = evaluate(model, ds, fold.test, cfg).consistency
+    assert streamed == metrics.consistency(traces) != 1.0
 
 
 def test_cross_validate_aggregates():
