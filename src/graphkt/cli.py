@@ -5,10 +5,11 @@ mines relation graphs, `train` fits a model on one fold (or cross-validates),
 `eval` scores a checkpoint, `trace` exports per-KC mastery curves and
 `gradcheck` verifies analytic gradients against finite differences.
 
-Every run writes a manifest.json (argv, resolved config, seed, format
-versions) into its output directory so results are reproducible from the
-manifest alone. The default output root comes from GRAPHKT_OUT (falling back
-to the current directory).
+Every run writes a manifest.json (argv, parsed arguments, seed, format
+versions) into its output directory; `train`'s also holds the resolved
+`TrainConfig`, so results are reproducible from the manifest alone. The
+default output root comes from GRAPHKT_OUT (falling back to the current
+directory).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -266,7 +268,7 @@ def cmd_train(args) -> int:
                                 val_frac=args.val_frac)
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)
-        _write_manifest(out, args)
+        _write_manifest(out, args, {"train_config": asdict(cfg)})
         for key, value in report.mean.items():
             print(f"{key}: {value:.4f} +/- {report.std[key]:.4f}")
         return 0
@@ -277,7 +279,7 @@ def cmd_train(args) -> int:
                val_frac=args.val_frac, fold=fold.fold)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
-    _write_manifest(out, args)
+    _write_manifest(out, args, {"train_config": asdict(cfg)})
     for key, value in report.test_metrics.items():
         print(f"test {key}: {value:.4f}")
     return 0
@@ -392,9 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="graphkt",
         description="Graph-based knowledge tracing: train, evaluate and "
                     "export mastery traces.")
+    # no subcommand takes abbreviations, so an option it lacks is refused
+    # rather than read as one it has (--k as --kc-delimiter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
+    p = sub.add_parser("synth", help="generate a synthetic corpus",
+                       allow_abbrev=False)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--students", type=int, default=100)
@@ -409,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mastery-noise", type=float, default=0.7)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("build-graphs", help="mine or load relation graphs")
+    p = sub.add_parser("build-graphs", help="mine or load relation graphs",
+                       allow_abbrev=False)
     _add_data_flags(p)
     _add_preprocess_flags(p)
     p.add_argument("--out")
@@ -419,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-confidence", type=float, default=5.0)
     p.set_defaults(func=cmd_build_graphs)
 
-    p = sub.add_parser("train", help="train on one fold or cross-validate")
+    p = sub.add_parser("train", help="train on one fold or cross-validate",
+                       allow_abbrev=False)
     _add_data_flags(p)
     _add_preprocess_flags(p)
     _add_hyper_flags(p)
@@ -432,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     # eval and trace take the model, its relation graphs, its ablations and
-    # its data split from the checkpoint; no abbreviations, so a removed
-    # flag such as --k is refused rather than read as --kc-delimiter
+    # its data split from the checkpoint
     p = sub.add_parser("eval", help="evaluate a checkpoint", allow_abbrev=False)
     _add_data_flags(p)
     p.add_argument("--out")
@@ -452,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     who.add_argument("--seq", type=int, help="sequence index")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
+    p = sub.add_parser("gradcheck", help="verify gradients by finite differences",
+                       allow_abbrev=False)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords", type=int, default=200)

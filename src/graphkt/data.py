@@ -244,6 +244,8 @@ def make_folds(ds: Dataset, k: int = 5, val_frac: float = 0.1,
         raise ValueError(f"cannot make {k} folds from {n} sequences")
     if k < 2:
         raise ValueError("k must be at least 2")
+    if not 0.0 <= val_frac < 1.0:
+        raise ValueError(f"val_frac must lie in [0, 1), got {val_frac}")
     perm = np.random.default_rng(seed).permutation(n)
     base, extra = divmod(n, k)
     folds = []

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _GRAD_ENABLED = True
-_SMOOTH_LOG: "SmoothnessLog | None" = None
+_SMOOTH_LOG: "hashlib.blake2b | None" = None
 _TAPE: "list[Node] | None" = None
 _GC_WAS_ENABLED = False  # the collector's state before the live recording
 
@@ -49,36 +49,20 @@ EXP_CLAMP_HI = 0.0
 _HEADER = "graphkt.header"  # checkpoint entry; `ParameterStore.add` refuses it
 
 
-class SmoothnessLog:
-    """Accumulates a digest of every discrete decision taken in a forward pass.
-
-    ReLU sign masks, clamp masks and model-level gate decisions all feed the
-    digest. Two passes with the same digest took identical branches, so the
-    loss is smooth between them and central differences are trustworthy.
-    """
-
-    def __init__(self):
-        self._h = hashlib.blake2b(digest_size=16)
-
-    def update(self, payload: bytes) -> None:
-        self._h.update(payload)
-
-    def update_mask(self, mask: np.ndarray) -> None:
-        self._h.update(np.packbits(mask.ravel()).tobytes())
-
-    def digest(self) -> bytes:
-        return self._h.digest()
-
-
 @contextmanager
 def collect_smoothness():
-    """Context manager that records branch decisions into a SmoothnessLog."""
+    """Digest every discrete decision taken in a forward pass.
+
+    Yields a blake2b hash that ReLU sign masks, clamp masks and model-level
+    gate decisions all feed. Two passes with the same digest took identical
+    branches, so the loss is smooth between them and central differences are
+    trustworthy.
+    """
     global _SMOOTH_LOG
     prev = _SMOOTH_LOG
-    log = SmoothnessLog()
-    _SMOOTH_LOG = log
+    _SMOOTH_LOG = hashlib.blake2b(digest_size=16)
     try:
-        yield log
+        yield _SMOOTH_LOG
     finally:
         _SMOOTH_LOG = prev
 
@@ -91,7 +75,7 @@ def log_gate(payload: bytes) -> None:
 
 def _log_mask(mask: np.ndarray) -> None:
     if _SMOOTH_LOG is not None:
-        _SMOOTH_LOG.update_mask(mask)
+        _SMOOTH_LOG.update(np.packbits(mask.ravel()).tobytes())
 
 
 @contextmanager
@@ -515,7 +499,7 @@ class ParameterStore:
     """Named trainable arrays with paired gradient and Adam moment slots."""
 
     FORMAT = "graphkt-checkpoint"
-    VERSION = 3
+    VERSION = 4
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)

@@ -43,30 +43,30 @@ def _check_edge(i: int, j: int, n_kcs) -> None:
 
 
 class KcRelationGraphs:
-    """Adjacency lists for the P/S/R graphs plus the scores behind each edge."""
+    """Adjacency lists for the P/S/R graphs plus the scores behind each edge.
+
+    `r_scores` holds each similarity edge once, keyed (smaller KC, larger KC);
+    the R adjacency lists it in both directions.
+    """
 
     def __init__(self, n_kcs: int,
                  p_edges: dict[tuple[int, int], float],
-                 r_edges: dict[tuple[int, int], float],
-                 meta: dict | None = None):
+                 r_edges: dict[tuple[int, int], float]):
         self.n_kcs = n_kcs
-        self.meta = dict(meta or {})
         for (i, j) in list(p_edges) + list(r_edges):
             _check_edge(i, j, n_kcs)
         self.p_scores = dict(p_edges)
-        self.r_scores: dict[tuple[int, int], float] = {}
-        for (i, j), s in r_edges.items():
-            self.r_scores[(i, j)] = s
-            self.r_scores[(j, i)] = s
+        self.r_scores = {(min(e), max(e)): s for e, s in r_edges.items()}
         self._adj = {
             "P": self._build_adj(self.p_scores),
-            "S": self._build_adj({(j, i): s for (i, j), s in self.p_scores.items()}),
-            "R": self._build_adj(self.r_scores),
+            "S": self._build_adj([(j, i) for i, j in self.p_scores]),
+            "R": self._build_adj([*self.r_scores,
+                                  *((j, i) for i, j in self.r_scores)]),
         }
 
-    def _build_adj(self, scores) -> list[tuple[int, ...]]:
+    def _build_adj(self, pairs) -> list[tuple[int, ...]]:
         adj: list[set[int]] = [set() for _ in range(self.n_kcs)]
-        for (i, j) in scores:
+        for (i, j) in pairs:
             adj[i].add(j)
         return [tuple(sorted(s)) for s in adj]
 
@@ -90,9 +90,7 @@ class KcRelationGraphs:
         return KcRelationGraphs(
             self.n_kcs,
             {} if prerequisite else dict(self.p_scores),
-            {} if similarity else {k: v for k, v in self.r_scores.items()
-                                   if k[0] < k[1]},
-            meta=self.meta,
+            {} if similarity else dict(self.r_scores),
         )
 
     @classmethod
@@ -166,31 +164,21 @@ def build_graphs(ds: Dataset, cfg: GraphBuildConfig,
     pre = np.full((n, n), -1.0)
     ok = counts.discord >= min_co
     pre[ok] = counts.first_correct[ok] / counts.discord[ok]
-
-    p_edges: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j or pre[i, j] < cfg.eta:
-                continue
-            if pre[j, i] >= cfg.eta and pre[j, i] > pre[i, j]:
-                continue  # the reverse direction is stronger
-            p_edges[(i, j)] = float(pre[i, j])
+    # drop a direction when the reverse one also clears eta and is stronger
+    keep = (pre >= cfg.eta) & ~((pre.T >= cfg.eta) & (pre.T > pre))
+    np.fill_diagonal(keep, False)
+    # argwhere is row-major, so the dicts keep the (i, j) loop order
+    p_edges = {(i, j): float(pre[i, j]) for i, j in np.argwhere(keep).tolist()}
 
     sim = np.full((n, n), -1.0)
     ok = counts.co >= min_co
     sim[ok] = counts.equal[ok] / counts.co[ok]
     sim_sym = np.maximum(sim, sim.T)
+    upper = np.triu(sim_sym >= cfg.eta, k=1)
+    r_edges = {(i, j): float(sim_sym[i, j])
+               for i, j in np.argwhere(upper).tolist()}
 
-    r_edges = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sim_sym[i, j] >= cfg.eta:
-                r_edges[(i, j)] = float(sim_sym[i, j])
-
-    return KcRelationGraphs(n, p_edges, r_edges, meta={
-        "eta": cfg.eta,
-        "min_cooccurrence": cfg.min_cooccurrence,
-    })
+    return KcRelationGraphs(n, p_edges, r_edges)
 
 
 def load_labeled_graphs(path, min_confidence: float = 5.0,
@@ -236,8 +224,7 @@ def load_labeled_graphs(path, min_confidence: float = 5.0,
             p_edges[(src, dst)] = mean
         else:
             r_edges[(src, dst)] = mean
-    return KcRelationGraphs(n_kcs, p_edges, r_edges,
-                            meta={"min_confidence": min_confidence})
+    return KcRelationGraphs(n_kcs, p_edges, r_edges)
 
 
 def _is_int(token: str) -> bool:
@@ -248,45 +235,51 @@ def _is_int(token: str) -> bool:
         return False
 
 
+def format_graphs(graphs: KcRelationGraphs) -> str:
+    """The graph file text: a header, then one line per P and R edge."""
+    lines = [f"{GRAPH_FORMAT} {GRAPH_VERSION} n_kcs={graphs.n_kcs}"]
+    for kind, scores in (("P", graphs.p_scores), ("R", graphs.r_scores)):
+        lines += [f"{kind} {i} {j} {float(s)!r}"
+                  for (i, j), s in sorted(scores.items())]
+    return "\n".join(lines) + "\n"
+
+
+def parse_graphs(text: str, source) -> KcRelationGraphs:
+    """Read what `format_graphs` wrote; blank lines are skipped, header
+    tokens other than n_kcs= are ignored, and a line that does not parse
+    raises ValueError naming `source:line`."""
+    n_kcs, edges = None, {"P": {}, "R": {}}
+    lines = text.split("\n")
+    line_no, header = 1, lines[0].split()
+    try:
+        if header[:2] != [GRAPH_FORMAT, str(GRAPH_VERSION)]:
+            raise ValueError(f"unsupported graph file header: {' '.join(header[:2])}")
+        for token in header[2:]:
+            key, value = token.split("=")
+            if key == "n_kcs":
+                n_kcs = int(value)
+        if n_kcs is None:
+            raise ValueError("header has no n_kcs=")
+        for line_no, line in enumerate(lines[1:], start=2):
+            if line.strip():
+                kind, i, j, s = line.split()
+                if kind not in edges:
+                    raise ValueError(f"unknown edge kind {kind!r}")
+                edge = (int(i), int(j))
+                _check_edge(*edge, n_kcs)
+                edges[kind][edge] = float(s)
+    except ValueError as exc:
+        raise ValueError(f"{source}:{line_no}: {exc}") from None
+    return KcRelationGraphs(n_kcs, edges["P"], edges["R"])
+
+
 def export_graphs(graphs: KcRelationGraphs, path) -> None:
-    meta = graphs.meta
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{GRAPH_FORMAT} {GRAPH_VERSION} "
-                 f"eta={meta.get('eta', 'none')} "
-                 f"min_cooccurrence={meta.get('min_cooccurrence', 'none')} "
-                 f"n_kcs={graphs.n_kcs}\n")
-        for (i, j), s in sorted(graphs.p_scores.items()):
-            fh.write(f"P {i} {j} {s!r}\n")
-        for (i, j), s in sorted(graphs.r_scores.items()):
-            if i < j:
-                fh.write(f"R {i} {j} {s!r}\n")
+        fh.write(format_graphs(graphs))
 
 
 def import_graphs(path) -> KcRelationGraphs:
-    """Read a file `export_graphs` wrote; blank lines are skipped and a line
-    that does not parse raises ValueError naming `path:line`."""
-    meta, n_kcs, edges = {}, None, {"P": {}, "R": {}}
+    """Read a graph file; a line that does not parse raises ValueError
+    naming `path:line`."""
     with open(path, encoding="utf-8") as fh:
-        line_no, header = 1, fh.readline().split()
-        try:
-            if header[:2] != [GRAPH_FORMAT, str(GRAPH_VERSION)]:
-                raise ValueError(f"unsupported graph file header: {' '.join(header[:2])}")
-            for token in header[2:]:
-                key, value = token.split("=")
-                if key == "n_kcs":
-                    n_kcs = int(value)
-                elif value != "none":
-                    meta[key] = float(value) if "." in value or "e" in value else int(value)
-            if n_kcs is None:
-                raise ValueError("header has no n_kcs=")
-            for line_no, line in enumerate(fh, start=2):
-                if line.strip():
-                    kind, i, j, s = line.split()
-                    if kind not in edges:
-                        raise ValueError(f"unknown edge kind {kind!r}")
-                    edge = (int(i), int(j))
-                    _check_edge(*edge, n_kcs)
-                    edges[kind][edge] = float(s)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return KcRelationGraphs(n_kcs, edges["P"], edges["R"], meta=meta)
+        return parse_graphs(fh.read(), path)

@@ -16,7 +16,7 @@ Each function is paired with a brute-force oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,13 +42,7 @@ class ReasonabilityReport:
     repetition: float
 
     def to_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "acc": self.acc,
-            "consistency": self.consistency,
-            "gaucm": self.gaucm,
-            "repetition": self.repetition,
-        }
+        return asdict(self)
 
 
 def auc(pairs) -> float:

@@ -38,7 +38,8 @@ from . import engine as E
 from .data import Response, ResponseSequence
 from .gnn import (GnnSpec, GraphTensors, Plan, gnn_forward_rows, make_specs,
                   plan_inward, plan_outward)
-from .graphs import GRAPH_KINDS, KcRelationGraphs
+from .graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
+                     format_graphs, parse_graphs)
 
 DT_CAP_MINUTES = 43200.0  # 30 days
 
@@ -67,6 +68,7 @@ class HyperParams:
             raise ValueError("lr must be positive and l2 non-negative")
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
+        GraphBuildConfig(eta=self.eta)  # the mining threshold's own rule
 
 
 @dataclass
@@ -452,41 +454,34 @@ class GrktModel:
         """Write the whole model and the run that trained it to one file.
 
         It holds the parameters, the settings, the relation graphs the model
-        was built on (after any graph ablation) and the run: the stage-3
-        ablation, `preprocess`'s lengths, and `make_folds`' `k`, `val_frac`
-        and test fold (the split seed is `hyper.seed`).
+        was built on (after any graph ablation) as graph file text, and the
+        run: the stage-3 ablation, `preprocess`'s lengths, and `make_folds`'
+        `k`, `val_frac` and test fold (the split seed is `hyper.seed`).
         """
-        g = self.graphs
         self.store.save(path, {
             "hyper": asdict(self.hp), "n_questions": self.n_questions,
             "run": {"disable_stage3": disable_stage3, "seq_len": seq_len,
                     "min_len": min_len, "k": k, "val_frac": val_frac,
                     "fold": fold},
-            "graphs": {"n_kcs": g.n_kcs, "meta": g.meta,
-                       "p": [[int(i), int(j), float(s)]
-                             for (i, j), s in g.p_scores.items()],
-                       "r": [[int(i), int(j), float(s)]
-                             for (i, j), s in g.r_scores.items() if i < j]},
+            "graphs": format_graphs(self.graphs),
         })
 
     @classmethod
     def load(cls, path) -> tuple["GrktModel", dict]:
         """Read a checkpoint; returns the model and its run, as the keyword
-        arguments `save` took."""
+        arguments `save` took. A graph line that does not parse is named
+        as `graphs:line`."""
         store, fields = E.ParameterStore.load(path)
         try:
-            g = fields["graphs"]
-            graphs = KcRelationGraphs(
-                g["n_kcs"], {(i, j): s for i, j, s in g["p"]},
-                {(i, j): s for i, j, s in g["r"]}, meta=g["meta"])
-            model = cls(HyperParams(**fields["hyper"]),
-                        fields["n_questions"], g["n_kcs"], graphs, store=store)
+            graphs = parse_graphs(fields["graphs"], "graphs")
+            model = cls(HyperParams(**fields["hyper"]), fields["n_questions"],
+                        graphs.n_kcs, graphs, store=store)
             run = {name: fields["run"][name] for name in (
                 "disable_stage3", "seq_len", "min_len", "k", "val_frac", "fold")}
             if not 0 <= run["fold"] < run["k"]:
                 raise ValueError(f"fold {run['fold']} of {run['k']}")
             return model, run
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ValueError(f"{path}: malformed model fields ({exc})") from None
 
 

@@ -76,7 +76,7 @@ def _plant_graphs(cfg: SynthConfig, rng: np.random.Generator) -> KcRelationGraph
         for j in range(i + 1, cfg.n_kcs):
             if (i, j) not in p_edges and rng.random() < cfg.sim_density:
                 r_edges[(i, j)] = 1.0
-    return KcRelationGraphs(cfg.n_kcs, p_edges, r_edges, meta={"planted": True})
+    return KcRelationGraphs(cfg.n_kcs, p_edges, r_edges)
 
 
 def _prerequisite_depth(graphs: KcRelationGraphs, n_kcs: int) -> np.ndarray:
@@ -183,8 +183,7 @@ def write_ground_truth(result: SynthResult, path) -> None:
         "config": {k: getattr(result.config, k)
                    for k in result.config.__dataclass_fields__},
         "planted_prerequisite": sorted(map(list, result.graphs.p_scores)),
-        "planted_similarity": sorted(
-            list(e) for e in result.graphs.r_scores if e[0] < e[1]),
+        "planted_similarity": sorted(map(list, result.graphs.r_scores)),
         "mean_correct": float(np.mean(
             [r.correct for s in result.dataset.sequences for r in s.responses])),
     }

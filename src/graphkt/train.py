@@ -14,7 +14,7 @@ the whole dataset.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,12 @@ class TrainConfig:
     use_full_graphs: bool = False
     min_cooccurrence: int = 10
 
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1")
+        # the mining settings, by the rules mining applies to them
+        GraphBuildConfig(eta=self.hp.eta, min_cooccurrence=self.min_cooccurrence)
+
 
 @dataclass
 class TrainReport:
@@ -54,15 +60,7 @@ class TrainReport:
     wall_clock: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_auc": self.val_auc,
-            "val_acc": self.val_acc,
-            "best_epoch": self.best_epoch,
-            "best_val_auc": self.best_val_auc,
-            "test_metrics": self.test_metrics,
-            "wall_clock": self.wall_clock,
-        }
+        return asdict(self)
 
 
 def bce_loss_node(preds: list[tuple[E.Node, int]]) -> E.Node:

@@ -117,6 +117,39 @@ def prerequisite_score(ds: Dataset, ci: int, cj: int,
     return float(counts.first_correct[ci, cj] / denom)
 
 
+def build_graphs_loops(ds: Dataset, cfg: GraphBuildConfig,
+                       sequence_indices=None) -> KcRelationGraphs:
+    """`build_graphs` thresholded one KC pair at a time, in (i, j) order."""
+    counts = pair_counts(ds, sequence_indices)
+    n = ds.n_kcs
+    min_co = cfg.min_cooccurrence
+
+    pre = np.full((n, n), -1.0)
+    ok = counts.discord >= min_co
+    pre[ok] = counts.first_correct[ok] / counts.discord[ok]
+
+    p_edges: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j or pre[i, j] < cfg.eta:
+                continue
+            if pre[j, i] >= cfg.eta and pre[j, i] > pre[i, j]:
+                continue  # the reverse direction is stronger
+            p_edges[(i, j)] = float(pre[i, j])
+
+    sim = np.full((n, n), -1.0)
+    ok = counts.co >= min_co
+    sim[ok] = counts.equal[ok] / counts.co[ok]
+    sim_sym = np.maximum(sim, sim.T)
+
+    r_edges = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sim_sym[i, j] >= cfg.eta:
+                r_edges[(i, j)] = float(sim_sym[i, j])
+    return KcRelationGraphs(n, p_edges, r_edges)
+
+
 @dataclass
 class RecoveryReport:
     precision: dict[str, float]

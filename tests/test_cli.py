@@ -3,13 +3,15 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from graphkt import engine as E
 from graphkt import metrics
 from graphkt.cli import CliError, _train_config, build_parser, run
-from graphkt.data import ingest_csv, preprocess
-from graphkt.graphs import GRAPH_VERSION, KcRelationGraphs, import_graphs
+from graphkt.data import ingest_csv, make_folds, preprocess
+from graphkt.graphs import (GRAPH_VERSION, GraphBuildConfig, KcRelationGraphs,
+                            build_graphs, format_graphs, import_graphs)
 from graphkt.model import GrktModel, HyperParams, trace_rows
 from graphkt.train import TrainConfig
 from tests.test_engine import REJECTED_CHECKPOINTS
@@ -25,6 +27,20 @@ def test_unknown_flag_rejected():
 
 def test_unknown_command_rejected():
     assert run(["explode"]) == 2
+
+
+# an abbreviation of an option each subcommand has
+@pytest.mark.parametrize("argv", [
+    ["synth", "--stud", "3"],
+    ["build-graphs", "--data", "log.csv", "--min-co", "3"],
+    ["train", "--data", "log.csv", "--lay", "3"],
+    ["eval", "--data", "log.csv", "--checkpoint", "ck.npz", "--col-stud", "s"],
+    ["trace", "--data", "log.csv", "--checkpoint", "ck.npz", "--se", "0"],
+    ["gradcheck", "--coord", "3"],
+], ids=lambda argv: argv[0])
+def test_abbreviated_flags_are_refused(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_required_flag_is_usage_error():
@@ -77,7 +93,7 @@ def test_every_run_writes_manifest(pipeline):
         assert manifest["format_versions"] == {
             "graphs": GRAPH_VERSION, "checkpoint": E.ParameterStore.VERSION,
             "manifest": manifest["manifest_version"]}
-        assert manifest["format_versions"]["checkpoint"] == 3
+        assert manifest["format_versions"]["checkpoint"] == 4
         assert "argv" in manifest and "config" in manifest
 
 
@@ -174,8 +190,9 @@ def test_eval_and_trace_take_the_split_from_the_checkpoint(pipeline, tmp_path,
 
 # one failing run per subcommand that reads inputs; "{data}", "{graphs}",
 # "{checkpoint}" and "{missing}" name files of the shared pipeline,
-# "{bad_graphs}" and "{bad_labels}" malformed input files, "{one_sequence}"
-# a log of the pipeline's questions that preprocesses to one sequence
+# "{bad_graphs}", "{bad_labels}" and "{bad_config}" malformed input files,
+# "{one_sequence}" a log of the pipeline's questions that preprocesses to one
+# sequence
 FAILED_RUNS = {
     "synth-density": ["synth", "--pre-density", "2"],
     "build-graphs-missing-data": ["build-graphs", "--data", "{missing}"],
@@ -202,6 +219,15 @@ FAILED_RUNS = {
     "trace-seq": ["trace", "--data", "{data}",
                   "--checkpoint", "{checkpoint}", "--seq", "999"],
     "gradcheck-no-coords": ["gradcheck", "--coords", "0"],
+    "train-val-frac-one": ["train", "--data", "{data}", "--graphs", "{graphs}",
+                           "--val-frac", "1.0"],
+    "train-val-frac-negative": ["train", "--data", "{data}",
+                                "--graphs", "{graphs}", "--val-frac", "-0.5"],
+    "train-no-epochs": ["train", "--data", "{data}", "--graphs", "{graphs}",
+                        "--max-epochs", "0"],
+    "train-eta": ["train", "--data", "{data}", "--eta", "1.5"],
+    "train-config-min-cooccurrence": ["train", "--data", "{data}",
+                                      "--config", "{bad_config}"],
 }
 
 
@@ -231,9 +257,11 @@ def test_failed_run_creates_no_output_directory(pipeline, tmp_path, case):
              "checkpoint": pipeline / "train" / "checkpoint.npz",
              "missing": tmp_path / "missing.csv",
              "bad_graphs": tmp_path / "bad_graphs.txt",
-             "bad_labels": tmp_path / "bad_labels.csv"}
+             "bad_labels": tmp_path / "bad_labels.csv",
+             "bad_config": tmp_path / "bad.cfg"}
     files["bad_graphs"].write_text("graphkt-graphs 1 eta=0.6\n")  # no n_kcs=
     files["bad_labels"].write_text("src,dst,kind,confidence\n0,x,similar,7\n")
+    files["bad_config"].write_text("min_cooccurrence = 0\n")
     files["one_sequence"] = one_sequence_log(files["data"], tmp_path)
     argv = [a.format(**files) for a in FAILED_RUNS[case]]
     if argv[0] in ("build-graphs", "train"):  # a case's own lengths win
@@ -264,6 +292,43 @@ def test_config_file_with_cli_override(pipeline, tmp_path):
     assert len(report["train_losses"]) <= 2  # CLI --max-epochs wins
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["config"] == str(cfg)
+
+
+def test_checkpoint_holds_the_graph_file_text(pipeline):
+    ck = pipeline / "train" / "checkpoint.npz"
+    with np.load(ck) as archive:
+        header = json.loads(archive[E._HEADER].item())
+    graph_file = pipeline / "graphs" / "graphs.txt"
+    assert header["graphs"].encode() == graph_file.read_bytes()
+
+
+def test_train_manifest_records_the_resolved_config(pipeline, tmp_path):
+    data = pipeline / "synth" / "data.csv"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("d_e = 6\nmax_epochs = 1\nmin_cooccurrence = 2\n"
+                   "d_k = 3\nd_h = 4\nlayers = 1\n")
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data), "--seq-len", "12",
+                "--min-len", "4", "--config", str(cfg), "--out", str(out),
+                "--fold", "0", "--k", "3", "--val-frac", "0.2",
+                "--patience", "3"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    resolved = manifest["train_config"]
+    assert (resolved["hp"]["d_e"], resolved["max_epochs"],
+            resolved["min_cooccurrence"]) == (6, 1, 2)
+    assert resolved["hp"]["patience"] == 3  # the flag
+    assert resolved["hp"]["lr"] == HyperParams().lr  # the default
+    # the run used them: one epoch of a d_e = 6 model on graphs mined at 2
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["train_losses"]) == 1
+    model, split = GrktModel.load(out / "checkpoint.npz")
+    assert model.hp.d_e == 6
+    ds = preprocess(ingest_csv(data), seq_len=12, min_len=4)
+    fold = make_folds(ds, k=3, val_frac=0.2, seed=0)[split["fold"]]
+    mined = [format_graphs(build_graphs(
+        ds, GraphBuildConfig(eta=0.6, min_cooccurrence=min_co),
+        sequence_indices=[*fold.train, *fold.val])) for min_co in (2, 10)]
+    assert format_graphs(model.graphs) == mined[0] != mined[1]
 
 
 def test_train_without_hyper_flags_resolves_to_defaults():
@@ -306,6 +371,10 @@ def test_config_file_rejects_values_that_do_not_convert(tmp_path, capsys,
 @pytest.mark.parametrize("text,line,message", [
     ("d_k = 4\nd_e = -1\n", 2, "d_e must be positive"),
     ("lr = 0\n", 1, "lr must be positive and l2 non-negative"),
+    ("d_e = 6\nmin_cooccurrence = 0\n", 2,
+     "min_cooccurrence must be at least 1"),
+    ("max_epochs = 0\n", 1, "max_epochs must be at least 1"),
+    ("eta = 1.5\n", 1, "eta must lie in (0, 1), got 1.5"),
 ])
 def test_config_file_rejects_values_that_fail_validation(tmp_path, capsys,
                                                          text, line, message):
@@ -437,10 +506,11 @@ def _saved_model(path, version=None, drop=None, **run):
 
 
 # a parameter archive without the model's fields is refused too, and so is
-# a model written before checkpoints held their data split
+# a model written before checkpoints held their data split or graph text
 NOT_MODELS = {**REJECTED_CHECKPOINTS,
               "no-model-fields": lambda p: E.ParameterStore().save(p, {}),
               "version-2": lambda p: _saved_model(p, version=2, drop="run"),
+              "version-3": lambda p: _saved_model(p, version=3),
               "no-run": lambda p: _saved_model(p, drop="run"),
               "fold-beyond-k": lambda p: _saved_model(p, fold=3)}
 

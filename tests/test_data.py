@@ -192,6 +192,12 @@ def test_folds_require_enough_sequences():
         make_folds(ten_sequences(), k=11)
 
 
+@pytest.mark.parametrize("val_frac", [1.0, -0.5, 1.5])
+def test_folds_require_a_validation_share_below_one(val_frac):
+    with pytest.raises(ValueError, match=r"val_frac must lie in \[0, 1\)"):
+        make_folds(ten_sequences(), k=5, val_frac=val_frac)
+
+
 @given(st.integers(5, 60), st.integers(0, 1000))
 @settings(max_examples=20, deadline=None)
 def test_folds_cover_exactly_once(n, seed):

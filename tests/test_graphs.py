@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkt.graphs import (GraphBuildConfig, KcRelationGraphs, build_graphs,
-                            export_graphs, import_graphs, load_labeled_graphs)
+                            export_graphs, format_graphs, import_graphs,
+                            load_labeled_graphs, parse_graphs)
+from graphkt.synth import SynthConfig, generate
 from tests.conftest import make_dataset
-from tests.oracles import prerequisite_score, similarity_score
+from tests.oracles import (build_graphs_loops, prerequisite_score,
+                           similarity_score)
+from tests.test_synth import SMALL
 
 
 def test_config_validates_eta():
@@ -119,15 +123,19 @@ def test_build_graphs_sparsity():
     assert g.sparsity()["P"] == 1 / 6  # one edge out of 3*2 ordered pairs
 
 
-def test_build_graphs_keeps_stronger_direction():
-    # 0 -> 1 in 3 of 4 discordant pairs; 1 -> 0 in 1 of 4; both could pass a
-    # low threshold, only the stronger direction survives
+def two_direction_corpus():
+    # 0 -> 1 in 3 of 4 discordant pairs; 1 -> 0 in 1 of 4
     rows = []
     for s in range(12):
         rows.append((s, 0, (0,), s % 4 != 0, 100))
         rows.append((s, 1, (1,), s % 4 == 0, 200))
-    ds = make_dataset(rows, n_kcs=2)
-    g = build_graphs(ds, GraphBuildConfig(eta=0.2, min_cooccurrence=5))
+    return make_dataset(rows, n_kcs=2)
+
+
+def test_build_graphs_keeps_stronger_direction():
+    # both directions could pass a low threshold, only the stronger survives
+    g = build_graphs(two_direction_corpus(),
+                     GraphBuildConfig(eta=0.2, min_cooccurrence=5))
     assert g.neighbors("P", 0) == (1,)
     assert g.neighbors("P", 1) == ()
 
@@ -146,10 +154,14 @@ def test_build_graphs_order_independent():
             assert g1.neighbors(which, c) == g2.neighbors(which, c)
 
 
-def test_edges_reverify_against_scores():
+def mixed_corpus():
     rows = [(s, q, ((q * (s + 2)) % 5,), (s * q + s) % 2, 50 * q + 10)
             for s in range(8) for q in range(10)]
-    ds = make_dataset(rows, n_kcs=5)
+    return make_dataset(rows, n_kcs=5)
+
+
+def test_edges_reverify_against_scores():
+    ds = mixed_corpus()
     cfg = GraphBuildConfig(eta=0.55, min_cooccurrence=3)
     g = build_graphs(ds, cfg)
     for (i, j) in g.p_scores:
@@ -160,6 +172,45 @@ def test_edges_reverify_against_scores():
         b = similarity_score(ds, j, i, min_cooccurrence=3)
         best = max(x for x in (a, b) if x is not None)
         assert best >= cfg.eta
+
+
+MINING_CORPORA = {
+    "tiny": tiny_corpus,
+    "two-directions": two_direction_corpus,
+    "mixed": mixed_corpus,
+    "synth-small": lambda: generate(SynthConfig(**SMALL)).dataset,
+    "synth-30": lambda: generate(SynthConfig(n_kcs=30, n_questions=60,
+                                             n_students=80, seed=2)).dataset,
+}
+
+
+@pytest.mark.parametrize("eta,min_co", [(0.2, 1), (0.5, 3), (0.6, 10)])
+@pytest.mark.parametrize("corpus", sorted(MINING_CORPORA))
+def test_build_graphs_equals_the_loop_oracle(corpus, eta, min_co):
+    ds = MINING_CORPORA[corpus]()
+    cfg = GraphBuildConfig(eta=eta, min_cooccurrence=min_co)
+    half = range(0, len(ds.sequences), 2)
+    for indices in (None, half):
+        got = build_graphs(ds, cfg, sequence_indices=indices)
+        want = build_graphs_loops(ds, cfg, sequence_indices=indices)
+        # same edges, same float scores, same dict order
+        assert list(got.p_scores.items()) == list(want.p_scores.items())
+        assert list(got.r_scores.items()) == list(want.r_scores.items())
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_build_graphs_equals_the_loop_oracle_with_ties(seed):
+    # few students and answers on few KCs: equal scores in both directions
+    rng = np.random.default_rng(seed)
+    rows = [(s, int(q), (int(q) % 4,), int(rng.integers(2)), 10 * t)
+            for s in range(6)
+            for t, q in enumerate(rng.integers(8, size=6))]
+    ds = make_dataset(rows, n_questions=8, n_kcs=4)
+    cfg = GraphBuildConfig(eta=0.5, min_cooccurrence=1)
+    got, want = build_graphs(ds, cfg), build_graphs_loops(ds, cfg)
+    assert list(got.p_scores.items()) == list(want.p_scores.items())
+    assert list(got.r_scores.items()) == list(want.r_scores.items())
 
 
 # -- structural invariants -------------------------------------------------------
@@ -262,8 +313,6 @@ def test_graph_file_roundtrip(tmp_path):
     for which in ("P", "S", "R"):
         for c in range(g.n_kcs):
             assert again.neighbors(which, c) == g.neighbors(which, c)
-    assert again.meta["eta"] == 0.6
-    assert again.meta["min_cooccurrence"] == 10
 
 
 GRAPH_HEADER = "graphkt-graphs 1 eta=0.6 min_cooccurrence=10 n_kcs=3\n"
@@ -317,9 +366,42 @@ def test_graph_files_skip_blank_lines(tmp_path):
     path = tmp_path / "graphs.txt"
     path.write_text(GRAPH_HEADER + "\nP 0 1 0.7\n  \nR 1 2 0.8\n\n")
     g = import_graphs(path)
-    assert (g.p_scores, g.r_scores) == ({(0, 1): 0.7},
-                                        {(1, 2): 0.8, (2, 1): 0.8})
+    assert (g.p_scores, g.r_scores) == ({(0, 1): 0.7}, {(1, 2): 0.8})
     labels = tmp_path / "labels.csv"
     labels.write_text("src,dst,kind,confidence\n\n0,1,similar,7\n\n")
-    assert load_labeled_graphs(labels, n_kcs=3).r_scores == {(0, 1): 7.0,
-                                                             (1, 0): 7.0}
+    assert load_labeled_graphs(labels, n_kcs=3).r_scores == {(0, 1): 7.0}
+
+
+def test_similarity_edges_are_stored_once():
+    g = KcRelationGraphs(4, {}, {(3, 1): 0.8, (0, 2): 0.6})
+    assert g.r_scores == {(1, 3): 0.8, (0, 2): 0.6}
+    assert (g.neighbors("R", 1), g.neighbors("R", 3)) == ((3,), (1,))
+    assert g.edge_count("R") == 4
+    assert g.drop(prerequisite=True).r_scores == g.r_scores
+
+
+def test_graph_text_is_one_codec(tmp_path):
+    # scores that decimal formatting would round, and a numpy scalar
+    g = KcRelationGraphs(5, {(3, 0): 2.0 / 3.0, (0, 1): 0.1 + 0.2},
+                         {(4, 2): np.nextafter(0.7, 1.0), (1, 2): 1e-300})
+    text = format_graphs(g)
+    assert text == ("graphkt-graphs 1 n_kcs=5\n"
+                    f"P 0 1 {0.1 + 0.2!r}\nP 3 0 {2.0 / 3.0!r}\n"
+                    f"R 1 2 1e-300\nR 2 4 {float(np.nextafter(0.7, 1.0))!r}\n")
+    path = tmp_path / "graphs.txt"
+    export_graphs(g, path)
+    assert path.read_text() == text
+    again = import_graphs(path)
+    assert (again.p_scores, again.r_scores) == (g.p_scores, g.r_scores)
+    assert format_graphs(parse_graphs(text, "x")) == text
+
+
+def test_graph_files_with_the_old_header_load(tmp_path):
+    path = tmp_path / "graphs.txt"
+    path.write_text("graphkt-graphs 1 eta=0.6 min_cooccurrence=10 n_kcs=3\n"
+                    "P 0 1 0.7\nR 1 2 0.8\n")
+    g = import_graphs(path)
+    assert (g.n_kcs, g.p_scores, g.r_scores) == (3, {(0, 1): 0.7},
+                                                 {(1, 2): 0.8})
+    path.write_text("graphkt-graphs 1 eta=none min_cooccurrence=none n_kcs=3\n")
+    assert import_graphs(path).edge_count("P") == 0

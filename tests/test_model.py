@@ -1,5 +1,6 @@
 """Three-stage model semantics: signs, locality, kernels, replay."""
 
+import json
 import math
 
 import numpy as np
@@ -498,11 +499,10 @@ def test_model_save_load_roundtrip(tmp_path, desk_model, desk_sequence):
 def test_checkpoint_is_the_whole_model(tmp_path, dtype, disable_stage3):
     rng = np.random.default_rng(51)
     hp = HyperParams(d_e=4, d_k=3, d_h=5, layers=2, seed=51, dtype=dtype)
-    # scores that decimal formatting would round, and graph metadata
+    # scores that decimal formatting would round
     p = {(0, 1): 0.1 + 0.2, (3, 2): 2.0 / 3.0, (4, 6): 1e-300}
     r = {(1, 5): np.nextafter(0.7, 1.0), (6, 2): 5.0 / 7.0}
-    graphs = KcRelationGraphs(7, p, r, meta={"eta": 0.6,
-                                             "min_cooccurrence": 3})
+    graphs = KcRelationGraphs(7, p, r)
     model = randomize(GrktModel(hp, 5, 7, graphs), 0.5, seed=52)
     model.store.step_count = 17
     path = tmp_path / "checkpoint"  # no suffix is appended
@@ -520,8 +520,31 @@ def test_checkpoint_is_the_whole_model(tmp_path, dtype, disable_stage3):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     g = loaded.graphs
-    assert g.n_kcs == 7 and g.meta == graphs.meta
+    assert g.n_kcs == 7
     assert g.p_scores == graphs.p_scores and g.r_scores == graphs.r_scores
     for which in ("P", "S", "R"):
         for c in range(7):
             assert g.neighbors(which, c) == graphs.neighbors(which, c)
+
+
+@pytest.mark.parametrize("edge,message", [
+    ("R 2 2 0.7", "self loop on KC 2"),
+    ("P 0 9 0.7", "edge (0, 9) outside KC range"),
+])
+def test_checkpoint_refuses_a_malformed_graph(tmp_path, edge, message):
+    model = GrktModel(HyperParams(d_e=3, d_k=3, d_h=4, layers=1), 5, 7,
+                      KcRelationGraphs(7, {(0, 1): 0.5}, {}))
+    path = tmp_path / "checkpoint.npz"
+    model.save(path, **RUN)
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    header = json.loads(arrays[E._HEADER].item())
+    assert header["graphs"] == "graphkt-graphs 1 n_kcs=7\nP 0 1 0.5\n"
+    header["graphs"] += edge + "\n"  # line 3 of the graph text
+    arrays[E._HEADER] = np.array(json.dumps(header))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError) as exc:
+        GrktModel.load(path)
+    assert str(exc.value) == (f"{path}: malformed model fields "
+                              f"(graphs:3: {message})")

@@ -1,6 +1,7 @@
 """Loss contract, early stopping, ablations and the fold protocol."""
 
 import gc
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from graphkt import metrics
 from graphkt.data import Response, make_folds, preprocess
 from graphkt.graphs import KcRelationGraphs
 from graphkt.model import GrktModel, HyperParams
-from graphkt.train import (TrainConfig, TrainingDiverged, apply_ablation,
+from graphkt.train import (TrainConfig, TrainReport, TrainingDiverged,
+                           apply_ablation,
                            bce_loss_node, cross_validate, evaluate,
                            graphs_for_fold, train_fold)
 from tests.conftest import make_dataset, random_graphs, random_sequence
@@ -388,6 +390,37 @@ def test_evaluate_streams_consistency_over_a_desk_fold(monkeypatch):
                         if step.step % 3 == 0 else float(step.post[step.step]))
     streamed = evaluate(model, ds, fold.test, cfg).consistency
     assert streamed == metrics.consistency(traces) != 1.0
+
+
+def test_reports_write_their_fields_in_order():
+    # report.json and metrics.json as the fields were written out by hand
+    train = TrainReport(train_losses=[0.7, 0.5], val_auc=[0.6, 0.65],
+                        val_acc=[0.55, 0.6], best_epoch=1, best_val_auc=0.65,
+                        test_metrics={"auc": 0.7}, wall_clock=1.5)
+    assert json.dumps(train.to_dict(), indent=2) == json.dumps({
+        "train_losses": [0.7, 0.5], "val_auc": [0.6, 0.65],
+        "val_acc": [0.55, 0.6], "best_epoch": 1, "best_val_auc": 0.65,
+        "test_metrics": {"auc": 0.7}, "wall_clock": 1.5}, indent=2)
+    assert json.dumps(TrainReport().to_dict()) == json.dumps({
+        "train_losses": [], "val_auc": [], "val_acc": [], "best_epoch": -1,
+        "best_val_auc": float("-inf"), "test_metrics": None,
+        "wall_clock": 0.0})
+    scored = metrics.ReasonabilityReport(auc=0.7, acc=0.6, consistency=1.0,
+                                         gaucm=0.5, repetition=0.8)
+    assert json.dumps(scored.to_dict(), indent=2) == json.dumps({
+        "auc": 0.7, "acc": 0.6, "consistency": 1.0, "gaucm": 0.5,
+        "repetition": 0.8}, indent=2)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("max_epochs", 0, "max_epochs must be at least 1"),
+    ("min_cooccurrence", 0, "min_cooccurrence must be at least 1"),
+])
+def test_train_config_checks_its_settings(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match="eta must lie in"):
+        TrainConfig(hp=HyperParams(eta=1.5))
 
 
 def test_cross_validate_aggregates():
