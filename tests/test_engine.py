@@ -499,6 +499,73 @@ def test_stacked_gather_submatrix_sums_like_add_at():
     assert np.array_equal(store["A"].grad, expected)
 
 
+# the same blocks of a matrix and of a stack, with repeated rows and columns
+BLOCKS = {
+    "2d": ((4, 5), np.ix_([2, 0, 2], [1, 1, 4])),
+    "stacked": ((3, 4, 5), (slice(None), *np.ix_([2, 0, 2], [1, 1, 4]))),
+    "stacked_all_cols": ((3, 6, 7), (slice(None), *np.ix_([1, 3, 4],
+                                                          np.arange(7)))),
+}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("block", sorted(BLOCKS))
+def test_gathered_block_is_c_contiguous_and_exact(block, order):
+    shape, ix = BLOCKS[block]
+    a = np.asarray(np.random.default_rng(19).normal(size=shape), order=order)
+    value = E.gather_submatrix(a, ix).value
+    assert value.flags.c_contiguous
+    assert np.array_equal(value, a[ix])
+
+
+@pytest.mark.parametrize("block", sorted(BLOCKS))
+def test_block_gradient_of_a_fortran_ordered_leaf_sums_like_add_at(block):
+    # raveling an F-ordered buffer copies it; the add must not land there
+    shape, ix = BLOCKS[block]
+    rng = np.random.default_rng(20)
+    store = E.ParameterStore()
+    store.add("A", np.asfortranarray(rng.normal(size=shape)))
+    assert not store.value("A").flags.c_contiguous
+    weights = rng.normal(size=store.value("A")[ix].shape)
+    bound = store.bind()
+    store.backward(E.sum_all(E.mul(E.gather_submatrix(bound["A"], ix),
+                                   weights)))
+    expected = np.zeros(shape)
+    np.add.at(expected, ix, weights)
+    assert np.array_equal(bound["A"].grad, expected)
+    assert np.array_equal(store["A"].grad, expected)
+
+
+def test_block_gradient_after_fortran_ordered_dense_contributions():
+    # two transpose vjps leave an owned F-ordered sum before the block's add
+    rng = np.random.default_rng(21)
+    shape, ix = BLOCKS["2d"]
+    store = E.ParameterStore()
+    store.add("W", rng.normal(size=shape))
+    weights, x, y = (rng.normal(size=s) for s in ((3, 3), shape[::-1],
+                                                  shape[::-1]))
+    bound = store.bind()
+    block = E.gather_submatrix(bound["W"], ix)
+    loss = E.add(E.add(E.sum_all(E.mul(block, weights)),
+                       E.sum_all(E.mul(E.transpose(bound["W"]), x))),
+                 E.sum_all(E.mul(E.transpose(bound["W"]), y)))
+    store.backward(loss)
+    expected = x.T + y.T
+    np.add.at(expected, ix, weights)
+    assert np.array_equal(store["W"].grad, expected)
+
+
+def test_block_gradient_refuses_a_buffer_it_cannot_ravel_in_place():
+    grad = E.SparseGrad(np.ix_([0], [1]), np.ones((1, 1)))
+    with pytest.raises(ValueError, match="C-ordered"):
+        grad.add_into(np.zeros((3, 4), order="F"))
+
+
+def test_gather_submatrix_rejects_an_index_of_the_wrong_rank():
+    with pytest.raises(ValueError, match="np.ix_ pair"):
+        E.gather_submatrix(np.zeros((2, 3, 3)), np.ix_([0], [1]))
+
+
 def test_matmul_of_2d_operands_is_unchanged():
     # stacks go through swapaxes/_unbroadcast; plain matrices must get the
     # same bits as the 2-D formulas
