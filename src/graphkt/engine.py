@@ -249,8 +249,10 @@ def matmul(a, b) -> Node:
 
 
 def transpose(a) -> Node:
+    """Swap the last two axes: a matrix, or each matrix of a stack."""
     a = as_node(a)
-    return _make(a.value.T.copy(), ((a, lambda g: g.T),))
+    return _make(a.value.swapaxes(-1, -2).copy(),
+                 ((a, lambda g: g.swapaxes(-1, -2)),))
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +386,12 @@ class SparseGrad:
 def _flat_index(shape, ix) -> np.ndarray:
     """Positions in the raveled array of `shape` that the block `ix` selects.
 
-    `ix` is an `np.ix_` pair of non-negative (n, 1) rows and (1, m) columns,
-    with a leading `slice(None)` for a (G, R, K) stack; the result is the
-    C-ordered (n, m) or (G, n, m) index, built with two broadcast adds.
+    `ix` is a pair of non-negative row and column index arrays that
+    broadcast against each other, with a leading `slice(None)` for a
+    (G, R, K) stack: (n, 1) rows and (1, m) columns as `np.ix_` gives them,
+    or (1, n) rows and (m, 1) columns for the transposed block. The result
+    is the C-ordered index of the broadcast shape, with the stack axis in
+    front, built with two broadcast adds.
     """
     rows, cols = ix[-2], ix[-1]
     if len(ix) == 2:
@@ -418,7 +423,9 @@ def gather_submatrix(a, ix) -> Node:
     """Select a row/column block of a node; `ix` comes from np.ix_.
 
     A stack of matrices takes `(slice(None), *ix)`: the same block of each.
-    The block is read through one flat index and comes out C-contiguous.
+    With the two index arrays transposed (`(rows.T, cols.T)`) the block is
+    read transposed, as numpy's `a[ix]` reads it. The block is read through
+    one flat index and comes out C-contiguous.
     """
     a = as_node(a)
     if len(ix) != a.value.ndim:

@@ -15,13 +15,18 @@ zero.
 
 The retrieval head keeps its weights non-negative (softmax-constrained
 columns) and drops the feed-forward so that larger neighbor memories can
-never reduce the aggregate.
+never reduce the aggregate. Without a feed-forward or an output activation
+the head is linear in its layer-0 features, so any fixed weighting of its
+output rows equals a weighting of its input rows: `readout_rows` computes
+those input coefficients by running the head's transpose backwards over the
+same row sets. Stage 1 reads retrieval out that way; the five other heads
+propagate forward.
 
 Propagation never reaches beyond the layer count in hops, so every head runs
 on the row sets of a `Plan` (`gnn_forward_rows`): seeded heads
 (gain/loss/progress) only compute the rows inside the seeds' hop support,
-retrieval only computes the examined rows from their inward neighborhood, and
-the kernel-rate heads (lrn/fgt) run on the plan seeded with every KC, whose
+retrieval is read out on the examined rows' inward neighborhood, and the
+kernel-rate heads (lrn/fgt) run on the plan seeded with every KC, whose
 layers use the whole adjacency as is. Inward and outward plans share one hop
 expansion. A plan depends only on the graphs, the layer count and the KC set,
 so `GrktModel`, which owns the graphs, builds each one once and reuses it
@@ -92,6 +97,8 @@ class GraphTensors:
     `kinds` names those graphs in `GRAPH_KINDS` order and `mask_norm` stacks
     their masks, shape (len(kinds), C, C). Rows with no neighbors are zero,
     so an empty neighbor list contributes nothing instead of dividing by zero.
+    `union` is the boolean (C, C) neighbor relation over P, S and R, which
+    plans expand hops with.
     """
 
     def __init__(self, graphs: KcRelationGraphs):
@@ -109,6 +116,7 @@ class GraphTensors:
         self.kinds: tuple[str, ...] = tuple(masks)
         self.mask_norm = np.stack(list(masks.values())) if masks \
             else np.zeros((0, graphs.n_kcs, graphs.n_kcs))
+        self.union = (self.mask_norm > 0).any(axis=0)
 
 
 class Plan:
@@ -119,10 +127,13 @@ class Plan:
     idx) when the row set shrinks (inward plans), ("embed", idx) when it
     grows (outward plans, missing rows are exactly zero). `ix[l-1]` selects
     the (rows_l, rows_{l-1}) adjacency block, or is None when both row sets
-    hold all `n_kcs` KCs and the block is the whole adjacency.
+    hold all `n_kcs` KCs and the block is the whole adjacency. `ix_t[l-1]`
+    holds the same two index arrays transposed, which reads the block
+    transposed, (rows_{l-1}, rows_l), from the same adjacency; it is None
+    exactly when `ix[l-1]` is.
     """
 
-    __slots__ = ("row_sets", "row_arrays", "align", "ix")
+    __slots__ = ("row_sets", "row_arrays", "align", "ix", "ix_t")
 
     def __init__(self, row_sets: list[tuple[int, ...]], n_kcs: int):
         self.row_sets = tuple(row_sets)
@@ -133,6 +144,8 @@ class Plan:
             None if len(row_sets[l]) == len(row_sets[l - 1]) == n_kcs
             else np.ix_(self.row_arrays[l], self.row_arrays[l - 1])
             for l in range(1, len(row_sets)))
+        self.ix_t = tuple(None if ix is None else (ix[0].T, ix[1].T)
+                          for ix in self.ix)
 
     @property
     def output_rows(self) -> tuple[int, ...]:
@@ -153,12 +166,12 @@ class Plan:
 
 def _hop_row_sets(gt: GraphTensors, kcs, layers: int) -> list[tuple[int, ...]]:
     """Sorted 0..layers-hop neighborhoods of `kcs` over P, S and R."""
-    cur = set(kcs)
-    row_sets = [tuple(sorted(cur))]
+    cur = np.zeros(gt.n_kcs, dtype=bool)
+    cur[list(kcs)] = True
+    row_sets = [tuple(np.flatnonzero(cur).tolist())]
     for _ in range(layers):
-        cur |= {n for c in cur for which in GRAPH_KINDS
-                for n in gt.graphs.neighbors(which, c)}
-        row_sets.append(tuple(sorted(cur)))
+        cur |= gt.union[cur].any(axis=0)
+        row_sets.append(tuple(np.flatnonzero(cur).tolist()))
     return row_sets
 
 
@@ -207,6 +220,13 @@ def _messages(feats: E.Node, sub: E.Node | None, weights: list[LayerWeights],
     return E.sum_axis(branch, 0, keepdims=False)
 
 
+def _check_question_context(spec: GnnSpec, alpha_col) -> None:
+    if spec.use_question_scores != (alpha_col is not None):
+        raise ValueError(f"head {spec.name!r} "
+                         f"{'requires' if spec.use_question_scores else 'rejects'} "
+                         "question context")
+
+
 def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
                      weights: list[LayerWeights], agg: E.Node | None,
                      alpha_col: E.Node | None = None) -> E.Node:
@@ -221,10 +241,7 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
     when the head uses question scores. Returns the features of
     `plan.output_rows`.
     """
-    if spec.use_question_scores != (alpha_col is not None):
-        raise ValueError(f"head {spec.name!r} "
-                         f"{'requires' if spec.use_question_scores else 'rejects'} "
-                         "question context")
+    _check_question_context(spec, alpha_col)
     if x0.value.shape != (len(plan.row_sets[0]), spec.dims[0]):
         raise ValueError("layer-0 features do not match the plan's row set")
 
@@ -251,3 +268,56 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
             out = fused
 
     return _apply_output_activation(spec, out)
+
+
+def readout_rows(spec: GnnSpec, seed: E.Node, plan: Plan,
+                 weights_t: list[E.Node], agg: E.Node | None,
+                 agg_t: E.Node | None, alpha_col: E.Node | None = None) -> E.Node:
+    """Input coefficients of a weighted read-out of a linear head.
+
+    For a head without feed-forward or output activation (so of constant
+    width, every layer with its residual) and any layer-0 features `x0`,
+    `sum(seed * gnn_forward_rows(spec, x0, plan, ...))` equals
+    `sum(readout_rows(spec, seed, plan, ...) * x0)`. `seed` holds one row of
+    weights per `plan.output_rows` entry; the result holds one row per
+    `plan.row_sets[0]` entry. It runs the head's transpose from the output
+    rows back over the same row sets,
+
+        B_{l-1} = alpha[R_{l-1}] * sum_g A_g[R_l, R_{l-1}]^T B_l W_g^T
+                  + residual^T(B_l),
+
+    where `weights_t[l-1]` is layer l's W stack with its last two axes
+    swapped (empty when no graph has edges). The transposed adjacency blocks
+    are read from `agg` through `plan.ix_t`; `agg_t`, the whole stack with
+    its last two axes swapped, is read only by a layer whose row sets both
+    hold every KC and may be None when the plan has none (`agg` and `agg_t`
+    are None when no graph has edges). `alpha_col` is as for
+    `gnn_forward_rows`.
+    """
+    if spec.use_feedforward or spec.output_activation != "none" \
+            or len(set(spec.dims)) != 1:
+        raise ValueError(f"head {spec.name!r} is not linear in its input")
+    _check_question_context(spec, alpha_col)
+    if seed.value.shape != (len(plan.output_rows), spec.dims[-1]):
+        raise ValueError("read-out seed does not match the plan's output rows")
+
+    coef = seed
+    for layer in range(len(spec.dims) - 1, 0, -1):
+        mode, idx = plan.align[layer - 1]
+        if mode == "gather":
+            residual = E.scatter_rows(coef, idx, len(plan.row_sets[layer - 1]))
+        else:
+            residual = E.gather_rows(coef, idx)
+        if agg is None:
+            coef = residual
+            continue
+        sub = agg_t
+        if plan.ix_t[layer - 1] is not None:
+            sub = E.gather_submatrix(agg, (slice(None), *plan.ix_t[layer - 1]))
+        back = E.sum_axis(E.matmul(sub, E.matmul(coef, weights_t[layer - 1])),
+                          0, keepdims=False)
+        if alpha_col is not None:
+            back = E.mul(E.gather_rows(alpha_col, plan.row_arrays[layer - 1]),
+                         back)
+        coef = E.add(back, residual)
+    return coef

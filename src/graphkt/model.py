@@ -8,6 +8,10 @@ three stages:
 1. Retrieval: neighbor memories are aggregated through the non-negative
    retrieval head, averaged over the question's KCs, projected to mastery and
    compared against a learned question difficulty to predict correctness.
+   That chain is linear in the memory, so mastery is the sum of the memory
+   rows of the examined KCs' inward support weighted by non-negative
+   coefficient rows that depend only on the parameters and the question;
+   `BatchCache.readout` builds them once per question and parameter state.
 2. Strengthening: an MLP turns (memory, question) into a seed feature per
    examined KC; the gain head (correct answers, output clamped non-negative)
    or the loss head (incorrect, clamped non-positive) propagates it to KCs
@@ -37,7 +41,7 @@ import numpy as np
 from . import engine as E
 from .data import Response, ResponseSequence
 from .gnn import (GnnSpec, GraphTensors, Plan, gnn_forward_rows, make_specs,
-                  plan_inward, plan_outward)
+                  plan_inward, plan_outward, readout_rows)
 from .graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
                      format_graphs, parse_graphs)
 
@@ -169,10 +173,11 @@ class BatchCache:
 
     Edge correlations (stacked into one adjacency node over the graphs with
     edges), stacked and constrained GNN weights, kernel rate matrices and
-    per-question embeddings/difficulties/requirement scores depend only on
-    the parameters, so they are built once and reused by every sequence until
-    the next optimizer step. Propagation plans do not depend on the
-    parameters; `plan_in`/`plan_out` fetch them from the model's own cache.
+    per-question embeddings/difficulties/requirement scores and stage-1
+    read-outs depend only on the parameters, so they are built once and
+    reused by every sequence until the next optimizer step. Propagation plans
+    do not depend on the parameters; `plan_in`/`plan_out` fetch them from the
+    model's own cache.
     """
 
     def __init__(self, model: "GrktModel", bound: dict[str, E.Node], mode: str):
@@ -186,7 +191,8 @@ class BatchCache:
 
         self.k_active = E.gather_rows(bound["emb.k"], np.arange(n_c))
         self.k_t = E.transpose(self.k_active)
-        self.w_h_col = E.transpose(E.softmax(bound["w_h"], axis=-1))
+        self.w_h_row = E.softmax(bound["w_h"], axis=-1)
+        self.w_h_col = E.transpose(self.w_h_row)
         self.h0 = bound["H0"]
 
         # one (G, C, C) adjacency and per head and layer one (G, d, d) weight
@@ -212,6 +218,12 @@ class BatchCache:
                     if spec.use_feedforward else None
                 per.append((w, o))
             self.weights[name] = per
+        # stage 1 runs the retrieval head transposed (`readout`). Transposed
+        # blocks are read from `agg` itself, so the whole transposed
+        # adjacency (and, in training, its gradient buffer) exists only once
+        # a read-out has a layer over every KC
+        self.rtv_t = [E.transpose(w) for w, _ in self.weights["rtv"]]
+        self.agg_t: E.Node | None = None
 
         # the kernel-rate heads cover every KC: their plan never gathers
         every_kc = self.plan_out(tuple(range(n_c)))
@@ -225,6 +237,8 @@ class BatchCache:
         self._ebar: dict = {}
         self._diff: dict = {}
         self._alpha_col: dict = {}
+        self._seed: dict = {}
+        self._readout: dict = {}
 
     def mlp(self, head: str, x: E.Node) -> E.Node:
         b = self.bound
@@ -254,6 +268,27 @@ class BatchCache:
             self._alpha_col[q] = E.transpose(E.sigmoid(
                 E.matmul(E.matmul(e_q, self.bound["req"]), self.k_t)))
         return self._alpha_col[q]
+
+    def readout(self, q: int, kcs: tuple[int, ...]) -> E.Node:
+        """Stage-1 coefficients of question `q` over the sorted KC set `kcs`.
+
+        One row per `plan_in(kcs).row_sets[0]` KC: the stage-1 mastery of a
+        memory H is the sum of H's rows there times these coefficients. The
+        retrieval head's transpose runs once per key from the read-out seed,
+        softmax(w_h) / |kcs| on every examined KC.
+        """
+        key = (q, kcs)
+        if key not in self._readout:
+            n = len(kcs)
+            if n not in self._seed:
+                self._seed[n] = E.mul(E.tile_rows(self.w_h_row, n), 1.0 / n)
+            plan = self.plan_in(kcs)
+            if self.agg_t is None and self.agg is not None and None in plan.ix_t:
+                self.agg_t = E.transpose(self.agg)
+            self._readout[key] = readout_rows(
+                self.model.specs["rtv"], self._seed[n], plan, self.rtv_t,
+                self.agg, self.agg_t, self.alpha_col(q))
+        return self._readout[key]
 
     def plan_in(self, kcs: tuple[int, ...]) -> Plan:
         return self.model.plan("in", kcs)
@@ -296,20 +331,19 @@ class GrktModel:
     # -- single stages ------------------------------------------------------
 
     def stage1_predict(self, H: E.Node, q: int, kcs: tuple[int, ...],
-                       cache: BatchCache) -> tuple[E.Node, E.Node, E.Node]:
-        """Retrieve memory for a question; returns (p_correct, row, mastery)."""
+                       cache: BatchCache) -> tuple[E.Node, E.Node]:
+        """Retrieve memory for a question; returns (p_correct, mastery).
+
+        Mastery is the question's cached read-out applied to the memory rows
+        of the examined KCs' inward support.
+        """
         if q < 0 or q >= self.n_questions:
             raise ValueError(f"unknown question id {q}")
         kcs = tuple(sorted(set(kcs)))
-        plan = cache.plan_in(kcs)
-        x0 = E.gather_rows(H, list(plan.row_sets[0]))
-        rows = gnn_forward_rows(self.specs["rtv"], x0, plan, self.gt,
-                                cache.weights["rtv"], cache.agg,
-                                cache.alpha_col(q))
-        h_agg = E.mul(E.sum_axis(rows, 0), 1.0 / len(kcs))
-        mastery = E.matmul(h_agg, cache.w_h_col)
+        x0 = E.gather_rows(H, cache.plan_in(kcs).row_arrays[0])
+        mastery = E.sum_all(E.mul(x0, cache.readout(q, kcs)))
         a_hat = E.sigmoid(E.sub(mastery, cache.difficulty(q, kcs)))
-        return a_hat, h_agg, mastery
+        return a_hat, mastery
 
     def stage2_strengthen(self, H: E.Node, q: int, kcs: tuple[int, ...],
                           a: int, cache: BatchCache) -> E.Node:
@@ -403,7 +437,7 @@ class GrktModel:
         H = cache.h0
         counters = np.zeros(self.n_kcs, dtype=np.int64)
         for t, r in enumerate(responses):
-            a_hat, _, mastery = self.stage1_predict(H, r.question, r.kcs, cache)
+            a_hat, mastery = self.stage1_predict(H, r.question, r.kcs, cache)
             after = self.stage2_strengthen(H, r.question, r.kcs, r.correct, cache)
             yield Step(r, a_hat, mastery, H, after)
             H = after
@@ -429,7 +463,7 @@ class GrktModel:
         nothing. Returns (score, observed correctness).
         """
         r = step.response
-        again, _, _ = self.stage1_predict(step.after, r.question, r.kcs, cache)
+        again, _ = self.stage1_predict(step.after, r.question, r.kcs, cache)
         return again.value.item(), r.correct
 
     def forward_sequence(self, seq: ResponseSequence, cache: BatchCache,

@@ -51,6 +51,8 @@ OPS = {
     "exp_clamped": lambda b, c: E.sum_all(E.clamped_exp(E.mul(E.relu(b["W"]), -1.0))),
     "log_clip": lambda b, c: E.sum_all(E.log(E.clip(E.sigmoid(b["W"]), 1e-7, 1 - 1e-7))),
     "transpose_mix": lambda b, c: E.sum_all(E.matmul(E.transpose(b["W"]), c["x4"])),
+    "transpose_stack": lambda b, c: E.sum_all(E.mul(E.transpose(E.stack(
+        [b["W"], E.sigmoid(b["W"])])), c["s2x"])),
     "concat_slice": lambda b, c: E.sum_all(E.slice_cols(
         E.concat([b["W"], E.mul(b["W"], 2.0)], axis=1), 2, 7)),
     "gather_scatter": lambda b, c: E.sum_all(E.mul(E.scatter_rows(
@@ -102,6 +104,18 @@ def test_op_gradients_match_finite_differences(op_name):
     a = analytic_grad(build, store, "W")
     n = numeric_grad(build, store, "W")
     assert np.abs(a - n).max() < 1e-7
+
+
+def test_transpose_swaps_the_last_two_axes():
+    rng = np.random.default_rng(4)
+    mat = np.asfortranarray(rng.normal(size=(3, 5)))
+    out = E.transpose(mat).value
+    assert out.flags.c_contiguous
+    assert out.tobytes() == mat.T.copy().tobytes()
+    stack = rng.normal(size=(2, 3, 5))
+    out = E.transpose(stack).value
+    assert out.flags.c_contiguous and out.shape == (2, 5, 3)
+    assert np.array_equal(out, np.stack([m.T for m in stack]))
 
 
 def test_unused_parameter_gets_zero_gradient():
@@ -505,6 +519,8 @@ BLOCKS = {
     "stacked": ((3, 4, 5), (slice(None), *np.ix_([2, 0, 2], [1, 1, 4]))),
     "stacked_all_cols": ((3, 6, 7), (slice(None), *np.ix_([1, 3, 4],
                                                           np.arange(7)))),
+    "stacked_transposed": ((3, 4, 5), (slice(None), *(
+        i.T for i in np.ix_([2, 0, 2], [1, 1, 4])))),
 }
 
 

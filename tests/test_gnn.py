@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from graphkt import engine as E
 from graphkt.gnn import (GnnSpec, GraphTensors, Plan, gnn_forward_rows,
-                         make_specs, plan_inward, plan_outward)
+                         make_specs, plan_inward, plan_outward, readout_rows)
 from graphkt.graphs import KcRelationGraphs
 from graphkt.model import BatchCache, GrktModel, HyperParams
 from tests.conftest import random_graphs
-from tests.oracles import (constrain_nonneg_matrix, edge_correlation,
-                           hop_support, question_kc_score)
+from tests.oracles import (constrain_nonneg_matrix, constrain_nonneg_vector,
+                           edge_correlation, hop_support, question_kc_score)
 
 
 def sigmoid(x):
@@ -220,6 +220,81 @@ def test_strengthening_leaves_rows_outside_the_hop_support_bitwise(ablation):
                 assert outside == sorted(set(range(model.n_kcs)) - set(kcs))
 
 
+# -- stage-1 read-out: the retrieval head run transposed ------------------------
+
+
+def scattered_readout(model, cache, q, kcs):
+    """The read-out coefficients of (q, kcs) placed on all C rows."""
+    full = np.zeros((model.n_kcs, model.hp.d_k))
+    full[list(model.plan("in", kcs).row_sets[0])] = cache.readout(q, kcs).value
+    return full
+
+
+@pytest.mark.parametrize("n_examined", [1, 2, 3])
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+@pytest.mark.parametrize("layers", [1, 2])
+def test_readout_is_the_retrieval_oracle_read_out_exactly(ablation, layers,
+                                                          n_examined):
+    model = ablated_model(ablation, layers, seed=50 + layers + 3 * n_examined)
+    rng = np.random.default_rng(51)
+    w_h = constrain_nonneg_vector(model.store.value("w_h")).ravel()
+    _, cache = model.begin("eval")
+    for q in range(model.n_questions):
+        kcs = tuple(sorted(rng.choice(model.n_kcs, size=n_examined,
+                                      replace=False).tolist()))
+        H = rng.normal(size=(model.n_kcs, 3))
+        retrieved = brute_force_head(model.specs["rtv"], H, model.graphs,
+                                     model.store, model.store.value("emb.q")[q])
+        want = retrieved[list(kcs)].mean(axis=0) @ w_h
+        _, mastery = model.stage1_predict(E.as_node(H), q, kcs, cache)
+        assert abs(mastery.value.item() - want) <= 1e-12 * abs(want), q
+
+        coef = scattered_readout(model, cache, q, kcs)
+        assert (coef >= 0).all()
+        outside = sorted(set(range(model.n_kcs))
+                         - hop_support(model.graphs, kcs, layers))
+        assert not coef[outside].any()
+        per_kc = (coef * H).sum(axis=1)  # each KC's contribution <a_c, H_c>
+        assert not per_kc[outside].any()
+        assert abs(per_kc.sum() - mastery.value.item()) \
+            <= 1e-12 * abs(mastery.value.item())
+
+
+def test_readout_weighs_the_forward_output_rows_on_any_plan():
+    model = ablated_model("full", 2, seed=55)
+    rng = np.random.default_rng(56)
+    spec = model.specs["rtv"]
+    _, cache = model.begin("eval")
+    for plan in (plan_inward(model.gt, (1, 4), 2),
+                 plan_outward(model.gt, (0, 6), 2)):
+        x0 = rng.normal(size=(len(plan.row_sets[0]), 3))
+        seed = rng.normal(size=(len(plan.output_rows), 3))
+        out = gnn_forward_rows(spec, E.as_node(x0), plan, model.gt,
+                               cache.weights["rtv"], cache.agg,
+                               cache.alpha_col(3)).value
+        coef = readout_rows(spec, E.as_node(seed), plan, cache.rtv_t,
+                            cache.agg, None, cache.alpha_col(3)).value
+        assert abs((coef * x0).sum() - (seed * out).sum()) \
+            < 1e-12 * np.abs(seed * out).sum()
+
+
+def test_readout_refuses_a_nonlinear_head_and_a_wrong_seed():
+    model = small_model(seed=57, layers=2)
+    _, cache = model.begin("eval")
+    plan = plan_inward(model.gt, (2,), 2)
+    seed = E.as_node(np.ones((1, 3)))
+    for head in ("gain", "loss", "prg", "lrn", "fgt"):
+        with pytest.raises(ValueError, match="not linear"):
+            readout_rows(model.specs[head], seed, plan, cache.rtv_t,
+                         cache.agg, None, cache.alpha_col(0))
+    with pytest.raises(ValueError, match="requires"):
+        readout_rows(model.specs["rtv"], seed, plan, cache.rtv_t, cache.agg,
+                     None)
+    with pytest.raises(ValueError, match="seed"):
+        readout_rows(model.specs["rtv"], E.as_node(np.ones((2, 3))), plan,
+                     cache.rtv_t, cache.agg, None, cache.alpha_col(0))
+
+
 # -- sign and locality properties --------------------------------------------
 
 
@@ -403,14 +478,22 @@ def test_hop_support_path():
     assert hop_support(g, {0}, 2) == {0, 1, 2}
 
 
-@given(st.integers(0, 10_000), st.integers(0, 3))
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
-def test_hop_support_matches_bfs(seed, hops):
+def test_hop_support_matches_bfs(seed, hops, n_seeds):
     rng = np.random.default_rng(seed)
-    g = random_graphs(rng, 8, p_edges=6, r_edges=5)
-    seeds = {int(x) for x in rng.choice(8, size=2, replace=False)}
+    g = random_graphs(rng, 8, p_edges=int(rng.integers(0, 12)),
+                      r_edges=int(rng.integers(0, 10)))
+    seeds = {int(x) for x in rng.choice(8, size=n_seeds, replace=False)}
     want = tuple(sorted(hop_support(g, seeds, hops)))
     assert plan_supports(g, seeds, hops) == (want, want)
+    # every layer of both plans, not only the widest
+    gt = GraphTensors(g)
+    outward = plan_outward(gt, seeds, hops).row_sets
+    inward = plan_inward(gt, seeds, hops).row_sets
+    for hop in range(hops + 1):
+        want = tuple(sorted(hop_support(g, seeds, hop)))
+        assert outward[hop] == inward[hops - hop] == want
 
 
 # -- whole-adjacency layers ------------------------------------------------------
@@ -431,6 +514,13 @@ def test_plan_skips_the_gather_exactly_when_both_row_sets_are_all_kcs(seed,
             both_full = (len(plan.row_sets[layer - 1])
                          == len(plan.row_sets[layer]) == 6)
             assert (plan.ix[layer - 1] is None) == both_full
+            assert (plan.ix_t[layer - 1] is None) == both_full
+            if not both_full:  # the transposed block index
+                rows, cols = plan.ix_t[layer - 1]
+                assert rows.shape == (1, len(plan.row_sets[layer]))
+                assert cols.shape == (len(plan.row_sets[layer - 1]), 1)
+                assert rows.ravel().tolist() == list(plan.row_sets[layer])
+                assert cols.ravel().tolist() == list(plan.row_sets[layer - 1])
     assert every_kc.ix == (None,) * layers
     assert Plan([(0, 1), (0, 1)], 3).ix[0] is not None
 
@@ -482,6 +572,57 @@ def test_whole_adjacency_layers_match_the_gathered_block_bitwise(head,
     assert any(g.any() for g in grads_skip.values())
     for name in grads_skip:
         assert np.array_equal(grads_skip[name], grads_gather[name]), name
+
+
+def test_whole_adjacency_readout_matches_the_gathered_block_bitwise():
+    model = dense_model()
+    plan = model.plan("in", (1, 3))
+    gathering = Plan(plan.row_sets, model.n_kcs + 1)  # never all KCs
+    assert None in plan.ix_t and None not in gathering.ix_t
+    rng = np.random.default_rng(19)
+    seed = rng.normal(size=(2, 3))
+    x0 = rng.normal(size=(model.n_kcs, 3))
+
+    def run(p):
+        model.store.zero_grad()
+        bound = model.store.bind()
+        cache = BatchCache(model, bound, "train")
+        coef = readout_rows(model.specs["rtv"], E.as_node(seed), p,
+                            cache.rtv_t, cache.agg, E.transpose(cache.agg),
+                            cache.alpha_col(1))
+        model.store.backward(E.sum_all(E.mul(coef, x0)))
+        return coef.value, {name: model.store[name].grad.copy()
+                            for name in model.store.names()}
+
+    coef_skip, grads_skip = run(plan)
+    coef_gather, grads_gather = run(gathering)
+    assert np.array_equal(coef_skip, coef_gather)
+    assert grads_skip["cor.P"].any() and grads_skip["gnn.rtv.W.R.1"].any()
+    for name in grads_skip:
+        assert np.array_equal(grads_skip[name], grads_gather[name]), name
+
+
+def test_whole_transposed_adjacency_is_built_once_and_only_for_a_whole_layer():
+    sparse = path_graph_model(layers=1)
+    _, cache = sparse.begin("eval")
+    cache.readout(0, (0,))
+    assert None not in sparse.plan("in", (0,)).ix_t and cache.agg_t is None
+
+    model = dense_model()
+    rng = np.random.default_rng(20)
+    H = rng.normal(size=(model.n_kcs, 3))
+    _, cache = model.begin("eval")
+    for kcs in ((1, 3), (0,)):  # each plan's first layer is whole
+        assert model.plan("in", kcs).ix_t[0] is None
+        _, mastery = model.stage1_predict(E.as_node(H), 1, kcs, cache)
+        if kcs == (1, 3):
+            built = cache.agg_t
+        assert cache.agg_t is built is not None
+        retrieved = brute_force_head(model.specs["rtv"], H, model.graphs,
+                                     model.store, model.store.value("emb.q")[1])
+        want = retrieved[list(kcs)].mean(axis=0) \
+            @ constrain_nonneg_vector(model.store.value("w_h")).ravel()
+        assert abs(mastery.value.item() - want) <= 1e-12 * abs(want)
 
 
 # -- spec construction -----------------------------------------------------------

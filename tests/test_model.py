@@ -10,11 +10,12 @@ import graphkt.model
 from graphkt import engine as E
 from graphkt.data import Response, ResponseSequence
 from graphkt.graphs import KcRelationGraphs
-from graphkt.gnn import gnn_forward_rows
+from graphkt.gnn import gnn_forward_rows, readout_rows
 from graphkt.metrics import consistency
-from graphkt.model import (DT_CAP_MINUTES, GrktModel, HyperParams, Step,
-                           trace_rows)
-from tests.conftest import random_graphs, random_sequence
+from graphkt.model import (DT_CAP_MINUTES, BatchCache, GrktModel, HyperParams,
+                           Step, trace_rows)
+from graphkt.train import TrainConfig, bce_loss_node, evaluate
+from tests.conftest import make_dataset, random_graphs, random_sequence
 from tests.oracles import constrain_nonneg_vector, hop_support, predict_next
 from tests.oracles import mastery as mastery_oracle
 
@@ -77,7 +78,7 @@ def test_stage1_equal_mastery_and_difficulty_gives_half(desk_model):
     for name in ("mlp.diff.W1", "mlp.diff.W2"):
         model.store.value(name)[...] = 0.0
     _, cache = model.begin("eval")
-    a_hat, _, mastery = model.stage1_predict(cache.h0, 0, (0,), cache)
+    a_hat, mastery = model.stage1_predict(cache.h0, 0, (0,), cache)
     assert mastery.value.item() == 0.0
     assert a_hat.value.item() == 0.5
 
@@ -88,9 +89,14 @@ def test_stage1_isolated_kc_uses_own_memory():
     model = randomize(GrktModel(hp, 3, 5, graphs), scale=0.4, seed=3)
     _, cache = model.begin("eval")
     H = cache.h0
-    a_hat, h_agg, mastery = model.stage1_predict(H, 1, (4,), cache)
-    assert np.array_equal(h_agg.value.ravel(), H.value[4])
+    a_hat, _ = model.stage1_predict(H, 1, (4,), cache)
+    # the read-out weighs KC 4's own memory by softmax(w_h) and nothing else
+    coef = np.zeros((5, 4))
+    coef[list(model.plan("in", (4,)).row_sets[0])] = cache.readout(1, (4,)).value
     w = constrain_nonneg_vector(model.store.value("w_h")).ravel()
+    assert np.array_equal(coef[4], cache.w_h_row.value.ravel())
+    assert np.abs(coef[4] - w).max() < 1e-15
+    assert not coef[:4].any()
     d_q = cache.difficulty(1, (4,)).value.item()
     expect = 1.0 / (1.0 + math.exp(-(H.value[4] @ w - d_q)))
     assert abs(a_hat.value.item() - expect) < 1e-12
@@ -100,13 +106,94 @@ def test_stage1_monotone_in_examined_memory(desk_model):
     model = randomize(desk_model, scale=0.5, seed=5)
     _, cache = model.begin("eval")
     H = cache.h0
-    base, _, _ = model.stage1_predict(H, 1, (1,), cache)
+    base, _ = model.stage1_predict(H, 1, (1,), cache)
     rng = np.random.default_rng(0)
     for _ in range(10):
         bump = np.zeros((6, 4))
         bump[1, int(rng.integers(4))] = float(rng.uniform(0.1, 1.0))
-        up, _, _ = model.stage1_predict(E.add(H, bump), 1, (1,), cache)
+        up, _ = model.stage1_predict(E.add(H, bump), 1, (1,), cache)
         assert up.value.item() >= base.value.item() - 1e-14
+
+
+def forward_mastery(model, cache, H, q, kcs):
+    """Stage-1 mastery from the retrieval head run forward (the oracle)."""
+    plan = model.plan("in", kcs)
+    rows = gnn_forward_rows(model.specs["rtv"],
+                            E.as_node(H[list(plan.row_sets[0])]), plan,
+                            model.gt, cache.weights["rtv"], cache.agg,
+                            cache.alpha_col(q)).value
+    return rows.mean(axis=0) @ cache.w_h_col.value.ravel()
+
+
+def test_evaluate_reads_out_each_distinct_question_once(monkeypatch):
+    rng = np.random.default_rng(62)
+    rows = [(s, r.question, r.kcs, r.correct, r.timestamp)
+            for s in range(6)
+            for r in random_sequence(rng, 5, 7, 10, max_kcs=3).responses]
+    ds = make_dataset(rows, n_questions=5, n_kcs=7)
+    hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=2, seed=62)
+    model = randomize(GrktModel(hp, 5, 7, random_graphs(rng, 7)), 0.6,
+                      seed=63)
+    built = []
+    monkeypatch.setattr(graphkt.model, "readout_rows",
+                        lambda *args: built.append(args) or readout_rows(*args))
+    evaluate(model, ds, range(6), TrainConfig(hp=hp))
+    keys = {(r.question, r.kcs) for seq in ds.sequences for r in seq.real()}
+    assert len(keys) < len(rows)  # questions repeat, and each is re-asked
+    assert len(built) == len(keys)
+    # one (plan, requirement column) pair per call: no key was built twice
+    assert len({(id(args[2]), id(args[-1])) for args in built}) == len(keys)
+
+
+def test_begin_after_an_optimizer_step_rebuilds_the_readout():
+    rng = np.random.default_rng(64)
+    hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=2, seed=64)
+    model = randomize(GrktModel(hp, 5, 7, random_graphs(rng, 7)), 0.5,
+                      seed=65)
+    seq = random_sequence(rng, 5, 7, 6, max_kcs=3)
+    q, kcs = seq.responses[0].question, seq.responses[0].kcs
+    H = rng.normal(size=(7, 4))
+
+    model.store.zero_grad()
+    _, cache = model.begin("train")
+    stale = cache.readout(q, kcs).value.copy()
+    model.store.backward(bce_loss_node(model.forward_sequence(seq, cache).preds))
+    model.store.adam_step(lr=0.05)
+
+    with E.no_grad():
+        _, fresh = model.begin("eval")
+        _, mastery = model.stage1_predict(E.as_node(H), q, kcs, fresh)
+        want = forward_mastery(model, fresh, H, q, kcs)
+    assert not np.array_equal(fresh.readout(q, kcs).value, stale)
+    assert abs(mastery.value.item() - want) <= 1e-12 * abs(want)
+
+
+def test_gradient_check_through_one_readout_read_at_two_memories(monkeypatch):
+    rng = np.random.default_rng(66)
+    hp = HyperParams(d_e=4, d_k=3, d_h=5, layers=2, seed=66)
+    model = randomize(GrktModel(hp, 4, 7, random_graphs(rng, 7, 5, 5)), 0.5,
+                      seed=67)
+    q, kcs = 2, (1, 4)
+    built = []
+    monkeypatch.setattr(graphkt.model, "readout_rows",
+                        lambda *args: built.append(args) or readout_rows(*args))
+
+    def build_loss(bound):
+        cache = BatchCache(model, bound, "train")
+        first, _ = model.stage1_predict(cache.h0, q, kcs, cache)
+        later = model.stage2_strengthen(cache.h0, q, kcs, 1, cache)
+        again, _ = model.stage1_predict(later, q, kcs, cache)
+        return bce_loss_node([(first, 1), (again, 0)])
+
+    rep = E.grad_check(model.store, build_loss, np.random.default_rng(68),
+                       n_coords=200)
+    assert rep.passed, rep.summary()
+    assert any(name.startswith("gnn.rtv.") for name in rep.group_errors)
+    # each loss built the read-out once and read it at both memories
+    assert len(built) == 1 + 2 * (rep.n_checked + rep.n_skipped)
+    for prefix in ("gnn.rtv.", "cor.", "req", "emb.q", "emb.k", "w_h", "H0"):
+        assert any(model.store[name].grad.any() for name in model.store.names()
+                   if name.startswith(prefix)), prefix
 
 
 def test_stage1_rejects_unknown_question(desk_model):
@@ -400,7 +487,7 @@ def test_trace_rows_flatten(desk_model, desk_sequence):
 def test_predict_next_empty_history(desk_model):
     model = randomize(desk_model, 0.5, seed=23)
     _, cache = model.begin("eval")
-    direct, _, _ = model.stage1_predict(cache.h0, 2, (3,), cache)
+    direct, _ = model.stage1_predict(cache.h0, 2, (3,), cache)
     assert predict_next(model, [], 2, (3,), 500, cache) == direct.value.item()
 
 
@@ -413,7 +500,7 @@ def test_predict_next_matches_two_step_replay(desk_model):
     H = model.stage2_strengthen(cache.h0, 0, (0,), 1, cache)
     counters = np.zeros(6, dtype=np.int64)
     H = model.stage3_learn_forget(H, 0, (0,), 0, (0,), 0.0, counters, cache)
-    want, _, _ = model.stage1_predict(H, 0, (0,), cache)
+    want, _ = model.stage1_predict(H, 0, (0,), cache)
     assert got == want.value.item()
 
 
