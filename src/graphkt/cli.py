@@ -362,8 +362,8 @@ def cmd_gradcheck(args) -> int:
         responses = []
         for t in range(5):
             q = int(rng.integers(n_questions))
-            kcs = tuple(sorted(rng.choice(n_kcs, size=int(rng.integers(1, 3)),
-                                          replace=False).tolist()))
+            kcs = tuple(rng.choice(n_kcs, size=int(rng.integers(1, 3)),
+                                   replace=False).tolist())
             ts += int(rng.integers(30, 3000))
             responses.append(Response(q, kcs, int(rng.integers(2)), ts))
         seqs.append(ResponseSequence(s, responses, 5))

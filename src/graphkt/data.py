@@ -49,12 +49,15 @@ class ColumnSchema:
 
 @dataclass(frozen=True)
 class Response:
+    """One answered question; `kcs` is stored sorted and without repeats."""
+
     question: QuestionId
     kcs: tuple[KcId, ...]
     correct: int
     timestamp: int
 
     def __post_init__(self):
+        object.__setattr__(self, "kcs", tuple(sorted(set(self.kcs))))
         if not self.kcs:
             raise ValueError("response requires at least one KC")
         if self.correct not in (0, 1):
@@ -174,7 +177,7 @@ def ingest_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
     for student, question, kc_names, correct, ts in rows:
         sid = students.to_dense[student]
         qid = questions.to_dense[question]
-        kc_ids = tuple(sorted({kcs.to_dense[k] for k in kc_names}))
+        kc_ids = tuple(kcs.to_dense[k] for k in kc_names)
         by_student[sid].append((ts, Response(qid, kc_ids, correct, ts)))
 
     sequences = []

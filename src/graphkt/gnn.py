@@ -26,11 +26,18 @@ Propagation never reaches beyond the layer count in hops, so every head runs
 on the row sets of a `Plan` (`gnn_forward_rows`): seeded heads
 (gain/loss/progress) only compute the rows inside the seeds' hop support,
 retrieval is read out on the examined rows' inward neighborhood, and the
-kernel-rate heads (lrn/fgt) run on the plan seeded with every KC, whose
-layers use the whole adjacency as is. Inward and outward plans share one hop
-expansion. A plan depends only on the graphs, the layer count and the KC set,
-so `GrktModel`, which owns the graphs, builds each one once and reuses it
-across steps and evaluation passes.
+kernel-rate heads (lrn/fgt) run on the plan seeded with every KC. Inward and
+outward plans share one hop expansion. A plan depends only on the graphs,
+the layer count and the KC set, so `GrktModel`, which owns the graphs,
+builds each one once and reuses it across steps and evaluation passes.
+
+A layer whose output rows hold every KC (forward: layer l's rows; read-out:
+layer l-1's) multiplies by the whole adjacency instead of gathering a block
+of it. Its inputs then enter on all C rows, exactly zero outside the input
+set: the residual's scatter already places them there, so such a layer adds
+no node. On graphs as dense as the mined `paper` ones, most layers past the
+first hop are of this kind. Contracting over the zero rows too can round
+differently from the gathered block, by about one ulp.
 """
 
 from __future__ import annotations
@@ -126,11 +133,12 @@ class Plan:
     maps layer l-1 features onto layer l rows for the residual: ("gather",
     idx) when the row set shrinks (inward plans), ("embed", idx) when it
     grows (outward plans, missing rows are exactly zero). `ix[l-1]` selects
-    the (rows_l, rows_{l-1}) adjacency block, or is None when both row sets
-    hold all `n_kcs` KCs and the block is the whole adjacency. `ix_t[l-1]`
-    holds the same two index arrays transposed, which reads the block
-    transposed, (rows_{l-1}, rows_l), from the same adjacency; it is None
-    exactly when `ix[l-1]` is.
+    the (rows_l, rows_{l-1}) adjacency block, or is None when rows_l, the
+    layer's output, holds all `n_kcs` KCs: the layer then reads the whole
+    adjacency. `ix_t[l-1]` holds the two index arrays transposed, which
+    reads the block transposed, (rows_{l-1}, rows_l), from the same
+    adjacency, for the transposed layer (`readout_rows`), whose output is
+    rows_{l-1}; it is None when rows_{l-1} holds all KCs.
     """
 
     __slots__ = ("row_sets", "row_arrays", "align", "ix", "ix_t")
@@ -140,12 +148,15 @@ class Plan:
         self.row_arrays = tuple(np.asarray(r, dtype=np.int64) for r in row_sets)
         self.align = tuple(self._alignment(row_sets[l - 1], row_sets[l])
                            for l in range(1, len(row_sets)))
+        whole = [len(r) == n_kcs for r in row_sets]
         self.ix = tuple(
-            None if len(row_sets[l]) == len(row_sets[l - 1]) == n_kcs
+            None if whole[l]
             else np.ix_(self.row_arrays[l], self.row_arrays[l - 1])
             for l in range(1, len(row_sets)))
-        self.ix_t = tuple(None if ix is None else (ix[0].T, ix[1].T)
-                          for ix in self.ix)
+        self.ix_t = tuple(
+            None if whole[l - 1]
+            else (self.row_arrays[l][None, :], self.row_arrays[l - 1][:, None])
+            for l in range(1, len(row_sets)))
 
     @property
     def output_rows(self) -> tuple[int, ...]:
@@ -240,6 +251,11 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
     the (n_kcs, 1) question requirement column and must be present exactly
     when the head uses question scores. Returns the features of
     `plan.output_rows`.
+
+    A layer with `plan.ix[l-1]` None multiplies by `agg` and the whole
+    `alpha_col`. If its inputs are fewer than every KC, they are embedded
+    in all C rows: by the residual's scatter, or by a scatter of their own
+    in a width-changing layer, which has no residual.
     """
     _check_question_context(spec, alpha_col)
     if x0.value.shape != (len(plan.row_sets[0]), spec.dims[0]):
@@ -249,23 +265,25 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
     for layer in range(1, len(spec.dims)):
         d_prev, d_cur = spec.dims[layer - 1], spec.dims[layer]
         n_cur = len(plan.row_sets[layer])
-        feats = out
-        if alpha_col is not None:
-            feats = E.mul(E.gather_rows(alpha_col, plan.row_arrays[layer - 1]),
-                          feats)
-        sub = agg
-        if agg is not None and plan.ix[layer - 1] is not None:
-            sub = E.gather_submatrix(agg, (slice(None), *plan.ix[layer - 1]))
-        fused = _messages(feats, sub, weights, layer, n_cur, d_cur)
+        mode, idx = plan.align[layer - 1]
+        residual = None
         if d_prev == d_cur:
-            mode, idx = plan.align[layer - 1]
-            if mode == "gather":
-                residual = E.gather_rows(out, idx)
-            else:
-                residual = E.scatter_rows(out, idx, n_cur)
-            out = E.add(fused, residual)
-        else:
-            out = fused
+            residual = E.gather_rows(out, idx) if mode == "gather" \
+                else E.scatter_rows(out, idx, n_cur)
+        ix = plan.ix[layer - 1]
+        feats, sub, alpha = out, agg, alpha_col
+        if ix is not None:
+            if agg is not None:
+                sub = E.gather_submatrix(agg, (slice(None), *ix))
+            if alpha_col is not None:
+                alpha = E.gather_rows(alpha_col, plan.row_arrays[layer - 1])
+        elif mode == "embed":  # every KC's row, zero outside the inputs
+            feats = residual if residual is not None \
+                else E.scatter_rows(out, idx, n_cur)
+        if alpha is not None:
+            feats = E.mul(alpha, feats)
+        fused = _messages(feats, sub, weights, layer, n_cur, d_cur)
+        out = fused if residual is None else E.add(fused, residual)
 
     return _apply_output_activation(spec, out)
 
@@ -289,9 +307,10 @@ def readout_rows(spec: GnnSpec, seed: E.Node, plan: Plan,
     where `weights_t[l-1]` is layer l's W stack with its last two axes
     swapped (empty when no graph has edges). The transposed adjacency blocks
     are read from `agg` through `plan.ix_t`; `agg_t`, the whole stack with
-    its last two axes swapped, is read only by a layer whose row sets both
-    hold every KC and may be None when the plan has none (`agg` and `agg_t`
-    are None when no graph has edges). `alpha_col` is as for
+    its last two axes swapped, is read only by a layer whose output rows
+    R_{l-1} hold every KC, with B_l embedded in all C rows by the residual's
+    scatter, and may be None when the plan has no such layer (`agg` and
+    `agg_t` are None when no graph has edges). `alpha_col` is as for
     `gnn_forward_rows`.
     """
     if spec.use_feedforward or spec.output_activation != "none" \
@@ -311,13 +330,17 @@ def readout_rows(spec: GnnSpec, seed: E.Node, plan: Plan,
         if agg is None:
             coef = residual
             continue
-        sub = agg_t
-        if plan.ix_t[layer - 1] is not None:
-            sub = E.gather_submatrix(agg, (slice(None), *plan.ix_t[layer - 1]))
-        back = E.sum_axis(E.matmul(sub, E.matmul(coef, weights_t[layer - 1])),
+        ix_t = plan.ix_t[layer - 1]
+        feats, sub, alpha = coef, agg_t, alpha_col
+        if ix_t is not None:
+            sub = E.gather_submatrix(agg, (slice(None), *ix_t))
+            if alpha_col is not None:
+                alpha = E.gather_rows(alpha_col, plan.row_arrays[layer - 1])
+        elif len(plan.row_sets[layer]) < len(plan.row_sets[layer - 1]):
+            feats = residual  # every KC's row, zero outside the inputs
+        back = E.sum_axis(E.matmul(sub, E.matmul(feats, weights_t[layer - 1])),
                           0, keepdims=False)
-        if alpha_col is not None:
-            back = E.mul(E.gather_rows(alpha_col, plan.row_arrays[layer - 1]),
-                         back)
+        if alpha is not None:
+            back = E.mul(alpha, back)
         coef = E.add(back, residual)
     return coef

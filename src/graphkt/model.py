@@ -221,7 +221,7 @@ class BatchCache:
         # stage 1 runs the retrieval head transposed (`readout`). Transposed
         # blocks are read from `agg` itself, so the whole transposed
         # adjacency (and, in training, its gradient buffer) exists only once
-        # a read-out has a layer over every KC
+        # a read-out has a layer that writes every KC
         self.rtv_t = [E.transpose(w) for w, _ in self.weights["rtv"]]
         self.agg_t: E.Node | None = None
 
@@ -330,6 +330,16 @@ class GrktModel:
 
     # -- single stages ------------------------------------------------------
 
+    def _check_ids(self, q: int, kcs: tuple[int, ...]) -> None:
+        """A stage takes a question and KC set as `Response` holds them."""
+        if q < 0 or q >= self.n_questions:
+            raise ValueError(f"unknown question id {q}")
+        for c in kcs:
+            if c < 0 or c >= self.n_kcs:
+                raise ValueError(f"unknown KC id {c}")
+        if any(a >= b for a, b in zip(kcs, kcs[1:])):
+            raise ValueError(f"KC ids must be sorted and distinct, got {kcs}")
+
     def stage1_predict(self, H: E.Node, q: int, kcs: tuple[int, ...],
                        cache: BatchCache) -> tuple[E.Node, E.Node]:
         """Retrieve memory for a question; returns (p_correct, mastery).
@@ -337,9 +347,7 @@ class GrktModel:
         Mastery is the question's cached read-out applied to the memory rows
         of the examined KCs' inward support.
         """
-        if q < 0 or q >= self.n_questions:
-            raise ValueError(f"unknown question id {q}")
-        kcs = tuple(sorted(set(kcs)))
+        self._check_ids(q, kcs)
         x0 = E.gather_rows(H, cache.plan_in(kcs).row_arrays[0])
         mastery = E.sum_all(E.mul(x0, cache.readout(q, kcs)))
         a_hat = E.sigmoid(E.sub(mastery, cache.difficulty(q, kcs)))
@@ -348,8 +356,8 @@ class GrktModel:
     def stage2_strengthen(self, H: E.Node, q: int, kcs: tuple[int, ...],
                           a: int, cache: BatchCache) -> E.Node:
         """Apply the signed memory update for one response."""
+        self._check_ids(q, kcs)
         head = "gain" if a == 1 else "loss"
-        kcs = tuple(sorted(set(kcs)))
         ebar = cache.e_bar(q, kcs)
         if len(kcs) > 1:
             ebar = E.tile_rows(ebar, len(kcs))
@@ -371,6 +379,8 @@ class GrktModel:
         Mutates `counters` in place (one increment per KC that actually
         received progress).
         """
+        self._check_ids(q_t, kcs_t)
+        self._check_ids(q_next, kcs_next)
         dt = min(max(dt_seconds, 0.0) / 60.0, DT_CAP_MINUTES)
         candidates = sorted(set(kcs_t) | set(kcs_next))
         ebar_t = cache.e_bar(q_t, kcs_t)

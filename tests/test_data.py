@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphkt.data import (ColumnSchema, IngestError, ingest_csv, make_folds,
-                          preprocess)
+from graphkt.data import (ColumnSchema, IngestError, Response, ingest_csv,
+                          make_folds, preprocess)
 from tests.conftest import make_dataset
 
 
@@ -29,6 +29,13 @@ def test_ingest_multi_kc_row(tmp_path):
     assert seq.valid_len == 3
     two_kc = seq.responses[1]
     assert len(two_kc.kcs) == 2
+
+
+def test_response_keeps_its_kcs_sorted_and_distinct():
+    assert Response(0, (3, 1, 3), 1, 0).kcs == (1, 3)
+    assert Response(0, (3, 1, 3), 1, 0) == Response(0, (1, 3), 1, 0)
+    with pytest.raises(ValueError, match="at least one KC"):
+        Response(0, (), 1, 0)
 
 
 def test_ingest_empty_file_errors(tmp_path):

@@ -593,7 +593,9 @@ def test_matmul_of_2d_operands_is_unchanged():
     (_, vjp_a), (_, vjp_b) = node.edges
     assert np.array_equal(node.value, a_val @ b_val)
     assert np.array_equal(vjp_a(g), g @ b_val.T)
-    assert np.array_equal(vjp_b(g), a_val.T @ g)
+    # the right operand's product is deferred; one pair is multiplied alone
+    assert np.array_equal(E.reduce_products([vjp_b(g)], b_val.shape),
+                          a_val.T @ g)
 
 
 def test_dense_and_sparse_contributions_match_dense_reference(monkeypatch):
@@ -778,27 +780,40 @@ def _reference_backward(root):
     """The sweep without consuming the recording, as an oracle."""
     root.grad = np.ones_like(root.value)
     owned = set()
+    held = {}  # id -> (node, its deferred right-operand products)
+
+    def add(parent, contrib):
+        grad = parent.grad
+        if type(contrib) is E.SparseGrad:
+            if id(parent) not in owned:
+                grad = parent.grad = np.zeros_like(parent.value) \
+                    if grad is None else grad.copy()
+                owned.add(id(parent))
+            contrib.add_into(grad)
+        elif grad is None:
+            parent.grad = contrib
+        elif (id(parent) in owned and contrib.shape == grad.shape
+              and contrib.dtype == grad.dtype):
+            grad += contrib
+            parent.grad = grad
+        else:
+            parent.grad = grad + contrib
+            owned.add(id(parent))
+
     for node in reversed(E._TAPE):
+        if id(node) in held:
+            add(node, E.reduce_products(held.pop(id(node))[1],
+                                        node.value.shape))
         if node.grad is None:
             continue
         for parent, vjp in node.edges:
             contrib = vjp(node.grad)
-            grad = parent.grad
-            if type(contrib) is E.SparseGrad:
-                if id(parent) not in owned:
-                    grad = parent.grad = np.zeros_like(parent.value) \
-                        if grad is None else grad.copy()
-                    owned.add(id(parent))
-                contrib.add_into(grad)
-            elif grad is None:
-                parent.grad = contrib
-            elif (id(parent) in owned and contrib.shape == grad.shape
-                  and contrib.dtype == grad.dtype):
-                grad += contrib
-                parent.grad = grad
+            if type(contrib) is E.RightProduct:
+                held.setdefault(id(parent), (parent, []))[1].append(contrib)
             else:
-                parent.grad = grad + contrib
-                owned.add(id(parent))
+                add(parent, contrib)
+    for leaf, pairs in held.values():
+        add(leaf, E.reduce_products(pairs, leaf.value.shape))
 
 
 def test_backward_consumes_the_recording_and_keeps_leaf_grads_bitwise():
@@ -839,3 +854,71 @@ def test_backward_consumes_the_recording_and_keeps_leaf_grads_bitwise():
         if leaf.grad is not None:
             assert np.array_equal(leaf.grad, want[name]), name
     model.store.release()
+
+
+# -- deferred right-operand products --------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_right_operand_products_reduce_to_the_per_pair_sum(dtype):
+    # W is the right operand of 2-D, stacked and mixed-rank products, the
+    # stack V of 2-D and stacked ones: several pairs per group, several groups
+    rng = np.random.default_rng(21)
+    store = E.ParameterStore(dtype=dtype)
+    store.add("W", rng.normal(size=(3, 4)))
+    store.add("V", rng.normal(size=(2, 3, 4)))
+    lefts = [rng.normal(size=shape).astype(dtype) for shape in
+             ((5, 3), (2, 3), (1, 3), (2, 4, 3), (2, 1, 3))]
+    weights = {}
+
+    def build(bound):
+        terms = []
+        for i, a in enumerate(lefts):
+            for name in ("W", "V"):
+                if a.ndim == 3 and a.shape[1] == 1 and name == "V":
+                    continue
+                out = E.matmul(E.as_node(a), bound[name])
+                w = weights.setdefault((i, name), rng.normal(
+                    size=out.value.shape).astype(dtype))
+                terms.append(E.sum_all(E.mul(out, E.as_node(w))))
+        loss = terms[0]
+        for t in terms[1:]:
+            loss = E.add(loss, t)
+        return loss
+
+    def grads():
+        store.zero_grad()
+        store.backward(build(store.bind()))
+        return {name: store[name].grad.copy() for name in ("W", "V")}
+
+    first, second = grads(), grads()
+    want = {name: np.zeros(store.value(name).shape) for name in ("W", "V")}
+    for (i, name), w in weights.items():
+        # d/dB sum(w * (a @ B)) = a^T @ w, summed over any broadcast axes
+        pair = np.swapaxes(lefts[i], -1, -2).astype(np.float64) @ w
+        if pair.ndim > want[name].ndim:
+            pair = pair.sum(axis=0)
+        want[name] += pair
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for name in ("W", "V"):
+        assert first[name].dtype == dtype
+        assert np.array_equal(first[name], second[name]), name
+        err = np.abs(first[name] - want[name]).max()
+        assert err <= tol * np.abs(want[name]).max(), name
+
+
+def test_right_operand_products_group_by_leading_axes():
+    rng = np.random.default_rng(22)
+    pairs = [E.RightProduct(rng.normal(size=a), rng.normal(size=g))
+             for a, g in (((4, 3), (4, 2)), ((2, 4, 3), (2, 4, 2)),
+                          ((1, 3), (1, 2)), ((5, 3), (2, 5, 2)),
+                          ((2, 2, 3), (2, 2, 2)))]
+    got = E.reduce_products(pairs, (3, 2))
+    want = sum((np.swapaxes(p.a, -1, -2) @ p.g).reshape(-1, 3, 2).sum(axis=0)
+               for p in pairs)
+    assert got.shape == (3, 2)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # a single pair is multiplied exactly as the plain vjp would
+    single = E.reduce_products(pairs[1:2], (3, 2))
+    assert np.array_equal(single, (np.swapaxes(pairs[1].a, -1, -2)
+                                   @ pairs[1].g).sum(axis=0))

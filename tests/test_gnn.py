@@ -501,8 +501,8 @@ def test_hop_support_matches_bfs(seed, hops, n_seeds):
 
 @given(st.integers(0, 10_000), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
-def test_plan_skips_the_gather_exactly_when_both_row_sets_are_all_kcs(seed,
-                                                                      layers):
+def test_plan_skips_the_gather_exactly_when_the_layer_output_is_all_kcs(
+        seed, layers):
     rng = np.random.default_rng(seed)
     gt = GraphTensors(random_graphs(rng, 6, p_edges=4, r_edges=4))
     kcs = {int(x) for x in rng.choice(6, size=int(rng.integers(1, 7)),
@@ -511,18 +511,24 @@ def test_plan_skips_the_gather_exactly_when_both_row_sets_are_all_kcs(seed,
     for plan in (plan_outward(gt, kcs, layers), plan_inward(gt, kcs, layers),
                  every_kc):
         for layer in range(1, layers + 1):
-            both_full = (len(plan.row_sets[layer - 1])
-                         == len(plan.row_sets[layer]) == 6)
-            assert (plan.ix[layer - 1] is None) == both_full
-            assert (plan.ix_t[layer - 1] is None) == both_full
-            if not both_full:  # the transposed block index
+            rows_in, rows_out = plan.row_sets[layer - 1], plan.row_sets[layer]
+            assert (plan.ix[layer - 1] is None) == (len(rows_out) == 6)
+            # the transposed layer writes the forward layer's input rows
+            assert (plan.ix_t[layer - 1] is None) == (len(rows_in) == 6)
+            if plan.ix[layer - 1] is not None:
+                rows, cols = plan.ix[layer - 1]
+                assert rows.ravel().tolist() == list(rows_out)
+                assert cols.ravel().tolist() == list(rows_in)
+            if plan.ix_t[layer - 1] is not None:  # the transposed block index
                 rows, cols = plan.ix_t[layer - 1]
-                assert rows.shape == (1, len(plan.row_sets[layer]))
-                assert cols.shape == (len(plan.row_sets[layer - 1]), 1)
-                assert rows.ravel().tolist() == list(plan.row_sets[layer])
-                assert cols.ravel().tolist() == list(plan.row_sets[layer - 1])
-    assert every_kc.ix == (None,) * layers
+                assert rows.shape == (1, len(rows_out))
+                assert cols.shape == (len(rows_in), 1)
+                assert rows.ravel().tolist() == list(rows_out)
+                assert cols.ravel().tolist() == list(rows_in)
+    assert every_kc.ix == every_kc.ix_t == (None,) * layers
     assert Plan([(0, 1), (0, 1)], 3).ix[0] is not None
+    growing = Plan([(0,), (0, 1, 2)], 3)
+    assert growing.ix[0] is None and growing.ix_t[0] is not None
 
 
 def dense_model(layers=2, n_kcs=5):
@@ -539,10 +545,56 @@ def dense_model(layers=2, n_kcs=5):
     return model
 
 
+def embedded_layers(plan, n_kcs, transposed=False):
+    """Layers reading the whole adjacency from fewer input rows than KCs.
+
+    A forward layer l reads rows l-1 and writes rows l; its transpose (the
+    read-out) reads rows l and writes rows l-1.
+    """
+    found = []
+    for layer in range(1, len(plan.row_sets)):
+        ix = plan.ix_t if transposed else plan.ix
+        n_in = len(plan.row_sets[layer if transposed else layer - 1])
+        if ix[layer - 1] is None and n_in < n_kcs:
+            found.append(layer)
+    return found
+
+
+def head_with_grads(model, head, plan, x0, mix):
+    """One head over `plan`, its value and every parameter gradient of
+    sum(mix * output)."""
+    spec = model.specs[head]
+    model.store.zero_grad()
+    bound = model.store.bind()
+    cache = BatchCache(model, bound, "train")
+    alpha_col = cache.alpha_col(1) if spec.use_question_scores else None
+    out = gnn_forward_rows(spec, E.as_node(x0), plan, model.gt,
+                           cache.weights[head], cache.agg, alpha_col)
+    model.store.backward(E.sum_all(E.mul(out, mix)))
+    return out.value, {name: model.store[name].grad.copy()
+                       for name in model.store.names()}
+
+
+def readout_with_grads(model, plan, seed, x0):
+    """The retrieval read-out over `plan`, its value and every parameter
+    gradient of sum(coefficients * x0)."""
+    model.store.zero_grad()
+    bound = model.store.bind()
+    cache = BatchCache(model, bound, "train")
+    coef = readout_rows(model.specs["rtv"], E.as_node(seed), plan,
+                        cache.rtv_t, cache.agg, E.transpose(cache.agg),
+                        cache.alpha_col(1))
+    model.store.backward(E.sum_all(E.mul(coef, x0)))
+    return coef.value, {name: model.store[name].grad.copy()
+                        for name in model.store.names()}
+
+
+# layers whose two row sets both hold every KC: rtv's first inward layer,
+# every layer of the all-KC plans
 @pytest.mark.parametrize("head,direction,kcs", [
-    ("rtv", "in", (1,)), ("gain", "out", (0, 3)), ("loss", "out", (2,)),
-    ("prg", "out", (4,)), ("lrn", "out", tuple(range(5))),
-    ("fgt", "out", tuple(range(5)))])
+    ("rtv", "in", (1,)), ("gain", "out", tuple(range(5))),
+    ("loss", "out", tuple(range(5))), ("prg", "out", tuple(range(5))),
+    ("lrn", "out", tuple(range(5))), ("fgt", "out", tuple(range(5)))])
 def test_whole_adjacency_layers_match_the_gathered_block_bitwise(head,
                                                                  direction,
                                                                  kcs):
@@ -550,24 +602,14 @@ def test_whole_adjacency_layers_match_the_gathered_block_bitwise(head,
     plan = model.plan(direction, kcs)
     gathering = Plan(plan.row_sets, model.n_kcs + 1)  # never all KCs
     assert None in plan.ix and None not in gathering.ix
+    assert embedded_layers(plan, model.n_kcs) == []
     spec = model.specs[head]
     rng = np.random.default_rng(18)
     x0 = rng.normal(size=(len(plan.row_sets[0]), spec.dims[0]))
     mix = rng.normal(size=(len(plan.output_rows), spec.dims[-1]))
 
-    def run(p):
-        model.store.zero_grad()
-        bound = model.store.bind()
-        cache = BatchCache(model, bound, "train")
-        alpha_col = cache.alpha_col(1) if spec.use_question_scores else None
-        out = gnn_forward_rows(spec, E.as_node(x0), p, model.gt,
-                               cache.weights[head], cache.agg, alpha_col)
-        model.store.backward(E.sum_all(E.mul(out, mix)))
-        return out.value, {name: model.store[name].grad.copy()
-                           for name in model.store.names()}
-
-    out_skip, grads_skip = run(plan)
-    out_gather, grads_gather = run(gathering)
+    out_skip, grads_skip = head_with_grads(model, head, plan, x0, mix)
+    out_gather, grads_gather = head_with_grads(model, head, gathering, x0, mix)
     assert np.array_equal(out_skip, out_gather)
     assert any(g.any() for g in grads_skip.values())
     for name in grads_skip:
@@ -576,30 +618,118 @@ def test_whole_adjacency_layers_match_the_gathered_block_bitwise(head,
 
 def test_whole_adjacency_readout_matches_the_gathered_block_bitwise():
     model = dense_model()
-    plan = model.plan("in", (1, 3))
+    plan = model.plan("in", tuple(range(5)))  # both row sets of every layer
     gathering = Plan(plan.row_sets, model.n_kcs + 1)  # never all KCs
     assert None in plan.ix_t and None not in gathering.ix_t
+    assert embedded_layers(plan, model.n_kcs, transposed=True) == []
     rng = np.random.default_rng(19)
-    seed = rng.normal(size=(2, 3))
+    seed = rng.normal(size=(5, 3))
     x0 = rng.normal(size=(model.n_kcs, 3))
 
-    def run(p):
-        model.store.zero_grad()
-        bound = model.store.bind()
-        cache = BatchCache(model, bound, "train")
-        coef = readout_rows(model.specs["rtv"], E.as_node(seed), p,
-                            cache.rtv_t, cache.agg, E.transpose(cache.agg),
-                            cache.alpha_col(1))
-        model.store.backward(E.sum_all(E.mul(coef, x0)))
-        return coef.value, {name: model.store[name].grad.copy()
-                            for name in model.store.names()}
-
-    coef_skip, grads_skip = run(plan)
-    coef_gather, grads_gather = run(gathering)
+    coef_skip, grads_skip = readout_with_grads(model, plan, seed, x0)
+    coef_gather, grads_gather = readout_with_grads(model, gathering, seed, x0)
     assert np.array_equal(coef_skip, coef_gather)
     assert grads_skip["cor.P"].any() and grads_skip["gnn.rtv.W.R.1"].any()
     for name in grads_skip:
         assert np.array_equal(grads_skip[name], grads_gather[name]), name
+
+
+def assert_close(got, want, rel):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("head,kcs", [("gain", (0, 3)), ("loss", (2,)),
+                                      ("prg", (4,)), ("rtv", (1, 3))])
+def test_embedded_whole_layers_match_the_gathered_block_closely(head, kcs):
+    # a whole layer fed from fewer rows contracts over all C rows, zeros
+    # included, so BLAS may round differently from the gathered block
+    model = dense_model()
+    rng = np.random.default_rng(23)
+    if head == "rtv":  # the read-out, on an inward plan
+        plan = model.plan("in", kcs)
+        assert embedded_layers(plan, model.n_kcs, transposed=True) == [2]
+        seed = rng.normal(size=(len(kcs), 3))
+        x0 = rng.normal(size=(model.n_kcs, 3))
+
+        def run(p):
+            return readout_with_grads(model, p, seed, x0)
+    else:
+        plan = model.plan("out", kcs)
+        assert embedded_layers(plan, model.n_kcs) == [1]
+        x0 = rng.normal(size=(len(kcs), 3))
+        mix = rng.normal(size=(model.n_kcs, 3))
+
+        def run(p):
+            return head_with_grads(model, head, p, x0, mix)
+
+    value, grads = run(plan)
+    value_gather, grads_gather = run(Plan(plan.row_sets, model.n_kcs + 1))
+    assert_close(value, value_gather, 1e-13)
+    assert grads[f"gnn.{head}.W.R.1"].any() and grads["cor.S"].any()
+    for name in grads:
+        assert_close(grads[name], grads_gather[name], 1e-13)
+
+
+def star_model(layers):
+    """KC 0 is related to every KC, and 1 to 2: seeds next to 0 reach every
+    KC in one hop, others in two."""
+    rng = np.random.default_rng(60 + layers)
+    hp = HyperParams(d_e=4, d_k=3, d_h=4, layers=layers, seed=60)
+    graphs = KcRelationGraphs(6, {(0, j): 0.9 for j in range(1, 6)},
+                              {(1, 2): 0.8})
+    model = GrktModel(hp, n_questions=3, n_kcs=6, graphs=graphs)
+    for name in model.store.names():
+        arr = model.store.value(name)
+        arr[...] = rng.normal(0.0, 0.6, size=arr.shape)
+    return model
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_embedded_whole_layers_match_the_straight_line_oracle(layers):
+    model = star_model(layers)
+    rng = np.random.default_rng(62)
+    _, cache = model.begin("eval")
+    q = 1
+    q_emb = model.store.value("emb.q")[q]
+    embedded = 0
+    for head, spec in model.specs.items():
+        scored = spec.use_question_scores
+        alpha_col = cache.alpha_col(q) if scored else None
+        if head in ("lrn", "fgt"):  # every KC, every layer whole
+            x = rng.normal(size=(model.n_kcs, spec.dims[0]))
+            want = brute_force_head(spec, x, model.graphs, model.store)
+            got = every_row(model, head, x, cache).value
+            assert np.abs(got - want).max() < 1e-10, head
+        for kcs in ((0,), (4,), (1, 2)):  # lrn/fgt: widths change at layer 1
+            support = sorted(hop_support(model.graphs, kcs, layers))
+            outside = sorted(set(range(model.n_kcs)) - set(support))
+            if head == "rtv":  # read out, as stage 1 does
+                x = rng.normal(size=(model.n_kcs, 3))
+                retrieved = brute_force_head(spec, x, model.graphs,
+                                             model.store, q_emb)
+                w_h = constrain_nonneg_vector(model.store.value("w_h"))
+                want = retrieved[list(kcs)].mean(axis=0) @ w_h.ravel()
+                _, mastery = model.stage1_predict(E.as_node(x), q, kcs, cache)
+                assert abs(mastery.value.item() - want) <= 1e-10 * abs(want)
+                coef = scattered_readout(model, cache, q, kcs)
+                assert not coef[outside].any()
+                embedded += len(embedded_layers(model.plan("in", kcs),
+                                                model.n_kcs, transposed=True))
+                continue
+            x = np.zeros((model.n_kcs, spec.dims[0]))
+            x[list(kcs)] = rng.normal(size=(len(kcs), spec.dims[0]))
+            want = brute_force_head(spec, x, model.graphs, model.store,
+                                    q_emb if scored else None)
+            plan = model.plan("out", kcs)
+            rows = gnn_forward_rows(spec, E.as_node(x[list(kcs)]), plan,
+                                    model.gt, cache.weights[head], cache.agg,
+                                    alpha_col).value
+            assert list(plan.output_rows) == support
+            assert np.abs(rows - want[support]).max() < 1e-10, head
+            if spec.output_activation != "softplus":  # softplus(0) > 0
+                assert not want[outside].any(), head
+            embedded += len(embedded_layers(plan, model.n_kcs))
+    assert embedded > 0
 
 
 def test_whole_transposed_adjacency_is_built_once_and_only_for_a_whole_layer():

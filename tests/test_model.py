@@ -202,6 +202,50 @@ def test_stage1_rejects_unknown_question(desk_model):
         desk_model.stage1_predict(cache.h0, 99, (0,), cache)
 
 
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_every_stage_rejects_a_kc_id_outside_the_model(desk_model, bad):
+    # -1 would read emb.k's padding row and H's last row; 6 == n_kcs
+    _, cache = desk_model.begin("eval")
+    H = cache.h0
+    counters = np.zeros(6, dtype=np.int64)
+    match = f"unknown KC id {bad}$"
+    with pytest.raises(ValueError, match=match):
+        desk_model.stage1_predict(H, 0, (bad,), cache)
+    with pytest.raises(ValueError, match=match):
+        desk_model.stage2_strengthen(H, 0, (1, bad), 1, cache)
+    with pytest.raises(ValueError, match=match):
+        desk_model.stage3_learn_forget(H, 0, (0,), 1, (bad,), 60.0, counters,
+                                       cache)
+    seq = ResponseSequence(0, [Response(0, (0,), 1, 0),
+                               Response(1, (bad, 2), 0, 60)], 2)
+    with pytest.raises(ValueError, match=match):
+        desk_model.forward_sequence(seq, cache)
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        desk_model.stage1_predict(H, 0, (3, 1), cache)
+
+
+def test_repeated_and_unsorted_kcs_predict_bitwise_as_the_kc_set():
+    model = randomize(GrktModel(HyperParams(d_e=4, d_k=3, d_h=5, layers=2,
+                                            seed=1),
+                                5, 6, random_graphs(np.random.default_rng(3),
+                                                    6)), scale=0.7, seed=4)
+    # stage 3 always grants progress, which reads both questions' e_bar
+    model.store.value("mlp.dcs.b2")[...] = [[-5.0, 5.0]]
+
+    def predictions(kcs):
+        seq = ResponseSequence(0, [Response(0, (0, 2), 1, 0),
+                                   Response(1, kcs, 0, 600),
+                                   Response(2, (1, 3), 1, 900),
+                                   Response(1, kcs, 1, 4000)], 4)
+        _, cache = model.begin("eval")
+        return [p.value.item() for p, _ in model.forward_sequence(seq, cache)
+                .preds]
+
+    raw = predictions((3, 1, 3))
+    assert raw == predictions((1, 3))
+    assert raw != predictions((1,)) and raw != predictions((3,))
+
+
 # -- stage 2 ---------------------------------------------------------------------
 
 
