@@ -18,26 +18,27 @@ columns) and drops the feed-forward so that larger neighbor memories can
 never reduce the aggregate. Without a feed-forward or an output activation
 the head is linear in its layer-0 features, so any fixed weighting of its
 output rows equals a weighting of its input rows: `readout_rows` computes
-those input coefficients by running the head's transpose backwards over the
-same row sets. Stage 1 reads retrieval out that way; the five other heads
-propagate forward.
+those input coefficients by running the head's transpose. Stage 1 reads
+retrieval out that way; the five other heads propagate forward.
 
 Propagation never reaches beyond the layer count in hops, so every head runs
-on the row sets of a `Plan` (`gnn_forward_rows`): seeded heads
-(gain/loss/progress) only compute the rows inside the seeds' hop support,
-retrieval is read out on the examined rows' inward neighborhood, and the
-kernel-rate heads (lrn/fgt) run on the plan seeded with every KC. Inward and
-outward plans share one hop expansion. A plan depends only on the graphs,
-the layer count and the KC set, so `GrktModel`, which owns the graphs,
-builds each one once and reuses it across steps and evaluation passes.
+on the row sets of a `Plan`, one per KC set: the set itself, then its 1- to
+L-hop supports. Seeded heads (gain/loss/progress) compute only those rows
+(`gnn_forward_rows`); the kernel-rate heads (lrn/fgt) run on the plan of
+every KC. The neighbor union over P, S and R is symmetric, so the rows that
+feed the examined KCs within L hops are the rows they reach: the retrieval
+read-out walks the same plan from the examined KCs out to their support. A
+plan depends only on the graphs, the layer count and the KC set, so
+`GrktModel`, which owns the graphs, builds each one once and reuses it
+across stages, steps and evaluation passes.
 
-A layer whose output rows hold every KC (forward: layer l's rows; read-out:
-layer l-1's) multiplies by the whole adjacency instead of gathering a block
-of it. Its inputs then enter on all C rows, exactly zero outside the input
-set: the residual's scatter already places them there, so such a layer adds
-no node. On graphs as dense as the mined `paper` ones, most layers past the
-first hop are of this kind. Contracting over the zero rows too can round
-differently from the gathered block, by about one ulp.
+A layer whose output rows hold every KC multiplies by the whole adjacency
+instead of gathering a block of it. Its inputs then enter on all C rows,
+exactly zero outside the input set: the residual's scatter already places
+them there, so such a layer adds no node. On graphs as dense as the mined
+`paper` ones, most layers past the first hop are of this kind. Contracting
+over the zero rows too can round differently from the gathered block, by
+about one ulp.
 """
 
 from __future__ import annotations
@@ -127,52 +128,42 @@ class GraphTensors:
 
 
 class Plan:
-    """Per-layer row sets for a restricted propagation, with frozen indices.
+    """Per-layer row sets of one KC set's hop support, with frozen indices.
 
-    `row_sets[l]` lists the KC rows materialized at layer l; `align[l-1]`
-    maps layer l-1 features onto layer l rows for the residual: ("gather",
-    idx) when the row set shrinks (inward plans), ("embed", idx) when it
-    grows (outward plans, missing rows are exactly zero). `ix[l-1]` selects
-    the (rows_l, rows_{l-1}) adjacency block, or is None when rows_l, the
-    layer's output, holds all `n_kcs` KCs: the layer then reads the whole
-    adjacency. `ix_t[l-1]` holds the two index arrays transposed, which
-    reads the block transposed, (rows_{l-1}, rows_l), from the same
-    adjacency, for the transposed layer (`readout_rows`), whose output is
-    rows_{l-1}; it is None when rows_{l-1} holds all KCs.
+    `row_sets[0]` is the KC set and `row_sets[l]` its l-hop support: sorted,
+    each holding the one before. `align[l-1]` holds the positions of layer
+    l-1's rows among layer l's, where the residual embeds them (missing rows
+    are exactly zero), or is None when the two sets are equal. `ix[l-1]`
+    selects the (rows_l, rows_{l-1}) adjacency block, or is None when rows_l,
+    the layer's output, holds all `n_kcs` KCs: the layer then reads the whole
+    adjacency. The read-out (`readout_rows`) walks the same layers and reads
+    the transposed block through the pair swapped.
     """
 
-    __slots__ = ("row_sets", "row_arrays", "align", "ix", "ix_t")
+    __slots__ = ("row_sets", "row_arrays", "align", "ix")
 
     def __init__(self, row_sets: list[tuple[int, ...]], n_kcs: int):
         self.row_sets = tuple(row_sets)
         self.row_arrays = tuple(np.asarray(r, dtype=np.int64) for r in row_sets)
-        self.align = tuple(self._alignment(row_sets[l - 1], row_sets[l])
-                           for l in range(1, len(row_sets)))
-        whole = [len(r) == n_kcs for r in row_sets]
+        if any((np.diff(r) <= 0).any() for r in self.row_arrays):
+            raise ValueError("row sets must be sorted and distinct")
+        self.align = tuple(map(self._embedding, self.row_arrays,
+                               self.row_arrays[1:]))
         self.ix = tuple(
-            None if whole[l]
-            else np.ix_(self.row_arrays[l], self.row_arrays[l - 1])
-            for l in range(1, len(row_sets)))
-        self.ix_t = tuple(
-            None if whole[l - 1]
-            else (self.row_arrays[l][None, :], self.row_arrays[l - 1][:, None])
-            for l in range(1, len(row_sets)))
+            None if len(rows) == n_kcs else np.ix_(rows, prev)
+            for prev, rows in zip(self.row_arrays, self.row_arrays[1:]))
 
     @property
     def output_rows(self) -> tuple[int, ...]:
         return self.row_sets[-1]
 
     @staticmethod
-    def _alignment(prev_rows, cur_rows):
-        prev_pos = {c: i for i, c in enumerate(prev_rows)}
-        if set(cur_rows) <= set(prev_rows):
-            return ("gather", np.asarray([prev_pos[c] for c in cur_rows],
-                                         dtype=np.int64))
-        cur_pos = {c: i for i, c in enumerate(cur_rows)}
-        if not set(prev_rows) <= set(cur_rows):
-            raise ValueError("row sets must be nested between layers")
-        return ("embed", np.asarray([cur_pos[c] for c in prev_rows],
-                                    dtype=np.int64))
+    def _embedding(prev: np.ndarray, cur: np.ndarray) -> np.ndarray | None:
+        pos = np.searchsorted(cur, prev)
+        if pos.size and (pos[-1] == len(cur)
+                         or not np.array_equal(cur[pos], prev)):
+            raise ValueError("row sets must grow and be nested between layers")
+        return None if len(prev) == len(cur) else pos
 
 
 def _hop_row_sets(gt: GraphTensors, kcs, layers: int) -> list[tuple[int, ...]]:
@@ -186,19 +177,9 @@ def _hop_row_sets(gt: GraphTensors, kcs, layers: int) -> list[tuple[int, ...]]:
     return row_sets
 
 
-def plan_outward(gt: GraphTensors, seeds, layers: int) -> Plan:
-    """Row sets for seeded propagation: layer l covers the l-hop support."""
-    return Plan(_hop_row_sets(gt, seeds, layers), gt.n_kcs)
-
-
-def plan_inward(gt: GraphTensors, targets, layers: int) -> Plan:
-    """Row sets for reading specific output rows: the outward sets reversed.
-
-    The neighbor union over P, S and R is symmetric (S reverses P and R is
-    undirected), so the rows feeding a target within l hops are exactly the
-    rows it reaches within l hops.
-    """
-    return Plan(_hop_row_sets(gt, targets, layers)[::-1], gt.n_kcs)
+def plan_outward(gt: GraphTensors, kcs, layers: int) -> Plan:
+    """The plan of `kcs`: layer l covers their l-hop support."""
+    return Plan(_hop_row_sets(gt, kcs, layers), gt.n_kcs)
 
 
 def _apply_output_activation(spec: GnnSpec, out: E.Node) -> E.Node:
@@ -243,8 +224,8 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
                      alpha_col: E.Node | None = None) -> E.Node:
     """Run one head over a plan's row sets.
 
-    `x0` holds the layer-0 features for `plan.row_sets[0]` (rows outside an
-    outward plan's seed support are exactly zero and never materialized).
+    `x0` holds the layer-0 features for `plan.row_sets[0]` (rows outside the
+    seeds are exactly zero and never materialized).
     `agg` is the (G, C, C) degree-normalized, correlation-scaled adjacency
     stack (shared across layers and heads for one parameter state; None when
     no graph has edges) and `weights[l-1]` layer l's stacks. `alpha_col` is
@@ -265,11 +246,10 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
     for layer in range(1, len(spec.dims)):
         d_prev, d_cur = spec.dims[layer - 1], spec.dims[layer]
         n_cur = len(plan.row_sets[layer])
-        mode, idx = plan.align[layer - 1]
+        idx = plan.align[layer - 1]
         residual = None
         if d_prev == d_cur:
-            residual = E.gather_rows(out, idx) if mode == "gather" \
-                else E.scatter_rows(out, idx, n_cur)
+            residual = out if idx is None else E.scatter_rows(out, idx, n_cur)
         ix = plan.ix[layer - 1]
         feats, sub, alpha = out, agg, alpha_col
         if ix is not None:
@@ -277,7 +257,7 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
                 sub = E.gather_submatrix(agg, (slice(None), *ix))
             if alpha_col is not None:
                 alpha = E.gather_rows(alpha_col, plan.row_arrays[layer - 1])
-        elif mode == "embed":  # every KC's row, zero outside the inputs
+        elif idx is not None:  # every KC's row, zero outside the inputs
             feats = residual if residual is not None \
                 else E.scatter_rows(out, idx, n_cur)
         if alpha is not None:
@@ -294,51 +274,51 @@ def readout_rows(spec: GnnSpec, seed: E.Node, plan: Plan,
     """Input coefficients of a weighted read-out of a linear head.
 
     For a head without feed-forward or output activation (so of constant
-    width, every layer with its residual) and any layer-0 features `x0`,
-    `sum(seed * gnn_forward_rows(spec, x0, plan, ...))` equals
-    `sum(readout_rows(spec, seed, plan, ...) * x0)`. `seed` holds one row of
-    weights per `plan.output_rows` entry; the result holds one row per
-    `plan.row_sets[0]` entry. It runs the head's transpose from the output
-    rows back over the same row sets,
+    width, every layer with its residual), run over every KC on layer-0
+    features `x`, `sum(seed * out[plan.row_sets[0]])` equals
+    `sum(readout_rows(spec, seed, plan, ...) * x[plan.output_rows])`.
+    `seed` holds one row of weights per `plan.row_sets[0]` entry; the result
+    holds one row per `plan.output_rows` entry. Read-out layer k runs the
+    head's layer L-k+1 transposed, from rows R_{k-1} out to R_k,
 
-        B_{l-1} = alpha[R_{l-1}] * sum_g A_g[R_l, R_{l-1}]^T B_l W_g^T
-                  + residual^T(B_l),
+        B_k = alpha[R_k] * sum_g A_g[R_{k-1}, R_k]^T B_{k-1} W_g^T
+              + residual(B_{k-1}),
 
     where `weights_t[l-1]` is layer l's W stack with its last two axes
-    swapped (empty when no graph has edges). The transposed adjacency blocks
-    are read from `agg` through `plan.ix_t`; `agg_t`, the whole stack with
-    its last two axes swapped, is read only by a layer whose output rows
-    R_{l-1} hold every KC, with B_l embedded in all C rows by the residual's
-    scatter, and may be None when the plan has no such layer (`agg` and
-    `agg_t` are None when no graph has edges). `alpha_col` is as for
-    `gnn_forward_rows`.
+    swapped (empty when no graph has edges) and the residual embeds as in
+    `gnn_forward_rows`. The transposed block is read from `agg` through
+    `plan.ix[k-1]` swapped; `agg_t`, the whole stack with its last two axes
+    swapped, is read only by a layer whose output rows R_k hold every KC,
+    with B_{k-1} embedded in all C rows by the residual's scatter, and may be
+    None when the plan has no such layer (`agg` and `agg_t` are None when no
+    graph has edges). `alpha_col` is as for `gnn_forward_rows`.
     """
     if spec.use_feedforward or spec.output_activation != "none" \
             or len(set(spec.dims)) != 1:
         raise ValueError(f"head {spec.name!r} is not linear in its input")
     _check_question_context(spec, alpha_col)
-    if seed.value.shape != (len(plan.output_rows), spec.dims[-1]):
-        raise ValueError("read-out seed does not match the plan's output rows")
+    if seed.value.shape != (len(plan.row_sets[0]), spec.dims[-1]):
+        raise ValueError("read-out seed does not match the plan's seed rows")
 
     coef = seed
-    for layer in range(len(spec.dims) - 1, 0, -1):
-        mode, idx = plan.align[layer - 1]
-        if mode == "gather":
-            residual = E.scatter_rows(coef, idx, len(plan.row_sets[layer - 1]))
-        else:
-            residual = E.gather_rows(coef, idx)
+    n_layers = len(spec.dims) - 1
+    for k in range(1, n_layers + 1):
+        idx = plan.align[k - 1]
+        residual = coef if idx is None \
+            else E.scatter_rows(coef, idx, len(plan.row_sets[k]))
         if agg is None:
             coef = residual
             continue
-        ix_t = plan.ix_t[layer - 1]
+        ix = plan.ix[k - 1]
         feats, sub, alpha = coef, agg_t, alpha_col
-        if ix_t is not None:
-            sub = E.gather_submatrix(agg, (slice(None), *ix_t))
+        if ix is not None:
+            rows, cols = ix
+            sub = E.gather_submatrix(agg, (slice(None), cols, rows))
             if alpha_col is not None:
-                alpha = E.gather_rows(alpha_col, plan.row_arrays[layer - 1])
-        elif len(plan.row_sets[layer]) < len(plan.row_sets[layer - 1]):
+                alpha = E.gather_rows(alpha_col, plan.row_arrays[k])
+        elif idx is not None:
             feats = residual  # every KC's row, zero outside the inputs
-        back = E.sum_axis(E.matmul(sub, E.matmul(feats, weights_t[layer - 1])),
+        back = E.sum_axis(E.matmul(sub, E.matmul(feats, weights_t[n_layers - k])),
                           0, keepdims=False)
         if alpha is not None:
             back = E.mul(alpha, back)

@@ -57,16 +57,10 @@ def auc(pairs) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetric("AUC needs both classes")
 
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank of the tie block
-        i = j + 1
+    # each score's rank, tied scores sharing their block's average rank
+    _, block, counts = np.unique(scores, return_inverse=True,
+                                 return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[block]
     pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -9,7 +9,7 @@ three stages:
    retrieval head, averaged over the question's KCs, projected to mastery and
    compared against a learned question difficulty to predict correctness.
    That chain is linear in the memory, so mastery is the sum of the memory
-   rows of the examined KCs' inward support weighted by non-negative
+   rows of the examined KCs' L-hop support weighted by non-negative
    coefficient rows that depend only on the parameters and the question;
    `BatchCache.readout` builds them once per question and parameter state.
 2. Strengthening: an MLP turns (memory, question) into a seed feature per
@@ -41,7 +41,7 @@ import numpy as np
 from . import engine as E
 from .data import Response, ResponseSequence
 from .gnn import (GnnSpec, GraphTensors, Plan, gnn_forward_rows, make_specs,
-                  plan_inward, plan_outward, readout_rows)
+                  plan_outward, readout_rows)
 from .graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
                      format_graphs, parse_graphs)
 
@@ -176,8 +176,8 @@ class BatchCache:
     per-question embeddings/difficulties/requirement scores and stage-1
     read-outs depend only on the parameters, so they are built once and
     reused by every sequence until the next optimizer step. Propagation plans
-    do not depend on the parameters; `plan_in`/`plan_out` fetch them from the
-    model's own cache.
+    do not depend on the parameters; `plan_out` fetches them from the model's
+    own cache.
     """
 
     def __init__(self, model: "GrktModel", bound: dict[str, E.Node], mode: str):
@@ -272,29 +272,27 @@ class BatchCache:
     def readout(self, q: int, kcs: tuple[int, ...]) -> E.Node:
         """Stage-1 coefficients of question `q` over the sorted KC set `kcs`.
 
-        One row per `plan_in(kcs).row_sets[0]` KC: the stage-1 mastery of a
+        One row per `plan_out(kcs).output_rows` KC: the stage-1 mastery of a
         memory H is the sum of H's rows there times these coefficients. The
-        retrieval head's transpose runs once per key from the read-out seed,
-        softmax(w_h) / |kcs| on every examined KC.
+        retrieval head's transpose runs once per key along the plan stage 2
+        uses, from the read-out seed, softmax(w_h) / |kcs| on every examined
+        KC.
         """
         key = (q, kcs)
         if key not in self._readout:
             n = len(kcs)
             if n not in self._seed:
                 self._seed[n] = E.mul(E.tile_rows(self.w_h_row, n), 1.0 / n)
-            plan = self.plan_in(kcs)
-            if self.agg_t is None and self.agg is not None and None in plan.ix_t:
+            plan = self.plan_out(kcs)
+            if self.agg_t is None and self.agg is not None and None in plan.ix:
                 self.agg_t = E.transpose(self.agg)
             self._readout[key] = readout_rows(
                 self.model.specs["rtv"], self._seed[n], plan, self.rtv_t,
                 self.agg, self.agg_t, self.alpha_col(q))
         return self._readout[key]
 
-    def plan_in(self, kcs: tuple[int, ...]) -> Plan:
-        return self.model.plan("in", kcs)
-
     def plan_out(self, kcs: tuple[int, ...]) -> Plan:
-        return self.model.plan("out", kcs)
+        return self.model.plan(kcs)
 
 
 class GrktModel:
@@ -314,15 +312,13 @@ class GrktModel:
         self.store = store if store is not None \
             else init_parameters(hp, n_questions, n_kcs)
         # plans depend only on the graphs, the layer count and the KC set
-        self._plans: dict[tuple, Plan] = {}
+        self._plans: dict[tuple[int, ...], Plan] = {}
 
-    def plan(self, direction: str, kcs: tuple[int, ...]) -> Plan:
-        """The inward ("in") or outward ("out") plan for `kcs`, built once."""
-        key = (direction, kcs)
-        if key not in self._plans:
-            build = plan_inward if direction == "in" else plan_outward
-            self._plans[key] = build(self.gt, kcs, self.hp.layers)
-        return self._plans[key]
+    def plan(self, kcs: tuple[int, ...]) -> Plan:
+        """The plan for `kcs`, built once; stages 1 and 2 share it."""
+        if kcs not in self._plans:
+            self._plans[kcs] = plan_outward(self.gt, kcs, self.hp.layers)
+        return self._plans[kcs]
 
     def begin(self, mode: str = "eval") -> tuple[dict[str, E.Node], BatchCache]:
         bound = self.store.bind()
@@ -345,10 +341,10 @@ class GrktModel:
         """Retrieve memory for a question; returns (p_correct, mastery).
 
         Mastery is the question's cached read-out applied to the memory rows
-        of the examined KCs' inward support.
+        of the examined KCs' L-hop support.
         """
         self._check_ids(q, kcs)
-        x0 = E.gather_rows(H, cache.plan_in(kcs).row_arrays[0])
+        x0 = E.gather_rows(H, cache.plan_out(kcs).row_arrays[-1])
         mastery = E.sum_all(E.mul(x0, cache.readout(q, kcs)))
         a_hat = E.sigmoid(E.sub(mastery, cache.difficulty(q, kcs)))
         return a_hat, mastery

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphkt import engine as E
 from graphkt.gnn import (GnnSpec, GraphTensors, Plan, gnn_forward_rows,
-                         make_specs, plan_inward, plan_outward, readout_rows)
+                         make_specs, plan_outward, readout_rows)
 from graphkt.graphs import KcRelationGraphs
 from graphkt.model import BatchCache, GrktModel, HyperParams
 from tests.conftest import random_graphs
@@ -65,7 +65,7 @@ def brute_force_head(spec, x, graphs, store, q_emb=None):
 
 def every_row(model, head, x, cache, alpha_col=None):
     """Run `head` over all KC rows: `gnn_forward_rows` on the all-KC plan."""
-    plan = model.plan("out", tuple(range(model.n_kcs)))
+    plan = model.plan(tuple(range(model.n_kcs)))
     return gnn_forward_rows(model.specs[head], E.as_node(x), plan, model.gt,
                             cache.weights[head], cache.agg, alpha_col)
 
@@ -123,23 +123,6 @@ def test_restricted_outward_matches_full(head, layers):
     assert np.array_equal(full[outside], np.zeros((len(outside), spec.dims[-1])))
 
 
-@pytest.mark.parametrize("layers", [1, 2, 3])
-def test_restricted_inward_matches_full(layers):
-    model = small_model(seed=layers * 13 + 1, layers=layers, n_kcs=7)
-    spec = model.specs["rtv"]
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(model.n_kcs, spec.dims[0]))
-    _, cache = model.begin("eval")
-    full = every_row(model, "rtv", x, cache, cache.alpha_col(0)).value
-    targets = (2, 5)
-    plan = plan_inward(model.gt, targets, layers)
-    x0 = x[list(plan.row_sets[0])]
-    rows = gnn_forward_rows(spec, E.as_node(x0), plan, model.gt,
-                            cache.weights["rtv"], cache.agg,
-                            cache.alpha_col(0)).value
-    assert np.abs(rows - full[list(targets)]).max() < 1e-12
-
-
 # -- stacked graphs: every ablation's graph set -------------------------------
 
 # graph sets with 3, 2 (P and its reverse S), 1 (R) and 0 non-empty graphs
@@ -181,13 +164,7 @@ def test_stacked_layers_match_brute_force_on_every_graph_set(ablation, layers):
         got = every_row(model, head, x, cache, alpha_col).value
         assert np.abs(got - want).max() < 1e-10, head
 
-        if head == "rtv":  # read two rows from their inward neighborhood
-            plan = plan_inward(model.gt, (1, 5), layers)
-            rows = gnn_forward_rows(spec, E.as_node(x[list(plan.row_sets[0])]),
-                                    plan, model.gt, cache.weights[head],
-                                    cache.agg, alpha_col).value
-            assert np.abs(rows - want[[1, 5]]).max() < 1e-10, head
-        elif head in ("gain", "loss", "prg"):  # seeded: zero outside seeds
+        if head in ("gain", "loss", "prg"):  # seeded: zero outside seeds
             seeds = (0, 4)
             x_seeded = np.zeros_like(x)
             x_seeded[list(seeds)] = x[list(seeds)]
@@ -226,7 +203,7 @@ def test_strengthening_leaves_rows_outside_the_hop_support_bitwise(ablation):
 def scattered_readout(model, cache, q, kcs):
     """The read-out coefficients of (q, kcs) placed on all C rows."""
     full = np.zeros((model.n_kcs, model.hp.d_k))
-    full[list(model.plan("in", kcs).row_sets[0])] = cache.readout(q, kcs).value
+    full[list(model.plan(kcs).output_rows)] = cache.readout(q, kcs).value
     return full
 
 
@@ -265,23 +242,23 @@ def test_readout_weighs_the_forward_output_rows_on_any_plan():
     rng = np.random.default_rng(56)
     spec = model.specs["rtv"]
     _, cache = model.begin("eval")
-    for plan in (plan_inward(model.gt, (1, 4), 2),
-                 plan_outward(model.gt, (0, 6), 2)):
-        x0 = rng.normal(size=(len(plan.row_sets[0]), 3))
-        seed = rng.normal(size=(len(plan.output_rows), 3))
-        out = gnn_forward_rows(spec, E.as_node(x0), plan, model.gt,
-                               cache.weights["rtv"], cache.agg,
-                               cache.alpha_col(3)).value
+    agg_t = E.transpose(cache.agg)
+    for kcs in ((1, 4), (0, 6), (3,)):
+        plan = model.plan(kcs)
+        x = rng.normal(size=(model.n_kcs, 3))
+        seed = rng.normal(size=(len(kcs), 3))
+        out = every_row(model, "rtv", x, cache, cache.alpha_col(3)).value
         coef = readout_rows(spec, E.as_node(seed), plan, cache.rtv_t,
-                            cache.agg, None, cache.alpha_col(3)).value
-        assert abs((coef * x0).sum() - (seed * out).sum()) \
-            < 1e-12 * np.abs(seed * out).sum()
+                            cache.agg, agg_t, cache.alpha_col(3)).value
+        weighed = seed * out[list(kcs)]
+        assert abs((coef * x[list(plan.output_rows)]).sum() - weighed.sum()) \
+            < 1e-12 * np.abs(weighed).sum()
 
 
 def test_readout_refuses_a_nonlinear_head_and_a_wrong_seed():
     model = small_model(seed=57, layers=2)
     _, cache = model.begin("eval")
-    plan = plan_inward(model.gt, (2,), 2)
+    plan = model.plan((2,))
     seed = E.as_node(np.ones((1, 3)))
     for head in ("gain", "loss", "prg", "lrn", "fgt"):
         with pytest.raises(ValueError, match="not linear"):
@@ -457,23 +434,21 @@ def test_pairwise_scores_match_cached_matrices():
 # -- hop support ---------------------------------------------------------------
 
 
-def plan_supports(graphs, seeds, hops):
-    """The hop support as each plan direction builds it (sorted tuples)."""
-    gt = GraphTensors(graphs)
-    return (plan_outward(gt, seeds, hops).output_rows,
-            plan_inward(gt, seeds, hops).row_sets[0])
+def plan_support(graphs, seeds, hops):
+    """The hop support as the plan builds it (a sorted tuple)."""
+    return plan_outward(GraphTensors(graphs), seeds, hops).output_rows
 
 
 def test_hop_support_zero_is_seeds():
     g = KcRelationGraphs(5, {(0, 1): 0.9}, {})
-    assert plan_supports(g, {0, 2}, 0) == ((0, 2), (0, 2))
+    assert plan_support(g, {0, 2}, 0) == (0, 2)
     assert hop_support(g, {0, 2}, 0) == {0, 2}
 
 
 def test_hop_support_path():
     g = KcRelationGraphs(3, {}, {(0, 1): 0.9, (1, 2): 0.9})
-    assert plan_supports(g, {0}, 1) == ((0, 1), (0, 1))
-    assert plan_supports(g, {0}, 2) == ((0, 1, 2), (0, 1, 2))
+    assert plan_support(g, {0}, 1) == (0, 1)
+    assert plan_support(g, {0}, 2) == (0, 1, 2)
     assert hop_support(g, {0}, 1) == {0, 1}
     assert hop_support(g, {0}, 2) == {0, 1, 2}
 
@@ -486,14 +461,11 @@ def test_hop_support_matches_bfs(seed, hops, n_seeds):
                       r_edges=int(rng.integers(0, 10)))
     seeds = {int(x) for x in rng.choice(8, size=n_seeds, replace=False)}
     want = tuple(sorted(hop_support(g, seeds, hops)))
-    assert plan_supports(g, seeds, hops) == (want, want)
-    # every layer of both plans, not only the widest
-    gt = GraphTensors(g)
-    outward = plan_outward(gt, seeds, hops).row_sets
-    inward = plan_inward(gt, seeds, hops).row_sets
+    assert plan_support(g, seeds, hops) == want
+    # every layer of the plan, not only the widest
+    row_sets = plan_outward(GraphTensors(g), seeds, hops).row_sets
     for hop in range(hops + 1):
-        want = tuple(sorted(hop_support(g, seeds, hop)))
-        assert outward[hop] == inward[hops - hop] == want
+        assert row_sets[hop] == tuple(sorted(hop_support(g, seeds, hop)))
 
 
 # -- whole-adjacency layers ------------------------------------------------------
@@ -508,27 +480,32 @@ def test_plan_skips_the_gather_exactly_when_the_layer_output_is_all_kcs(
     kcs = {int(x) for x in rng.choice(6, size=int(rng.integers(1, 7)),
                                       replace=False)}
     every_kc = plan_outward(gt, range(6), layers)
-    for plan in (plan_outward(gt, kcs, layers), plan_inward(gt, kcs, layers),
-                 every_kc):
+    for plan in (plan_outward(gt, kcs, layers), every_kc):
         for layer in range(1, layers + 1):
             rows_in, rows_out = plan.row_sets[layer - 1], plan.row_sets[layer]
             assert (plan.ix[layer - 1] is None) == (len(rows_out) == 6)
-            # the transposed layer writes the forward layer's input rows
-            assert (plan.ix_t[layer - 1] is None) == (len(rows_in) == 6)
             if plan.ix[layer - 1] is not None:
                 rows, cols = plan.ix[layer - 1]
                 assert rows.ravel().tolist() == list(rows_out)
                 assert cols.ravel().tolist() == list(rows_in)
-            if plan.ix_t[layer - 1] is not None:  # the transposed block index
-                rows, cols = plan.ix_t[layer - 1]
-                assert rows.shape == (1, len(rows_out))
-                assert cols.shape == (len(rows_in), 1)
-                assert rows.ravel().tolist() == list(rows_out)
-                assert cols.ravel().tolist() == list(rows_in)
-    assert every_kc.ix == every_kc.ix_t == (None,) * layers
+    assert every_kc.ix == (None,) * layers
     assert Plan([(0, 1), (0, 1)], 3).ix[0] is not None
-    growing = Plan([(0,), (0, 1, 2)], 3)
-    assert growing.ix[0] is None and growing.ix_t[0] is not None
+    assert Plan([(0,), (0, 1, 2)], 3).ix[0] is None
+
+
+def test_plan_embeds_each_layer_in_the_next():
+    growing = Plan([(1, 4), (1, 4), (0, 1, 3, 4)], 5)
+    assert growing.align[0] is None  # equal sets: the residual is the input
+    assert growing.align[1].tolist() == [1, 3]
+
+
+def test_plan_refuses_row_sets_that_shrink_or_are_not_nested():
+    for row_sets in ([(0, 1, 2), (0, 1)],     # shrinks
+                     [(0, 1), (1, 2)],        # not nested
+                     [(2,), (0, 1, 3)],       # not nested, grows
+                     [(1, 0), (0, 1)]):       # not sorted
+        with pytest.raises(ValueError, match="row sets"):
+            Plan(row_sets, 3)
 
 
 def dense_model(layers=2, n_kcs=5):
@@ -545,19 +522,14 @@ def dense_model(layers=2, n_kcs=5):
     return model
 
 
-def embedded_layers(plan, n_kcs, transposed=False):
+def embedded_layers(plan, n_kcs):
     """Layers reading the whole adjacency from fewer input rows than KCs.
 
-    A forward layer l reads rows l-1 and writes rows l; its transpose (the
-    read-out) reads rows l and writes rows l-1.
+    Layer l, forward or read out, reads rows l-1 and writes rows l.
     """
-    found = []
-    for layer in range(1, len(plan.row_sets)):
-        ix = plan.ix_t if transposed else plan.ix
-        n_in = len(plan.row_sets[layer if transposed else layer - 1])
-        if ix[layer - 1] is None and n_in < n_kcs:
-            found.append(layer)
-    return found
+    return [layer for layer in range(1, len(plan.row_sets))
+            if plan.ix[layer - 1] is None
+            and len(plan.row_sets[layer - 1]) < n_kcs]
 
 
 def head_with_grads(model, head, plan, x0, mix):
@@ -589,17 +561,11 @@ def readout_with_grads(model, plan, seed, x0):
                         for name in model.store.names()}
 
 
-# layers whose two row sets both hold every KC: rtv's first inward layer,
-# every layer of the all-KC plans
-@pytest.mark.parametrize("head,direction,kcs", [
-    ("rtv", "in", (1,)), ("gain", "out", tuple(range(5))),
-    ("loss", "out", tuple(range(5))), ("prg", "out", tuple(range(5))),
-    ("lrn", "out", tuple(range(5))), ("fgt", "out", tuple(range(5)))])
-def test_whole_adjacency_layers_match_the_gathered_block_bitwise(head,
-                                                                 direction,
-                                                                 kcs):
+# every layer of the all-KC plan: both row sets hold every KC
+@pytest.mark.parametrize("head", ["rtv", "gain", "loss", "prg", "lrn", "fgt"])
+def test_whole_adjacency_layers_match_the_gathered_block_bitwise(head):
     model = dense_model()
-    plan = model.plan(direction, kcs)
+    plan = model.plan(tuple(range(model.n_kcs)))
     gathering = Plan(plan.row_sets, model.n_kcs + 1)  # never all KCs
     assert None in plan.ix and None not in gathering.ix
     assert embedded_layers(plan, model.n_kcs) == []
@@ -618,10 +584,10 @@ def test_whole_adjacency_layers_match_the_gathered_block_bitwise(head,
 
 def test_whole_adjacency_readout_matches_the_gathered_block_bitwise():
     model = dense_model()
-    plan = model.plan("in", tuple(range(5)))  # both row sets of every layer
+    plan = model.plan(tuple(range(5)))  # both row sets of every layer
     gathering = Plan(plan.row_sets, model.n_kcs + 1)  # never all KCs
-    assert None in plan.ix_t and None not in gathering.ix_t
-    assert embedded_layers(plan, model.n_kcs, transposed=True) == []
+    assert None in plan.ix and None not in gathering.ix
+    assert embedded_layers(plan, model.n_kcs) == []
     rng = np.random.default_rng(19)
     seed = rng.normal(size=(5, 3))
     x0 = rng.normal(size=(model.n_kcs, 3))
@@ -645,17 +611,15 @@ def test_embedded_whole_layers_match_the_gathered_block_closely(head, kcs):
     # included, so BLAS may round differently from the gathered block
     model = dense_model()
     rng = np.random.default_rng(23)
-    if head == "rtv":  # the read-out, on an inward plan
-        plan = model.plan("in", kcs)
-        assert embedded_layers(plan, model.n_kcs, transposed=True) == [2]
+    plan = model.plan(kcs)
+    assert embedded_layers(plan, model.n_kcs) == [1]
+    if head == "rtv":  # the read-out
         seed = rng.normal(size=(len(kcs), 3))
         x0 = rng.normal(size=(model.n_kcs, 3))
 
         def run(p):
             return readout_with_grads(model, p, seed, x0)
     else:
-        plan = model.plan("out", kcs)
-        assert embedded_layers(plan, model.n_kcs) == [1]
         x0 = rng.normal(size=(len(kcs), 3))
         mix = rng.normal(size=(model.n_kcs, 3))
 
@@ -713,14 +677,13 @@ def test_embedded_whole_layers_match_the_straight_line_oracle(layers):
                 assert abs(mastery.value.item() - want) <= 1e-10 * abs(want)
                 coef = scattered_readout(model, cache, q, kcs)
                 assert not coef[outside].any()
-                embedded += len(embedded_layers(model.plan("in", kcs),
-                                                model.n_kcs, transposed=True))
+                embedded += len(embedded_layers(model.plan(kcs), model.n_kcs))
                 continue
             x = np.zeros((model.n_kcs, spec.dims[0]))
             x[list(kcs)] = rng.normal(size=(len(kcs), spec.dims[0]))
             want = brute_force_head(spec, x, model.graphs, model.store,
                                     q_emb if scored else None)
-            plan = model.plan("out", kcs)
+            plan = model.plan(kcs)
             rows = gnn_forward_rows(spec, E.as_node(x[list(kcs)]), plan,
                                     model.gt, cache.weights[head], cache.agg,
                                     alpha_col).value
@@ -736,14 +699,14 @@ def test_whole_transposed_adjacency_is_built_once_and_only_for_a_whole_layer():
     sparse = path_graph_model(layers=1)
     _, cache = sparse.begin("eval")
     cache.readout(0, (0,))
-    assert None not in sparse.plan("in", (0,)).ix_t and cache.agg_t is None
+    assert None not in sparse.plan((0,)).ix and cache.agg_t is None
 
     model = dense_model()
     rng = np.random.default_rng(20)
     H = rng.normal(size=(model.n_kcs, 3))
     _, cache = model.begin("eval")
     for kcs in ((1, 3), (0,)):  # each plan's first layer is whole
-        assert model.plan("in", kcs).ix_t[0] is None
+        assert model.plan(kcs).ix[0] is None
         _, mastery = model.stage1_predict(E.as_node(H), 1, kcs, cache)
         if kcs == (1, 3):
             built = cache.agg_t

@@ -92,7 +92,7 @@ def test_stage1_isolated_kc_uses_own_memory():
     a_hat, _ = model.stage1_predict(H, 1, (4,), cache)
     # the read-out weighs KC 4's own memory by softmax(w_h) and nothing else
     coef = np.zeros((5, 4))
-    coef[list(model.plan("in", (4,)).row_sets[0])] = cache.readout(1, (4,)).value
+    coef[list(model.plan((4,)).output_rows)] = cache.readout(1, (4,)).value
     w = constrain_nonneg_vector(model.store.value("w_h")).ravel()
     assert np.array_equal(coef[4], cache.w_h_row.value.ravel())
     assert np.abs(coef[4] - w).max() < 1e-15
@@ -116,13 +116,13 @@ def test_stage1_monotone_in_examined_memory(desk_model):
 
 
 def forward_mastery(model, cache, H, q, kcs):
-    """Stage-1 mastery from the retrieval head run forward (the oracle)."""
-    plan = model.plan("in", kcs)
-    rows = gnn_forward_rows(model.specs["rtv"],
-                            E.as_node(H[list(plan.row_sets[0])]), plan,
-                            model.gt, cache.weights["rtv"], cache.agg,
+    """Stage-1 mastery from the retrieval head run forward over every KC
+    (the oracle)."""
+    plan = model.plan(tuple(range(model.n_kcs)))
+    rows = gnn_forward_rows(model.specs["rtv"], E.as_node(H), plan, model.gt,
+                            cache.weights["rtv"], cache.agg,
                             cache.alpha_col(q)).value
-    return rows.mean(axis=0) @ cache.w_h_col.value.ravel()
+    return rows[list(kcs)].mean(axis=0) @ cache.w_h_col.value.ravel()
 
 
 def test_evaluate_reads_out_each_distinct_question_once(monkeypatch):
@@ -316,7 +316,7 @@ def test_kernel_rates_run_on_the_all_kc_plan_without_gathering(monkeypatch,
     monkeypatch.setattr(graphkt.model, "gnn_forward_rows", rows)
     monkeypatch.setattr(E, "gather_submatrix", no_gather)
     _, cache = model.begin("train")
-    every_kc = model.plan("out", tuple(range(7)))
+    every_kc = model.plan(tuple(range(7)))
     assert calls == [("lrn", every_kc), ("fgt", every_kc)]
     assert every_kc.ix == (None,) * layers
     assert cache.learn_rates.value.shape == cache.forget_rates.value.shape \

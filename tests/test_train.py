@@ -544,18 +544,29 @@ def test_training_steps_and_evaluation_make_no_reference_cycles(collector):
 
 def test_plans_built_once_per_kc_set_and_graph_set(monkeypatch):
     import graphkt.model as model_mod
-    from graphkt.gnn import plan_inward, plan_outward
+    from graphkt.gnn import gnn_forward_rows, plan_outward, readout_rows
 
     builds = []
 
-    def counting(direction, build):
-        def wrapper(gt, kcs, layers):
-            builds.append((gt, direction, tuple(kcs)))
-            return build(gt, kcs, layers)
-        return wrapper
+    def counting(gt, kcs, layers):
+        builds.append((gt, tuple(kcs)))
+        return plan_outward(gt, kcs, layers)
 
-    monkeypatch.setattr(model_mod, "plan_inward", counting("in", plan_inward))
-    monkeypatch.setattr(model_mod, "plan_outward", counting("out", plan_outward))
+    # the plans stage 1 reads out along and stage 2 propagates over
+    read_out, forward = {}, {}
+
+    def recording_readout(spec, seed, plan, *rest):
+        read_out[plan.row_sets[0]] = plan
+        return readout_rows(spec, seed, plan, *rest)
+
+    def recording_forward(spec, x0, plan, *rest):
+        if spec.name in ("gain", "loss"):
+            forward[plan.row_sets[0]] = plan
+        return gnn_forward_rows(spec, x0, plan, *rest)
+
+    monkeypatch.setattr(model_mod, "plan_outward", counting)
+    monkeypatch.setattr(model_mod, "readout_rows", recording_readout)
+    monkeypatch.setattr(model_mod, "gnn_forward_rows", recording_forward)
 
     ds = tiny_dataset(n_kcs=4, seed=2)
     fold = make_folds(ds, k=3, val_frac=0.2, seed=0)[0]
@@ -572,6 +583,10 @@ def test_plans_built_once_per_kc_set_and_graph_set(monkeypatch):
         model.store.adam_step(cfg.hp.lr)
     evaluate(model, ds, fold.train, cfg)
     assert builds and len(set(builds)) == len(builds)
+    # stage 1 and stage 2 of one KC set share one Plan object
+    assert read_out and read_out.keys() == forward.keys()
+    for kcs, plan in read_out.items():
+        assert plan is forward[kcs] is model.plan(kcs)
 
     other = GrktModel(cfg.hp, ds.n_questions, ds.n_kcs,
                       KcRelationGraphs.empty(ds.n_kcs))
@@ -579,12 +594,11 @@ def test_plans_built_once_per_kc_set_and_graph_set(monkeypatch):
     evaluate(other, ds, fold.train, cfg)
     assert len(builds) > n_before
     assert len(set(builds)) == len(builds)
-    for gt, direction, kcs in builds:
+    for gt, kcs in builds:
         owner = model if gt is model.gt else other
         assert gt is owner.gt
-        fresh = (plan_inward if direction == "in" else plan_outward)(
-            owner.gt, kcs, cfg.hp.layers)
-        assert owner.plan(direction, kcs).row_sets == fresh.row_sets
+        fresh = plan_outward(owner.gt, kcs, cfg.hp.layers)
+        assert owner.plan(kcs).row_sets == fresh.row_sets
     # the empty graph set never widens a plan past its seeds
-    assert all(other.plan(d, k).row_sets == (k,) * (cfg.hp.layers + 1)
-               for gt, d, k in builds if gt is other.gt)
+    assert all(other.plan(k).row_sets == (k,) * (cfg.hp.layers + 1)
+               for gt, k in builds if gt is other.gt)
