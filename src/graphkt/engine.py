@@ -241,16 +241,34 @@ def mul(a, b) -> Node:
 def matmul(a, b) -> Node:
     """Matrix product; N-D operands multiply matrix stacks over leading axes.
 
-    A 2-D operand against a stack is broadcast, and its gradient is summed
-    back over the stack axes.
+    An operand with fewer or size-1 leading axes is broadcast, and its
+    gradient is summed back over them (see `_left_grad`).
     """
     a, b = as_node(a), as_node(b)
     val = a.value @ b.value
     return _make(val, (
-        (a, lambda g: _unbroadcast(g @ b.value.swapaxes(-1, -2),
-                                   a.value.shape)),
+        (a, lambda g: _left_grad(g, b.value, a.value.shape)),
         (b, lambda g: RightProduct(a.value, g)),
     ))
+
+
+def _left_grad(g: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
+    """A left operand's gradient `g @ b^T`, summed down to its `shape`.
+
+    When the operand lacks leading axes that `g` and `b` both have in full,
+    those axes are moved next to the last one and contracted inside one
+    product, (..., M, B*N) @ (..., B*N, K): a (G, C, C) adjacency multiplied
+    into a (B, G, C, d) batch gets its (G, C, C) gradient without a
+    (B, G, C, C) array. Any other broadcast is summed after the product.
+    """
+    n, extra = g.ndim, g.ndim - len(shape)
+    if extra > 0 and b.shape[:-2] == g.shape[:-2] \
+            and g.shape[extra:-2] == tuple(shape[:-2]):
+        perm = (*range(extra, n - 1), *range(extra), n - 1)
+        rows, cols = g.shape[extra:-1], b.shape[extra:-1]
+        return g.transpose(perm).reshape(*rows, -1) \
+            @ b.transpose(perm).reshape(*cols, -1).swapaxes(-1, -2)
+    return _unbroadcast(g @ b.swapaxes(-1, -2), shape)
 
 
 class RightProduct:
@@ -300,13 +318,17 @@ def transpose(a) -> Node:
 
 
 def sigmoid(a) -> Node:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise,
+    from one exp(-|x|) in one pass; no exp overflows."""
     a = as_node(a)
     x = a.value
     out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    denom = out + 1.0
+    np.copyto(out, 1.0, where=x >= 0)
+    np.divide(out, denom, out=out)
     return _make(out, ((a, lambda g: g * out * (1.0 - out)),))
 
 
@@ -389,8 +411,8 @@ def stack(nodes) -> Node:
 class SparseGrad:
     """A gradient that is zero outside `index`, as returned by gather vjps.
 
-    `index` is whatever selected the gathered values: a row index array or
-    an `np.ix_` tuple. `add_into` adds the values into a full-size buffer
+    `index` is whatever selected the gathered values: a row index array, a
+    row slice or an `np.ix_` tuple. `add_into` adds the values into a full-size buffer
     with `np.add.at`, so duplicate indices sum. A block (`np.ix_` tuple) is
     added through one flat index into the raveled buffer, with the values
     raveled to match: that call takes numpy's fast path for a 1-D index,
@@ -413,6 +435,9 @@ class SparseGrad:
         self.values = values
 
     def add_into(self, buf: np.ndarray) -> None:
+        if type(self.index) is slice:  # distinct rows: a plain add
+            buf[self.index] += self.values
+            return
         if type(self.index) is not tuple:
             np.add.at(buf, self.index, self.values)
             return
@@ -430,8 +455,11 @@ def _flat_index(shape, ix) -> np.ndarray:
     broadcast against each other, with a leading `slice(None)` for a
     (G, R, K) stack: (n, 1) rows and (1, m) columns as `np.ix_` gives them,
     or (1, n) rows and (m, 1) columns for the transposed block. The result
-    is the C-ordered index of the broadcast shape, with the stack axis in
-    front, built with two broadcast adds.
+    is the C-ordered index of the broadcast shape, built with two broadcast
+    adds; for a stack the (G, 1, 1) matrix offsets join the broadcast, so
+    the stack axis comes third from last. Index arrays with more axes
+    select a batch of blocks: (B, 1, 1, m) rows and (B, 1, n, 1) columns
+    read a (B, G, n, m) batch of transposed stacked blocks.
     """
     rows, cols = ix[-2], ix[-1]
     if len(ix) == 2:
@@ -453,9 +481,14 @@ def _stack_offsets(n_mats: int, mat_size: int) -> np.ndarray:
 
 
 def gather_rows(a, idx) -> Node:
-    """Select rows `idx` of a 2-D node (embedding/memory lookup)."""
+    """Select rows `idx` of a 2-D node (embedding/memory lookup).
+
+    `idx` is an index array, or a slice, whose rows are a view of the
+    node's value rather than a copy (a key's rows of a per-question table).
+    """
     a = as_node(a)
-    idx = np.asarray(idx, dtype=np.int64)
+    if type(idx) is not slice:
+        idx = np.asarray(idx, dtype=np.int64)
     return _make(a.value[idx], ((a, lambda g: SparseGrad(idx, g)),))
 
 
@@ -464,8 +497,11 @@ def gather_submatrix(a, ix) -> Node:
 
     A stack of matrices takes `(slice(None), *ix)`: the same block of each.
     With the two index arrays transposed (`(rows.T, cols.T)`) the block is
-    read transposed, as numpy's `a[ix]` reads it. The block is read through
-    one flat index and comes out C-contiguous.
+    read transposed, as numpy's `a[ix]` reads it. Any two index arrays that
+    broadcast together select that many entries (`_flat_index`): a batch of
+    padded blocks, or one column of a matrix as a (C, 1) node. The entries
+    are read through one flat index and come out C-contiguous; repeated
+    entries get the sum of their gradients.
     """
     a = as_node(a)
     if len(ix) != a.value.ndim:
@@ -479,7 +515,8 @@ def scatter_rows(rows, idx, n_rows: int) -> Node:
     """Place stacked rows at positions `idx` of an otherwise-zero matrix."""
     rows = as_node(rows)
     idx = np.asarray(idx, dtype=np.int64)
-    if idx.size > 1:
+    # a strictly increasing index, as plans give, is unique without a sort
+    if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
         srt = np.sort(idx)
         if (srt[1:] == srt[:-1]).any():
             raise ValueError("scatter_rows requires unique row indices")
@@ -494,15 +531,6 @@ def sum_all(a) -> Node:
     return _make(val, ((a, lambda g: np.full_like(a.value, float(g))),))
 
 
-def tile_rows(a, n: int) -> Node:
-    """Repeat a single-row node n times."""
-    a = as_node(a)
-    if a.value.shape[0] != 1:
-        raise ValueError("tile_rows expects a single-row input")
-    val = np.broadcast_to(a.value, (n, a.value.shape[1])).copy()
-    return _make(val, ((a, lambda g: g.sum(axis=0, keepdims=True)),))
-
-
 def sum_axis(a, axis: int, keepdims: bool = True) -> Node:
     a = as_node(a)
     val = a.value.sum(axis=axis, keepdims=keepdims)
@@ -513,6 +541,13 @@ def sum_axis(a, axis: int, keepdims: bool = True) -> Node:
         return np.broadcast_to(g, a.value.shape).copy()
 
     return _make(val, ((a, vjp),))
+
+
+def reshape(a, shape) -> Node:
+    """The same values in another shape, as `np.reshape` reads them."""
+    a = as_node(a)
+    return _make(a.value.reshape(shape),
+                 ((a, lambda g: g.reshape(a.value.shape)),))
 
 
 def slice_cols(a, start: int, stop: int) -> Node:

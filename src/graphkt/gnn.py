@@ -18,8 +18,9 @@ columns) and drops the feed-forward so that larger neighbor memories can
 never reduce the aggregate. Without a feed-forward or an output activation
 the head is linear in its layer-0 features, so any fixed weighting of its
 output rows equals a weighting of its input rows: `readout_rows` computes
-those input coefficients by running the head's transpose. Stage 1 reads
-retrieval out that way; the five other heads propagate forward.
+those input coefficients by running the head's transpose, for a batch of
+plans at once on blocks padded to the batch's largest row sets. Stage 1
+reads retrieval out that way; the five other heads propagate forward.
 
 Propagation never reaches beyond the layer count in hops, so every head runs
 on the row sets of a `Plan`, one per KC set: the set itself, then its 1- to
@@ -136,8 +137,10 @@ class Plan:
     are exactly zero), or is None when the two sets are equal. `ix[l-1]`
     selects the (rows_l, rows_{l-1}) adjacency block, or is None when rows_l,
     the layer's output, holds all `n_kcs` KCs: the layer then reads the whole
-    adjacency. The read-out (`readout_rows`) walks the same layers and reads
-    the transposed block through the pair swapped.
+    adjacency. The read-out (`readout_rows`) walks the same layers for a
+    batch of plans: it reads their transposed blocks from the row arrays,
+    embeds with `align`, and takes a layer whole when `ix` is None for every
+    plan of the batch.
     """
 
     __slots__ = ("row_sets", "row_arrays", "align", "ix")
@@ -268,59 +271,119 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
     return _apply_output_activation(spec, out)
 
 
-def readout_rows(spec: GnnSpec, seed: E.Node, plan: Plan,
+def readout_rows(spec: GnnSpec, seed: E.Node, plans: list[Plan],
                  weights_t: list[E.Node], agg: E.Node | None,
-                 agg_t: E.Node | None, alpha_col: E.Node | None = None) -> E.Node:
-    """Input coefficients of a weighted read-out of a linear head.
+                 agg_t: E.Node | None, alpha: E.Node | None = None) -> E.Node:
+    """Input coefficients of weighted read-outs of a linear head, K at once.
 
     For a head without feed-forward or output activation (so of constant
     width, every layer with its residual), run over every KC on layer-0
-    features `x`, `sum(seed * out[plan.row_sets[0]])` equals
-    `sum(readout_rows(spec, seed, plan, ...) * x[plan.output_rows])`.
-    `seed` holds one row of weights per `plan.row_sets[0]` entry; the result
-    holds one row per `plan.output_rows` entry. Read-out layer k runs the
-    head's layer L-k+1 transposed, from rows R_{k-1} out to R_k,
+    features `x`, `sum(s_i * out[plans[i].row_sets[0]])` equals
+    `sum(c_i * x[plans[i].output_rows])` for each plan i, where `s_i` are the
+    seed rows and `c_i` the coefficient rows of plan i. Both are padded: key
+    i owns block i of `seed`, (K, N_0, d) with N_0 the largest seed set, and
+    of the result, (K, N_L, d); its rows come first in its block, one per
+    row-set entry, and the padded rows are exactly zero. Read-out layer k
+    runs the head's layer L-k+1 transposed, from rows R_{k-1} out to R_k,
 
         B_k = alpha[R_k] * sum_g A_g[R_{k-1}, R_k]^T B_{k-1} W_g^T
               + residual(B_{k-1}),
 
     where `weights_t[l-1]` is layer l's W stack with its last two axes
-    swapped (empty when no graph has edges) and the residual embeds as in
-    `gnn_forward_rows`. The transposed block is read from `agg` through
-    `plan.ix[k-1]` swapped; `agg_t`, the whole stack with its last two axes
-    swapped, is read only by a layer whose output rows R_k hold every KC,
-    with B_{k-1} embedded in all C rows by the residual's scatter, and may be
-    None when the plan has no such layer (`agg` and `agg_t` are None when no
-    graph has edges). `alpha_col` is as for `gnn_forward_rows`.
+    swapped (empty when no graph has edges) and the residual embeds each
+    key's rows as `gnn_forward_rows` does, with one scatter for the batch.
+    The transposed blocks are read from `agg` through each plan's row sets
+    swapped, padded to (K, G, N_k, N_{k-1}). A padded column meets a zero
+    row of B_{k-1}, and the padded rows' requirement scores are masked to
+    zero, so the padded rows of B_k stay exactly zero and the padded block
+    entries get exactly zero gradient. A layer whose output rows hold every
+    KC for every plan reads `agg_t`, the whole stack with its last two axes
+    swapped (None when no plan batch has such a layer), with B_{k-1}
+    embedded in all C rows by the residual's scatter (`agg` and `agg_t` are
+    None when no graph has edges). `alpha` is the (K, C) table of the keys'
+    question requirement scores, present exactly when the head uses them.
+    A batch of one plan is the read-out of a single key.
     """
     if spec.use_feedforward or spec.output_activation != "none" \
             or len(set(spec.dims)) != 1:
         raise ValueError(f"head {spec.name!r} is not linear in its input")
-    _check_question_context(spec, alpha_col)
-    if seed.value.shape != (len(plan.row_sets[0]), spec.dims[-1]):
-        raise ValueError("read-out seed does not match the plan's seed rows")
+    _check_question_context(spec, alpha)
+    sizes = np.array([[len(r) for r in p.row_sets] for p in plans])
+    n_keys, d = len(plans), spec.dims[-1]
+    if seed.value.shape != (n_keys, sizes[:, 0].max(), d):
+        raise ValueError("read-out seed does not match the plans' seed rows")
 
     coef = seed
     n_layers = len(spec.dims) - 1
     for k in range(1, n_layers + 1):
-        idx = plan.align[k - 1]
-        residual = coef if idx is None \
-            else E.scatter_rows(coef, idx, len(plan.row_sets[k]))
+        n_prev, n_cur = sizes[:, k - 1], sizes[:, k]
+        width_prev, width = int(n_prev.max()), int(n_cur.max())
+        residual = coef
+        if any(p.align[k - 1] is not None for p in plans):
+            dest = _residual_index(plans, k, n_prev, width_prev, width)
+            flat = E.reshape(coef, (n_keys * width_prev, d))
+            residual = E.reshape(E.scatter_rows(flat, dest, n_keys * width),
+                                 (n_keys, width, d))
         if agg is None:
             coef = residual
             continue
-        ix = plan.ix[k - 1]
-        feats, sub, alpha = coef, agg_t, alpha_col
-        if ix is not None:
-            rows, cols = ix
-            sub = E.gather_submatrix(agg, (slice(None), cols, rows))
-            if alpha_col is not None:
-                alpha = E.gather_rows(alpha_col, plan.row_arrays[k])
-        elif idx is not None:
-            feats = residual  # every KC's row, zero outside the inputs
-        back = E.sum_axis(E.matmul(sub, E.matmul(feats, weights_t[n_layers - k])),
-                          0, keepdims=False)
-        if alpha is not None:
-            back = E.mul(alpha, back)
+        # `scale`: per output row, the requirement score, times 0 on a
+        # padded row (whose messages come from padding, not from the plan)
+        if all(p.ix[k - 1] is None for p in plans):  # every KC, every key
+            feats, sub = residual, agg_t
+            scale = None if alpha is None \
+                else E.reshape(alpha, (*alpha.value.shape, 1))
+        else:
+            feats = coef
+            prev = _padded_rows(plans, k - 1, n_prev, width_prev)
+            cur = _padded_rows(plans, k, n_cur, width)
+            sub = E.gather_submatrix(agg, (slice(None), prev[:, None, None, :],
+                                           cur[:, None, :, None]))
+            scale = None if alpha is None else E.gather_submatrix(
+                alpha, (np.arange(n_keys)[:, None, None], cur[:, :, None]))
+            if (n_cur < width).any():
+                mask = E.as_node((np.arange(width) < n_cur[:, None])[:, :, None]
+                                 .astype(agg.value.dtype))
+                scale = mask if scale is None else E.mul(scale, mask)
+        fw = E.matmul(E.reshape(feats, (n_keys, 1, *feats.value.shape[1:])),
+                      weights_t[n_layers - k])
+        back = E.sum_axis(E.matmul(sub, fw), 1, keepdims=False)
+        if scale is not None:
+            back = E.mul(scale, back)
         coef = E.add(back, residual)
     return coef
+
+
+def _padded_rows(plans: list[Plan], layer: int, sizes: np.ndarray,
+                 width: int) -> np.ndarray:
+    """The plans' layer row sets as a (K, width) array, padded with KC 0."""
+    rows = np.zeros((len(plans), width), dtype=np.int64)
+    rows[np.arange(width) < sizes[:, None]] = np.concatenate(
+        [p.row_arrays[layer] for p in plans])
+    return rows
+
+
+def _residual_index(plans: list[Plan], layer: int, n_prev: np.ndarray,
+                    width_prev: int, width: int) -> np.ndarray:
+    """Where the residual scatter puts each row of the padded blocks of
+    layer `layer - 1`.
+
+    Key i's rows go to block i of the layer's (K * width) rows at the plan's
+    embed index. Its padded rows, exactly zero, go to the first positions of
+    its block that no row of its own reaches (rows new in this layer or
+    padding, whose residual is zero): a block has width - n_prev[i] such
+    positions, at least the width_prev - n_prev[i] padded rows. So the
+    index is unique and the scatter needs no row selection.
+    """
+    n_keys = len(plans)
+    valid = np.arange(width_prev) < n_prev[:, None]
+    embed = np.concatenate([
+        np.arange(len(p.row_sets[layer - 1])) if p.align[layer - 1] is None
+        else p.align[layer - 1] for p in plans])
+    pos = np.zeros((n_keys, width_prev), dtype=np.int64)
+    pos[valid] = embed
+    free = np.ones((n_keys, width), dtype=bool)
+    free[np.repeat(np.arange(n_keys), n_prev), embed] = False
+    rank = np.cumsum(free, axis=1)
+    pos[~valid] = np.nonzero(free & (rank <= (width_prev - n_prev)[:, None]))[1]
+    return (pos + (np.arange(n_keys) * width)[:, None]).ravel()

@@ -11,7 +11,7 @@ three stages:
    That chain is linear in the memory, so mastery is the sum of the memory
    rows of the examined KCs' L-hop support weighted by non-negative
    coefficient rows that depend only on the parameters and the question;
-   `BatchCache.readout` builds them once per question and parameter state.
+   they are built once per question and parameter state.
 2. Strengthening: an MLP turns (memory, question) into a seed feature per
    examined KC; the gain head (correct answers, output clamped non-negative)
    or the loss head (incorrect, clamped non-positive) propagates it to KCs
@@ -25,6 +25,14 @@ three stages:
 
 Between-question gaps are measured in minutes and capped at 30 days so the
 exponential kernels stay away from their degenerate limit for outlier gaps.
+
+Everything a stage computes from the question alone (the KC-mean embedding,
+the difficulty, the requirement scores, the stage-1 read-out and the
+question half of the stage-2/3 MLP inputs) is a row of a `QuestionTables`
+batch: `GrktModel.steps` first has `BatchCache.prepare` build the tables of
+the sequence's new (question, KC set) keys in one pass, and each response
+reads its rows. The MLP heads' first layer is split to match: the memory
+rows multiply W1's memory rows, and the cached question term is added.
 
 `GrktModel.steps` is the recurrence: the one place that runs the three stages
 in order and owns the memory bank. Sequence predictions, mastery traces and
@@ -168,16 +176,76 @@ def init_parameters(hp: HyperParams, n_questions: int, n_kcs: int,
     return store
 
 
+class QuestionTables:
+    """The question-side quantities of K (question, KC set) keys, one row
+    per key, each built for all K keys with one op chain.
+
+    `e_bar` is (K, 2 d_e): the mean embedding of the key's KCs, from one
+    constant (K, C) averaging matrix times the KC embeddings, then the
+    question's embedding. `difficulty` is the diff MLP on it, (K, 1), and
+    `requirement` the (K, C) question-KC scores sigmoid((e_q req) k^T).
+    The stage-1 read-outs run as one padded `readout_rows` batch per size
+    class of the keys' hop supports; `coef_rows[i]` locates key i's rows
+    as (table, first row, row count), the table being its batch flattened
+    to (keys * width, d_k). `terms` holds the question halves of the
+    stage-2/3 MLP inputs, built on first use (`BatchCache.question_term`).
+    """
+
+    def __init__(self, cache: "BatchCache", keys: list[tuple[int, tuple]]):
+        model, bound = cache.model, cache.bound
+        dtype = model.store.dtype
+        n_keys, n_c = len(keys), model.n_kcs
+        sizes = np.array([len(kcs) for _, kcs in keys])
+        avg = np.zeros((n_keys, n_c), dtype=dtype)
+        avg[np.repeat(np.arange(n_keys), sizes),
+            np.concatenate([kcs for _, kcs in keys])] = np.repeat(1.0 / sizes,
+                                                                  sizes)
+        e_q = E.gather_rows(bound["emb.q"], [q for q, _ in keys])
+        self.e_bar = E.concat([E.matmul(E.as_node(avg), cache.k_active), e_q],
+                              axis=1)
+        self.difficulty = cache.mlp("diff", E.add(
+            E.matmul(self.e_bar, bound["mlp.diff.W1"]), bound["mlp.diff.b1"]))
+        self.requirement = cache.requirement(e_q)
+
+        # keys whose output row counts lie in one power-of-two range are
+        # read out together, so padding at most doubles a key's output rows
+        plans = [cache.plan_out(kcs) for _, kcs in keys]
+        n_out = [len(p.output_rows) for p in plans]
+        size_class = np.array([n.bit_length() for n in n_out])
+        self.coef_rows: list = [None] * n_keys
+        for cls in np.unique(size_class):
+            members = np.flatnonzero(size_class == cls)
+            n_seed = sizes[members, None]
+            seed = E.mul(cache.w_h_row, E.as_node(
+                ((np.arange(n_seed.max()) < n_seed) / n_seed)[:, :, None]
+                .astype(dtype)))
+            batch = [plans[i] for i in members]
+            requirement = self.requirement if len(members) == n_keys \
+                else E.gather_rows(self.requirement, members)
+            coef = readout_rows(model.specs["rtv"], seed, batch, cache.rtv_t,
+                                cache.agg, cache.whole_transposed(batch),
+                                requirement)
+            width = coef.value.shape[1]
+            flat = E.reshape(coef, (len(members) * width, model.hp.d_k))
+            for j, i in enumerate(members):
+                self.coef_rows[i] = (flat, j * width, n_out[i])
+        self.terms: dict[tuple[str, int], E.Node] = {}
+
+
 class BatchCache:
     """Per-parameter-state tape nodes shared across a batch.
 
     Edge correlations (stacked into one adjacency node over the graphs with
-    edges), stacked and constrained GNN weights, kernel rate matrices and
-    per-question embeddings/difficulties/requirement scores and stage-1
-    read-outs depend only on the parameters, so they are built once and
-    reused by every sequence until the next optimizer step. Propagation plans
-    do not depend on the parameters; `plan_out` fetches them from the model's
-    own cache.
+    edges), stacked and constrained GNN weights and kernel rate matrices
+    depend only on the parameters, so they are built once and reused by
+    every sequence until the next optimizer step. So do the question-side
+    quantities of each (question, KC set) key: `prepare` builds those of a
+    sequence's new keys as one `QuestionTables` batch, and a stage reads its
+    key's rows of them (`readout`, `difficulty`, `alpha_col`,
+    `question_term`). A key `prepare` did not see is built as a batch of
+    one. Propagation
+    plans do not depend on the parameters; `plan_out` fetches them from the
+    model's own cache.
     """
 
     def __init__(self, model: "GrktModel", bound: dict[str, E.Node], mode: str):
@@ -186,7 +254,6 @@ class BatchCache:
         self.model = model
         self.bound = bound
         self.mode = mode
-        hp = model.hp
         n_c = model.n_kcs
 
         self.k_active = E.gather_rows(bound["emb.k"], np.arange(n_c))
@@ -218,10 +285,10 @@ class BatchCache:
                     if spec.use_feedforward else None
                 per.append((w, o))
             self.weights[name] = per
-        # stage 1 runs the retrieval head transposed (`readout`). Transposed
-        # blocks are read from `agg` itself, so the whole transposed
-        # adjacency (and, in training, its gradient buffer) exists only once
-        # a read-out has a layer that writes every KC
+        # stage 1 runs the retrieval head transposed (`readout_rows`).
+        # Transposed blocks are read from `agg` itself, so the whole
+        # transposed adjacency (and, in training, its gradient buffer) exists
+        # only once a read-out batch has a layer that writes every KC
         self.rtv_t = [E.transpose(w) for w, _ in self.weights["rtv"]]
         self.agg_t: E.Node | None = None
 
@@ -234,62 +301,121 @@ class BatchCache:
                                              every_kc, model.gt,
                                              self.weights["fgt"], self.agg)
 
-        self._ebar: dict = {}
-        self._diff: dict = {}
-        self._alpha_col: dict = {}
-        self._seed: dict = {}
-        self._readout: dict = {}
+        self._col = np.arange(n_c)[:, None]
+        self._w1: dict[tuple[str, int], E.Node] = {}
+        self._keys: dict[tuple, tuple[QuestionTables, int]] = {}
+        self._question: dict[int, tuple[QuestionTables, int]] = {}
+        self._alpha_col: dict[int, E.Node] = {}
 
-    def mlp(self, head: str, x: E.Node) -> E.Node:
+    # -- building ------------------------------------------------------------
+
+    def prepare(self, responses: Sequence[Response]) -> None:
+        """Build the question-side tables of the responses' keys that are
+        not built yet, as one batch in order of first appearance. Every
+        response's ids are checked first."""
+        for r in responses:
+            self.model._check_ids(r.question, r.kcs)
+        new = dict.fromkeys((r.question, r.kcs) for r in responses
+                            if (r.question, r.kcs) not in self._keys)
+        if new:
+            self._build(list(new))
+
+    def _build(self, keys: list[tuple[int, tuple]]) -> None:
+        tables = QuestionTables(self, keys)
+        for i, key in enumerate(keys):
+            self._keys[key] = (tables, i)
+            self._question.setdefault(key[0], (tables, i))
+
+    def _key(self, q: int, kcs: tuple[int, ...]) -> tuple[QuestionTables, int]:
+        if (q, kcs) not in self._keys:
+            self._build([(q, kcs)])
+        return self._keys[q, kcs]
+
+    def mlp(self, head: str, pre: E.Node) -> E.Node:
+        """MLP head `head` from its first layer's pre-activation `pre`
+        (input times W1, plus b1)."""
         b = self.bound
-        hidden = E.relu(E.add(E.matmul(x, b[f"mlp.{head}.W1"]),
-                              b[f"mlp.{head}.b1"]))
-        return E.add(E.matmul(hidden, b[f"mlp.{head}.W2"]), b[f"mlp.{head}.b2"])
+        return E.add(E.matmul(E.relu(pre), b[f"mlp.{head}.W2"]),
+                     b[f"mlp.{head}.b2"])
 
-    def e_bar(self, q: int, kcs: tuple[int, ...]) -> E.Node:
-        key = (q, kcs)
-        if key not in self._ebar:
-            kc_rows = E.gather_rows(self.bound["emb.k"], list(kcs))
-            kc_avg = E.mul(E.sum_axis(kc_rows, 0), 1.0 / len(kcs))
-            e_q = E.gather_rows(self.bound["emb.q"], [q])
-            self._ebar[key] = E.concat([kc_avg, e_q], axis=1)
-        return self._ebar[key]
+    def split_mlp(self, head: str, memory: E.Node,
+                  terms: Sequence[E.Node]) -> E.Node:
+        """MLP head `head` on memory rows and question parts: the rows times
+        W1's memory rows plus the cached question terms, one row each."""
+        pre = E.matmul(memory, self.w1_part(head, 0))
+        for t in terms:
+            pre = E.add(pre, t)
+        return self.mlp(head, pre)
 
-    def difficulty(self, q: int, kcs: tuple[int, ...]) -> E.Node:
-        key = (q, kcs)
-        if key not in self._diff:
-            self._diff[key] = self.mlp("diff", self.e_bar(q, kcs))
-        return self._diff[key]
+    def w1_part(self, head: str, part: int) -> E.Node:
+        """Rows of `mlp.{head}.W1` that multiply input part `part`: the
+        memory row (0), the current question's e_bar (1), the next one's
+        (2)."""
+        if (head, part) not in self._w1:
+            d_k, d_q = self.model.hp.d_k, 2 * self.model.hp.d_e
+            start = 0 if part == 0 else d_k + (part - 1) * d_q
+            stop = d_k if part == 0 else start + d_q
+            self._w1[head, part] = E.gather_rows(self.bound[f"mlp.{head}.W1"],
+                                                 np.arange(start, stop))
+        return self._w1[head, part]
 
-    def alpha_col(self, q: int) -> E.Node:
-        """The (n_kcs, 1) requirement scores of question `q` for each KC."""
-        if q not in self._alpha_col:
-            e_q = E.gather_rows(self.bound["emb.q"], [q])
-            self._alpha_col[q] = E.transpose(E.sigmoid(
-                E.matmul(E.matmul(e_q, self.bound["req"]), self.k_t)))
-        return self._alpha_col[q]
+    def requirement(self, e_q: E.Node) -> E.Node:
+        """The (n, C) requirement scores of the questions embedded in e_q."""
+        return E.sigmoid(E.matmul(E.matmul(e_q, self.bound["req"]), self.k_t))
+
+    def whole_transposed(self, plans: list[Plan]) -> E.Node | None:
+        """`agg` transposed, built once a read-out batch of `plans` has a
+        layer whose output holds every KC for every plan."""
+        if self.agg_t is None and self.agg is not None and any(
+                all(p.ix[k] is None for p in plans)
+                for k in range(len(plans[0].ix))):
+            self.agg_t = E.transpose(self.agg)
+        return self.agg_t
+
+    # -- one key's rows, read as views of its tables -----------------------
 
     def readout(self, q: int, kcs: tuple[int, ...]) -> E.Node:
         """Stage-1 coefficients of question `q` over the sorted KC set `kcs`.
 
         One row per `plan_out(kcs).output_rows` KC: the stage-1 mastery of a
-        memory H is the sum of H's rows there times these coefficients. The
-        retrieval head's transpose runs once per key along the plan stage 2
-        uses, from the read-out seed, softmax(w_h) / |kcs| on every examined
-        KC.
+        memory H is the sum of H's rows there times these coefficients. They
+        are the retrieval head's transpose run along the plan stage 2 uses,
+        from the read-out seed, softmax(w_h) / |kcs| on every examined KC.
         """
-        key = (q, kcs)
-        if key not in self._readout:
-            n = len(kcs)
-            if n not in self._seed:
-                self._seed[n] = E.mul(E.tile_rows(self.w_h_row, n), 1.0 / n)
-            plan = self.plan_out(kcs)
-            if self.agg_t is None and self.agg is not None and None in plan.ix:
-                self.agg_t = E.transpose(self.agg)
-            self._readout[key] = readout_rows(
-                self.model.specs["rtv"], self._seed[n], plan, self.rtv_t,
-                self.agg, self.agg_t, self.alpha_col(q))
-        return self._readout[key]
+        tables, i = self._key(q, kcs)
+        table, start, n = tables.coef_rows[i]
+        return E.gather_rows(table, slice(start, start + n))
+
+    def difficulty(self, q: int, kcs: tuple[int, ...]) -> E.Node:
+        tables, i = self._key(q, kcs)
+        return E.gather_rows(tables.difficulty, slice(i, i + 1))
+
+    def question_term(self, head: str, part: int, q: int,
+                      kcs: tuple[int, ...]) -> E.Node:
+        """Key (q, kcs)'s (1, d_h) question term in MLP head `head`'s first
+        layer: e_bar times W1's rows for the current question (part 0, plus
+        the bias b1) or the next one (part 1), from its tables' (K, d_h)
+        term, which is built for all their keys on first use."""
+        tables, i = self._key(q, kcs)
+        if (head, part) not in tables.terms:
+            t = E.matmul(tables.e_bar, self.w1_part(head, part + 1))
+            if part == 0:
+                t = E.add(t, self.bound[f"mlp.{head}.b1"])
+            tables.terms[head, part] = t
+        return E.gather_rows(tables.terms[head, part], slice(i, i + 1))
+
+    def alpha_col(self, q: int) -> E.Node:
+        """The (n_kcs, 1) requirement scores of question `q` for each KC."""
+        if q not in self._alpha_col:
+            if q in self._question:
+                tables, i = self._question[q]
+                col = E.gather_submatrix(tables.requirement,
+                                         (np.array([[i]]), self._col))
+            else:
+                col = E.transpose(self.requirement(
+                    E.gather_rows(self.bound["emb.q"], [q])))
+            self._alpha_col[q] = col
+        return self._alpha_col[q]
 
     def plan_out(self, kcs: tuple[int, ...]) -> Plan:
         return self.model.plan(kcs)
@@ -354,11 +480,8 @@ class GrktModel:
         """Apply the signed memory update for one response."""
         self._check_ids(q, kcs)
         head = "gain" if a == 1 else "loss"
-        ebar = cache.e_bar(q, kcs)
-        if len(kcs) > 1:
-            ebar = E.tile_rows(ebar, len(kcs))
-        feats = cache.mlp(head, E.concat([E.gather_rows(H, list(kcs)), ebar],
-                                         axis=1))
+        feats = cache.split_mlp(head, E.gather_rows(H, list(kcs)),
+                                [cache.question_term(head, 0, q, kcs)])
         plan = cache.plan_out(kcs)
         update_rows = gnn_forward_rows(self.specs[head], feats, plan, self.gt,
                                        cache.weights[head], cache.agg,
@@ -379,15 +502,14 @@ class GrktModel:
         self._check_ids(q_next, kcs_next)
         dt = min(max(dt_seconds, 0.0) / 60.0, DT_CAP_MINUTES)
         candidates = sorted(set(kcs_t) | set(kcs_next))
-        ebar_t = cache.e_bar(q_t, kcs_t)
-        ebar_n = cache.e_bar(q_next, kcs_next)
+        memory = E.gather_rows(H, candidates)
 
-        k = len(candidates)
-        if k > 1:
-            ebar_t = E.tile_rows(ebar_t, k)
-            ebar_n = E.tile_rows(ebar_n, k)
-        x = E.concat([E.gather_rows(H, candidates), ebar_t, ebar_n], axis=1)
-        pi = E.softmax(cache.mlp("dcs", x), axis=-1)
+        def question_terms(head):
+            return [cache.question_term(head, 0, q_t, kcs_t),
+                    cache.question_term(head, 1, q_next, kcs_next)]
+
+        pi = E.softmax(cache.split_mlp("dcs", memory, question_terms("dcs")),
+                       axis=-1)
         decisions = pi.value.argmax(axis=1)  # hard gate; ties mean no learning
         learned_pos = np.flatnonzero(decisions == 1)
         E.log_gate(decisions.tobytes())
@@ -395,7 +517,7 @@ class GrktModel:
         new_H = H
         learned_mask = np.zeros(self.n_kcs, dtype=bool)
         if len(learned_pos):
-            p_all = cache.mlp("prg", x)
+            p_all = cache.split_mlp("prg", memory, question_terms("prg"))
             if cache.mode == "train":
                 # soft multiplier so the decision head receives gradient
                 p_all = E.mul(p_all, E.slice_cols(pi, 1, 2))
@@ -440,6 +562,7 @@ class GrktModel:
         generator owns the memory and the per-KC learning counters; a step's
         stage 3 runs when the consumer asks for the next step.
         """
+        cache.prepare(responses)
         H = cache.h0
         counters = np.zeros(self.n_kcs, dtype=np.int64)
         for t, r in enumerate(responses):

@@ -30,6 +30,17 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
+def sigmoid_two_masks(x: np.ndarray) -> np.ndarray:
+    """The logistic function as two boolean-mask scatters: 1 / (1 + exp(-x))
+    where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def edge_correlation(store, ci: int, cj: int, which: str) -> float:
     """Learned correlation of two KCs on one graph, in (0, 1)."""
     k = store.value("emb.k")

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkt import engine as E
-from tests.oracles import constrain_nonneg_matrix, constrain_nonneg_vector
+from tests.oracles import (constrain_nonneg_matrix, constrain_nonneg_vector,
+                           sigmoid_two_masks)
 
 
 def numeric_grad(build, store, name, h=1e-6):
@@ -60,7 +61,8 @@ OPS = {
     "submatrix": lambda b, c: E.sum_all(E.mul(
         E.gather_submatrix(b["W"], np.ix_([0, 3], [1, 2])), c["s2"])),
     "sum_axis": lambda b, c: E.sum_all(E.mul(E.sum_axis(b["W"], 0), c["row"])),
-    "tile": lambda b, c: E.sum_all(E.mul(E.tile_rows(E.sum_axis(b["W"], 0), 3), c["t3"])),
+    "reshape": lambda b, c: E.sum_all(E.mul(E.reshape(
+        E.sigmoid(b["W"]), (2, 8)), c["t28"])),
     "stack": lambda b, c: E.sum_all(E.mul(E.stack(
         [b["W"], E.mul(b["W"], 2.0), E.sigmoid(b["W"])]), c["s3"])),
     "matmul_stack_2d": lambda b, c: E.sum_all(E.mul(E.matmul(
@@ -77,6 +79,19 @@ OPS = {
     "submatrix_stacked": lambda b, c: E.sum_all(E.mul(E.gather_submatrix(
         E.stack([b["W"], E.sigmoid(b["W"])]),
         (slice(None), *np.ix_([3, 0, 3], [1, 2]))), c["s232"])),
+    # two transposed padded blocks of the stack, (2 keys, 2 graphs, 3, 2)
+    "submatrix_batched": lambda b, c: E.sum_all(E.mul(E.gather_submatrix(
+        E.stack([b["W"], E.sigmoid(b["W"])]),
+        (slice(None), np.array([[1, 2], [0, 0]])[:, None, None, :],
+         np.array([[3, 0, 3], [2, 1, 0]])[:, None, :, None])), c["s2232"])),
+    "submatrix_column": lambda b, c: E.sum_all(E.mul(E.gather_submatrix(
+        b["W"], (np.array([[2]]), np.arange(4)[:, None])), c["col"])),
+    # the left operand broadcast over a batch axis of the right one
+    "matmul_stack_bcast_batch": lambda b, c: E.sum_all(E.mul(E.matmul(
+        E.stack([b["W"], E.sigmoid(b["W"])]), c["x32"]), c["x32"])),
+    "matmul_bcast_size1_axis": lambda b, c: E.sum_all(E.mul(E.matmul(
+        E.reshape(b["W"], (2, 1, 2, 4)), E.stack([c["x"], c["y"]])),
+        c["s2224"])),
 }
 
 
@@ -94,7 +109,11 @@ def test_op_gradients_match_finite_differences(op_name):
         "s2": rng.normal(size=(2, 2)),
         "x4": rng.normal(size=(4, 4)),
         "row": rng.normal(size=(1, 4)),
-        "t3": rng.normal(size=(3, 4)),
+        "t28": rng.normal(size=(2, 8)),
+        "s2232": rng.normal(size=(2, 2, 3, 2)),
+        "col": rng.normal(size=(4, 1)),
+        "x32": rng.normal(size=(3, 2, 4, 4)),
+        "s2224": rng.normal(size=(2, 2, 2, 4)),
         "s3": rng.normal(size=(3, 4, 4)),
         "s2x": rng.normal(size=(2, 4, 4)),
         "x3": rng.normal(size=(2, 4, 4)),
@@ -104,6 +123,33 @@ def test_op_gradients_match_finite_differences(op_name):
     a = analytic_grad(build, store, "W")
     n = numeric_grad(build, store, "W")
     assert np.abs(a - n).max() < 1e-7
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_is_bitwise_the_two_mask_formula(dtype):
+    rng = np.random.default_rng(31)
+    x = np.concatenate([rng.normal(0.0, 5.0, size=997), rng.normal(size=50),
+                        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.0,
+                         -36.0, np.inf, -np.inf]]).astype(dtype)
+    for shape in ((1057,), (7, 151), (151, 7, 1)):
+        got = E.sigmoid(x.reshape(shape)).value
+        assert got.dtype == dtype and got.shape == shape
+        assert got.tobytes() == sigmoid_two_masks(x.reshape(shape)).tobytes()
+    # a 0-d input keeps its shape
+    for v in (2.5, -2.5):
+        got = E.sigmoid(np.asarray(v, dtype=dtype)).value
+        assert got.shape == () and got == sigmoid_two_masks(
+            np.asarray([v], dtype=dtype))[0]
+
+
+def test_scatter_rows_refuses_repeated_rows_sorted_or_not():
+    rows = np.ones((4, 2))
+    for idx in ([0, 1, 1, 3], [3, 1, 0, 1], [2, 2, 2, 2], [5, 0, 3, 0]):
+        with pytest.raises(ValueError, match="unique"):
+            E.scatter_rows(rows, idx, 6)
+    for idx in ([0, 1, 2, 5], [5, 0, 3, 1]):  # increasing, or unique unsorted
+        out = E.scatter_rows(rows * np.arange(1, 5)[:, None], idx, 6).value
+        assert out[idx, 0].tolist() == [1, 2, 3, 4]
 
 
 def test_transpose_swaps_the_last_two_axes():
@@ -442,7 +488,8 @@ def test_grad_check_skips_gate_flips():
 def _dense_gather_rows(a, idx):
     """Reference gather with a dense vjp: a zeroed full array plus add.at."""
     a = E.as_node(a)
-    idx = np.asarray(idx, dtype=np.int64)
+    if type(idx) is not slice:
+        idx = np.asarray(idx, dtype=np.int64)
 
     def vjp(g):
         out = np.zeros_like(a.value)
@@ -453,14 +500,17 @@ def _dense_gather_rows(a, idx):
 
 
 def _dense_gather_submatrix(a, ix):
+    """Reference block gather with a dense vjp, through the engine's flat
+    index (a batch of stacked blocks has no numpy `a[ix]` equivalent)."""
     a = E.as_node(a)
+    flat = E._flat_index(a.value.shape, ix)
 
     def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, ix, g)
-        return out
+        out = np.zeros(a.value.size, dtype=a.value.dtype)
+        np.add.at(out, flat.ravel(), g.ravel())
+        return out.reshape(a.value.shape)
 
-    return E._make(a.value[ix], ((a, vjp),))
+    return E._make(a.value.take(flat), ((a, vjp),))
 
 
 def _with_dense_gathers(monkeypatch, fn):
@@ -482,6 +532,26 @@ def test_gather_rows_sums_like_add_at():
     expected = np.zeros((6, 3))
     np.add.at(expected, idx, weights)
     assert np.array_equal(store["W"].grad, expected)
+
+
+def test_gather_rows_of_a_slice_is_a_view_with_the_index_gradient():
+    rng = np.random.default_rng(13)
+    store = E.ParameterStore()
+    store.add("W", rng.normal(size=(6, 3)))
+    weights = rng.normal(size=(2, 3, 3))
+
+    def grad(first, second):  # two overlapping reads
+        store.zero_grad()
+        bound = store.bind()
+        parts = [E.gather_rows(bound["W"], idx) for idx in (first, second)]
+        if type(first) is slice:
+            assert all(np.shares_memory(p.value, bound["W"].value)
+                       for p in parts)
+        store.backward(E.sum_all(E.mul(E.stack(parts), weights)))
+        return store["W"].grad.copy()
+
+    assert np.array_equal(grad(slice(1, 4), slice(2, 5)),
+                          grad([1, 2, 3], [2, 3, 4]))
 
 
 def test_gather_submatrix_sums_like_add_at():

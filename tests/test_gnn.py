@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphkt.model
 from graphkt import engine as E
+from graphkt.data import Response
 from graphkt.gnn import (GnnSpec, GraphTensors, Plan, gnn_forward_rows,
                          make_specs, plan_outward, readout_rows)
 from graphkt.graphs import KcRelationGraphs
 from graphkt.model import BatchCache, GrktModel, HyperParams
+from graphkt.train import bce_loss_node
 from tests.conftest import random_graphs
 from tests.oracles import (constrain_nonneg_matrix, constrain_nonneg_vector,
                            edge_correlation, hop_support, question_kc_score)
@@ -237,39 +240,76 @@ def test_readout_is_the_retrieval_oracle_read_out_exactly(ablation, layers,
             <= 1e-12 * abs(mastery.value.item())
 
 
+def read_out(model, cache, plans, seeds, questions, agg_t=None,
+             spec=None):
+    """`readout_rows` over a batch of plans: the seed rows of each plan
+    padded into one block, the requirement rows of `questions[i]` stacked
+    (none when `questions` is None); returns the (K, width, d) coefficient
+    node. `spec` defaults to the retrieval head."""
+    width = max(len(p.row_sets[0]) for p in plans)
+    padded = np.zeros((len(plans), width, model.hp.d_k))
+    for i, seed in enumerate(seeds):
+        padded[i, :len(seed)] = seed
+    alpha = None if questions is None else E.concat(
+        [E.transpose(cache.alpha_col(q)) for q in questions], axis=0)
+    return readout_rows(spec or model.specs["rtv"], E.as_node(padded), plans,
+                        cache.rtv_t, cache.agg, agg_t, alpha)
+
+
 def test_readout_weighs_the_forward_output_rows_on_any_plan():
+    # the retrieval head, and a linear head on its weights without the
+    # requirement scores (padded rows are then zeroed by the mask alone)
+    for scored in (True, False):
+        check_readout_weighs_the_forward_output_rows(scored)
+
+
+def check_readout_weighs_the_forward_output_rows(scored):
     model = ablated_model("full", 2, seed=55)
     rng = np.random.default_rng(56)
-    spec = model.specs["rtv"]
     _, cache = model.begin("eval")
-    agg_t = E.transpose(cache.agg)
-    for kcs in ((1, 4), (0, 6), (3,)):
-        plan = model.plan(kcs)
-        x = rng.normal(size=(model.n_kcs, 3))
-        seed = rng.normal(size=(len(kcs), 3))
-        out = every_row(model, "rtv", x, cache, cache.alpha_col(3)).value
-        coef = readout_rows(spec, E.as_node(seed), plan, cache.rtv_t,
-                            cache.agg, agg_t, cache.alpha_col(3)).value
-        weighed = seed * out[list(kcs)]
-        assert abs((coef * x[list(plan.output_rows)]).sum() - weighed.sum()) \
-            < 1e-12 * np.abs(weighed).sum()
+    spec = model.specs["rtv"] if scored else GnnSpec(
+        "rtv", (3, 3, 3), use_feedforward=False, use_question_scores=False,
+        nonneg_weights=True, output_activation="none")
+    questions = [3] if scored else None
+    kc_sets = ((1, 4), (0, 6), (3,))
+    plans = [model.plan(kcs) for kcs in kc_sets]
+    seeds = [rng.normal(size=(len(kcs), 3)) for kcs in kc_sets]
+    x = rng.normal(size=(model.n_kcs, 3))
+    out = gnn_forward_rows(spec, E.as_node(x), model.plan(tuple(range(7))),
+                           model.gt, cache.weights["rtv"], cache.agg,
+                           cache.alpha_col(3) if scored else None).value
+    # one batch of the three plans, and each plan alone
+    batch = read_out(model, cache, plans, seeds, questions and questions * 3,
+                     E.transpose(cache.agg), spec).value
+    assert len({len(p.output_rows) for p in plans}) > 1  # padded rows
+    for i, (kcs, plan, seed) in enumerate(zip(kc_sets, plans, seeds)):
+        n_out = len(plan.output_rows)
+        alone = read_out(model, cache, [plan], [seed], questions,
+                         E.transpose(cache.agg), spec).value[0]
+        for coef in (batch[i, :n_out], alone):
+            weighed = seed * out[list(kcs)]
+            assert abs((coef * x[list(plan.output_rows)]).sum()
+                       - weighed.sum()) < 1e-12 * np.abs(weighed).sum()
+        assert not batch[i, n_out:].any()  # padded rows are exactly zero
 
 
 def test_readout_refuses_a_nonlinear_head_and_a_wrong_seed():
     model = small_model(seed=57, layers=2)
     _, cache = model.begin("eval")
-    plan = model.plan((2,))
-    seed = E.as_node(np.ones((1, 3)))
+    plans = [model.plan((2,))]
+    seed = E.as_node(np.ones((1, 1, 3)))
+    alpha = E.transpose(cache.alpha_col(0))
     for head in ("gain", "loss", "prg", "lrn", "fgt"):
         with pytest.raises(ValueError, match="not linear"):
-            readout_rows(model.specs[head], seed, plan, cache.rtv_t,
-                         cache.agg, None, cache.alpha_col(0))
+            readout_rows(model.specs[head], seed, plans, cache.rtv_t,
+                         cache.agg, None, alpha)
     with pytest.raises(ValueError, match="requires"):
-        readout_rows(model.specs["rtv"], seed, plan, cache.rtv_t, cache.agg,
+        readout_rows(model.specs["rtv"], seed, plans, cache.rtv_t, cache.agg,
                      None)
-    with pytest.raises(ValueError, match="seed"):
-        readout_rows(model.specs["rtv"], E.as_node(np.ones((2, 3))), plan,
-                     cache.rtv_t, cache.agg, None, cache.alpha_col(0))
+    for wrong in ((1, 2, 3), (2, 1, 3), (1, 3)):
+        with pytest.raises(ValueError, match="seed"):
+            readout_rows(model.specs["rtv"], E.as_node(np.ones(wrong)), plans,
+                         cache.rtv_t, cache.agg, None, alpha)
 
 
 # -- sign and locality properties --------------------------------------------
@@ -553,12 +593,10 @@ def readout_with_grads(model, plan, seed, x0):
     model.store.zero_grad()
     bound = model.store.bind()
     cache = BatchCache(model, bound, "train")
-    coef = readout_rows(model.specs["rtv"], E.as_node(seed), plan,
-                        cache.rtv_t, cache.agg, E.transpose(cache.agg),
-                        cache.alpha_col(1))
+    coef = read_out(model, cache, [plan], [seed], [1], E.transpose(cache.agg))
     model.store.backward(E.sum_all(E.mul(coef, x0)))
-    return coef.value, {name: model.store[name].grad.copy()
-                        for name in model.store.names()}
+    return coef.value[0], {name: model.store[name].grad.copy()
+                           for name in model.store.names()}
 
 
 # every layer of the all-KC plan: both row sets hold every KC
@@ -716,6 +754,148 @@ def test_whole_transposed_adjacency_is_built_once_and_only_for_a_whole_layer():
         want = retrieved[list(kcs)].mean(axis=0) \
             @ constrain_nonneg_vector(model.store.value("w_h")).ravel()
         assert abs(mastery.value.item() - want) <= 1e-12 * abs(want)
+
+
+# -- batched question-side tables -----------------------------------------------
+
+
+def kc_set_keys(model, rng, kc_sets):
+    """(question, KC set) keys over `kc_sets`, each with a random question,
+    plus every question on the first KC set."""
+    keys = [(int(rng.integers(model.n_questions)), kcs) for kcs in kc_sets]
+    keys += [(q, kc_sets[0]) for q in range(model.n_questions)]
+    return list(dict.fromkeys(keys))
+
+
+def read_out_batches(model, keys):
+    """The plans of `keys` as `prepare` reads them out: one batch per
+    power-of-two class of output row counts."""
+    batches = {}
+    for _, kcs in keys:
+        plan = model.plan(kcs)
+        batches.setdefault(len(plan.output_rows).bit_length(), []).append(plan)
+    return list(batches.values())
+
+
+def batch_layers(plans, n_layers):
+    """Per read-out layer of a batch: 'whole' when every plan's output holds
+    every KC, else 'gathered'."""
+    return ["whole" if all(p.ix[k] is None for p in plans) else "gathered"
+            for k in range(n_layers)]
+
+
+def padded(plans):
+    """Whether some layer's row sets differ in size within the batch."""
+    return any(len({len(p.row_sets[k]) for p in plans}) > 1
+               for k in range(len(plans[0].row_sets)))
+
+
+def check_prepared_tables(model, keys, monkeypatch):
+    """One `prepare` reads every key out in one call per size class; each
+    key's rows equal its batch-of-one build and the brute-force retrieval
+    oracle."""
+    calls = []
+    monkeypatch.setattr(graphkt.model, "readout_rows", lambda *args: (
+        calls.append(len(args[2])) or readout_rows(*args)))
+    rng = np.random.default_rng(80)
+    responses = [Response(q, kcs, 1, t) for t, (q, kcs) in enumerate(keys)]
+    _, batched = model.begin("eval")
+    batched.prepare(responses)
+    batches = read_out_batches(model, keys)
+    assert sorted(calls) == sorted(map(len, batches))
+    n_prepared = len(calls)
+    _, alone = model.begin("eval")  # no prepare: a batch of one per key
+    w_h = constrain_nonneg_vector(model.store.value("w_h")).ravel()
+    H = rng.normal(size=(model.n_kcs, model.hp.d_k))
+    for q, kcs in keys:
+        # a product over K rows may round apart from one over a single row
+        for read in (lambda c: c.readout(q, kcs), lambda c: c.alpha_col(q),
+                     lambda c: c.difficulty(q, kcs),
+                     *(lambda c, h=h, p=p: c.question_term(h, p, q, kcs)
+                       for h, p in (("gain", 0), ("loss", 0), ("dcs", 1),
+                                    ("prg", 0)))):
+            got, want = read(batched).value, read(alone).value
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        retrieved = brute_force_head(model.specs["rtv"], H, model.graphs,
+                                     model.store, model.store.value("emb.q")[q])
+        want = retrieved[list(kcs)].mean(axis=0) @ w_h
+        _, mastery = model.stage1_predict(E.as_node(H), q, kcs, batched)
+        assert abs(mastery.value.item() - want) <= 1e-12 * abs(want)
+        coef = scattered_readout(model, batched, q, kcs)
+        outside = sorted(set(range(model.n_kcs))
+                         - hop_support(model.graphs, kcs, model.hp.layers))
+        assert (coef >= 0).all() and not coef[outside].any()
+    # the prepared cache read every key from its batches; the other built
+    # one batch of one per key
+    assert calls[n_prepared:] == [1] * len(keys)
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+@pytest.mark.parametrize("layers", [1, 2])
+def test_prepared_tables_match_batches_of_one_and_the_oracle(
+        ablation, layers, monkeypatch):
+    model = ablated_model(ablation, layers, seed=70 + layers)
+    rng = np.random.default_rng(71)
+    kc_sets = [(0,), (2, 6), (1, 3, 5), (4,), (0, 1, 2), (5, 6)]
+    keys = kc_set_keys(model, rng, kc_sets)
+    assert any(padded(plans) for plans in read_out_batches(model, keys))
+    check_prepared_tables(model, keys, monkeypatch)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_prepared_tables_mix_whole_and_gathered_layers(layers, monkeypatch):
+    # on the star, (0,) reaches every KC in one hop and (1,), (4,) and
+    # (1, 2) in two: the batch's first layer gathers padded blocks, later
+    # ones take the whole adjacency with each key's rows embedded (at
+    # L = 1, (0,) is a batch of its own with one whole layer)
+    model = star_model(layers)
+    keys = kc_set_keys(model, np.random.default_rng(72),
+                       [(4,), (0,), (1, 2), (1,), (3, 5)])
+    batches = read_out_batches(model, keys)
+    assert any(padded(plans) for plans in batches)
+    kinds = [batch_layers(plans, layers) for plans in batches]
+    if layers > 1:  # every key's output holds every KC: one batch
+        assert kinds == [["gathered"] + ["whole"] * (layers - 1)]
+    else:  # (0,) alone in the all-KC size class
+        assert sorted(kinds) == [["gathered"], ["whole"]]
+    check_prepared_tables(model, keys, monkeypatch)
+
+
+def test_gradient_check_through_one_batched_build_with_unequal_supports(
+        monkeypatch):
+    model = ablated_model("full", 2, seed=73)
+    keys = [(1, (0,)), (2, (2, 6)), (0, (1, 3, 5)), (3, (4,))]
+    batches = read_out_batches(model, keys)
+    assert any(padded(plans) for plans in batches)
+    calls = []
+    monkeypatch.setattr(graphkt.model, "readout_rows", lambda *args: (
+        calls.append(len(args[2])) or readout_rows(*args)))
+    responses = [Response(q, kcs, t % 2, 60 * t)
+                 for t, (q, kcs) in enumerate(keys)]
+
+    def build_loss(bound):
+        cache = BatchCache(model, bound, "train")
+        cache.prepare(responses)
+        H = E.add(cache.h0, 0.3)
+        preds = [(model.stage1_predict(H, r.question, r.kcs, cache)[0],
+                  r.correct) for r in responses]
+        return bce_loss_node(preds)
+
+    rep = E.grad_check(model.store, build_loss, np.random.default_rng(74),
+                       n_coords=200)
+    assert rep.passed, rep.summary()
+    # every loss read its keys out in one batch per size class, and none
+    # in a batch of one
+    per_loss = calls[:len(batches)]
+    assert sorted(per_loss) == sorted(map(len, batches))
+    assert calls == per_loss * (len(calls) // len(batches))
+    assert any(name.startswith("gnn.rtv.") for name in rep.group_errors)
+    # every question-side parameter reaches the loss through the batch
+    for prefix in ("gnn.rtv.", "cor.", "req", "emb.q", "emb.k", "w_h",
+                   "mlp.diff."):
+        assert any(model.store[name].grad.any() for name in model.store.names()
+                   if name.startswith(prefix)), prefix
 
 
 # -- spec construction -----------------------------------------------------------

@@ -140,9 +140,11 @@ def test_evaluate_reads_out_each_distinct_question_once(monkeypatch):
     evaluate(model, ds, range(6), TrainConfig(hp=hp))
     keys = {(r.question, r.kcs) for seq in ds.sequences for r in seq.real()}
     assert len(keys) < len(rows)  # questions repeat, and each is re-asked
-    assert len(built) == len(keys)
-    # one (plan, requirement column) pair per call: no key was built twice
-    assert len({(id(args[2]), id(args[-1])) for args in built}) == len(keys)
+    # a call reads out a batch of keys (argument 2 holds their plans);
+    # every key needs its read-out, so keys read out == distinct keys means
+    # no key was built twice
+    assert len(built) < len(keys)
+    assert sum(len(args[2]) for args in built) == len(keys)
 
 
 def test_begin_after_an_optimizer_step_rebuilds_the_readout():
@@ -189,8 +191,10 @@ def test_gradient_check_through_one_readout_read_at_two_memories(monkeypatch):
                        n_coords=200)
     assert rep.passed, rep.summary()
     assert any(name.startswith("gnn.rtv.") for name in rep.group_errors)
-    # each loss built the read-out once and read it at both memories
-    assert len(built) == 1 + 2 * (rep.n_checked + rep.n_skipped)
+    # each loss built the read-out of its one key once (a batch of one)
+    # and read it at both memories
+    assert sum(len(args[2]) for args in built) \
+        == 1 + 2 * (rep.n_checked + rep.n_skipped)
     for prefix in ("gnn.rtv.", "cor.", "req", "emb.q", "emb.k", "w_h", "H0"):
         assert any(model.store[name].grad.any() for name in model.store.names()
                    if name.startswith(prefix)), prefix
@@ -222,6 +226,22 @@ def test_every_stage_rejects_a_kc_id_outside_the_model(desk_model, bad):
         desk_model.forward_sequence(seq, cache)
     with pytest.raises(ValueError, match="sorted and distinct"):
         desk_model.stage1_predict(H, 0, (3, 1), cache)
+
+
+def test_prepare_checks_every_id_before_building_a_table(desk_model,
+                                                        monkeypatch):
+    built = []
+    monkeypatch.setattr(graphkt.model, "readout_rows",
+                        lambda *args: built.append(args) or readout_rows(*args))
+    _, cache = desk_model.begin("eval")
+    good = [Response(0, (0,), 1, 0), Response(2, (1, 3), 0, 30)]
+    for bad, match in ((Response(1, (2, 6), 0, 60), "unknown KC id 6$"),
+                       (Response(5, (1,), 0, 60), "unknown question id 5$")):
+        with pytest.raises(ValueError, match=match):
+            cache.prepare([*good, bad])
+    assert not built  # the good keys were not built either
+    cache.prepare(good)
+    assert sum(len(args[2]) for args in built) == 2
 
 
 def test_repeated_and_unsorted_kcs_predict_bitwise_as_the_kc_set():

@@ -555,9 +555,10 @@ def test_plans_built_once_per_kc_set_and_graph_set(monkeypatch):
     # the plans stage 1 reads out along and stage 2 propagates over
     read_out, forward = {}, {}
 
-    def recording_readout(spec, seed, plan, *rest):
-        read_out[plan.row_sets[0]] = plan
-        return readout_rows(spec, seed, plan, *rest)
+    def recording_readout(spec, seed, plans, *rest):
+        for plan in plans:  # one plan per key of the batch
+            read_out[plan.row_sets[0]] = plan
+        return readout_rows(spec, seed, plans, *rest)
 
     def recording_forward(spec, x0, plan, *rest):
         if spec.name in ("gain", "loss"):
