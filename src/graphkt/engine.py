@@ -481,15 +481,22 @@ def _stack_offsets(n_mats: int, mat_size: int) -> np.ndarray:
 
 
 def gather_rows(a, idx) -> Node:
-    """Select rows `idx` of a 2-D node (embedding/memory lookup).
+    """Select rows `idx` of a node (embedding/memory lookup).
 
     `idx` is an index array, or a slice, whose rows are a view of the
     node's value rather than a copy (a key's rows of a per-question table).
+    An (n, m) index array reads an (n, m, ...) batch of rows; its gradient
+    is added through the raveled index.
     """
     a = as_node(a)
-    if type(idx) is not slice:
-        idx = np.asarray(idx, dtype=np.int64)
-    return _make(a.value[idx], ((a, lambda g: SparseGrad(idx, g)),))
+    if type(idx) is slice:
+        return _make(a.value[idx], ((a, lambda g: SparseGrad(idx, g)),))
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim == 1:
+        return _make(a.value[idx], ((a, lambda g: SparseGrad(idx, g)),))
+    flat = idx.reshape(-1)
+    return _make(a.value[idx], ((a, lambda g: SparseGrad(
+        flat, g.reshape(len(flat), *g.shape[idx.ndim:]))),))
 
 
 def gather_submatrix(a, ix) -> Node:
@@ -531,7 +538,8 @@ def sum_all(a) -> Node:
     return _make(val, ((a, lambda g: np.full_like(a.value, float(g))),))
 
 
-def sum_axis(a, axis: int, keepdims: bool = True) -> Node:
+def sum_axis(a, axis, keepdims: bool = True) -> Node:
+    """Sum over one axis, or a tuple of axes."""
     a = as_node(a)
     val = a.value.sum(axis=axis, keepdims=keepdims)
 

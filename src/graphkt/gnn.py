@@ -26,25 +26,32 @@ Propagation never reaches beyond the layer count in hops, so every head runs
 on the row sets of a `Plan`, one per KC set: the set itself, then its 1- to
 L-hop supports. Seeded heads (gain/loss/progress) compute only those rows
 (`gnn_forward_rows`); the kernel-rate heads (lrn/fgt) run on the plan of
-every KC. The neighbor union over P, S and R is symmetric, so the rows that
-feed the examined KCs within L hops are the rows they reach: the retrieval
-read-out walks the same plan from the examined KCs out to their support. A
-plan depends only on the graphs, the layer count and the KC set, so
-`GrktModel`, which owns the graphs, builds each one once and reuses it
-across stages, steps and evaluation passes.
+every KC. Both entry points run a `PlanBatch`, K plans at once on blocks
+padded to the batch's widest row sets, with padding rows kept exactly zero;
+a single plan is a batch of one and reads its own frozen indices. The
+neighbor union over P, S and R is symmetric, so the rows that feed the
+examined KCs within L hops are the rows they reach: the retrieval read-out
+walks the same plan from the examined KCs out to their support. A plan
+depends only on the graphs, the layer count and the KC set, so `GrktModel`,
+which owns the graphs, builds each one once and reuses it across stages,
+steps and evaluation passes.
 
-A layer whose output rows hold every KC multiplies by the whole adjacency
-instead of gathering a block of it. Its inputs then enter on all C rows,
-exactly zero outside the input set: the residual's scatter already places
-them there, so such a layer adds no node. On graphs as dense as the mined
-`paper` ones, most layers past the first hop are of this kind. Contracting
-over the zero rows too can round differently from the gathered block, by
-about one ulp.
+A layer whose widest output row set in the batch holds every KC multiplies
+by the whole adjacency instead of gathering blocks of it: padding would make
+its blocks C rows wide anyway. Its inputs then enter on all C rows of each
+block, exactly zero outside the plan's input set: the residual's scatter
+already places them there, so such a layer adds no node, and a plan's
+output rows outside its support come out exactly zero. On graphs as dense
+as the mined `paper` ones, most layers past the first hop are of this kind.
+Contracting over the zero rows too can round differently from the gathered
+block, by about one ulp.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,28 +144,35 @@ class Plan:
     are exactly zero), or is None when the two sets are equal. `ix[l-1]`
     selects the (rows_l, rows_{l-1}) adjacency block, or is None when rows_l,
     the layer's output, holds all `n_kcs` KCs: the layer then reads the whole
-    adjacency. The read-out (`readout_rows`) walks the same layers for a
-    batch of plans: it reads their transposed blocks from the row arrays,
-    embeds with `align`, and takes a layer whole when `ix` is None for every
-    plan of the batch.
+    adjacency. These are the indices of the plan run alone, a `PlanBatch` of
+    one (`batch`); a batch of several plans pads them to common widths.
     """
 
-    __slots__ = ("row_sets", "row_arrays", "align", "ix")
+    __slots__ = ("row_sets", "row_arrays", "align", "ix", "n_kcs", "_batch")
 
     def __init__(self, row_sets: list[tuple[int, ...]], n_kcs: int):
         self.row_sets = tuple(row_sets)
         self.row_arrays = tuple(np.asarray(r, dtype=np.int64) for r in row_sets)
         if any((np.diff(r) <= 0).any() for r in self.row_arrays):
             raise ValueError("row sets must be sorted and distinct")
+        self.n_kcs = n_kcs
         self.align = tuple(map(self._embedding, self.row_arrays,
                                self.row_arrays[1:]))
         self.ix = tuple(
             None if len(rows) == n_kcs else np.ix_(rows, prev)
             for prev, rows in zip(self.row_arrays, self.row_arrays[1:]))
+        self._batch = None
 
     @property
     def output_rows(self) -> tuple[int, ...]:
         return self.row_sets[-1]
+
+    @property
+    def batch(self) -> "PlanBatch":
+        """This plan as a batch of one, built once."""
+        if self._batch is None:
+            self._batch = PlanBatch([self])
+        return self._batch
 
     @staticmethod
     def _embedding(prev: np.ndarray, cur: np.ndarray) -> np.ndarray | None:
@@ -167,6 +181,134 @@ class Plan:
                          or not np.array_equal(cur[pos], prev)):
             raise ValueError("row sets must grow and be nested between layers")
         return None if len(prev) == len(cur) else pos
+
+
+class Layer(NamedTuple):
+    """One layer of a `PlanBatch`: rows l-1 in, rows l out.
+
+    `whole` is the batch's whole-layer rule. `embed` is where the residual
+    scatter puts the input blocks' rows among the output blocks' (flat over
+    the K blocks), or None when the two layouts are equal. A layer that is
+    not whole reads the adjacency blocks of `prev` (K, in width) and `cur`
+    (K, out width), the KC ids of its padded input and output rows (padding
+    reads KC 0), and `valid` (K, out width) marks the output rows that are
+    not padding (None when there is none). In a batch of one, `ix` is the
+    plan's own `np.ix_` block.
+    """
+
+    whole: bool
+    embed: np.ndarray | None
+    prev: np.ndarray | None = None
+    cur: np.ndarray | None = None
+    valid: np.ndarray | None = None
+    ix: tuple | None = None
+
+
+class PlanBatch:
+    """K plans propagated together by `gnn_forward_rows` and `readout_rows`.
+
+    Plan i owns block i of each layer's rows. Layer l >= 1 is whole when the
+    batch's widest layer-l row set holds every KC: its blocks are then C rows
+    wide, plan i's features sit on the rows of its KC ids and are exactly
+    zero elsewhere (no neighbor of its layer l-1 rows lies outside its
+    layer-l set), and the layer reads the whole adjacency. Padding would
+    make the blocks C rows wide anyway. Layer 0, and a layer that is not
+    whole, has blocks as wide as its widest row set: plan i's rows first, in
+    row-set order, then padding rows, which the layer keeps exactly zero.
+    A batch of one plan has no padding and reads the plan's own indices.
+    `row_sets` are the KCs each layer covers over the whole batch.
+    """
+
+    def __init__(self, plans: Sequence[Plan]):
+        self.plans = tuple(plans)
+        self.n_kcs = n_kcs = self.plans[0].n_kcs
+        self.sizes = np.array([[len(r) for r in p.row_sets]
+                               for p in self.plans])
+        widest = self.sizes.max(axis=0)
+        self.whole = (False, *(int(w) == n_kcs for w in widest[1:]))
+        self.widths = tuple(n_kcs if whole else int(w)
+                            for whole, w in zip(self.whole, widest))
+        self.layers = tuple(map(self._layer, range(1, len(widest))))
+
+    @staticmethod
+    def of(plans) -> "PlanBatch":
+        """`plans` as a batch: a batch itself, one plan, or a list of plans."""
+        if isinstance(plans, PlanBatch):
+            return plans
+        if isinstance(plans, Plan):
+            return plans.batch
+        return PlanBatch(plans) if len(plans) > 1 else plans[0].batch
+
+    def __len__(self) -> int:
+        return len(self.plans)
+
+    def __iter__(self):
+        return iter(self.plans)
+
+    @property
+    def row_sets(self) -> tuple[tuple[int, ...], ...]:
+        if len(self.plans) == 1:
+            return self.plans[0].row_sets
+        return tuple(tuple(sorted(set().union(*(p.row_sets[l] for p in self))))
+                     for l in range(self.sizes.shape[1]))
+
+    def _layer(self, layer: int) -> Layer:
+        whole, n_kcs = self.whole[layer], self.n_kcs
+        if len(self.plans) == 1:
+            p = self.plans[0]
+            return Layer(whole, p.align[layer - 1],
+                         p.row_arrays[layer - 1][None],
+                         p.row_arrays[layer][None], ix=p.ix[layer - 1])
+        n_prev = self.sizes[:, layer - 1]
+        if self.whole[layer - 1]:  # and so this one: the same layout
+            return Layer(True, None)
+        if whole:  # embed at the KC ids
+            embed = [p.row_arrays[layer - 1] for p in self]
+        elif all(p.align[layer - 1] is None for p in self):
+            embed = None
+        else:
+            embed = [np.arange(n) if p.align[layer - 1] is None
+                     else p.align[layer - 1] for p, n in zip(self, n_prev)]
+        if embed is not None:
+            embed = _residual_index(embed, n_prev, self.widths[layer - 1],
+                                    self.widths[layer])
+        if whole:
+            return Layer(True, embed)
+        n_cur = self.sizes[:, layer]
+        valid = np.arange(self.widths[layer]) < n_cur[:, None]
+        return Layer(False, embed, self.padded(layer - 1), self.padded(layer),
+                     None if valid.all() else valid)
+
+    def padded(self, layer: int) -> np.ndarray:
+        """The layer's row sets as a (K, width) array, padded with KC 0."""
+        if len(self.plans) == 1:
+            return self.plans[0].row_arrays[layer][None]
+        sizes, width = self.sizes[:, layer], self.widths[layer]
+        rows = np.zeros((len(self.plans), width), dtype=np.int64)
+        rows[np.arange(width) < sizes[:, None]] = np.concatenate(
+            [p.row_arrays[layer] for p in self])
+        return rows
+
+    def positions(self, i: int) -> np.ndarray:
+        """Where plan i's output rows sit in its block of the last layer."""
+        p = self.plans[i]
+        return p.row_arrays[-1] if self.whole[-1] \
+            else np.arange(len(p.output_rows))
+
+    def output_kcs(self) -> np.ndarray:
+        """The KC id of every output row, (K, last width): a whole layer's
+        block holds every KC in order, and a padded block's padding rows
+        get distinct KCs outside the plan's support, so the blocks scatter
+        into memory without a padding row meeting a real one."""
+        width = self.widths[-1]
+        if len(self.plans) == 1 and not self.whole[-1]:
+            return self.plans[0].row_arrays[-1][None]
+        if self.whole[-1]:
+            return np.broadcast_to(np.arange(width), (len(self.plans), width))
+        n = self.sizes[:, -1]
+        out = _residual_index([p.row_arrays[-1] for p in self], n, width,
+                              self.n_kcs).reshape(len(self.plans), width)
+        return out - (np.arange(len(self.plans)) * self.n_kcs)[:, None]
 
 
 def _hop_row_sets(gt: GraphTensors, kcs, layers: int) -> list[tuple[int, ...]]:
@@ -200,91 +342,121 @@ LayerWeights = tuple[E.Node, "E.Node | None"]
 
 
 def _messages(feats: E.Node, sub: E.Node | None, weights: list[LayerWeights],
-              layer: int, n_rows: int, d_cur: int) -> E.Node:
+              layer: int, n_blocks: int, n_rows: int, d_cur: int) -> E.Node:
     """Layer `layer`'s messages over all stacked graphs, summed over graphs.
 
-    `sub` is the (G, n_rows, n_feats) adjacency block, or None when no graph
-    has edges, in which case the messages are zero.
+    `feats` holds `n_blocks` blocks of input rows; `sub` is the (G, n_rows,
+    n_feats) adjacency block of a batch of one, a (K, G, n_rows, n_feats)
+    batch of blocks, or the whole (G, C, C) adjacency, which every block
+    shares; it is None when no graph has edges, and the messages are zero.
+    Returns the blocks' `n_rows` output rows each, stacked.
     """
     if sub is None:
-        return E.as_node(np.zeros((n_rows, d_cur), dtype=feats.value.dtype))
+        return E.as_node(np.zeros((n_blocks * n_rows, d_cur),
+                                  dtype=feats.value.dtype))
     w, o = weights[layer - 1]
+    if n_blocks > 1:
+        feats = E.reshape(feats, (n_blocks, 1, -1, feats.value.shape[-1]))
     branch = E.matmul(sub, E.matmul(feats, w))
     if o is not None:
         branch = E.matmul(E.relu(branch), o)
-    return E.sum_axis(branch, 0, keepdims=False)
+    if n_blocks == 1:
+        return E.sum_axis(branch, 0, keepdims=False)
+    return E.reshape(E.sum_axis(branch, 1, keepdims=False),
+                     (n_blocks * n_rows, d_cur))
 
 
-def _check_question_context(spec: GnnSpec, alpha_col) -> None:
-    if spec.use_question_scores != (alpha_col is not None):
+def _check_question_context(spec: GnnSpec, alpha) -> None:
+    if spec.use_question_scores != (alpha is not None):
         raise ValueError(f"head {spec.name!r} "
                          f"{'requires' if spec.use_question_scores else 'rejects'} "
                          "question context")
 
 
-def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plan: Plan, gt: GraphTensors,
+def _row_mask(valid: np.ndarray, shape, dtype) -> E.Node:
+    return E.as_node(valid.reshape(shape).astype(dtype))
+
+
+def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plans, gt: GraphTensors,
                      weights: list[LayerWeights], agg: E.Node | None,
-                     alpha_col: E.Node | None = None) -> E.Node:
-    """Run one head over a plan's row sets.
+                     alpha: E.Node | None = None) -> E.Node:
+    """Run one head over a batch of plans (`PlanBatch.of(plans)`).
 
-    `x0` holds the layer-0 features for `plan.row_sets[0]` (rows outside the
-    seeds are exactly zero and never materialized).
-    `agg` is the (G, C, C) degree-normalized, correlation-scaled adjacency
-    stack (shared across layers and heads for one parameter state; None when
-    no graph has edges) and `weights[l-1]` layer l's stacks. `alpha_col` is
-    the (n_kcs, 1) question requirement column and must be present exactly
-    when the head uses question scores. Returns the features of
-    `plan.output_rows`.
+    `x0` stacks the K blocks of layer-0 features, block i holding
+    `plans[i].row_sets[0]` first (rows outside the seeds are exactly zero and
+    never materialized; padding rows must be zero too). `agg` is the
+    (G, C, C) degree-normalized, correlation-scaled adjacency stack (shared
+    across layers and heads for one parameter state; None when no graph has
+    edges) and `weights[l-1]` layer l's stacks. `alpha` is the (K * C, 1)
+    column of the plans' question requirement scores, block i for plan i,
+    and must be present exactly when the head uses question scores.
+    Returns the K blocks of output features, laid out as `PlanBatch`
+    describes; their KC ids are `output_kcs()`.
 
-    A layer with `plan.ix[l-1]` None multiplies by `agg` and the whole
-    `alpha_col`. If its inputs are fewer than every KC, they are embedded
-    in all C rows: by the residual's scatter, or by a scatter of their own
-    in a width-changing layer, which has no residual.
+    A whole layer multiplies by `agg` and the whole `alpha`. If its inputs
+    are fewer than every KC, they are embedded in all C rows: by the
+    residual's scatter, or by a scatter of their own in a width-changing
+    layer, which has no residual. A layer that is not whole gathers each
+    plan's adjacency block and masks its padding rows to zero, so those stay
+    zero through the output activation wherever it maps zero to zero.
     """
-    _check_question_context(spec, alpha_col)
-    if x0.value.shape != (len(plan.row_sets[0]), spec.dims[0]):
-        raise ValueError("layer-0 features do not match the plan's row set")
+    batch = PlanBatch.of(plans)
+    _check_question_context(spec, alpha)
+    n_blocks = len(batch)
+    if x0.value.shape != (n_blocks * batch.widths[0], spec.dims[0]):
+        raise ValueError("layer-0 features do not match the plans' row sets")
 
     out = x0
-    for layer in range(1, len(spec.dims)):
+    for layer, lay in enumerate(batch.layers, 1):
         d_prev, d_cur = spec.dims[layer - 1], spec.dims[layer]
-        n_cur = len(plan.row_sets[layer])
-        idx = plan.align[layer - 1]
+        n_cur = n_blocks * batch.widths[layer]
         residual = None
         if d_prev == d_cur:
-            residual = out if idx is None else E.scatter_rows(out, idx, n_cur)
-        ix = plan.ix[layer - 1]
-        feats, sub, alpha = out, agg, alpha_col
-        if ix is not None:
+            residual = out if lay.embed is None \
+                else E.scatter_rows(out, lay.embed, n_cur)
+        feats, sub, scale = out, agg, alpha
+        if not lay.whole:
+            if n_blocks == 1:
+                block, rows = (slice(None), *lay.ix), lay.prev[0]
+            else:
+                block = (slice(None), lay.cur[:, None, :, None],
+                         lay.prev[:, None, None, :])
+                rows = (lay.prev + (np.arange(n_blocks) * gt.n_kcs)[:, None]) \
+                    .ravel()
             if agg is not None:
-                sub = E.gather_submatrix(agg, (slice(None), *ix))
-            if alpha_col is not None:
-                alpha = E.gather_rows(alpha_col, plan.row_arrays[layer - 1])
-        elif idx is not None:  # every KC's row, zero outside the inputs
+                sub = E.gather_submatrix(agg, block)
+            if alpha is not None:
+                scale = E.gather_rows(alpha, rows)
+        elif lay.embed is not None:  # every KC's row, zero outside the inputs
             feats = residual if residual is not None \
-                else E.scatter_rows(out, idx, n_cur)
-        if alpha is not None:
-            feats = E.mul(alpha, feats)
-        fused = _messages(feats, sub, weights, layer, n_cur, d_cur)
+                else E.scatter_rows(out, lay.embed, n_cur)
+        if scale is not None:
+            feats = E.mul(scale, feats)
+        fused = _messages(feats, sub, weights, layer, n_blocks,
+                          batch.widths[layer], d_cur)
+        if lay.valid is not None:
+            fused = E.mul(_row_mask(lay.valid, (-1, 1), fused.value.dtype),
+                          fused)
         out = fused if residual is None else E.add(fused, residual)
 
     return _apply_output_activation(spec, out)
 
 
-def readout_rows(spec: GnnSpec, seed: E.Node, plans: list[Plan],
-                 weights_t: list[E.Node], agg: E.Node | None,
-                 agg_t: E.Node | None, alpha: E.Node | None = None) -> E.Node:
+def readout_rows(spec: GnnSpec, seed: E.Node, plans, weights_t: list[E.Node],
+                 agg: E.Node | None, agg_t: E.Node | None,
+                 alpha: E.Node | None = None) -> E.Node:
     """Input coefficients of weighted read-outs of a linear head, K at once.
 
     For a head without feed-forward or output activation (so of constant
     width, every layer with its residual), run over every KC on layer-0
     features `x`, `sum(s_i * out[plans[i].row_sets[0]])` equals
     `sum(c_i * x[plans[i].output_rows])` for each plan i, where `s_i` are the
-    seed rows and `c_i` the coefficient rows of plan i. Both are padded: key
-    i owns block i of `seed`, (K, N_0, d) with N_0 the largest seed set, and
-    of the result, (K, N_L, d); its rows come first in its block, one per
-    row-set entry, and the padded rows are exactly zero. Read-out layer k
-    runs the head's layer L-k+1 transposed, from rows R_{k-1} out to R_k,
+    seed rows and `c_i` the coefficient rows of plan i. Both are blocks of a
+    `PlanBatch.of(plans)`: key i owns block i of `seed`, (K, N_0, d) with
+    N_0 the largest seed set, and of the result, (K, N_L, d), where
+    `positions(i)` locates its rows; padding rows are exactly zero. Read-out
+    layer k runs the head's layer L-k+1 transposed, from rows R_{k-1} out
+    to R_k,
 
         B_k = alpha[R_k] * sum_g A_g[R_{k-1}, R_k]^T B_{k-1} W_g^T
               + residual(B_{k-1}),
@@ -296,54 +468,50 @@ def readout_rows(spec: GnnSpec, seed: E.Node, plans: list[Plan],
     swapped, padded to (K, G, N_k, N_{k-1}). A padded column meets a zero
     row of B_{k-1}, and the padded rows' requirement scores are masked to
     zero, so the padded rows of B_k stay exactly zero and the padded block
-    entries get exactly zero gradient. A layer whose output rows hold every
-    KC for every plan reads `agg_t`, the whole stack with its last two axes
-    swapped (None when no plan batch has such a layer), with B_{k-1}
-    embedded in all C rows by the residual's scatter (`agg` and `agg_t` are
-    None when no graph has edges). `alpha` is the (K, C) table of the keys'
-    question requirement scores, present exactly when the head uses them.
-    A batch of one plan is the read-out of a single key.
+    entries get exactly zero gradient. A whole layer reads `agg_t`, the
+    whole stack with its last two axes swapped (None when no plan batch has
+    such a layer); `agg` and `agg_t` are None when no graph has edges.
+    `alpha` is the (K, C) table of the keys' question requirement scores,
+    present exactly when the head uses them. A batch of one plan is the
+    read-out of a single key.
     """
     if spec.use_feedforward or spec.output_activation != "none" \
             or len(set(spec.dims)) != 1:
         raise ValueError(f"head {spec.name!r} is not linear in its input")
     _check_question_context(spec, alpha)
-    sizes = np.array([[len(r) for r in p.row_sets] for p in plans])
-    n_keys, d = len(plans), spec.dims[-1]
-    if seed.value.shape != (n_keys, sizes[:, 0].max(), d):
+    batch = PlanBatch.of(plans)
+    n_keys, d = len(batch), spec.dims[-1]
+    if seed.value.shape != (n_keys, batch.widths[0], d):
         raise ValueError("read-out seed does not match the plans' seed rows")
 
     coef = seed
     n_layers = len(spec.dims) - 1
-    for k in range(1, n_layers + 1):
-        n_prev, n_cur = sizes[:, k - 1], sizes[:, k]
-        width_prev, width = int(n_prev.max()), int(n_cur.max())
+    for k, lay in enumerate(batch.layers, 1):
+        width_prev, width = batch.widths[k - 1], batch.widths[k]
         residual = coef
-        if any(p.align[k - 1] is not None for p in plans):
-            dest = _residual_index(plans, k, n_prev, width_prev, width)
+        if lay.embed is not None:
             flat = E.reshape(coef, (n_keys * width_prev, d))
-            residual = E.reshape(E.scatter_rows(flat, dest, n_keys * width),
-                                 (n_keys, width, d))
+            residual = E.reshape(
+                E.scatter_rows(flat, lay.embed, n_keys * width),
+                (n_keys, width, d))
         if agg is None:
             coef = residual
             continue
         # `scale`: per output row, the requirement score, times 0 on a
         # padded row (whose messages come from padding, not from the plan)
-        if all(p.ix[k - 1] is None for p in plans):  # every KC, every key
+        if lay.whole:
             feats, sub = residual, agg_t
             scale = None if alpha is None \
                 else E.reshape(alpha, (*alpha.value.shape, 1))
         else:
             feats = coef
-            prev = _padded_rows(plans, k - 1, n_prev, width_prev)
-            cur = _padded_rows(plans, k, n_cur, width)
-            sub = E.gather_submatrix(agg, (slice(None), prev[:, None, None, :],
-                                           cur[:, None, :, None]))
+            sub = E.gather_submatrix(agg, (slice(None),
+                                           lay.prev[:, None, None, :],
+                                           lay.cur[:, None, :, None]))
             scale = None if alpha is None else E.gather_submatrix(
-                alpha, (np.arange(n_keys)[:, None, None], cur[:, :, None]))
-            if (n_cur < width).any():
-                mask = E.as_node((np.arange(width) < n_cur[:, None])[:, :, None]
-                                 .astype(agg.value.dtype))
+                alpha, (np.arange(n_keys)[:, None, None], lay.cur[:, :, None]))
+            if lay.valid is not None:
+                mask = _row_mask(lay.valid, (n_keys, width, 1), agg.value.dtype)
                 scale = mask if scale is None else E.mul(scale, mask)
         fw = E.matmul(E.reshape(feats, (n_keys, 1, *feats.value.shape[1:])),
                       weights_t[n_layers - k])
@@ -354,32 +522,21 @@ def readout_rows(spec: GnnSpec, seed: E.Node, plans: list[Plan],
     return coef
 
 
-def _padded_rows(plans: list[Plan], layer: int, sizes: np.ndarray,
-                 width: int) -> np.ndarray:
-    """The plans' layer row sets as a (K, width) array, padded with KC 0."""
-    rows = np.zeros((len(plans), width), dtype=np.int64)
-    rows[np.arange(width) < sizes[:, None]] = np.concatenate(
-        [p.row_arrays[layer] for p in plans])
-    return rows
-
-
-def _residual_index(plans: list[Plan], layer: int, n_prev: np.ndarray,
+def _residual_index(embeds: list[np.ndarray], n_prev: np.ndarray,
                     width_prev: int, width: int) -> np.ndarray:
-    """Where the residual scatter puts each row of the padded blocks of
-    layer `layer - 1`.
+    """Where a scatter puts each row of K padded blocks of `width_prev` rows
+    into K blocks of `width` rows.
 
-    Key i's rows go to block i of the layer's (K * width) rows at the plan's
-    embed index. Its padded rows, exactly zero, go to the first positions of
-    its block that no row of its own reaches (rows new in this layer or
-    padding, whose residual is zero): a block has width - n_prev[i] such
-    positions, at least the width_prev - n_prev[i] padded rows. So the
-    index is unique and the scatter needs no row selection.
+    Block i's rows go to block i at `embeds[i]`. Its padded rows, exactly
+    zero, go to the first positions of its block that no row of its own
+    reaches (rows new in this layer or padding, whose residual is zero): a
+    block has width - n_prev[i] such positions, at least the
+    width_prev - n_prev[i] padded rows. So the index is unique and the
+    scatter needs no row selection.
     """
-    n_keys = len(plans)
+    n_keys = len(embeds)
     valid = np.arange(width_prev) < n_prev[:, None]
-    embed = np.concatenate([
-        np.arange(len(p.row_sets[layer - 1])) if p.align[layer - 1] is None
-        else p.align[layer - 1] for p in plans])
+    embed = np.concatenate(embeds)
     pos = np.zeros((n_keys, width_prev), dtype=np.int64)
     pos[valid] = embed
     free = np.ones((n_keys, width), dtype=bool)

@@ -105,23 +105,34 @@ def gaucm(records) -> float:
     """Answer-count-weighted mean of per-question mastery AUCs.
 
     Questions whose answers are all one class have no AUC and are excluded
-    from both the numerator and the weight total.
+    from both the numerator and the weight total. One lexsort by (question,
+    mastery) ranks every question's answers at once, tied masteries sharing
+    their block's average rank, as `auc` ranks them.
     """
-    by_question: dict[int, list[tuple[float, int]]] = {}
-    for r in records:
-        by_question.setdefault(r.question, []).append((r.mastery, r.label))
+    question = np.fromiter((r.question for r in records), np.int64)
+    mastery = np.fromiter((r.mastery for r in records), np.float64)
+    label = np.fromiter((r.label for r in records), np.int64)
+    order = np.lexsort((mastery, question))
+    question, mastery, label = question[order], mastery[order], label[order]
+    n = len(order)
+    first_of_question = np.r_[True, question[1:] != question[:-1]]
+    first_of_block = first_of_question \
+        | np.r_[True, mastery[1:] != mastery[:-1]]
+    qid = np.cumsum(first_of_question) - 1
+    # 1-based rank within the question; a tie block's average rank
+    rank = np.arange(1, n + 1) - np.flatnonzero(first_of_question)[qid]
+    starts = np.flatnonzero(first_of_block)
+    ends = np.r_[starts[1:], n] - 1
+    ranks = np.repeat((rank[starts] + rank[ends]) / 2.0, ends - starts + 1)
 
-    num = 0.0
-    den = 0.0
-    for q in sorted(by_question):
-        pairs = by_question[q]
-        try:
-            score = auc(pairs)
-        except UndefinedMetric:
-            continue
-        num += len(pairs) * score
-        den += len(pairs)
-    if den == 0:
+    n_pos = np.bincount(qid, weights=label)
+    n_all = np.bincount(qid).astype(np.float64)
+    n_neg = n_all - n_pos
+    eligible = (n_pos > 0) & (n_neg > 0)
+    if not eligible.any():
         raise UndefinedMetric("no question has both outcome classes")
-    return num / den
-
+    pos_rank_sum = np.bincount(qid, weights=ranks * label)
+    n_pos, n_neg, n_all = n_pos[eligible], n_neg[eligible], n_all[eligible]
+    per_question = (pos_rank_sum[eligible] - n_pos * (n_pos + 1) / 2.0) \
+        / (n_pos * n_neg)
+    return float((n_all * per_question).sum() / n_all.sum())

@@ -30,17 +30,27 @@ Everything a stage computes from the question alone (the KC-mean embedding,
 the difficulty, the requirement scores, the stage-1 read-out and the
 question half of the stage-2/3 MLP inputs) is a row of a `QuestionTables`
 batch: `GrktModel.steps` first has `BatchCache.prepare` build the tables of
-the sequence's new (question, KC set) keys in one pass, and each response
-reads its rows. The MLP heads' first layer is split to match: the memory
-rows multiply W1's memory rows, and the cached question term is added.
+all its sequences' new (question, KC set) keys in one pass, and each step
+gathers its keys' rows. The MLP heads' first layer is split to match: the
+memory rows multiply W1's memory rows, and the cached question term is
+added.
 
 `GrktModel.steps` is the recurrence: the one place that runs the three stages
-in order and owns the memory bank. Sequence predictions, mastery traces and
-re-ask probes all consume its per-response records.
+in order and owns the memory. It runs B sequences in lockstep: the memory is
+B blocks of C rows stacked into one (B * C, d_k) node, and each stage is one
+op chain per step over every block, on index sets padded to common widths
+(`gnn.PlanBatch`). Padding rows stay exactly zero, and a padding row of an
+update lands on a row outside its block's support, so each sequence's
+memory equals that of the sequence run alone up to rounding, and its rows
+outside the support are untouched. One sequence is a batch of one, with no
+padding and the ops of a single-sequence pass. Sequence predictions, mastery
+traces, re-ask probes and training batches all consume its per-step
+records.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 
@@ -48,14 +58,18 @@ import numpy as np
 
 from . import engine as E
 from .data import Response, ResponseSequence
-from .gnn import (GnnSpec, GraphTensors, Plan, gnn_forward_rows, make_specs,
-                  plan_outward, readout_rows)
+from .gnn import (GnnSpec, GraphTensors, Plan, PlanBatch, gnn_forward_rows,
+                  make_specs, plan_outward, readout_rows)
 from .graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
                      format_graphs, parse_graphs)
 
 DT_CAP_MINUTES = 43200.0  # 30 days
 
 MLP_HEADS = ("diff", "gain", "loss", "dcs", "prg")
+
+# entries of the (keys, G, rows, rows) adjacency blocks of one read-out batch:
+# bounds the memory of building many keys' tables at once
+READOUT_BLOCK = 2 ** 21
 
 
 @dataclass
@@ -109,11 +123,14 @@ class SeqResult:
 
 @dataclass
 class Step:
-    """One response as the recurrence processed it (see `GrktModel.steps`)."""
-    response: Response
-    a_hat: E.Node    # stage-1 probability of a correct answer
-    mastery: E.Node  # stage-1 mastery of the examined KCs
-    before: E.Node   # memory before the strengthening update
+    """One time step of the lockstep recurrence (see `GrktModel.steps`):
+    the responses of the sequences still running, response b on memory
+    block b."""
+    responses: list[Response]
+    seqs: list[int]  # each response's sequence, as the caller numbered them
+    a_hat: E.Node    # (n,) stage-1 probabilities of a correct answer
+    mastery: E.Node  # (n,) stage-1 mastery of the examined KCs
+    before: E.Node   # (n * C, d_k) memory before the strengthening update
     after: E.Node    # memory after it
 
 
@@ -182,19 +199,20 @@ class QuestionTables:
 
     `e_bar` is (K, 2 d_e): the mean embedding of the key's KCs, from one
     constant (K, C) averaging matrix times the KC embeddings, then the
-    question's embedding. `difficulty` is the diff MLP on it, (K, 1), and
+    question's embedding. `difficulty` is the diff MLP on it, (K,), and
     `requirement` the (K, C) question-KC scores sigmoid((e_q req) k^T).
     The stage-1 read-outs run as one padded `readout_rows` batch per size
-    class of the keys' hop supports; `coef_rows[i]` locates key i's rows
-    as (table, first row, row count), the table being its batch flattened
-    to (keys * width, d_k). `terms` holds the question halves of the
-    stage-2/3 MLP inputs, built on first use (`BatchCache.question_term`).
+    class of the keys' hop supports; `coef` stacks all of them, flattened
+    to rows of d_k, with one zero row last (`zero_row`), and
+    `coef_index[i]` lists key i's rows there, one per KC of its plan's
+    output rows. `terms` holds the question halves of the stage-2/3 MLP
+    inputs, built on first use (`BatchCache.term_table`).
     """
 
     def __init__(self, cache: "BatchCache", keys: list[tuple[int, tuple]]):
         model, bound = cache.model, cache.bound
         dtype = model.store.dtype
-        n_keys, n_c = len(keys), model.n_kcs
+        n_keys, n_c, d_k = len(keys), model.n_kcs, model.hp.d_k
         sizes = np.array([len(kcs) for _, kcs in keys])
         avg = np.zeros((n_keys, n_c), dtype=dtype)
         avg[np.repeat(np.arange(n_keys), sizes),
@@ -203,33 +221,110 @@ class QuestionTables:
         e_q = E.gather_rows(bound["emb.q"], [q for q, _ in keys])
         self.e_bar = E.concat([E.matmul(E.as_node(avg), cache.k_active), e_q],
                               axis=1)
-        self.difficulty = cache.mlp("diff", E.add(
-            E.matmul(self.e_bar, bound["mlp.diff.W1"]), bound["mlp.diff.b1"]))
+        self.difficulty = E.reshape(cache.mlp("diff", E.add(
+            E.matmul(self.e_bar, bound["mlp.diff.W1"]), bound["mlp.diff.b1"])),
+            (n_keys,))
         self.requirement = cache.requirement(e_q)
+        self.alpha: E.Node | None = None  # `requirement` as one column
 
         # keys whose output row counts lie in one power-of-two range are
-        # read out together, so padding at most doubles a key's output rows
+        # read out together, so padding at most doubles a key's output rows,
+        # in chunks whose adjacency blocks hold at most READOUT_BLOCK entries
         plans = [cache.plan_out(kcs) for _, kcs in keys]
-        n_out = [len(p.output_rows) for p in plans]
-        size_class = np.array([n.bit_length() for n in n_out])
-        self.coef_rows: list = [None] * n_keys
+        size_class = np.array([len(p.output_rows).bit_length() for p in plans])
+        n_graphs = max(len(model.gt.kinds), 1)
+        chunks = []
         for cls in np.unique(size_class):
+            width = min(n_c, 2 ** int(cls))
+            step = max(1, READOUT_BLOCK // (n_graphs * width * width))
             members = np.flatnonzero(size_class == cls)
+            chunks += [members[i:i + step]
+                       for i in range(0, len(members), step)]
+        parts, start = [], 0
+        self.coef_index: list = [None] * n_keys
+        for members in chunks:
             n_seed = sizes[members, None]
             seed = E.mul(cache.w_h_row, E.as_node(
                 ((np.arange(n_seed.max()) < n_seed) / n_seed)[:, :, None]
                 .astype(dtype)))
-            batch = [plans[i] for i in members]
+            batch = PlanBatch.of([plans[i] for i in members])
             requirement = self.requirement if len(members) == n_keys \
                 else E.gather_rows(self.requirement, members)
             coef = readout_rows(model.specs["rtv"], seed, batch, cache.rtv_t,
                                 cache.agg, cache.whole_transposed(batch),
                                 requirement)
             width = coef.value.shape[1]
-            flat = E.reshape(coef, (len(members) * width, model.hp.d_k))
+            parts.append(E.reshape(coef, (len(members) * width, d_k)))
             for j, i in enumerate(members):
-                self.coef_rows[i] = (flat, j * width, n_out[i])
+                self.coef_index[i] = start + j * width + batch.positions(j)
+            start += len(members) * width
+        self.zero_row = start
+        self.coef = E.concat([*parts, E.as_node(np.zeros((1, d_k), dtype))],
+                             axis=0)
         self.terms: dict[tuple[str, int], E.Node] = {}
+
+
+class KeyBatch:
+    """The keys of one lockstep step, key b for memory block b, as rows of
+    one `QuestionTables` (`BatchCache.keys`): `idx[b]` is key b's row.
+    Everything a stage reads of them is gathered for the whole batch."""
+
+    def __init__(self, cache: "BatchCache",
+                 keys: tuple[tuple[int, tuple], ...]):
+        self.n_kcs = cache.model.n_kcs
+        self.keys = keys
+        self.tables, self.idx = cache.tables_of(keys)
+        self.plans = [cache.plan_out(kcs) for _, kcs in keys]
+        self._readout = None
+        self._alpha = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def readout_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, width) rows of `tables.coef` and of the memory blocks that
+        stage 1 multiplies: key b's coefficient rows against block b's rows
+        of its plan's output KCs, padded with the zero coefficient row."""
+        if self._readout is None:
+            coef, valid = _pad([self.tables.coef_index[i] for i in self.idx])
+            if valid is not None:
+                coef[~valid] = self.tables.zero_row
+            kcs, _ = _pad([p.row_arrays[-1] for p in self.plans])
+            self._readout = coef, _block_rows(kcs, self.n_kcs).reshape(
+                kcs.shape)
+        return self._readout
+
+    def difficulty(self) -> E.Node:
+        return E.gather_rows(self.tables.difficulty, self.idx)
+
+    def alpha(self, sel: np.ndarray) -> E.Node:
+        """The requirement scores of keys `sel`, one (C, 1) block each."""
+        whole = len(sel) == len(self)
+        if whole and self._alpha is not None:
+            return self._alpha
+        tables, n_c = self.tables, self.n_kcs
+        if tables.alpha is None:
+            tables.alpha = E.reshape(tables.requirement, (-1, 1))
+        if len(sel) == 1:
+            i = int(self.idx[sel[0]])
+            rows = slice(i * n_c, (i + 1) * n_c)
+        else:
+            rows = (self.idx[sel, None] * n_c + np.arange(n_c)).ravel()
+        col = E.gather_rows(tables.alpha, rows)
+        if whole:
+            self._alpha = col
+        return col
+
+    def terms(self, cache: "BatchCache", head: str, part: int,
+              sel: np.ndarray, width: int) -> E.Node:
+        """The question terms of keys `sel` in MLP head `head`'s first layer
+        (`BatchCache.term_table`), `width` rows each; a single key's row
+        broadcasts."""
+        table = cache.term_table(self.tables, head, part)
+        if len(sel) == 1:
+            i = int(self.idx[sel[0]])
+            return E.gather_rows(table, slice(i, i + 1))
+        return E.gather_rows(table, np.repeat(self.idx[sel], width))
 
 
 class BatchCache:
@@ -240,12 +335,10 @@ class BatchCache:
     depend only on the parameters, so they are built once and reused by
     every sequence until the next optimizer step. So do the question-side
     quantities of each (question, KC set) key: `prepare` builds those of a
-    sequence's new keys as one `QuestionTables` batch, and a stage reads its
-    key's rows of them (`readout`, `difficulty`, `alpha_col`,
-    `question_term`). A key `prepare` did not see is built as a batch of
-    one. Propagation
-    plans do not depend on the parameters; `plan_out` fetches them from the
-    model's own cache.
+    batch's new keys as one `QuestionTables`, and a stage reads the rows of
+    its step's keys (`keys`). A key `prepare` did not see is built when a
+    step first needs it. Propagation plans do not depend on the parameters;
+    `plan_out` fetches them from the model's own cache.
     """
 
     def __init__(self, model: "GrktModel", bound: dict[str, E.Node], mode: str):
@@ -288,7 +381,7 @@ class BatchCache:
         # stage 1 runs the retrieval head transposed (`readout_rows`).
         # Transposed blocks are read from `agg` itself, so the whole
         # transposed adjacency (and, in training, its gradient buffer) exists
-        # only once a read-out batch has a layer that writes every KC
+        # only once a read-out batch has a whole layer
         self.rtv_t = [E.transpose(w) for w, _ in self.weights["rtv"]]
         self.agg_t: E.Node | None = None
 
@@ -301,11 +394,10 @@ class BatchCache:
                                              every_kc, model.gt,
                                              self.weights["fgt"], self.agg)
 
-        self._col = np.arange(n_c)[:, None]
         self._w1: dict[tuple[str, int], E.Node] = {}
         self._keys: dict[tuple, tuple[QuestionTables, int]] = {}
-        self._question: dict[int, tuple[QuestionTables, int]] = {}
-        self._alpha_col: dict[int, E.Node] = {}
+        self._batches: dict[tuple, KeyBatch] = {}
+        self._tiled: dict = {}
 
     # -- building ------------------------------------------------------------
 
@@ -324,12 +416,26 @@ class BatchCache:
         tables = QuestionTables(self, keys)
         for i, key in enumerate(keys):
             self._keys[key] = (tables, i)
-            self._question.setdefault(key[0], (tables, i))
 
-    def _key(self, q: int, kcs: tuple[int, ...]) -> tuple[QuestionTables, int]:
-        if (q, kcs) not in self._keys:
-            self._build([(q, kcs)])
-        return self._keys[q, kcs]
+    def keys(self, questions: Sequence[int],
+             kc_sets: Sequence[tuple[int, ...]]) -> KeyBatch:
+        """The (question, KC set) keys of one step, built once."""
+        keys = tuple(zip(questions, kc_sets))
+        if keys not in self._batches:
+            self._batches[keys] = KeyBatch(self, keys)
+        return self._batches[keys]
+
+    def tables_of(self, keys) -> tuple[QuestionTables, np.ndarray]:
+        """One table holding every key, and each key's row in it. Keys not
+        built yet, or spread over several tables, are built together."""
+        found = [self._keys.get(k) for k in keys]
+        if None in found or any(f[0] is not found[0][0] for f in found):
+            for (q, kcs), f in zip(keys, found):
+                if f is None:
+                    self.model._check_ids(q, kcs)
+            self._build(list(dict.fromkeys(keys)))
+            found = [self._keys[k] for k in keys]
+        return found[0][0], np.array([i for _, i in found])
 
     def mlp(self, head: str, pre: E.Node) -> E.Node:
         """MLP head `head` from its first layer's pre-activation `pre`
@@ -359,18 +465,45 @@ class BatchCache:
                                                  np.arange(start, stop))
         return self._w1[head, part]
 
+    def term_table(self, tables: QuestionTables, head: str,
+                   part: int) -> E.Node:
+        """The (K, d_h) question terms of a table's keys in MLP head
+        `head`'s first layer: e_bar times W1's rows for the current question
+        (part 0, plus the bias b1) or the next one (part 1), built for all
+        of the table's keys on first use."""
+        if (head, part) not in tables.terms:
+            t = E.matmul(tables.e_bar, self.w1_part(head, part + 1))
+            if part == 0:
+                t = E.add(t, self.bound[f"mlp.{head}.b1"])
+            tables.terms[head, part] = t
+        return tables.terms[head, part]
+
     def requirement(self, e_q: E.Node) -> E.Node:
         """The (n, C) requirement scores of the questions embedded in e_q."""
         return E.sigmoid(E.matmul(E.matmul(e_q, self.bound["req"]), self.k_t))
 
-    def whole_transposed(self, plans: list[Plan]) -> E.Node | None:
-        """`agg` transposed, built once a read-out batch of `plans` has a
-        layer whose output holds every KC for every plan."""
-        if self.agg_t is None and self.agg is not None and any(
-                all(p.ix[k] is None for p in plans)
-                for k in range(len(plans[0].ix))):
+    def whole_transposed(self, batch: PlanBatch) -> E.Node | None:
+        """`agg` transposed, built once a read-out batch has a whole layer."""
+        if self.agg_t is None and self.agg is not None and any(batch.whole):
             self.agg_t = E.transpose(self.agg)
         return self.agg_t
+
+    def tiled(self, name: str, n: int) -> E.Node:
+        """`h0` or `forget_rates` repeated for n memory blocks (itself for
+        one): a prefix of one tiling for the most blocks asked for."""
+        base = getattr(self, name)
+        if n == 1:
+            return base
+        n_rows = n * self.model.n_kcs
+        full = self._tiled.get(name)
+        if full is None or full.value.shape[0] < n_rows:
+            full = self._tiled[name] = E.gather_rows(
+                base, np.tile(np.arange(self.model.n_kcs), n))
+        if full.value.shape[0] == n_rows:
+            return full
+        if (name, n) not in self._tiled:
+            self._tiled[name, n] = E.gather_rows(full, slice(0, n_rows))
+        return self._tiled[name, n]
 
     # -- one key's rows, read as views of its tables -----------------------
 
@@ -382,43 +515,66 @@ class BatchCache:
         are the retrieval head's transpose run along the plan stage 2 uses,
         from the read-out seed, softmax(w_h) / |kcs| on every examined KC.
         """
-        tables, i = self._key(q, kcs)
-        table, start, n = tables.coef_rows[i]
-        return E.gather_rows(table, slice(start, start + n))
+        keys = self.keys([q], [kcs])
+        return E.gather_rows(keys.tables.coef, keys.readout_index()[0][0])
 
     def difficulty(self, q: int, kcs: tuple[int, ...]) -> E.Node:
-        tables, i = self._key(q, kcs)
-        return E.gather_rows(tables.difficulty, slice(i, i + 1))
+        return self.keys([q], [kcs]).difficulty()
 
     def question_term(self, head: str, part: int, q: int,
                       kcs: tuple[int, ...]) -> E.Node:
         """Key (q, kcs)'s (1, d_h) question term in MLP head `head`'s first
-        layer: e_bar times W1's rows for the current question (part 0, plus
-        the bias b1) or the next one (part 1), from its tables' (K, d_h)
-        term, which is built for all their keys on first use."""
-        tables, i = self._key(q, kcs)
-        if (head, part) not in tables.terms:
-            t = E.matmul(tables.e_bar, self.w1_part(head, part + 1))
-            if part == 0:
-                t = E.add(t, self.bound[f"mlp.{head}.b1"])
-            tables.terms[head, part] = t
-        return E.gather_rows(tables.terms[head, part], slice(i, i + 1))
+        layer (`term_table`)."""
+        return self.keys([q], [kcs]).terms(self, head, part, np.zeros(1, int),
+                                          1)
 
     def alpha_col(self, q: int) -> E.Node:
         """The (n_kcs, 1) requirement scores of question `q` for each KC."""
-        if q not in self._alpha_col:
-            if q in self._question:
-                tables, i = self._question[q]
-                col = E.gather_submatrix(tables.requirement,
-                                         (np.array([[i]]), self._col))
-            else:
-                col = E.transpose(self.requirement(
-                    E.gather_rows(self.bound["emb.q"], [q])))
-            self._alpha_col[q] = col
-        return self._alpha_col[q]
+        return E.transpose(self.requirement(
+            E.gather_rows(self.bound["emb.q"], [q])))
 
     def plan_out(self, kcs: tuple[int, ...]) -> Plan:
         return self.model.plan(kcs)
+
+
+@functools.lru_cache(maxsize=None)
+def _arange(n: int) -> np.ndarray:
+    """0..n-1, built once per n: every memory block of a step."""
+    out = np.arange(n)
+    out.flags.writeable = False
+    return out
+
+
+def _pad(lists) -> tuple[np.ndarray, np.ndarray | None]:
+    """Lists of ids as an (n, width) array padded with 0, and the mask of
+    its entries that are not padding (None when there are none)."""
+    if len(lists) == 1:
+        return np.asarray(lists[0], dtype=np.int64)[None], None
+    sizes = np.fromiter(map(len, lists), np.int64, len(lists))
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    out = np.zeros(valid.shape, dtype=np.int64)
+    out[valid] = np.concatenate(lists)
+    return out, None if valid.all() else valid
+
+
+def _block_rows(kcs: np.ndarray, n_kcs: int,
+                blocks: np.ndarray | None = None) -> np.ndarray:
+    """Rows of stacked memory blocks, flat: block `blocks[i]`'s rows of the
+    KCs `kcs[i]` (block i's by default)."""
+    if len(kcs) == 1 and (blocks is None or blocks[0] == 0):
+        return kcs[0]
+    if blocks is None:
+        blocks = np.arange(len(kcs))
+    return (kcs + (blocks * n_kcs)[:, None]).ravel()
+
+
+def _mask_padding(feats: E.Node, batch: PlanBatch) -> E.Node:
+    """`feats` with the padding rows of the batch's layer-0 blocks zeroed."""
+    if len(batch) == 1 or (batch.sizes[:, 0] == batch.widths[0]).all():
+        return feats
+    n = batch.sizes[:, 0]
+    mask = (np.arange(batch.widths[0]) < n[:, None]).reshape(-1, 1)
+    return E.mul(E.as_node(mask.astype(feats.value.dtype)), feats)
 
 
 class GrktModel:
@@ -450,7 +606,11 @@ class GrktModel:
         bound = self.store.bind()
         return bound, BatchCache(self, bound, mode)
 
-    # -- single stages ------------------------------------------------------
+    # -- single stages, each over n memory blocks -----------------------------
+    #
+    # H stacks n students' memories, (n * C, d_k): block b, rows b*C to
+    # (b+1)*C, is the memory of the student answering key b. One student's
+    # memory, (C, d_k), is a batch of one.
 
     def _check_ids(self, q: int, kcs: tuple[int, ...]) -> None:
         """A stage takes a question and KC set as `Response` holds them."""
@@ -462,153 +622,234 @@ class GrktModel:
         if any(a >= b for a, b in zip(kcs, kcs[1:])):
             raise ValueError(f"KC ids must be sorted and distinct, got {kcs}")
 
-    def stage1_predict(self, H: E.Node, q: int, kcs: tuple[int, ...],
+    def stage1_predict(self, H: E.Node, questions: Sequence[int],
+                       kc_sets: Sequence[tuple[int, ...]],
                        cache: BatchCache) -> tuple[E.Node, E.Node]:
-        """Retrieve memory for a question; returns (p_correct, mastery).
+        """Retrieve memory for each block's question; returns (p_correct,
+        mastery), each (n,).
 
-        Mastery is the question's cached read-out applied to the memory rows
-        of the examined KCs' L-hop support.
+        Mastery is the question's cached read-out applied to the block's
+        memory rows of the examined KCs' L-hop support: one padded gather of
+        those rows times one gather of the coefficient rows.
         """
-        self._check_ids(q, kcs)
-        x0 = E.gather_rows(H, cache.plan_out(kcs).row_arrays[-1])
-        mastery = E.sum_all(E.mul(x0, cache.readout(q, kcs)))
-        a_hat = E.sigmoid(E.sub(mastery, cache.difficulty(q, kcs)))
+        keys = cache.keys(questions, kc_sets)
+        coef_rows, mem_rows = keys.readout_index()
+        x0 = E.gather_rows(H, mem_rows)
+        coef = E.gather_rows(keys.tables.coef, coef_rows)
+        mastery = E.sum_axis(E.mul(x0, coef), (1, 2), keepdims=False)
+        a_hat = E.sigmoid(E.sub(mastery, keys.difficulty()))
         return a_hat, mastery
 
-    def stage2_strengthen(self, H: E.Node, q: int, kcs: tuple[int, ...],
-                          a: int, cache: BatchCache) -> E.Node:
-        """Apply the signed memory update for one response."""
-        self._check_ids(q, kcs)
-        head = "gain" if a == 1 else "loss"
-        feats = cache.split_mlp(head, E.gather_rows(H, list(kcs)),
-                                [cache.question_term(head, 0, q, kcs)])
-        plan = cache.plan_out(kcs)
-        update_rows = gnn_forward_rows(self.specs[head], feats, plan, self.gt,
-                                       cache.weights[head], cache.agg,
-                                       cache.alpha_col(q))
-        update = E.scatter_rows(update_rows, list(plan.output_rows), self.n_kcs)
+    def stage2_strengthen(self, H: E.Node, questions: Sequence[int],
+                          kc_sets: Sequence[tuple[int, ...]],
+                          correct: Sequence[int], cache: BatchCache) -> E.Node:
+        """Apply each block's signed memory update.
+
+        The blocks answered correctly run the gain head and the others the
+        loss head, each group as one split-MLP call and one padded forward
+        over its examined KC sets.
+        """
+        keys = cache.keys(questions, kc_sets)
+        n_c, n = self.n_kcs, len(keys)
+        groups: dict[str, list[int]] = {"gain": [], "loss": []}
+        for b, a in enumerate(correct):
+            groups["gain" if a == 1 else "loss"].append(b)
+        parts, rows = [], []
+        for head, blocks in groups.items():
+            if not blocks:
+                continue
+            sel = _arange(n) if len(blocks) == n else np.array(blocks)
+            batch = PlanBatch.of(keys.plans if len(blocks) == n
+                                 else [keys.plans[b] for b in blocks])
+            seeds = batch.padded(0)
+            feats = cache.split_mlp(
+                head, E.gather_rows(H, _block_rows(seeds, n_c, sel)),
+                [keys.terms(cache, head, 0, sel, seeds.shape[1])])
+            parts.append(gnn_forward_rows(
+                self.specs[head], _mask_padding(feats, batch), batch, self.gt,
+                cache.weights[head], cache.agg, keys.alpha(sel)))
+            rows.append(_block_rows(batch.output_kcs(), n_c, sel)
+                        if len(blocks) < n or not batch.whole[-1] else None)
+        if len(rows) == 1 and rows[0] is None:
+            update = parts[0]  # every block whole, in order
+        else:
+            update = E.scatter_rows(
+                parts[0] if len(parts) == 1 else E.concat(parts, axis=0),
+                rows[0] if len(rows) == 1 else np.concatenate(rows), n * n_c)
         return E.add(H, update)
 
-    def stage3_learn_forget(self, H: E.Node, q_t: int, kcs_t: tuple[int, ...],
-                            q_next: int, kcs_next: tuple[int, ...],
-                            dt_seconds: float, counters: np.ndarray,
+    def stage3_learn_forget(self, H: E.Node, questions: Sequence[int],
+                            kc_sets: Sequence[tuple[int, ...]],
+                            next_questions: Sequence[int],
+                            next_kc_sets: Sequence[tuple[int, ...]],
+                            dt_seconds: Sequence[float], counters: np.ndarray,
                             cache: BatchCache) -> E.Node:
-        """Advance memory across the gap before the next question.
+        """Advance each block's memory across the gap before its next
+        question.
 
-        Mutates `counters` in place (one increment per KC that actually
-        received progress).
+        Mutates `counters`, (n, C) or (C,) for one block, in place: one
+        increment per KC that actually received progress. The gate runs on
+        every block's candidates at once, progress propagates over the
+        blocks whose gate opened, and forgetting is one chain over all rows.
         """
-        self._check_ids(q_t, kcs_t)
-        self._check_ids(q_next, kcs_next)
-        dt = min(max(dt_seconds, 0.0) / 60.0, DT_CAP_MINUTES)
-        candidates = sorted(set(kcs_t) | set(kcs_next))
-        memory = E.gather_rows(H, candidates)
+        cur = cache.keys(questions, kc_sets)
+        nxt = cache.keys(next_questions, next_kc_sets)
+        n_c, n = self.n_kcs, len(cur)
+        counters = counters.reshape(n, n_c)
+        dt = np.array([min(max(x, 0.0) / 60.0, DT_CAP_MINUTES)
+                       for x in dt_seconds])
+        cand, valid = _pad([sorted({*a, *b})
+                            for a, b in zip(kc_sets, next_kc_sets)])
+        width = cand.shape[1]
+        memory = E.gather_rows(H, _block_rows(cand, n_c))
+        every = _arange(n)
 
         def question_terms(head):
-            return [cache.question_term(head, 0, q_t, kcs_t),
-                    cache.question_term(head, 1, q_next, kcs_next)]
+            return [cur.terms(cache, head, 0, every, width),
+                    nxt.terms(cache, head, 1, every, width)]
 
         pi = E.softmax(cache.split_mlp("dcs", memory, question_terms("dcs")),
                        axis=-1)
         decisions = pi.value.argmax(axis=1)  # hard gate; ties mean no learning
-        learned_pos = np.flatnonzero(decisions == 1)
+        learned = decisions == 1
+        if valid is not None:
+            valid = valid.ravel()
+            decisions, learned = decisions[valid], learned & valid
         E.log_gate(decisions.tobytes())
 
         new_H = H
-        learned_mask = np.zeros(self.n_kcs, dtype=bool)
-        if len(learned_pos):
+        learned_mask = np.zeros(n * n_c, dtype=bool)
+        if learned.any():
             p_all = cache.split_mlp("prg", memory, question_terms("prg"))
             if cache.mode == "train":
                 # soft multiplier so the decision head receives gradient
                 p_all = E.mul(p_all, E.slice_cols(pi, 1, 2))
-            seed = E.gather_rows(p_all, learned_pos)
-            learned_idx = tuple(candidates[i] for i in learned_pos)
-            plan = cache.plan_out(learned_idx)
-            progress_rows = gnn_forward_rows(
-                self.specs["prg"], seed, plan,
-                self.gt, cache.weights["prg"], cache.agg)
-            support = list(plan.output_rows)
-            learned_mask[support] = (progress_rows.value != 0).any(axis=1)
-            nvec = -(counters[support] + 1.0).reshape(-1, 1) * dt
-            rates = E.gather_rows(cache.learn_rates, support)
+            per_block = learned.reshape(n, width)
+            sel = np.flatnonzero(per_block.any(axis=1))
+            batch = PlanBatch.of([self.plan(tuple(cand[b, per_block[b]]
+                                                  .tolist())) for b in sel])
+            seed_rows, _ = _pad([np.flatnonzero(per_block[b]) + b * width
+                                 for b in sel])
+            seed = _mask_padding(E.gather_rows(p_all, seed_rows.ravel()),
+                                 batch)
+            progress = gnn_forward_rows(self.specs["prg"], seed, batch, self.gt,
+                                        cache.weights["prg"], cache.agg)
+            kcs = batch.output_kcs()
+            dest = _block_rows(kcs, n_c, sel)
+            learned_mask[dest] = (progress.value != 0).any(axis=1)
+            nvec = -(counters.ravel()[dest] + 1.0).reshape(-1, 1) \
+                * np.repeat(dt[sel], kcs.shape[1])[:, None]
+            rates = E.gather_rows(cache.learn_rates, kcs.ravel())
             learn_fac = E.sub(1.0, E.clamped_exp(
                 E.mul(E.as_node(nvec.astype(H.value.dtype)), rates)))
-            gained = E.scatter_rows(E.mul(progress_rows, learn_fac),
-                                    support, self.n_kcs)
+            gained = E.mul(progress, learn_fac)
+            if len(sel) < n or not batch.whole[-1]:
+                gained = E.scatter_rows(gained, dest, n * n_c)
             new_H = E.add(new_H, gained)
         E.log_gate(np.packbits(learned_mask).tobytes())
 
-        nvec_all = -(counters + 1.0).reshape(-1, 1) * dt
+        nvec_all = -(counters + 1.0).reshape(-1, 1) \
+            * (dt[0] if n == 1 else np.repeat(dt, n_c)[:, None])
         forget_rows = (~learned_mask).astype(H.value.dtype).reshape(-1, 1)
         forget_fac = E.sub(1.0, E.clamped_exp(
             E.mul(E.as_node(nvec_all.astype(H.value.dtype)),
-                  cache.forget_rates)))
-        decay = E.mul(E.mul(E.as_node(forget_rows), E.sub(H, cache.h0)),
-                      forget_fac)
+                  cache.tiled("forget_rates", n))))
+        decay = E.mul(E.mul(E.as_node(forget_rows),
+                            E.sub(H, cache.tiled("h0", n))), forget_fac)
         new_H = E.sub(new_H, decay)
 
-        counters[learned_mask] += 1
+        counters[learned_mask.reshape(n, n_c)] += 1
         return new_H
 
     # -- the recurrence -----------------------------------------------------
 
-    def steps(self, responses: Sequence[Response], cache: BatchCache,
+    def steps(self, sequences: Sequence[Sequence[Response]], cache: BatchCache,
               disable_stage3: bool = False) -> Iterator[Step]:
-        """Run stages 1 -> 2 -> 3 over `responses`, yielding one Step each.
+        """Run stages 1 -> 2 -> 3 over B sequences in lockstep, yielding one
+        Step per time step.
 
         Stage 1 predicts each response from the memory so far, stage 2
         strengthens the memory with the observed outcome, and stage 3 (unless
-        disabled) carries it across the gap to the next response. The
-        generator owns the memory and the per-KC learning counters; a step's
-        stage 3 runs when the consumer asks for the next step.
+        disabled) carries it across the gap to the next response. Sequences
+        run longest first, so the ones still running at a step are a prefix
+        of the memory blocks: a block leaves the stack when its sequence
+        ends. The generator owns the memory and the per-KC learning
+        counters; a step's stage 3 runs when the consumer asks for the next
+        step. A single sequence is a batch of one.
         """
-        cache.prepare(responses)
-        H = cache.h0
-        counters = np.zeros(self.n_kcs, dtype=np.int64)
-        for t, r in enumerate(responses):
-            a_hat, mastery = self.stage1_predict(H, r.question, r.kcs, cache)
-            after = self.stage2_strengthen(H, r.question, r.kcs, r.correct, cache)
-            yield Step(r, a_hat, mastery, H, after)
+        order = sorted(range(len(sequences)), key=lambda b: -len(sequences[b]))
+        seqs = [sequences[b] for b in order]
+        cache.prepare([r for s in seqs for r in s])
+        # active[t]: how many sequences are still running at step t
+        active = [sum(len(s) > t for s in seqs)
+                  for t in range(len(seqs[0]) + 1 if seqs else 1)]
+        counters = np.zeros((len(seqs), self.n_kcs), dtype=np.int64)
+        H = cache.tiled("h0", active[0]) if active[0] else None
+        for t in range(len(active) - 1):
+            rs = [s[t] for s in seqs[:active[t]]]
+            H = self._first_blocks(H, len(rs))
+            questions, kc_sets = [r.question for r in rs], [r.kcs for r in rs]
+            a_hat, mastery = self.stage1_predict(H, questions, kc_sets, cache)
+            after = self.stage2_strengthen(H, questions, kc_sets,
+                                           [r.correct for r in rs], cache)
+            yield Step(rs, order[:len(rs)], a_hat, mastery, H, after)
             H = after
-            if not disable_stage3 and t + 1 < len(responses):
-                nxt = responses[t + 1]
+            n = active[t + 1]
+            if not disable_stage3 and n:
+                nxt = [s[t + 1] for s in seqs[:n]]
                 H = self.stage3_learn_forget(
-                    H, r.question, r.kcs, nxt.question, nxt.kcs,
-                    float(nxt.timestamp - r.timestamp), counters, cache)
+                    self._first_blocks(H, n), questions[:n], kc_sets[:n],
+                    [r.question for r in nxt], [r.kcs for r in nxt],
+                    [float(b.timestamp - a.timestamp) for a, b in zip(rs, nxt)],
+                    counters[:n], cache)
 
-    def trace_step(self, step: Step, t: int, cache: BatchCache) -> TraceStep:
-        """Per-KC mastery around the strengthening update of step `t`."""
-        r = step.response
-        return TraceStep(examined=r.kcs,
-                         pre=self._mastery_vector(step.before, cache),
-                         post=self._mastery_vector(step.after, cache),
-                         step=t, timestamp=r.timestamp,
-                         predicted=step.a_hat.value.item(), correct=r.correct)
+    def _first_blocks(self, H: E.Node, n: int) -> E.Node:
+        n_rows = n * self.n_kcs
+        return H if H.value.shape[0] == n_rows \
+            else E.gather_rows(H, slice(0, n_rows))
 
-    def reask(self, step: Step, cache: BatchCache) -> tuple[float, int]:
-        """Score the same question asked again right after the response.
+    def trace_step(self, step: Step, t: int,
+                   cache: BatchCache) -> list[TraceStep]:
+        """Per-KC mastery around the strengthening update of step `t`, one
+        TraceStep per response of the step."""
+        n = len(step.responses)
+        pre = self._mastery(step.before, n, cache)
+        post = self._mastery(step.after, n, cache)
+        scores = step.a_hat.value
+        return [TraceStep(examined=r.kcs, pre=pre[b], post=post[b], step=t,
+                          timestamp=r.timestamp, predicted=float(scores[b]),
+                          correct=r.correct)
+                for b, r in enumerate(step.responses)]
+
+    def reask(self, step: Step, cache: BatchCache) -> list[tuple[float, int]]:
+        """Score each question of the step asked again right after its
+        response.
 
         A counterfactual probe: it reads the strengthened memory and changes
-        nothing. Returns (score, observed correctness).
+        nothing. Returns (score, observed correctness) per response.
         """
-        r = step.response
-        again, _ = self.stage1_predict(step.after, r.question, r.kcs, cache)
-        return again.value.item(), r.correct
+        rs = step.responses
+        again, _ = self.stage1_predict(step.after, [r.question for r in rs],
+                                       [r.kcs for r in rs], cache)
+        return [(float(s), r.correct) for s, r in zip(again.value, rs)]
 
     def forward_sequence(self, seq: ResponseSequence, cache: BatchCache,
                          seq_index: int = 0, emit_trace: bool = False,
                          disable_stage3: bool = False) -> SeqResult:
-        """Predictions (and optionally a trace) over one sequence's real steps."""
+        """Predictions (and optionally a trace) over one sequence's real
+        steps: the recurrence over a batch of one."""
         preds: list[tuple[E.Node, int]] = []
         trace = MasteryTrace(seq.student, seq_index) if emit_trace else None
-        for t, step in enumerate(self.steps(seq.real(), cache, disable_stage3)):
-            preds.append((step.a_hat, step.response.correct))
+        for t, step in enumerate(self.steps([seq.real()], cache,
+                                            disable_stage3)):
+            preds.append((step.a_hat, step.responses[0].correct))
             if trace is not None:
-                trace.steps.append(self.trace_step(step, t, cache))
+                trace.steps.extend(self.trace_step(step, t, cache))
         return SeqResult(preds=preds, trace=trace)
 
-    def _mastery_vector(self, H: E.Node, cache: BatchCache) -> np.ndarray:
-        return (H.value @ cache.w_h_col.value).ravel().copy()
+    def _mastery(self, H: E.Node, n: int, cache: BatchCache) -> np.ndarray:
+        """(n, C) per-KC mastery of n memory blocks."""
+        return (H.value @ cache.w_h_col.value).reshape(n, self.n_kcs)
 
     # -- persistence --------------------------------------------------------
 

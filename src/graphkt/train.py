@@ -63,17 +63,22 @@ class TrainReport:
         return asdict(self)
 
 
-def bce_loss_node(preds: list[tuple[E.Node, int]]) -> E.Node:
-    """Tape-level BCE over one batch's (prediction node, label) pairs."""
-    if not preds:
+def bce_loss_node(preds: list[tuple[E.Node, "int | np.ndarray"]]) -> E.Node:
+    """Tape-level BCE over one batch's (prediction node, label) pairs; a
+    node may hold several predictions, (n,), with an array of n labels."""
+    labels = np.concatenate([np.ravel(label) for _, label in preds]) \
+        if preds else np.zeros(0)
+    if not labels.size:
         raise ValueError("loss over an empty unmasked set is undefined")
+    scores = E.concat([p for p, _ in preds], axis=0) if len(preds) > 1 \
+        else preds[0][0]
     logs = []
     for correct in (True, False):  # one column per outcome, not one per step
-        column = [p for p, label in preds if (label == 1) == correct]
-        if column:
-            pc = E.clip(E.concat(column, axis=0), 1e-7, 1.0 - 1e-7)
+        rows = np.flatnonzero((labels == 1) == correct)
+        if rows.size:
+            pc = E.clip(E.gather_rows(scores, rows), 1e-7, 1.0 - 1e-7)
             logs.append(E.log(pc if correct else E.sub(1.0, pc)))
-    return E.mul(E.sum_all(E.concat(logs, axis=0)), -1.0 / len(preds))
+    return E.mul(E.sum_all(E.concat(logs, axis=0)), -1.0 / labels.size)
 
 
 def apply_ablation(graphs: KcRelationGraphs, cfg: TrainConfig) -> KcRelationGraphs:
@@ -97,44 +102,53 @@ def graphs_for_fold(ds: Dataset, fold: FoldSplit, cfg: TrainConfig) -> KcRelatio
     return apply_ablation(mined, cfg)
 
 
+def _lockstep(model: GrktModel, ds: Dataset, indices, cfg: TrainConfig,
+              cache, read) -> list:
+    """`read(step, t)` for every step of the sequences at `indices`, run in
+    lockstep; the results come back per sequence, in the caller's order."""
+    per_seq: list[list] = [[] for _ in indices]
+    steps = model.steps([ds.sequences[i].real() for i in indices], cache,
+                        cfg.disable_stage3)
+    for t, step in enumerate(steps):
+        for b, item in zip(step.seqs, read(step, t)):
+            per_seq[b].append(item)
+    return [item for items in per_seq for item in items]
+
+
 def _predictions(model: GrktModel, ds: Dataset, indices,
                  cfg: TrainConfig) -> list[tuple[float, int]]:
-    pairs = []
     with E.no_grad():
         _, cache = model.begin("eval")
-        for idx in indices:
-            res = model.forward_sequence(ds.sequences[idx], cache,
-                                         disable_stage3=cfg.disable_stage3)
-            pairs.extend((p.value.item(), a) for p, a in res.preds)
-    return pairs
+        return _lockstep(model, ds, list(indices), cfg, cache, lambda step, t: [
+            (float(p), r.correct)
+            for p, r in zip(step.a_hat.value, step.responses)])
 
 
 def evaluate(model: GrktModel, ds: Dataset, indices,
              cfg: TrainConfig) -> metrics.ReasonabilityReport:
-    """All five metrics over the given sequences, from one recurrence pass."""
-    records = []
-    ratios = []  # each step's consistency, taken as soon as it is traced
-    reask_pairs = []
+    """All five metrics over the given sequences, from one lockstep pass of
+    the recurrence."""
+
+    def read(step, t):
+        # each step's consistency, taken as soon as it is traced
+        return [(metrics.EvalRecord(score=trace.predicted, label=r.correct,
+                                    question=r.question, mastery=float(m)),
+                 metrics.step_consistency(trace), again)
+                for r, trace, m, again in zip(
+                    step.responses, model.trace_step(step, t, cache),
+                    step.mastery.value, model.reask(step, cache))]
+
     with E.no_grad():
         _, cache = model.begin("eval")
-        for idx in indices:
-            steps = model.steps(ds.sequences[idx].real(), cache,
-                                cfg.disable_stage3)
-            for t, step in enumerate(steps):
-                r = step.response
-                records.append(metrics.EvalRecord(
-                    score=step.a_hat.value.item(), label=r.correct,
-                    question=r.question, mastery=step.mastery.value.item()))
-                ratios.append(metrics.step_consistency(
-                    model.trace_step(step, t, cache)))
-                reask_pairs.append(model.reask(step, cache))
+        rows = _lockstep(model, ds, list(indices), cfg, cache, read)
+    records = [rec for rec, _, _ in rows]
     pairs = [(r.score, r.label) for r in records]
     return metrics.ReasonabilityReport(
         auc=metrics.auc(pairs),
         acc=metrics.accuracy(pairs),
-        consistency=metrics.mean_consistency(ratios),
+        consistency=metrics.mean_consistency([ratio for _, ratio, _ in rows]),
         gaucm=metrics.gaucm(records),
-        repetition=metrics.accuracy(reask_pairs),
+        repetition=metrics.accuracy([again for _, _, again in rows]),
     )
 
 
@@ -165,12 +179,11 @@ def train_fold(ds: Dataset, fold: FoldSplit, cfg: TrainConfig,
             batch = train_idx[order[lo:lo + hp.batch_size]]
             _, cache = model.begin("train")
             try:  # every exit ends the recording (and its collector pause)
-                preds = []
-                for idx in batch:
-                    res = model.forward_sequence(
-                        ds.sequences[idx], cache,
-                        disable_stage3=cfg.disable_stage3)
-                    preds.extend(res.preds)
+                preds = [(step.a_hat,
+                          np.array([r.correct for r in step.responses]))
+                         for step in model.steps(
+                             [ds.sequences[i].real() for i in batch], cache,
+                             cfg.disable_stage3)]
                 loss = bce_loss_node(preds)
                 loss_val = loss.value.item()
                 if not np.isfinite(loss_val):
@@ -180,8 +193,9 @@ def train_fold(ds: Dataset, fold: FoldSplit, cfg: TrainConfig,
             finally:
                 model.store.release()
             model.store.adam_step(hp.lr, l2=hp.l2)
-            epoch_loss += loss_val * len(preds)
-            n_steps += len(preds)
+            n_preds = sum(len(step_preds) for _, step_preds in preds)
+            epoch_loss += loss_val * n_preds
+            n_steps += n_preds
         report.train_losses.append(epoch_loss / max(n_steps, 1))
 
         val_pairs = _predictions(model, ds, fold.val, cfg)

@@ -17,7 +17,7 @@ from graphkt import engine as E
 from graphkt.data import Dataset, Response
 from graphkt.graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
                             PairCounts, build_graphs, pair_counts)
-from graphkt.metrics import accuracy
+from graphkt.metrics import UndefinedMetric, accuracy, auc
 
 
 # -- learned scores and projections ----------------------------------------------
@@ -198,7 +198,7 @@ def predict_next(model, history, q_next: int, kcs_next, t_next: int, cache,
                  disable_stage3: bool = False) -> float:
     """Replay a history, bridge the final gap, and score a new question."""
     probe = Response(q_next, kcs_next, 0, t_next)  # its label is never read
-    *_, last = model.steps([*history, probe], cache, disable_stage3)
+    *_, last = model.steps([[*history, probe]], cache, disable_stage3)
     return last.a_hat.value.item()
 
 
@@ -206,8 +206,9 @@ def reask_scores(model, seq, disable_stage3: bool = False):
     """Counterfactual immediate re-ask of each answered question."""
     with E.no_grad():
         _, cache = model.begin("eval")
-        return [model.reask(step, cache)
-                for step in model.steps(seq.real(), cache, disable_stage3)]
+        return [pair
+                for step in model.steps([seq.real()], cache, disable_stage3)
+                for pair in model.reask(step, cache)]
 
 
 class Reasker:
@@ -253,3 +254,25 @@ def repetition(model, sequences, disable_stage3: bool = False) -> float:
     for seq in sequences:
         pairs.extend(model.reask_scores(seq, disable_stage3))
     return accuracy(pairs)
+
+
+def gaucm_per_question(records) -> float:
+    """GAUCM as a loop over the questions: each question's `auc` of mastery
+    against correctness, weighted by its answer count; questions with one
+    outcome class are left out."""
+    by_question: dict[int, list[tuple[float, int]]] = {}
+    for r in records:
+        by_question.setdefault(r.question, []).append((r.mastery, r.label))
+    num = 0.0
+    den = 0.0
+    for q in sorted(by_question):
+        pairs = by_question[q]
+        try:
+            score = auc(pairs)
+        except UndefinedMetric:
+            continue
+        num += len(pairs) * score
+        den += len(pairs)
+    if den == 0:
+        raise UndefinedMetric("no question has both outcome classes")
+    return num / den

@@ -357,14 +357,15 @@ def test_acceptance_4_locality(layers):
         counters = np.zeros(n_kcs, dtype=np.int64)
         for t in range(seq.valid_len):
             r = seq.responses[t]
-            H = model.stage2_strengthen(H, r.question, r.kcs, r.correct, cache)
+            H = model.stage2_strengthen(H, [r.question], [r.kcs], [r.correct],
+                                        cache)
             for c in outside:
                 assert H.value[c].tobytes() == h0_rows[c]
             if t + 1 < seq.valid_len:
                 nxt = seq.responses[t + 1]
                 H = model.stage3_learn_forget(
-                    H, r.question, r.kcs, nxt.question, nxt.kcs,
-                    float(nxt.timestamp - r.timestamp), counters, cache)
+                    H, [r.question], [r.kcs], [nxt.question], [nxt.kcs],
+                    [float(nxt.timestamp - r.timestamp)], counters, cache)
                 for c in outside:
                     assert H.value[c].tobytes() == h0_rows[c]
             checked_rows += len(outside)
@@ -387,7 +388,7 @@ def test_acceptance_5_kernel_limits():
         randomize(model, scale=1.0, seed=seed)
         _, cache = model.begin("eval")
         H = E.as_node(rng.normal(0.3, 0.5, size=(7, 4)))
-        out = model.stage3_learn_forget(H, 0, (0, 1), 1, (2,), 0.0,
+        out = model.stage3_learn_forget(H, [0], [(0, 1)], [1], [(2,)], [0.0],
                                         np.zeros(7, dtype=np.int64), cache)
         assert np.array_equal(out.value, H.value)
 
@@ -409,9 +410,9 @@ def test_acceptance_5_kernel_limits():
 
         _, cache = model.begin("eval")
         counters = np.zeros(6, dtype=np.int64)
-        out = model.stage3_learn_forget(E.as_node(H), r0.question, r0.kcs,
-                                        r1.question, r1.kcs, 1e9, counters,
-                                        cache)
+        out = model.stage3_learn_forget(E.as_node(H), [r0.question], [r0.kcs],
+                                        [r1.question], [r1.kcs], [1e9],
+                                        counters, cache)
         h0 = model.store.value("H0")
         for c in range(6):
             if learned[c]:

@@ -192,7 +192,7 @@ def test_strengthening_leaves_rows_outside_the_hop_support_bitwise(ablation):
     H = E.as_node(rng.normal(size=(model.n_kcs, 3)))
     for kcs in ((0,), (2, 6), (3,)):
         for a in (0, 1):
-            new_H = model.stage2_strengthen(H, 1, kcs, a, cache).value
+            new_H = model.stage2_strengthen(H, [1], [kcs], [a], cache).value
             outside = sorted(set(range(model.n_kcs))
                              - hop_support(model.graphs, kcs, layers))
             assert np.array_equal(new_H[outside], H.value[outside])
@@ -226,7 +226,7 @@ def test_readout_is_the_retrieval_oracle_read_out_exactly(ablation, layers,
         retrieved = brute_force_head(model.specs["rtv"], H, model.graphs,
                                      model.store, model.store.value("emb.q")[q])
         want = retrieved[list(kcs)].mean(axis=0) @ w_h
-        _, mastery = model.stage1_predict(E.as_node(H), q, kcs, cache)
+        _, mastery = model.stage1_predict(E.as_node(H), [q], [kcs], cache)
         assert abs(mastery.value.item() - want) <= 1e-12 * abs(want), q
 
         coef = scattered_readout(model, cache, q, kcs)
@@ -711,7 +711,8 @@ def test_embedded_whole_layers_match_the_straight_line_oracle(layers):
                                              model.store, q_emb)
                 w_h = constrain_nonneg_vector(model.store.value("w_h"))
                 want = retrieved[list(kcs)].mean(axis=0) @ w_h.ravel()
-                _, mastery = model.stage1_predict(E.as_node(x), q, kcs, cache)
+                _, mastery = model.stage1_predict(E.as_node(x), [q], [kcs],
+                                                  cache)
                 assert abs(mastery.value.item() - want) <= 1e-10 * abs(want)
                 coef = scattered_readout(model, cache, q, kcs)
                 assert not coef[outside].any()
@@ -745,7 +746,7 @@ def test_whole_transposed_adjacency_is_built_once_and_only_for_a_whole_layer():
     _, cache = model.begin("eval")
     for kcs in ((1, 3), (0,)):  # each plan's first layer is whole
         assert model.plan(kcs).ix[0] is None
-        _, mastery = model.stage1_predict(E.as_node(H), 1, kcs, cache)
+        _, mastery = model.stage1_predict(E.as_node(H), [1], [kcs], cache)
         if kcs == (1, 3):
             built = cache.agg_t
         assert cache.agg_t is built is not None
@@ -820,7 +821,7 @@ def check_prepared_tables(model, keys, monkeypatch):
         retrieved = brute_force_head(model.specs["rtv"], H, model.graphs,
                                      model.store, model.store.value("emb.q")[q])
         want = retrieved[list(kcs)].mean(axis=0) @ w_h
-        _, mastery = model.stage1_predict(E.as_node(H), q, kcs, batched)
+        _, mastery = model.stage1_predict(E.as_node(H), [q], [kcs], batched)
         assert abs(mastery.value.item() - want) <= 1e-12 * abs(want)
         coef = scattered_readout(model, batched, q, kcs)
         outside = sorted(set(range(model.n_kcs))
@@ -878,7 +879,7 @@ def test_gradient_check_through_one_batched_build_with_unequal_supports(
         cache = BatchCache(model, bound, "train")
         cache.prepare(responses)
         H = E.add(cache.h0, 0.3)
-        preds = [(model.stage1_predict(H, r.question, r.kcs, cache)[0],
+        preds = [(model.stage1_predict(H, [r.question], [r.kcs], cache)[0],
                   r.correct) for r in responses]
         return bce_loss_node(preds)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from graphkt.metrics import (EvalRecord, UndefinedMetric, accuracy, auc,
                              consistency, gaucm)
 from graphkt.model import TraceStep
-from tests.oracles import repetition
+from tests.oracles import gaucm_per_question, repetition
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -217,6 +217,25 @@ def test_gaucm_matches_weighted_oracle(seed):
             gaucm(records)
         return
     assert abs(gaucm(records) - want) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_vectorized_gaucm_matches_the_per_question_loop(seed):
+    # many ties (masteries on a coarse grid), single-class questions and
+    # question ids with gaps
+    rng = np.random.default_rng(320 + seed)
+    records = [rec(0.5, int(rng.random() < 0.6),
+                   int(rng.choice([0, 3, 4, 9, 40])),
+                   float(rng.integers(0, 5 + 20 * (seed % 2))) / 7.0)
+               for _ in range(int(rng.integers(1, 400)))]
+    records += [rec(0.5, 1, 77, 0.3)] * 3  # one class only: left out
+    try:
+        want = gaucm_per_question(records)
+    except UndefinedMetric:
+        with pytest.raises(UndefinedMetric):
+            gaucm(records)
+        return
+    assert abs(gaucm(records) - want) <= 1e-12 * abs(want)
 
 
 # -- repetition ---------------------------------------------------------------------

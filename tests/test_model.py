@@ -36,9 +36,9 @@ def traced_mastery(model, H):
     with E.no_grad():
         _, cache = model.begin("eval")
         memory = E.as_node(H)
-        step = Step(Response(0, (0,), 1, 0), E.as_node(0.5), E.as_node(0.0),
-                    memory, memory)
-        return model.trace_step(step, 0, cache).pre
+        step = Step([Response(0, (0,), 1, 0)], [0], E.as_node([0.5]),
+                    E.as_node([0.0]), memory, memory)
+        return model.trace_step(step, 0, cache)[0].pre
 
 
 def test_mastery_zero_memory(desk_model):
@@ -78,7 +78,7 @@ def test_stage1_equal_mastery_and_difficulty_gives_half(desk_model):
     for name in ("mlp.diff.W1", "mlp.diff.W2"):
         model.store.value(name)[...] = 0.0
     _, cache = model.begin("eval")
-    a_hat, mastery = model.stage1_predict(cache.h0, 0, (0,), cache)
+    a_hat, mastery = model.stage1_predict(cache.h0, [0], [(0,)], cache)
     assert mastery.value.item() == 0.0
     assert a_hat.value.item() == 0.5
 
@@ -89,7 +89,7 @@ def test_stage1_isolated_kc_uses_own_memory():
     model = randomize(GrktModel(hp, 3, 5, graphs), scale=0.4, seed=3)
     _, cache = model.begin("eval")
     H = cache.h0
-    a_hat, _ = model.stage1_predict(H, 1, (4,), cache)
+    a_hat, _ = model.stage1_predict(H, [1], [(4,)], cache)
     # the read-out weighs KC 4's own memory by softmax(w_h) and nothing else
     coef = np.zeros((5, 4))
     coef[list(model.plan((4,)).output_rows)] = cache.readout(1, (4,)).value
@@ -106,12 +106,12 @@ def test_stage1_monotone_in_examined_memory(desk_model):
     model = randomize(desk_model, scale=0.5, seed=5)
     _, cache = model.begin("eval")
     H = cache.h0
-    base, _ = model.stage1_predict(H, 1, (1,), cache)
+    base, _ = model.stage1_predict(H, [1], [(1,)], cache)
     rng = np.random.default_rng(0)
     for _ in range(10):
         bump = np.zeros((6, 4))
         bump[1, int(rng.integers(4))] = float(rng.uniform(0.1, 1.0))
-        up, _ = model.stage1_predict(E.add(H, bump), 1, (1,), cache)
+        up, _ = model.stage1_predict(E.add(H, bump), [1], [(1,)], cache)
         assert up.value.item() >= base.value.item() - 1e-14
 
 
@@ -164,7 +164,7 @@ def test_begin_after_an_optimizer_step_rebuilds_the_readout():
 
     with E.no_grad():
         _, fresh = model.begin("eval")
-        _, mastery = model.stage1_predict(E.as_node(H), q, kcs, fresh)
+        _, mastery = model.stage1_predict(E.as_node(H), [q], [kcs], fresh)
         want = forward_mastery(model, fresh, H, q, kcs)
     assert not np.array_equal(fresh.readout(q, kcs).value, stale)
     assert abs(mastery.value.item() - want) <= 1e-12 * abs(want)
@@ -182,9 +182,9 @@ def test_gradient_check_through_one_readout_read_at_two_memories(monkeypatch):
 
     def build_loss(bound):
         cache = BatchCache(model, bound, "train")
-        first, _ = model.stage1_predict(cache.h0, q, kcs, cache)
-        later = model.stage2_strengthen(cache.h0, q, kcs, 1, cache)
-        again, _ = model.stage1_predict(later, q, kcs, cache)
+        first, _ = model.stage1_predict(cache.h0, [q], [kcs], cache)
+        later = model.stage2_strengthen(cache.h0, [q], [kcs], [1], cache)
+        again, _ = model.stage1_predict(later, [q], [kcs], cache)
         return bce_loss_node([(first, 1), (again, 0)])
 
     rep = E.grad_check(model.store, build_loss, np.random.default_rng(68),
@@ -203,7 +203,7 @@ def test_gradient_check_through_one_readout_read_at_two_memories(monkeypatch):
 def test_stage1_rejects_unknown_question(desk_model):
     _, cache = desk_model.begin("eval")
     with pytest.raises(ValueError, match="unknown question"):
-        desk_model.stage1_predict(cache.h0, 99, (0,), cache)
+        desk_model.stage1_predict(cache.h0, [99], [(0,)], cache)
 
 
 @pytest.mark.parametrize("bad", [-1, 6])
@@ -214,18 +214,18 @@ def test_every_stage_rejects_a_kc_id_outside_the_model(desk_model, bad):
     counters = np.zeros(6, dtype=np.int64)
     match = f"unknown KC id {bad}$"
     with pytest.raises(ValueError, match=match):
-        desk_model.stage1_predict(H, 0, (bad,), cache)
+        desk_model.stage1_predict(H, [0], [(bad,)], cache)
     with pytest.raises(ValueError, match=match):
-        desk_model.stage2_strengthen(H, 0, (1, bad), 1, cache)
+        desk_model.stage2_strengthen(H, [0], [(1, bad)], [1], cache)
     with pytest.raises(ValueError, match=match):
-        desk_model.stage3_learn_forget(H, 0, (0,), 1, (bad,), 60.0, counters,
-                                       cache)
+        desk_model.stage3_learn_forget(H, [0], [(0,)], [1], [(bad,)], [60.0],
+                                       counters, cache)
     seq = ResponseSequence(0, [Response(0, (0,), 1, 0),
                                Response(1, (bad, 2), 0, 60)], 2)
     with pytest.raises(ValueError, match=match):
         desk_model.forward_sequence(seq, cache)
     with pytest.raises(ValueError, match="sorted and distinct"):
-        desk_model.stage1_predict(H, 0, (3, 1), cache)
+        desk_model.stage1_predict(H, [0], [(3, 1)], cache)
 
 
 def test_prepare_checks_every_id_before_building_a_table(desk_model,
@@ -277,9 +277,9 @@ def test_stage2_signs(seed):
     model = randomize(GrktModel(hp, 5, 6, graphs), scale=1.0, seed=seed)
     _, cache = model.begin("eval")
     H = cache.h0
-    up = model.stage2_strengthen(H, 0, (1, 3), 1, cache)
+    up = model.stage2_strengthen(H, [0], [(1, 3)], [1], cache)
     assert (up.value - H.value >= 0).all()
-    down = model.stage2_strengthen(H, 0, (1, 3), 0, cache)
+    down = model.stage2_strengthen(H, [0], [(1, 3)], [0], cache)
     assert (down.value - H.value <= 0).all()
     # mastery moves the same direction for every KC
     w = constrain_nonneg_vector(model.store.value("w_h")).ravel()
@@ -296,7 +296,7 @@ def test_stage2_locality_matches_bfs(layers):
     _, cache = model.begin("eval")
     H = cache.h0
     kcs = (0, 2)
-    new_H = model.stage2_strengthen(H, 0, kcs, 1, cache)
+    new_H = model.stage2_strengthen(H, [0], [kcs], [1], cache)
     support = hop_support(graphs, kcs, layers)
     for c in range(8):
         if c not in support:
@@ -347,7 +347,7 @@ def test_stage3_dt_zero_is_identity(desk_model):
     model = randomize(desk_model, scale=0.8, seed=9)
     _, cache = model.begin("eval")
     counters = np.zeros(6, dtype=np.int64)
-    out = model.stage3_learn_forget(cache.h0, 0, (0,), 1, (1, 2), 0.0,
+    out = model.stage3_learn_forget(cache.h0, [0], [(0,)], [1], [(1, 2)], [0.0],
                                     counters, cache)
     assert np.array_equal(out.value, cache.h0.value)
 
@@ -367,7 +367,7 @@ def test_stage3_unit_kernel_value():
     _, cache = model.begin("eval")
     assert np.allclose(cache.learn_rates.value, 1.0, atol=1e-15)
     counters = np.zeros(4, dtype=np.int64)
-    out = model.stage3_learn_forget(cache.h0, 0, (0,), 1, (0,), 60.0,
+    out = model.stage3_learn_forget(cache.h0, [0], [(0,)], [1], [(0,)], [60.0],
                                     counters, cache)
     inc = out.value[0] - 0.1
     assert np.allclose(inc, 1.0 - math.exp(-1.0), atol=1e-12)
@@ -386,7 +386,8 @@ def test_stage3_half_life_kernel():
     assert np.allclose(cache.forget_rates.value, math.log(2.0), atol=1e-15)
     H = E.as_node(np.full((4, 4), 0.9))
     counters = np.zeros(4, dtype=np.int64)
-    out = model.stage3_learn_forget(H, 0, (0,), 1, (1,), 60.0, counters, cache)
+    out = model.stage3_learn_forget(H, [0], [(0,)], [1], [(1,)], [60.0],
+                                    counters, cache)
     assert np.allclose(out.value, 0.1 + 0.8 * 0.5, atol=1e-12)
     assert counters.sum() == 0
 
@@ -403,7 +404,8 @@ def test_stage3_limits_at_huge_gap():
 
     # capture the propagated progress by diffing a dt where forgetting is
     # also saturated: learned rows gain exactly the progress, others hit H0
-    out = model.stage3_learn_forget(H, 0, (0,), 1, (1,), 1e9, counters, cache)
+    out = model.stage3_learn_forget(H, [0], [(0,)], [1], [(1,)], [1e9],
+                                    counters, cache)
     learned = counters > 0
     assert learned.any() and not learned.all()
     h0 = model.store.value("H0")
@@ -413,7 +415,7 @@ def test_stage3_limits_at_huge_gap():
 
     # learned increment equals the progress matrix exactly: replay with the
     # progress reconstructed from a fresh pass at dt -> saturation
-    again = model.stage3_learn_forget(H, 0, (0,), 1, (1,), 2e9,
+    again = model.stage3_learn_forget(H, [0], [(0,)], [1], [(1,)], [2e9],
                                       np.zeros(6, dtype=np.int64), cache)
     assert np.allclose(out.value[learned], again.value[learned], atol=1e-12)
 
@@ -427,12 +429,13 @@ def test_stage3_forgetting_contracts_toward_h0():
     h0 = model.store.value("H0")
     H = E.as_node(h0 + rng.normal(0, 1.0, size=(6, 4)))
     counters = np.zeros(6, dtype=np.int64)
-    out = model.stage3_learn_forget(H, 0, (0,), 1, (1,), 600.0, counters, cache)
+    out = model.stage3_learn_forget(H, [0], [(0,)], [1], [(1,)], [600.0],
+                                    counters, cache)
     gap_before = np.abs(H.value - h0)
     gap_after = np.abs(out.value - h0)
     assert (gap_after <= gap_before + 1e-15).all()
     assert (gap_after < gap_before).all()  # dt > 0 shrinks every coordinate
-    same = model.stage3_learn_forget(H, 0, (0,), 1, (1,), 0.0,
+    same = model.stage3_learn_forget(H, [0], [(0,)], [1], [(1,)], [0.0],
                                      np.zeros(6, dtype=np.int64), cache)
     assert np.array_equal(same.value, H.value)  # equality iff dt = 0
 
@@ -449,7 +452,7 @@ def test_stage3_learned_rows_strictly_increase():
         _, cache = model.begin("eval")
         H = E.as_node(rng.normal(0.2, 0.4, size=(6, 4)))
         counters = np.zeros(6, dtype=np.int64)
-        out = model.stage3_learn_forget(H, 0, (0, 1), 1, (2,), 45.0,
+        out = model.stage3_learn_forget(H, [0], [(0, 1)], [1], [(2,)], [45.0],
                                         counters, cache)
         for c in np.flatnonzero(counters):
             delta = out.value[c] - H.value[c]
@@ -467,8 +470,9 @@ def test_stage3_counters_monotone():
     H = cache.h0
     for t in range(6):
         before = counters.copy()
-        H = model.stage3_learn_forget(H, t % 5, (t % 6,), (t + 1) % 5,
-                                      ((t + 1) % 6,), 120.0, counters, cache)
+        H = model.stage3_learn_forget(H, [t % 5], [(t % 6,)], [(t + 1) % 5],
+                                      [((t + 1) % 6,)], [120.0], counters,
+                                      cache)
         assert (counters >= before).all()
 
 
@@ -551,7 +555,7 @@ def test_trace_rows_flatten(desk_model, desk_sequence):
 def test_predict_next_empty_history(desk_model):
     model = randomize(desk_model, 0.5, seed=23)
     _, cache = model.begin("eval")
-    direct, _ = model.stage1_predict(cache.h0, 2, (3,), cache)
+    direct, _ = model.stage1_predict(cache.h0, [2], [(3,)], cache)
     assert predict_next(model, [], 2, (3,), 500, cache) == direct.value.item()
 
 
@@ -561,10 +565,11 @@ def test_predict_next_matches_two_step_replay(desk_model):
     r0 = Response(0, (0,), 1, 1000)
     # re-ask the same question immediately: dt = 0 for the interposed gap
     got = predict_next(model, [r0], 0, (0,), 1000, cache)
-    H = model.stage2_strengthen(cache.h0, 0, (0,), 1, cache)
+    H = model.stage2_strengthen(cache.h0, [0], [(0,)], [1], cache)
     counters = np.zeros(6, dtype=np.int64)
-    H = model.stage3_learn_forget(H, 0, (0,), 0, (0,), 0.0, counters, cache)
-    want, _ = model.stage1_predict(H, 0, (0,), cache)
+    H = model.stage3_learn_forget(H, [0], [(0,)], [0], [(0,)], [0.0], counters,
+                                  cache)
+    want, _ = model.stage1_predict(H, [0], [(0,)], cache)
     assert got == want.value.item()
 
 

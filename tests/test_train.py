@@ -254,7 +254,7 @@ def test_drop_all_graphs_collapses_support():
     model = GrktModel(cfg.hp, ds.n_questions, ds.n_kcs, graphs)
     _, cache = model.begin("eval")
     H = cache.h0
-    new_H = model.stage2_strengthen(H, 0, (1,), 1, cache)
+    new_H = model.stage2_strengthen(H, [0], [(1,)], [1], cache)
     changed = {c for c in range(ds.n_kcs)
                if not np.array_equal(new_H.value[c], H.value[c])}
     assert changed <= {1}
@@ -312,34 +312,54 @@ def test_evaluate_full_metric_set():
     assert report.consistency == 1.0
 
 
+def close(got, want, rel=1e-12):
+    """Equal within `rel` relative to the largest magnitude of `want`."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.abs(got - want).max(initial=0.0) \
+        <= rel * np.abs(want).max(initial=0.0)
+
+
+def lockstep_order(lengths):
+    """(sequence, step) pairs in the order the lockstep recurrence visits
+    them: step by step, longest sequence first (ties in the caller's
+    order)."""
+    order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
+    return [(b, t) for t in range(max(lengths, default=0))
+            for b in order if t < lengths[b]]
+
+
 @pytest.mark.parametrize("disable_stage3", [False, True])
 def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
-    # evaluate's inputs to the metrics equal what forward_sequence and
-    # reask_scores produce on their own, bit for bit
+    # evaluate runs its sequences in lockstep; its inputs to the metrics
+    # equal what forward_sequence and reask_scores produce on each sequence
+    # alone: exactly on labels, order, examined KCs, steps and timestamps,
+    # within 1e-12 relative on predictions and masteries
     rng = np.random.default_rng(60)
     rows = [(s, r.question, r.kcs, r.correct, r.timestamp)
             for s in range(5)
-            for r in random_sequence(rng, 5, 7, 8, max_kcs=3).responses]
+            for r in random_sequence(rng, 5, 7, 3 + 2 * s,
+                                     max_kcs=3).responses]
     ds = make_dataset(rows, n_questions=5, n_kcs=7)
     hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=2, seed=60)
     model = randomize(GrktModel(hp, 5, 7, random_graphs(rng, 7)), 0.6,
                       seed=61)
     cfg = TrainConfig(hp=hp, disable_stage3=disable_stage3)
-    indices = [3, 0, 4]
+    indices = [3, 0, 4, 1]
 
-    seen = {}
-    for name in ("auc", "accuracy"):
-        def spy(arg, fn=getattr(metrics, name), name=name):
-            seen.setdefault(name, []).append(list(arg))
-            return fn(arg)
-        monkeypatch.setattr(metrics, name, spy)
-    traced = []
-    monkeypatch.setattr(metrics, "step_consistency",
-                        lambda step, fn=metrics.step_consistency:
-                        traced.append(step) or fn(step))
-    report = evaluate(model, ds, indices, cfg)
-    monkeypatch.undo()
+    def spied_evaluate():
+        seen, traced = {}, []
+        with monkeypatch.context() as m:
+            for name in ("auc", "accuracy"):
+                def spy(arg, fn=getattr(metrics, name), name=name):
+                    seen.setdefault(name, []).append(list(arg))
+                    return fn(arg)
+                m.setattr(metrics, name, spy)
+            m.setattr(metrics, "step_consistency",
+                      lambda step, fn=metrics.step_consistency:
+                      traced.append(step) or fn(step))
+            return evaluate(model, ds, indices, cfg), seen, traced
 
+    report, seen, traced = spied_evaluate()
     with E.no_grad():
         _, cache = model.begin("eval")
         results = [model.forward_sequence(ds.sequences[i], cache, seq_index=i,
@@ -347,27 +367,42 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
                                           disable_stage3=disable_stage3)
                    for i in indices]
     pairs = [(p.value.item(), a) for res in results for p, a in res.preds]
-    assert seen["auc"][0] == pairs and seen["accuracy"][0] == pairs
-    steps = [step for res in results for step in res.trace.steps]
-    assert len(traced) == len(steps)
-    for got, want in zip(traced, steps):
-        assert (got.examined, got.step, got.timestamp, got.predicted,
-                got.correct) == (want.examined, want.step, want.timestamp,
-                                 want.predicted, want.correct)
-        assert np.array_equal(got.pre, want.pre)
-        assert np.array_equal(got.post, want.post)
+    for got in (seen["auc"][0], seen["accuracy"][0]):
+        assert [a for _, a in got] == [a for _, a in pairs]
+        assert close([p for p, _ in got], [p for p, _ in pairs])
+    # each step is traced as the lockstep reaches it
+    lengths = [len(res.trace.steps) for res in results]
+    want_steps = [results[b].trace.steps[t]
+                  for b, t in lockstep_order(lengths)]
+    assert len(traced) == len(want_steps) == sum(lengths)
+    for got, want in zip(traced, want_steps):
+        assert (got.examined, got.step, got.timestamp, got.correct) \
+            == (want.examined, want.step, want.timestamp, want.correct)
+        assert close(got.predicted, want.predicted)
+        assert close(got.pre, want.pre) and close(got.post, want.post)
     seqs = [ds.sequences[i] for i in indices]
-    assert seen["accuracy"][1] == [
-        pair for seq in seqs
-        for pair in reask_scores(model, seq, disable_stage3=disable_stage3)]
-    assert report.repetition == repetition(Reasker(model), seqs,
-                                           disable_stage3)
-    assert report.consistency == metrics.consistency(steps)
+    reasked = [pair for seq in seqs
+               for pair in reask_scores(model, seq,
+                                        disable_stage3=disable_stage3)]
+    assert [a for _, a in seen["accuracy"][1]] == [a for _, a in reasked]
+    assert close([p for p, _ in seen["accuracy"][1]],
+                 [p for p, _ in reasked])
+    assert report.consistency == metrics.consistency(want_steps) == 1.0
+    assert abs(report.repetition - repetition(Reasker(model), seqs,
+                                              disable_stage3)) < 1e-12
+
+    # the same batch run twice gives the same result, bit for bit
+    again, seen_again, traced_again = spied_evaluate()
+    assert again == report and seen_again == seen
+    for a, b in zip(traced, traced_again):
+        assert a.pre.tobytes() == b.pre.tobytes()
+        assert a.post.tobytes() == b.post.tobytes()
 
 
 def test_evaluate_streams_consistency_over_a_desk_fold(monkeypatch):
     # evaluate reduces each step to its ratio as soon as it is traced; the
-    # result equals the metric over the full traces, bit for bit
+    # result equals the metric over the full traces of each sequence run
+    # alone: exactly when every ratio is 1.0, else within 1e-12 relative
     model, seqs = desk_setup(70, 10)
     rows = [(s, r.question, r.kcs, r.correct, r.timestamp)
             for s, seq in enumerate(seqs) for r in seq.responses]
@@ -382,14 +417,16 @@ def test_evaluate_streams_consistency_over_a_desk_fold(monkeypatch):
     assert any(metrics.step_consistency(step) is not None
                for t in traces for step in t.steps)
     assert evaluate(model, ds, fold.test, cfg).consistency \
-        == metrics.consistency(traces)
+        == metrics.consistency(traces) == 1.0
 
     # the model keeps every ratio at 1.0; a stand-in rule with varied ratios
-    # and skipped steps shows that every step counts, in order
+    # and skipped steps shows that every step counts, in the caller's order
     monkeypatch.setattr(metrics, "step_consistency", lambda step: None
                         if step.step % 3 == 0 else float(step.post[step.step]))
     streamed = evaluate(model, ds, fold.test, cfg).consistency
-    assert streamed == metrics.consistency(traces) != 1.0
+    want = metrics.consistency(traces)
+    assert want != 1.0 and close(streamed, want)
+    assert evaluate(model, ds, fold.test, cfg).consistency == streamed
 
 
 def test_reports_write_their_fields_in_order():
@@ -544,7 +581,8 @@ def test_training_steps_and_evaluation_make_no_reference_cycles(collector):
 
 def test_plans_built_once_per_kc_set_and_graph_set(monkeypatch):
     import graphkt.model as model_mod
-    from graphkt.gnn import gnn_forward_rows, plan_outward, readout_rows
+    from graphkt.gnn import (PlanBatch, gnn_forward_rows, plan_outward,
+                             readout_rows)
 
     builds = []
 
@@ -560,10 +598,11 @@ def test_plans_built_once_per_kc_set_and_graph_set(monkeypatch):
             read_out[plan.row_sets[0]] = plan
         return readout_rows(spec, seed, plans, *rest)
 
-    def recording_forward(spec, x0, plan, *rest):
+    def recording_forward(spec, x0, plans, *rest):
         if spec.name in ("gain", "loss"):
-            forward[plan.row_sets[0]] = plan
-        return gnn_forward_rows(spec, x0, plan, *rest)
+            for plan in PlanBatch.of(plans):  # one plan per memory block
+                forward[plan.row_sets[0]] = plan
+        return gnn_forward_rows(spec, x0, plans, *rest)
 
     monkeypatch.setattr(model_mod, "plan_outward", counting)
     monkeypatch.setattr(model_mod, "readout_rows", recording_readout)
