@@ -38,6 +38,19 @@ Every recording therefore ends in `ParameterStore.backward` or `release`.
 `matmul` takes N-D operands (numpy's batched matmul over leading axes, a 2-D
 operand broadcast against a stack); with `stack` this lets one op chain
 propagate over all relation graphs at once.
+
+Fused ops record one node for a short fixed chain that runs once or more
+per response: `mlp` (an MLP head, relu(x W1 + terms) W2 + b2), `messages`
+(a GNN message layer, sum_g [relu](A_g X W_g) [O_g]), `readout` (the
+stage-1 sum of gathered memory rows times gathered coefficient rows) and
+`forget` (stage-3 decay toward the initial memory). Each computes the
+chain's values in the chain's order, and its vjp (`_fused`) the chain's
+gradients: weight gradients stay deferred `RightProduct`s, gathered rows'
+gradients `SparseGrad`s, and an adjacency's gradient goes through
+`_left_grad`, so backward's order and determinism are unchanged. The
+forward keeps what the vjp needs and the vjp builds the rest, so a no-grad
+pass builds no gradient-only array. They log the same ReLU and clamp masks
+to the smoothness digest as the primitives.
 """
 
 from __future__ import annotations
@@ -317,11 +330,9 @@ def transpose(a) -> Node:
 # nonlinearities
 
 
-def sigmoid(a) -> Node:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise,
     from one exp(-|x|) in one pass; no exp overflows."""
-    a = as_node(a)
-    x = a.value
     out = np.empty_like(x)
     np.abs(x, out=out)
     np.negative(out, out=out)
@@ -329,6 +340,13 @@ def sigmoid(a) -> Node:
     denom = out + 1.0
     np.copyto(out, 1.0, where=x >= 0)
     np.divide(out, denom, out=out)
+    return out
+
+
+def sigmoid(a) -> Node:
+    """The logistic function, as `_sigmoid` computes it."""
+    a = as_node(a)
+    out = _sigmoid(a.value)
     return _make(out, ((a, lambda g: g * out * (1.0 - out)),))
 
 
@@ -340,10 +358,11 @@ def relu(a) -> Node:
 
 
 def softplus(a) -> Node:
+    """log(1 + exp(x)); its derivative is the logistic function, which the
+    vjp reads from `_sigmoid`, so no exp overflows either way."""
     a = as_node(a)
     out = np.logaddexp(0.0, a.value)
-    x = a.value
-    return _make(out, ((a, lambda g: g / (1.0 + np.exp(-x))),))
+    return _make(out, ((a, lambda g: g * _sigmoid(a.value)),))
 
 
 def clamped_exp(a) -> Node:
@@ -538,19 +557,6 @@ def sum_all(a) -> Node:
     return _make(val, ((a, lambda g: np.full_like(a.value, float(g))),))
 
 
-def sum_axis(a, axis, keepdims: bool = True) -> Node:
-    """Sum over one axis, or a tuple of axes."""
-    a = as_node(a)
-    val = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.value.shape).copy()
-
-    return _make(val, ((a, vjp),))
-
-
 def reshape(a, shape) -> Node:
     """The same values in another shape, as `np.reshape` reads them."""
     a = as_node(a)
@@ -568,6 +574,185 @@ def slice_cols(a, start: int, stop: int) -> Node:
         return out
 
     return _make(val, ((a, vjp),))
+
+
+# ---------------------------------------------------------------------------
+# fused chains: one node each, with a hand-written vjp
+
+
+def _fused(value: np.ndarray, parents, vjp) -> Node:
+    """One node for a chain of ops over `parents`.
+
+    `vjp(g, need)` returns the chain's contribution to every parent, in
+    order: an array, a `SparseGrad` or a `RightProduct`, or None where
+    `need` (one bool per parent) is False. Backward runs the node's edges
+    one after the other with the same `g`: the first runs `vjp`, and each
+    reads its own contribution. Without a recording input the node is the
+    value alone.
+    """
+    if not _GRAD_ENABLED:
+        return Node(value)
+    need = [p.requires_grad for p in parents]
+    if not any(need):
+        return Node(value)
+    memo: list = [None, None]  # the g the contributions were computed for
+
+    def edge(i):
+        def run(g):
+            if memo[0] is not g:
+                memo[:] = g, vjp(g, need)
+            return memo[1][i]
+        return run
+
+    node = Node(value, [(p, edge(i)) for i, p in enumerate(parents)
+                        if need[i]], True)
+    if _TAPE is not None:
+        _TAPE.append(node)
+    return node
+
+
+def mlp(x, w1, terms, w2, b2) -> Node:
+    """relu(x @ w1 + sum(terms)) @ w2 + b2, a two-layer perceptron on the
+    rows of the 2-D `x`.
+
+    Each term broadcasts to the shape of `x @ w1`: a bias row, or cached
+    question rows of the first layer.
+    """
+    x, w1, w2, b2 = as_node(x), as_node(w1), as_node(w2), as_node(b2)
+    terms = [as_node(t) for t in terms]
+    hidden = x.value @ w1.value
+    for t in terms:
+        hidden += t.value
+    mask = hidden > 0
+    _log_mask(mask)
+    hidden *= mask
+    out = hidden @ w2.value
+    out += b2.value
+
+    def vjp(g, need):
+        g_pre = g @ w2.value.T
+        g_pre *= mask
+        return (g_pre @ w1.value.T if need[0] else None,
+                RightProduct(x.value, g_pre),
+                *(_unbroadcast(g_pre, t.value.shape) for t in terms),
+                RightProduct(hidden, g),
+                _unbroadcast(g, b2.value.shape))
+
+    return _fused(out, (x, w1, *terms, w2, b2), vjp)
+
+
+def readout(a, a_rows: np.ndarray, b, b_rows: np.ndarray) -> Node:
+    """sum over j and the last axis of a[a_rows[i, j]] * b[b_rows[i, j]].
+
+    `a_rows` and `b_rows` are (n, m) row indices into two nodes of d
+    columns; the result is (n,). The gradients are `SparseGrad`s through
+    the raveled indices, as `gather_rows` gives them.
+    """
+    a, b = as_node(a), as_node(b)
+    a_val, b_val = a.value[a_rows], b.value[b_rows]
+    out = (a_val * b_val).sum(axis=(1, 2))
+
+    def vjp(g, need):
+        g = g[:, None, None]
+        return (SparseGrad(a_rows.reshape(-1), (g * b_val).reshape(
+                    a_rows.size, -1)) if need[0] else None,
+                SparseGrad(b_rows.reshape(-1), (g * a_val).reshape(
+                    b_rows.size, -1)) if need[1] else None)
+
+    return _fused(out, (a, b), vjp)
+
+
+def forget(base, h, h0, keep: np.ndarray | None, nvec: np.ndarray,
+           rates) -> Node:
+    """base - keep * (h - h0) * (1 - clamped_exp(nvec * rates)): memory
+    `h` decays toward `h0` at `rates`, on the rows `keep` marks, from `base`.
+
+    `keep` and `nvec` are constant columns; `keep` None marks every row,
+    which a column of ones gives bit for bit.
+    """
+    base, h, h0, rates = as_node(base), as_node(h), as_node(h0), as_node(rates)
+    kernel = nvec * rates.value
+    inside = (kernel >= EXP_CLAMP_LO) & (kernel <= EXP_CLAMP_HI)
+    _log_mask(inside)
+    np.maximum(kernel, EXP_CLAMP_LO, out=kernel)
+    np.minimum(kernel, EXP_CLAMP_HI, out=kernel)
+    np.exp(kernel, out=kernel)
+    fac = 1.0 - kernel
+    kept = h.value - h0.value
+    if keep is not None:
+        kept *= keep
+    out = base.value - kept * fac
+
+    def vjp(g, need):
+        g_decay = -g
+        g_diff = g_decay * fac
+        if keep is not None:
+            g_diff *= keep
+        g_rates = None
+        if need[3]:
+            g_rates = -(g_decay * kept)
+            g_rates *= kernel
+            g_rates *= inside
+            g_rates *= nvec
+        return (_unbroadcast(g, base.value.shape),
+                _unbroadcast(g_diff, h.value.shape),
+                _unbroadcast(-g_diff, h0.value.shape) if need[2] else None,
+                None if g_rates is None
+                else _unbroadcast(g_rates, rates.value.shape))
+
+    return _fused(out, (base, h, h0, rates), vjp)
+
+
+def messages(feats, sub, w, o=None, n_blocks: int = 1) -> Node:
+    """sum_g [relu](sub_g @ (feats @ w_g)) [@ o_g]: one message layer over
+    a (G, d, d) weight stack `w` and, with a feed-forward, its (G, d, d')
+    stack `o` after a ReLU.
+
+    `feats` is one block of rows, (n, d), or several: `n_blocks` blocks
+    stacked by rows, (K * n, d), or a (K, n, d) batch. A batch multiplies as
+    (K, 1, n, d) against `sub`, a (K, G, m, n) batch of adjacency blocks or
+    one (G, m, n) stack that every block shares, and the result has `feats`'
+    layout with m rows per block.
+    """
+    feats, sub, w = as_node(feats), as_node(sub), as_node(w)
+    o = None if o is None else as_node(o)
+    x = feats.value
+    batched = n_blocks > 1 or x.ndim == 3
+    if batched:
+        x = x.reshape(n_blocks if x.ndim == 2 else x.shape[0], 1, -1,
+                      x.shape[-1])
+    xw = x @ w.value
+    branch = sub.value @ xw
+    if o is not None:
+        mask = branch > 0
+        _log_mask(mask)
+        act = branch
+        act *= mask
+        branch = act @ o.value
+    summed = branch.sum(axis=1 if batched else 0)
+    out = summed.reshape(-1, summed.shape[-1]) if feats.value.ndim == 2 \
+        else summed
+    # the output gradient, as a block per graph, fills the branch's shape
+    g_shape = summed.shape[:-2] + (1,) + summed.shape[-2:] if batched \
+        else summed.shape
+    b_shape = branch.shape
+
+    def vjp(g, need):
+        g_branch = np.empty(b_shape, dtype=g.dtype)
+        g_branch[...] = g.reshape(g_shape)
+        g_o = None
+        if o is not None:
+            g_o = RightProduct(act, g_branch)
+            g_branch = g_branch @ o.value.swapaxes(-1, -2)
+            g_branch *= mask
+        g_xw = _unbroadcast(sub.value.swapaxes(-1, -2) @ g_branch, xw.shape)
+        return (_left_grad(g_xw, w.value, x.shape).reshape(feats.value.shape)
+                if need[0] else None,
+                _left_grad(g_branch, xw, sub.value.shape) if need[1] else None,
+                RightProduct(x, g_xw), g_o)
+
+    return _fused(out, (feats, sub, w) if o is None else (feats, sub, w, o),
+                  vjp)
 
 
 # ---------------------------------------------------------------------------

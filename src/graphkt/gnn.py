@@ -9,8 +9,8 @@ connection applies whenever layer width is preserved.
 
 The graphs that have edges are stacked: the adjacency is one (G, C, C) node
 and each layer's weights one (G, d, d) stack (plus the feed-forward stack),
-so a layer is one op chain for all graphs at once (`_messages`), summed over
-the graph axis at the end. With no edges at all (G = 0) the messages are
+so a layer's messages are one `E.messages` node for all graphs at once,
+summed over the graph axis. With no edges at all (G = 0) the messages are
 zero.
 
 The retrieval head keeps its weights non-negative (softmax-constrained
@@ -341,31 +341,6 @@ def _apply_output_activation(spec: GnnSpec, out: E.Node) -> E.Node:
 LayerWeights = tuple[E.Node, "E.Node | None"]
 
 
-def _messages(feats: E.Node, sub: E.Node | None, weights: list[LayerWeights],
-              layer: int, n_blocks: int, n_rows: int, d_cur: int) -> E.Node:
-    """Layer `layer`'s messages over all stacked graphs, summed over graphs.
-
-    `feats` holds `n_blocks` blocks of input rows; `sub` is the (G, n_rows,
-    n_feats) adjacency block of a batch of one, a (K, G, n_rows, n_feats)
-    batch of blocks, or the whole (G, C, C) adjacency, which every block
-    shares; it is None when no graph has edges, and the messages are zero.
-    Returns the blocks' `n_rows` output rows each, stacked.
-    """
-    if sub is None:
-        return E.as_node(np.zeros((n_blocks * n_rows, d_cur),
-                                  dtype=feats.value.dtype))
-    w, o = weights[layer - 1]
-    if n_blocks > 1:
-        feats = E.reshape(feats, (n_blocks, 1, -1, feats.value.shape[-1]))
-    branch = E.matmul(sub, E.matmul(feats, w))
-    if o is not None:
-        branch = E.matmul(E.relu(branch), o)
-    if n_blocks == 1:
-        return E.sum_axis(branch, 0, keepdims=False)
-    return E.reshape(E.sum_axis(branch, 1, keepdims=False),
-                     (n_blocks * n_rows, d_cur))
-
-
 def _check_question_context(spec: GnnSpec, alpha) -> None:
     if spec.use_question_scores != (alpha is not None):
         raise ValueError(f"head {spec.name!r} "
@@ -432,8 +407,10 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plans, gt: GraphTensors,
                 else E.scatter_rows(out, lay.embed, n_cur)
         if scale is not None:
             feats = E.mul(scale, feats)
-        fused = _messages(feats, sub, weights, layer, n_blocks,
-                          batch.widths[layer], d_cur)
+        if sub is None:  # no graph has edges: the messages are zero
+            fused = E.as_node(np.zeros((n_cur, d_cur), dtype=feats.value.dtype))
+        else:
+            fused = E.messages(feats, sub, *weights[layer - 1], n_blocks)
         if lay.valid is not None:
             fused = E.mul(_row_mask(lay.valid, (-1, 1), fused.value.dtype),
                           fused)
@@ -513,9 +490,7 @@ def readout_rows(spec: GnnSpec, seed: E.Node, plans, weights_t: list[E.Node],
             if lay.valid is not None:
                 mask = _row_mask(lay.valid, (n_keys, width, 1), agg.value.dtype)
                 scale = mask if scale is None else E.mul(scale, mask)
-        fw = E.matmul(E.reshape(feats, (n_keys, 1, *feats.value.shape[1:])),
-                      weights_t[n_layers - k])
-        back = E.sum_axis(E.matmul(sub, fw), 1, keepdims=False)
+        back = E.messages(feats, sub, weights_t[n_layers - k])
         if scale is not None:
             back = E.mul(scale, back)
         coef = E.add(back, residual)

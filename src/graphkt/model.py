@@ -221,9 +221,8 @@ class QuestionTables:
         e_q = E.gather_rows(bound["emb.q"], [q for q, _ in keys])
         self.e_bar = E.concat([E.matmul(E.as_node(avg), cache.k_active), e_q],
                               axis=1)
-        self.difficulty = E.reshape(cache.mlp("diff", E.add(
-            E.matmul(self.e_bar, bound["mlp.diff.W1"]), bound["mlp.diff.b1"])),
-            (n_keys,))
+        self.difficulty = E.reshape(
+            cache.mlp("diff", self.e_bar, [bound["mlp.diff.b1"]]), (n_keys,))
         self.requirement = cache.requirement(e_q)
         self.alpha: E.Node | None = None  # `requirement` as one column
 
@@ -277,6 +276,9 @@ class KeyBatch:
         self.plans = [cache.plan_out(kcs) for _, kcs in keys]
         self._readout = None
         self._alpha = None
+        # keyed by the next batch's id, not the batch: two batches holding
+        # each other would be a reference cycle. Both live in the cache.
+        self._candidates: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -296,6 +298,20 @@ class KeyBatch:
 
     def difficulty(self) -> E.Node:
         return E.gather_rows(self.tables.difficulty, self.idx)
+
+    def candidates(self, nxt: "KeyBatch") -> tuple:
+        """Stage 3's candidates before the keys `nxt`, built once per pair:
+        each block's union of its current and next KC sets as an (n, width)
+        array padded with 0, the flat mask of the entries that are not
+        padding (None when there are none) and their stacked memory rows."""
+        found = self._candidates.get(id(nxt))
+        if found is None:
+            cand, valid = _pad([sorted({*a, *b}) for (_, a), (_, b)
+                                in zip(self.keys, nxt.keys)])
+            found = self._candidates[id(nxt)] = (
+                cand, None if valid is None else valid.ravel(),
+                _block_rows(cand, self.n_kcs))
+        return found
 
     def alpha(self, sel: np.ndarray) -> E.Node:
         """The requirement scores of keys `sel`, one (C, 1) block each."""
@@ -437,21 +453,15 @@ class BatchCache:
             found = [self._keys[k] for k in keys]
         return found[0][0], np.array([i for _, i in found])
 
-    def mlp(self, head: str, pre: E.Node) -> E.Node:
-        """MLP head `head` from its first layer's pre-activation `pre`
-        (input times W1, plus b1)."""
+    def mlp(self, head: str, x: E.Node, terms: Sequence[E.Node]) -> E.Node:
+        """MLP head `head` as one node (`E.mlp`): `x` times the rows of W1
+        it meets, plus the first layer's other terms. For `diff`, `x` is
+        the keys' e_bar, the whole input, and the term is b1; for the other
+        heads `x` holds memory rows (`w1_part` 0) and the terms are the
+        cached question terms (`term_table`), b1 included."""
         b = self.bound
-        return E.add(E.matmul(E.relu(pre), b[f"mlp.{head}.W2"]),
-                     b[f"mlp.{head}.b2"])
-
-    def split_mlp(self, head: str, memory: E.Node,
-                  terms: Sequence[E.Node]) -> E.Node:
-        """MLP head `head` on memory rows and question parts: the rows times
-        W1's memory rows plus the cached question terms, one row each."""
-        pre = E.matmul(memory, self.w1_part(head, 0))
-        for t in terms:
-            pre = E.add(pre, t)
-        return self.mlp(head, pre)
+        w1 = b["mlp.diff.W1"] if head == "diff" else self.w1_part(head, 0)
+        return E.mlp(x, w1, terms, b[f"mlp.{head}.W2"], b[f"mlp.{head}.b2"])
 
     def w1_part(self, head: str, part: int) -> E.Node:
         """Rows of `mlp.{head}.W1` that multiply input part `part`: the
@@ -504,34 +514,6 @@ class BatchCache:
         if (name, n) not in self._tiled:
             self._tiled[name, n] = E.gather_rows(full, slice(0, n_rows))
         return self._tiled[name, n]
-
-    # -- one key's rows, read as views of its tables -----------------------
-
-    def readout(self, q: int, kcs: tuple[int, ...]) -> E.Node:
-        """Stage-1 coefficients of question `q` over the sorted KC set `kcs`.
-
-        One row per `plan_out(kcs).output_rows` KC: the stage-1 mastery of a
-        memory H is the sum of H's rows there times these coefficients. They
-        are the retrieval head's transpose run along the plan stage 2 uses,
-        from the read-out seed, softmax(w_h) / |kcs| on every examined KC.
-        """
-        keys = self.keys([q], [kcs])
-        return E.gather_rows(keys.tables.coef, keys.readout_index()[0][0])
-
-    def difficulty(self, q: int, kcs: tuple[int, ...]) -> E.Node:
-        return self.keys([q], [kcs]).difficulty()
-
-    def question_term(self, head: str, part: int, q: int,
-                      kcs: tuple[int, ...]) -> E.Node:
-        """Key (q, kcs)'s (1, d_h) question term in MLP head `head`'s first
-        layer (`term_table`)."""
-        return self.keys([q], [kcs]).terms(self, head, part, np.zeros(1, int),
-                                          1)
-
-    def alpha_col(self, q: int) -> E.Node:
-        """The (n_kcs, 1) requirement scores of question `q` for each KC."""
-        return E.transpose(self.requirement(
-            E.gather_rows(self.bound["emb.q"], [q])))
 
     def plan_out(self, kcs: tuple[int, ...]) -> Plan:
         return self.model.plan(kcs)
@@ -629,14 +611,12 @@ class GrktModel:
         mastery), each (n,).
 
         Mastery is the question's cached read-out applied to the block's
-        memory rows of the examined KCs' L-hop support: one padded gather of
-        those rows times one gather of the coefficient rows.
+        memory rows of the examined KCs' L-hop support: one `E.readout` of
+        those rows against the key's coefficient rows, padded.
         """
         keys = cache.keys(questions, kc_sets)
         coef_rows, mem_rows = keys.readout_index()
-        x0 = E.gather_rows(H, mem_rows)
-        coef = E.gather_rows(keys.tables.coef, coef_rows)
-        mastery = E.sum_axis(E.mul(x0, coef), (1, 2), keepdims=False)
+        mastery = E.readout(H, mem_rows, keys.tables.coef, coef_rows)
         a_hat = E.sigmoid(E.sub(mastery, keys.difficulty()))
         return a_hat, mastery
 
@@ -646,7 +626,7 @@ class GrktModel:
         """Apply each block's signed memory update.
 
         The blocks answered correctly run the gain head and the others the
-        loss head, each group as one split-MLP call and one padded forward
+        loss head, each group as one MLP call and one padded forward
         over its examined KC sets.
         """
         keys = cache.keys(questions, kc_sets)
@@ -662,7 +642,7 @@ class GrktModel:
             batch = PlanBatch.of(keys.plans if len(blocks) == n
                                  else [keys.plans[b] for b in blocks])
             seeds = batch.padded(0)
-            feats = cache.split_mlp(
+            feats = cache.mlp(
                 head, E.gather_rows(H, _block_rows(seeds, n_c, sel)),
                 [keys.terms(cache, head, 0, sel, seeds.shape[1])])
             parts.append(gnn_forward_rows(
@@ -690,37 +670,36 @@ class GrktModel:
         Mutates `counters`, (n, C) or (C,) for one block, in place: one
         increment per KC that actually received progress. The gate runs on
         every block's candidates at once, progress propagates over the
-        blocks whose gate opened, and forgetting is one chain over all rows.
+        blocks whose gate opened, and forgetting is one `E.forget` node over
+        all rows. A step's candidates are cached per pair of key batches
+        (`KeyBatch.candidates`).
         """
         cur = cache.keys(questions, kc_sets)
         nxt = cache.keys(next_questions, next_kc_sets)
         n_c, n = self.n_kcs, len(cur)
         counters = counters.reshape(n, n_c)
-        dt = np.array([min(max(x, 0.0) / 60.0, DT_CAP_MINUTES)
-                       for x in dt_seconds])
-        cand, valid = _pad([sorted({*a, *b})
-                            for a, b in zip(kc_sets, next_kc_sets)])
+        dt = (np.asarray(dt_seconds, dtype=np.float64) / 60.0).clip(
+            0.0, DT_CAP_MINUTES)
+        cand, valid, cand_rows = cur.candidates(nxt)
         width = cand.shape[1]
-        memory = E.gather_rows(H, _block_rows(cand, n_c))
+        memory = E.gather_rows(H, cand_rows)
         every = _arange(n)
 
         def question_terms(head):
             return [cur.terms(cache, head, 0, every, width),
                     nxt.terms(cache, head, 1, every, width)]
 
-        pi = E.softmax(cache.split_mlp("dcs", memory, question_terms("dcs")),
+        pi = E.softmax(cache.mlp("dcs", memory, question_terms("dcs")),
                        axis=-1)
         decisions = pi.value.argmax(axis=1)  # hard gate; ties mean no learning
         learned = decisions == 1
         if valid is not None:
-            valid = valid.ravel()
             decisions, learned = decisions[valid], learned & valid
         E.log_gate(decisions.tobytes())
 
-        new_H = H
-        learned_mask = np.zeros(n * n_c, dtype=bool)
+        new_H, learned_mask = H, None
         if learned.any():
-            p_all = cache.split_mlp("prg", memory, question_terms("prg"))
+            p_all = cache.mlp("prg", memory, question_terms("prg"))
             if cache.mode == "train":
                 # soft multiplier so the decision head receives gradient
                 p_all = E.mul(p_all, E.slice_cols(pi, 1, 2))
@@ -736,7 +715,9 @@ class GrktModel:
                                         cache.weights["prg"], cache.agg)
             kcs = batch.output_kcs()
             dest = _block_rows(kcs, n_c, sel)
+            learned_mask = np.zeros(n * n_c, dtype=bool)
             learned_mask[dest] = (progress.value != 0).any(axis=1)
+            E.log_gate(np.packbits(learned_mask).tobytes())
             nvec = -(counters.ravel()[dest] + 1.0).reshape(-1, 1) \
                 * np.repeat(dt[sel], kcs.shape[1])[:, None]
             rates = E.gather_rows(cache.learn_rates, kcs.ravel())
@@ -746,19 +727,17 @@ class GrktModel:
             if len(sel) < n or not batch.whole[-1]:
                 gained = E.scatter_rows(gained, dest, n * n_c)
             new_H = E.add(new_H, gained)
-        E.log_gate(np.packbits(learned_mask).tobytes())
 
+        # every row forgets unless it learned
         nvec_all = -(counters + 1.0).reshape(-1, 1) \
             * (dt[0] if n == 1 else np.repeat(dt, n_c)[:, None])
-        forget_rows = (~learned_mask).astype(H.value.dtype).reshape(-1, 1)
-        forget_fac = E.sub(1.0, E.clamped_exp(
-            E.mul(E.as_node(nvec_all.astype(H.value.dtype)),
-                  cache.tiled("forget_rates", n))))
-        decay = E.mul(E.mul(E.as_node(forget_rows),
-                            E.sub(H, cache.tiled("h0", n))), forget_fac)
-        new_H = E.sub(new_H, decay)
-
-        counters[learned_mask.reshape(n, n_c)] += 1
+        new_H = E.forget(
+            new_H, H, cache.tiled("h0", n), None if learned_mask is None
+            else (~learned_mask).astype(H.value.dtype).reshape(-1, 1),
+            nvec_all.astype(H.value.dtype, copy=False),
+            cache.tiled("forget_rates", n))
+        if learned_mask is not None:
+            counters[learned_mask.reshape(n, n_c)] += 1
         return new_H
 
     # -- the recurrence -----------------------------------------------------

@@ -20,7 +20,7 @@ from graphkt.graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
 from graphkt.metrics import UndefinedMetric, accuracy, auc
 
 
-# -- learned scores and projections ----------------------------------------------
+# -- learned scores and projections -------------------------------------------
 
 
 def _sigmoid(x: float) -> float:
@@ -79,7 +79,57 @@ def mastery(store, H_value: np.ndarray, c: int) -> float:
     return float(H_value[c] @ w)
 
 
-# -- graph structure and statistics ----------------------------------------------
+# -- one key's rows of the per-question tables --------------------------------
+
+
+def readout(cache, q: int, kcs: tuple[int, ...]) -> E.Node:
+    """Stage-1 coefficients of question `q` over the sorted KC set `kcs`.
+
+    One row per `model.plan(kcs).output_rows` KC: the stage-1 mastery of a
+    memory H is the sum of H's rows there times these coefficients. They are
+    the retrieval head's transpose run along the plan stage 2 uses, from the
+    read-out seed, softmax(w_h) / |kcs| on every examined KC.
+    """
+    keys = cache.keys([q], [kcs])
+    return E.gather_rows(keys.tables.coef, keys.readout_index()[0][0])
+
+
+def difficulty(cache, q: int, kcs: tuple[int, ...]) -> E.Node:
+    """The learned difficulty of key (q, kcs), (1,)."""
+    return cache.keys([q], [kcs]).difficulty()
+
+
+def question_term(cache, head: str, part: int, q: int,
+                  kcs: tuple[int, ...]) -> E.Node:
+    """Key (q, kcs)'s (1, d_h) question term in MLP head `head`'s first
+    layer (`BatchCache.term_table`)."""
+    return cache.keys([q], [kcs]).terms(cache, head, part, np.zeros(1, int), 1)
+
+
+def alpha_col(cache, q: int) -> E.Node:
+    """The (n_kcs, 1) requirement scores of question `q` for each KC."""
+    return E.transpose(cache.requirement(
+        E.gather_rows(cache.bound["emb.q"], [q])))
+
+
+# -- tape ops the model no longer records -------------------------------------
+
+
+def sum_axis(a, axis, keepdims: bool = True) -> E.Node:
+    """Sum over one axis, or a tuple of axes, as a tape op: the primitive
+    the fused engine chains replaced."""
+    a = E.as_node(a)
+    val = a.value.sum(axis=axis, keepdims=keepdims)
+
+    def vjp(g):
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.value.shape).copy()
+
+    return E._make(val, ((a, vjp),))
+
+
+# -- graph structure and statistics -------------------------------------------
 
 
 def hop_support(graphs: KcRelationGraphs, seeds, hops: int) -> set[int]:
@@ -191,7 +241,7 @@ def planted_graph_recovery_check(ds: Dataset, planted: KcRelationGraphs,
                           mined_edges=n_mined, planted_edges=n_planted)
 
 
-# -- probes of the recurrence -----------------------------------------------------
+# -- probes of the recurrence -------------------------------------------------
 
 
 def predict_next(model, history, q_next: int, kcs_next, t_next: int, cache,
@@ -221,7 +271,7 @@ class Reasker:
         return reask_scores(self.model, seq, disable_stage3)
 
 
-# -- loss and metrics -------------------------------------------------------------
+# -- loss and metrics ---------------------------------------------------------
 
 
 def bce_loss(predictions) -> float:

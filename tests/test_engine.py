@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from graphkt import engine as E
 from tests.oracles import (constrain_nonneg_matrix, constrain_nonneg_vector,
-                           sigmoid_two_masks)
+                           sigmoid_two_masks, sum_axis)
 
 
 def numeric_grad(build, store, name, h=1e-6):
@@ -60,7 +60,7 @@ OPS = {
         E.gather_rows(b["W"], [2, 0]), [1, 3], 5), c["s5"])),
     "submatrix": lambda b, c: E.sum_all(E.mul(
         E.gather_submatrix(b["W"], np.ix_([0, 3], [1, 2])), c["s2"])),
-    "sum_axis": lambda b, c: E.sum_all(E.mul(E.sum_axis(b["W"], 0), c["row"])),
+    "sum_axis": lambda b, c: E.sum_all(E.mul(sum_axis(b["W"], 0), c["row"])),
     "reshape": lambda b, c: E.sum_all(E.mul(E.reshape(
         E.sigmoid(b["W"]), (2, 8)), c["t28"])),
     "stack": lambda b, c: E.sum_all(E.mul(E.stack(
@@ -482,7 +482,7 @@ def test_grad_check_skips_gate_flips():
     assert not report.passed  # nothing was checked
 
 
-# -- sparse gather gradients ---------------------------------------------------
+# -- sparse gather gradients --------------------------------------------------
 
 
 def _dense_gather_rows(a, idx):
@@ -816,7 +816,7 @@ def test_failed_backward_stops_recording():
 
 
 
-# -- collector pause and the consuming sweep ------------------------------------
+# -- collector pause and the consuming sweep ----------------------------------
 
 
 def _failed_backward(store, loss):
@@ -992,3 +992,296 @@ def test_right_operand_products_group_by_leading_axes():
     single = E.reduce_products(pairs[1:2], (3, 2))
     assert np.array_equal(single, (np.swapaxes(pairs[1].a, -1, -2)
                                    @ pairs[1].g).sum(axis=0))
+
+
+# -- softplus -----------------------------------------------------------------
+
+
+def test_softplus_gradient_is_the_logistic_function_without_overflow():
+    x = np.array([-800.0, -710.0, -30.0, -0.5, 0.0, 0.5, 30.0, 710.0, 800.0])
+    store = E.ParameterStore()
+    store.add("x", x)
+    bound = store.bind()
+    with np.errstate(over="raise"):
+        store.backward(E.sum_all(E.softplus(bound["x"])))
+    grad = store["x"].grad
+    assert np.isfinite(grad).all()
+    assert np.abs(grad - sigmoid_two_masks(x)).max() <= 1e-15
+
+
+# -- fused chains -------------------------------------------------------------
+# each fused op against the chain of primitives it replaces: values, every
+# input's gradient, the finite-difference check, the mask log and float32
+
+
+def mlp_chain(x, w1, terms, w2, b2):
+    pre = E.matmul(x, w1)
+    for t in terms:
+        pre = E.add(pre, t)
+    return E.add(E.matmul(E.relu(pre), w2), b2)
+
+
+def readout_chain(a, a_rows, b, b_rows):
+    return sum_axis(E.mul(E.gather_rows(a, a_rows), E.gather_rows(b, b_rows)),
+                    (1, 2), keepdims=False)
+
+
+def forget_chain(base, h, h0, keep, nvec, rates):
+    fac = E.sub(1.0, E.clamped_exp(E.mul(E.as_node(nvec), rates)))
+    decay = E.mul(E.mul(E.as_node(keep), E.sub(h, h0)), fac)
+    return E.sub(base, decay)
+
+
+def messages_chain(feats, sub, w, o=None, n_blocks=1):
+    batched = n_blocks > 1 or feats.value.ndim == 3
+    x = feats
+    if batched:
+        k = n_blocks if feats.value.ndim == 2 else feats.value.shape[0]
+        x = E.reshape(feats, (k, 1, -1, feats.value.shape[-1]))
+    branch = E.matmul(sub, E.matmul(x, w))
+    if o is not None:
+        branch = E.matmul(E.relu(branch), o)
+    if not batched:
+        return sum_axis(branch, 0, keepdims=False)
+    out = sum_axis(branch, 1, keepdims=False)
+    return out if feats.value.ndim == 3 \
+        else E.reshape(out, (-1, out.value.shape[-1]))
+
+
+def _mlp_case(rng, dtype):
+    """(store, build(op), loss weights): two row terms and a bias row."""
+    store = E.ParameterStore(dtype=dtype)
+    for name, shape in (("x", (5, 3)), ("w1", (3, 4)), ("t_rows", (5, 4)),
+                        ("t_bias", (1, 4)), ("w2", (4, 2)), ("b2", (1, 2))):
+        store.add(name, rng.normal(size=shape))
+
+    def build(op, b):
+        return op(b["x"], b["w1"], [b["t_rows"], b["t_bias"]], b["w2"],
+                  b["b2"])
+    return store, build, (5, 2)
+
+
+def _readout_case(rng, dtype):
+    store = E.ParameterStore(dtype=dtype)
+    store.add("a", rng.normal(size=(7, 3)))
+    store.add("b", rng.normal(size=(9, 3)))
+    # repeated rows on both sides, as padding repeats a zero row
+    a_rows = np.array([[0, 3, 3, 6], [2, 1, 0, 0], [5, 5, 5, 4]])
+    b_rows = np.array([[1, 8, 2, 0], [8, 8, 3, 7], [4, 0, 8, 8]])
+
+    def build(op, b):
+        return op(b["a"], a_rows, b["b"], b_rows)
+    return store, build, (3,)
+
+
+def _forget_case(rng, dtype, keep=True):
+    store = E.ParameterStore(dtype=dtype)
+    for name in ("base", "h", "h0", "rates"):
+        store.add(name, rng.normal(size=(6, 3)))
+    store.value("rates")[...] = np.abs(store.value("rates")) + 0.1
+    # exponents inside the clamp, below it and (rows 4, 5) above it
+    nvec = np.array([[-1.0], [-3.0], [-200.0], [-0.5], [2.0], [5.0]], dtype)
+    keep_col = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0]], dtype) \
+        if keep else None
+
+    def build(op, b):
+        if op is forget_chain and keep_col is None:
+            return op(b["base"], b["h"], b["h0"], np.ones((6, 1), dtype),
+                      nvec, b["rates"])
+        return op(b["base"], b["h"], b["h0"], keep_col, nvec, b["rates"])
+    return store, build, (6, 3)
+
+
+# (feats shape, sub shape, n_blocks, feed-forward): one block with its own
+# adjacency block; two blocks stacked by rows against a batch of blocks or
+# one shared stack; a (K, n, d) batch, as the read-out runs it
+MESSAGE_LAYOUTS = {
+    "one_block": ((4, 3), (2, 5, 4), 1, True),
+    "one_block_linear": ((4, 3), (2, 5, 4), 1, False),
+    "stacked_batch": ((2 * 4, 3), (2, 2, 5, 4), 2, True),
+    "stacked_shared": ((3 * 4, 3), (2, 4, 4), 3, True),
+    "batch3d_shared": ((2, 4, 3), (2, 4, 4), 1, False),
+    "batch3d_blocks": ((2, 4, 3), (2, 2, 5, 4), 1, False),
+}
+
+
+def _messages_case(layout):
+    def case(rng, dtype):
+        feats_shape, sub_shape, n_blocks, ff = MESSAGE_LAYOUTS[layout]
+        store = E.ParameterStore(dtype=dtype)
+        store.add("feats", rng.normal(size=feats_shape))
+        store.add("sub", rng.normal(size=sub_shape))
+        store.add("w", rng.normal(size=(2, 3, 3)))
+        if ff:
+            store.add("o", rng.normal(size=(2, 3, 2)))
+
+        def build(op, b):
+            return op(b["feats"], b["sub"], b["w"], b.get("o"), n_blocks)
+        k = n_blocks if len(feats_shape) == 2 else feats_shape[0]
+        m = sub_shape[-2]
+        out = (k * m if len(feats_shape) == 2 else m, 2 if ff else 3)
+        return store, build, out if len(feats_shape) == 2 else (k, *out)
+    return case
+
+
+FUSED = {
+    "mlp": (E.mlp, mlp_chain, _mlp_case),
+    "readout": (E.readout, readout_chain, _readout_case),
+    "forget": (E.forget, forget_chain, _forget_case),
+    "forget_every_row": (E.forget, forget_chain,
+                         lambda rng, dtype: _forget_case(rng, dtype, False)),
+    **{f"messages_{layout}": (E.messages, messages_chain,
+                              _messages_case(layout))
+       for layout in MESSAGE_LAYOUTS},
+}
+
+
+def _fused_run(op, case, seed, dtype=np.float64):
+    """The output, each input's gradient of sum(out * weights) and the
+    number of nodes the op recorded."""
+    rng = np.random.default_rng(seed)
+    store, build, out_shape = case(rng, dtype)
+    weights = rng.normal(size=out_shape).astype(dtype)
+    bound = store.bind()
+    out = build(op, bound)
+    n_nodes = len(E._TAPE)
+    loss = E.sum_all(E.mul(out, weights))
+    E.backward(loss)
+    grads = {name: bound[name].grad for name in store.names()}
+    store.release()
+    return out.value, grads, n_nodes
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_matches_its_primitive_chain(name):
+    op, chain, case = FUSED[name]
+    got, got_grads, n_nodes = _fused_run(op, case, 40)
+    want, want_grads, _ = _fused_run(chain, case, 40)
+    assert n_nodes == 1
+    # the arithmetic is the chain's, in its order
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for param, want_grad in want_grads.items():
+        grad = got_grads[param]
+        assert grad is not None and grad.shape == want_grad.shape, param
+        assert np.abs(grad - want_grad).max() \
+            <= 1e-12 * max(np.abs(want_grad).max(), 1e-300), param
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_passes_the_gradient_check(name):
+    op, _, case = FUSED[name]
+    rng = np.random.default_rng(41)
+    store, build, out_shape = case(rng, np.float64)
+    weights = rng.normal(size=out_shape)
+    report = E.grad_check(
+        store, lambda b: E.sum_all(E.mul(build(op, b), weights)),
+        np.random.default_rng(42), n_coords=25, tolerance=1e-6)
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_keeps_float32(name):
+    op, _, case = FUSED[name]
+    out, grads, _ = _fused_run(op, case, 43, np.float32)
+    assert out.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in grads.values())
+
+
+def test_fused_forget_without_keep_is_a_column_of_ones_bit_for_bit():
+    every, every_grads, _ = _fused_run(E.forget, FUSED["forget_every_row"][2],
+                                       44)
+    ones, ones_grads, _ = _fused_run(forget_chain,
+                                     FUSED["forget_every_row"][2], 44)
+    assert np.array_equal(every, ones)
+    for name, grad in ones_grads.items():
+        assert np.array_equal(every_grads[name], grad), name
+
+
+def _boundary_checks(build, store, attempts=6):
+    """grad_check over a store whose every coordinate sits on a mask edge."""
+    return E.grad_check(store, build, np.random.default_rng(0), n_coords=1,
+                        max_attempts=attempts)
+
+
+def test_fused_ops_skip_coordinates_that_flip_a_mask():
+    rng = np.random.default_rng(45)
+    cases = []
+    # mlp: the pre-activation is the row term itself, exactly zero
+    store = E.ParameterStore()
+    store.add("t", np.zeros((3, 4)))
+    x, w1 = np.zeros((3, 2)), rng.normal(size=(2, 4))
+    w2, b2 = rng.normal(size=(4, 2)), rng.normal(size=(1, 2))
+    cases.append((store, lambda b: E.sum_all(E.mlp(x, w1, [b["t"]], w2, b2))))
+    # forget: rates at 0 put every exponent on the clamp's upper edge
+    store = E.ParameterStore()
+    store.add("rates", np.zeros((4, 3)))
+    h, h0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    nvec = -np.arange(1.0, 5.0)[:, None]
+    cases.append((store, lambda b: E.sum_all(
+        E.forget(h, h, h0, None, nvec, b["rates"]))))
+    # messages: zero features give zero messages, on the ReLU's edge
+    store = E.ParameterStore()
+    store.add("feats", np.zeros((4, 3)))
+    sub = np.abs(rng.normal(size=(2, 5, 4))) + 0.1
+    w, o = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3, 2))
+    cases.append((store, lambda b: E.sum_all(
+        E.messages(b["feats"], sub, w, o))))
+    for store, build in cases:
+        report = _boundary_checks(build, store)
+        assert report.n_checked == 0 and report.n_skipped == 6
+        # away from the edge the same coordinates are checked
+        name = store.names()[0]
+        store.value(name)[...] = 0.5 if name != "feats" else \
+            rng.normal(size=store.value(name).shape)
+        report = _boundary_checks(build, store)
+        assert report.n_checked >= 1 and report.passed, report.summary()
+
+
+def test_fused_ops_log_the_masks_of_their_chains():
+    # the smoothness digest of a fused op equals its primitive chain's
+    for name, (op, chain, case) in FUSED.items():
+        digests = []
+        for fn in (op, chain):
+            store, build, _ = case(np.random.default_rng(46), np.float64)
+            with E.no_grad(), E.collect_smoothness() as log:
+                build(fn, store.bind())
+            digests.append(log.digest())
+        assert digests[0] == digests[1], name
+
+
+def test_fused_ops_under_no_grad_record_nothing():
+    for name, (op, _, case) in FUSED.items():
+        store, build, _ = case(np.random.default_rng(47), np.float64)
+        with E.no_grad():
+            out = build(op, store.bind())
+        assert not out.requires_grad and out.edges == (), name
+
+
+# -- tape size ----------------------------------------------------------------
+
+
+def test_batch_of_one_training_step_records_at_most_26_nodes_per_response():
+    # a desk-shaped model (d 8/8/16, one layer, all three graphs) trained the
+    # way the benchmark trains, a batch of one sequence, with the stage-3
+    # gate closed as it is after the first training steps. The count is
+    # exact for this model and sequence: 25.7 per response, against 47.95
+    # for the chains of primitives the fused ops replaced.
+    from graphkt.model import GrktModel, HyperParams
+    from graphkt.train import bce_loss_node
+    from tests.conftest import random_graphs, random_sequence
+
+    rng = np.random.default_rng(48)
+    hp = HyperParams(d_e=8, d_k=8, d_h=16, layers=1, seed=48)
+    model = GrktModel(hp, 30, 20, random_graphs(rng, 20, 12, 12))
+    model.store.value("mlp.dcs.b2")[...] = [[4.0, -4.0]]  # the gate closed
+    seq = random_sequence(rng, 30, 20, 40, max_kcs=3)
+    _, cache = model.begin("train")
+    preds = model.forward_sequence(seq, cache).preds
+    loss = bce_loss_node(preds)
+    per_response = len(E._TAPE) / len(preds)
+    model.store.zero_grad()
+    model.store.backward(loss)
+    # no KC was given progress
+    assert not any(model.store[name].grad.any() for name in model.store.names()
+                   if name.startswith("gnn.prg"))
+    assert per_response <= 26

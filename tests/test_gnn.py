@@ -14,6 +14,7 @@ from graphkt.graphs import KcRelationGraphs
 from graphkt.model import BatchCache, GrktModel, HyperParams
 from graphkt.train import bce_loss_node
 from tests.conftest import random_graphs
+from tests import oracles
 from tests.oracles import (constrain_nonneg_matrix, constrain_nonneg_vector,
                            edge_correlation, hop_support, question_kc_score)
 
@@ -94,7 +95,8 @@ def test_full_forward_matches_brute_force(head, layers):
     rng = np.random.default_rng(99)
     x = rng.normal(size=(model.n_kcs, spec.dims[0]))
     _, cache = model.begin("eval")
-    alpha_col = cache.alpha_col(2) if spec.use_question_scores else None
+    alpha_col = oracles.alpha_col(cache, 2) \
+        if spec.use_question_scores else None
     got = every_row(model, head, x, cache, alpha_col).value
     q_emb = model.store.value("emb.q")[2] if spec.use_question_scores else None
     want = brute_force_head(spec, x, model.graphs, model.store, q_emb)
@@ -112,7 +114,8 @@ def test_restricted_outward_matches_full(head, layers):
     x_full = np.zeros((model.n_kcs, spec.dims[0]))
     x_full[list(seeds)] = feats
     _, cache = model.begin("eval")
-    alpha_col = cache.alpha_col(1) if spec.use_question_scores else None
+    alpha_col = oracles.alpha_col(cache, 1) \
+        if spec.use_question_scores else None
     full = every_row(model, head, x_full, cache, alpha_col).value
     plan = plan_outward(model.gt, seeds, layers)
     rows = gnn_forward_rows(spec, E.as_node(feats), plan, model.gt,
@@ -163,7 +166,7 @@ def test_stacked_layers_match_brute_force_on_every_graph_set(ablation, layers):
         x = rng.normal(size=(model.n_kcs, spec.dims[0]))
         want = brute_force_head(spec, x, model.graphs, model.store,
                                 q_emb if scored else None)
-        alpha_col = cache.alpha_col(q) if scored else None
+        alpha_col = oracles.alpha_col(cache, q) if scored else None
         got = every_row(model, head, x, cache, alpha_col).value
         assert np.abs(got - want).max() < 1e-10, head
 
@@ -206,7 +209,8 @@ def test_strengthening_leaves_rows_outside_the_hop_support_bitwise(ablation):
 def scattered_readout(model, cache, q, kcs):
     """The read-out coefficients of (q, kcs) placed on all C rows."""
     full = np.zeros((model.n_kcs, model.hp.d_k))
-    full[list(model.plan(kcs).output_rows)] = cache.readout(q, kcs).value
+    full[list(model.plan(kcs).output_rows)] = \
+        oracles.readout(cache, q, kcs).value
     return full
 
 
@@ -251,7 +255,7 @@ def read_out(model, cache, plans, seeds, questions, agg_t=None,
     for i, seed in enumerate(seeds):
         padded[i, :len(seed)] = seed
     alpha = None if questions is None else E.concat(
-        [E.transpose(cache.alpha_col(q)) for q in questions], axis=0)
+        [E.transpose(oracles.alpha_col(cache, q)) for q in questions], axis=0)
     return readout_rows(spec or model.specs["rtv"], E.as_node(padded), plans,
                         cache.rtv_t, cache.agg, agg_t, alpha)
 
@@ -277,7 +281,7 @@ def check_readout_weighs_the_forward_output_rows(scored):
     x = rng.normal(size=(model.n_kcs, 3))
     out = gnn_forward_rows(spec, E.as_node(x), model.plan(tuple(range(7))),
                            model.gt, cache.weights["rtv"], cache.agg,
-                           cache.alpha_col(3) if scored else None).value
+                           oracles.alpha_col(cache, 3) if scored else None).value
     # one batch of the three plans, and each plan alone
     batch = read_out(model, cache, plans, seeds, questions and questions * 3,
                      E.transpose(cache.agg), spec).value
@@ -298,7 +302,7 @@ def test_readout_refuses_a_nonlinear_head_and_a_wrong_seed():
     _, cache = model.begin("eval")
     plans = [model.plan((2,))]
     seed = E.as_node(np.ones((1, 1, 3)))
-    alpha = E.transpose(cache.alpha_col(0))
+    alpha = E.transpose(oracles.alpha_col(cache, 0))
     for head in ("gain", "loss", "prg", "lrn", "fgt"):
         with pytest.raises(ValueError, match="not linear"):
             readout_rows(model.specs[head], seed, plans, cache.rtv_t,
@@ -320,9 +324,9 @@ def test_output_sign_constraints():
     rng = np.random.default_rng(0)
     _, cache = model.begin("eval")
     x_mem = rng.normal(size=(model.n_kcs, 3))
-    gain = every_row(model, "gain", x_mem, cache, cache.alpha_col(0))
+    gain = every_row(model, "gain", x_mem, cache, oracles.alpha_col(cache, 0))
     assert (gain.value >= 0).all()
-    loss = every_row(model, "loss", x_mem, cache, cache.alpha_col(0))
+    loss = every_row(model, "loss", x_mem, cache, oracles.alpha_col(cache, 0))
     assert (loss.value <= 0).all()
     for head in ("lrn", "fgt"):
         k_emb = model.store.value("emb.k")[: model.n_kcs]
@@ -335,7 +339,7 @@ def test_zero_input_gives_zero_output():
     _, cache = model.begin("eval")
     zeros = np.zeros((model.n_kcs, 3))
     for head in ("gain", "prg"):
-        alpha_col = cache.alpha_col(0) \
+        alpha_col = oracles.alpha_col(cache, 0) \
             if model.specs[head].use_question_scores else None
         out = every_row(model, head, zeros, cache, alpha_col)
         assert np.array_equal(out.value, zeros)
@@ -370,7 +374,7 @@ def test_isolated_node_passes_residual():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 3))
     _, cache = model.begin("eval")
-    out = every_row(model, "rtv", x, cache, cache.alpha_col(0))
+    out = every_row(model, "rtv", x, cache, oracles.alpha_col(cache, 0))
     # nodes 2 and 3 have no neighbors in any graph: pure residual identity
     assert np.array_equal(out.value[2], x[2])
     assert np.array_equal(out.value[3], x[3])
@@ -383,7 +387,7 @@ def test_question_context_contract():
     with pytest.raises(ValueError, match="requires"):
         every_row(model, "rtv", x, cache, None)
     with pytest.raises(ValueError, match="rejects"):
-        every_row(model, "prg", x, cache, cache.alpha_col(0))
+        every_row(model, "prg", x, cache, oracles.alpha_col(cache, 0))
 
 
 def test_retrieval_monotonicity():
@@ -394,7 +398,8 @@ def test_retrieval_monotonicity():
     _, cache = model.begin("eval")
 
     def run(mem):
-        return every_row(model, "rtv", mem, cache, cache.alpha_col(1)).value
+        return every_row(model, "rtv", mem, cache,
+                         oracles.alpha_col(cache, 1)).value
 
     base = run(x)
     for trial in range(30):
@@ -466,7 +471,7 @@ def test_pairwise_scores_match_cached_matrices():
         for j in range(model.n_kcs):
             assert abs(edge_correlation(model.store, i, j, "P")
                        - beta[i, j]) < 1e-12
-    alpha = cache.alpha_col(1).value.ravel()
+    alpha = oracles.alpha_col(cache, 1).value.ravel()
     for c in range(model.n_kcs):
         assert abs(question_kc_score(model.store, 1, c) - alpha[c]) < 1e-12
 
@@ -579,7 +584,8 @@ def head_with_grads(model, head, plan, x0, mix):
     model.store.zero_grad()
     bound = model.store.bind()
     cache = BatchCache(model, bound, "train")
-    alpha_col = cache.alpha_col(1) if spec.use_question_scores else None
+    alpha_col = oracles.alpha_col(cache, 1) \
+        if spec.use_question_scores else None
     out = gnn_forward_rows(spec, E.as_node(x0), plan, model.gt,
                            cache.weights[head], cache.agg, alpha_col)
     model.store.backward(E.sum_all(E.mul(out, mix)))
@@ -696,7 +702,7 @@ def test_embedded_whole_layers_match_the_straight_line_oracle(layers):
     embedded = 0
     for head, spec in model.specs.items():
         scored = spec.use_question_scores
-        alpha_col = cache.alpha_col(q) if scored else None
+        alpha_col = oracles.alpha_col(cache, q) if scored else None
         if head in ("lrn", "fgt"):  # every KC, every layer whole
             x = rng.normal(size=(model.n_kcs, spec.dims[0]))
             want = brute_force_head(spec, x, model.graphs, model.store)
@@ -737,7 +743,7 @@ def test_embedded_whole_layers_match_the_straight_line_oracle(layers):
 def test_whole_transposed_adjacency_is_built_once_and_only_for_a_whole_layer():
     sparse = path_graph_model(layers=1)
     _, cache = sparse.begin("eval")
-    cache.readout(0, (0,))
+    oracles.readout(cache, 0, (0,))
     assert None not in sparse.plan((0,)).ix and cache.agg_t is None
 
     model = dense_model()
@@ -810,9 +816,11 @@ def check_prepared_tables(model, keys, monkeypatch):
     H = rng.normal(size=(model.n_kcs, model.hp.d_k))
     for q, kcs in keys:
         # a product over K rows may round apart from one over a single row
-        for read in (lambda c: c.readout(q, kcs), lambda c: c.alpha_col(q),
-                     lambda c: c.difficulty(q, kcs),
-                     *(lambda c, h=h, p=p: c.question_term(h, p, q, kcs)
+        for read in (lambda c: oracles.readout(c, q, kcs),
+                     lambda c: oracles.alpha_col(c, q),
+                     lambda c: oracles.difficulty(c, q, kcs),
+                     *(lambda c, h=h, p=p: oracles.question_term(c, h, p, q,
+                                                                  kcs)
                        for h, p in (("gain", 0), ("loss", 0), ("dcs", 1),
                                     ("prg", 0)))):
             got, want = read(batched).value, read(alone).value

@@ -16,6 +16,7 @@ from graphkt.model import (DT_CAP_MINUTES, BatchCache, GrktModel, HyperParams,
                            Step, trace_rows)
 from graphkt.train import TrainConfig, bce_loss_node, evaluate
 from tests.conftest import make_dataset, random_graphs, random_sequence
+from tests import oracles
 from tests.oracles import constrain_nonneg_vector, hop_support, predict_next
 from tests.oracles import mastery as mastery_oracle
 
@@ -92,12 +93,13 @@ def test_stage1_isolated_kc_uses_own_memory():
     a_hat, _ = model.stage1_predict(H, [1], [(4,)], cache)
     # the read-out weighs KC 4's own memory by softmax(w_h) and nothing else
     coef = np.zeros((5, 4))
-    coef[list(model.plan((4,)).output_rows)] = cache.readout(1, (4,)).value
+    coef[list(model.plan((4,)).output_rows)] = \
+        oracles.readout(cache, 1, (4,)).value
     w = constrain_nonneg_vector(model.store.value("w_h")).ravel()
     assert np.array_equal(coef[4], cache.w_h_row.value.ravel())
     assert np.abs(coef[4] - w).max() < 1e-15
     assert not coef[:4].any()
-    d_q = cache.difficulty(1, (4,)).value.item()
+    d_q = oracles.difficulty(cache, 1, (4,)).value.item()
     expect = 1.0 / (1.0 + math.exp(-(H.value[4] @ w - d_q)))
     assert abs(a_hat.value.item() - expect) < 1e-12
 
@@ -121,7 +123,7 @@ def forward_mastery(model, cache, H, q, kcs):
     plan = model.plan(tuple(range(model.n_kcs)))
     rows = gnn_forward_rows(model.specs["rtv"], E.as_node(H), plan, model.gt,
                             cache.weights["rtv"], cache.agg,
-                            cache.alpha_col(q)).value
+                            oracles.alpha_col(cache, q)).value
     return rows[list(kcs)].mean(axis=0) @ cache.w_h_col.value.ravel()
 
 
@@ -158,7 +160,7 @@ def test_begin_after_an_optimizer_step_rebuilds_the_readout():
 
     model.store.zero_grad()
     _, cache = model.begin("train")
-    stale = cache.readout(q, kcs).value.copy()
+    stale = oracles.readout(cache, q, kcs).value.copy()
     model.store.backward(bce_loss_node(model.forward_sequence(seq, cache).preds))
     model.store.adam_step(lr=0.05)
 
@@ -166,7 +168,7 @@ def test_begin_after_an_optimizer_step_rebuilds_the_readout():
         _, fresh = model.begin("eval")
         _, mastery = model.stage1_predict(E.as_node(H), [q], [kcs], fresh)
         want = forward_mastery(model, fresh, H, q, kcs)
-    assert not np.array_equal(fresh.readout(q, kcs).value, stale)
+    assert not np.array_equal(oracles.readout(fresh, q, kcs).value, stale)
     assert abs(mastery.value.item() - want) <= 1e-12 * abs(want)
 
 
