@@ -431,20 +431,21 @@ class SparseGrad:
     """A gradient that is zero outside `index`, as returned by gather vjps.
 
     `index` is whatever selected the gathered values: a row index array, a
-    row slice or an `np.ix_` tuple. `add_into` adds the values into a full-size buffer
-    with `np.add.at`, so duplicate indices sum. A block (`np.ix_` tuple) is
+    row slice or the tuple of broadcasting row and column index arrays that
+    `gather_submatrix` takes. `add_into` adds the values into a full-size
+    buffer with `np.add.at`, so duplicate indices sum. A block (a tuple) is
     added through one flat index into the raveled buffer, with the values
     raveled to match: that call takes numpy's fast path for a 1-D index,
     which a tuple index misses. The buffer must be C-ordered, because
     raveling any other layout copies it and the add would be lost with the
     copy; `add_into` raises instead.
 
-    The flat index is rebuilt from the `np.ix_` pair for each add instead
-    of being stored. Measured on the benchmark's `paper` workload (peak RSS
-    about 230 MB), keeping each gather's index on the tape raised the peak
-    by 14-22%, and caching one per plan block would have held 153 MB there
-    (1,783 blocks after burn-in, 24 training steps and one evaluation) and
-    53 MB on `wide-sparse` (4,308 blocks).
+    The flat index is rebuilt from the block's index arrays for each add
+    instead of being stored. Measured on the benchmark's `paper` workload
+    (peak RSS about 230 MB), keeping each gather's index on the tape raised
+    the peak by 14-22%, and caching one per plan block would have held
+    153 MB there (1,783 blocks after burn-in, 24 training steps and one
+    evaluation) and 53 MB on `wide-sparse` (4,308 blocks).
     """
 
     __slots__ = ("index", "values")
@@ -472,13 +473,14 @@ def _flat_index(shape, ix) -> np.ndarray:
 
     `ix` is a pair of non-negative row and column index arrays that
     broadcast against each other, with a leading `slice(None)` for a
-    (G, R, K) stack: (n, 1) rows and (1, m) columns as `np.ix_` gives them,
-    or (1, n) rows and (m, 1) columns for the transposed block. The result
-    is the C-ordered index of the broadcast shape, built with two broadcast
-    adds; for a stack the (G, 1, 1) matrix offsets join the broadcast, so
-    the stack axis comes third from last. Index arrays with more axes
-    select a batch of blocks: (B, 1, 1, m) rows and (B, 1, n, 1) columns
-    read a (B, G, n, m) batch of transposed stacked blocks.
+    (G, R, K) stack. The result is the C-ordered index of the broadcast
+    shape, built with two broadcast adds; for a stack the (G, 1, 1) matrix
+    offsets join the broadcast, so the stack axis comes third from last.
+    (n, 1) rows and (1, m) columns select an (n, m) block, and (1, n) rows
+    and (m, 1) columns the transposed block. Index arrays with more axes
+    select a batch of blocks: (B, 1, n, 1) rows and (B, 1, 1, m) columns
+    read a (B, G, n, m) batch of stacked blocks, and (B, 1, 1, m) rows and
+    (B, 1, n, 1) columns the batch of their transposes.
     """
     rows, cols = ix[-2], ix[-1]
     if len(ix) == 2:
@@ -519,15 +521,17 @@ def gather_rows(a, idx) -> Node:
 
 
 def gather_submatrix(a, ix) -> Node:
-    """Select a row/column block of a node; `ix` comes from np.ix_.
+    """Select a row/column block of a node.
 
-    A stack of matrices takes `(slice(None), *ix)`: the same block of each.
-    With the two index arrays transposed (`(rows.T, cols.T)`) the block is
-    read transposed, as numpy's `a[ix]` reads it. Any two index arrays that
-    broadcast together select that many entries (`_flat_index`): a batch of
-    padded blocks, or one column of a matrix as a (C, 1) node. The entries
-    are read through one flat index and come out C-contiguous; repeated
-    entries get the sum of their gradients.
+    `ix` is a pair of row and column index arrays that broadcast together,
+    (n, 1) rows and (1, m) columns for an (n, m) block; a stack of matrices
+    takes `(slice(None), *ix)`, the same block of each. With the two index
+    arrays transposed (`(rows.T, cols.T)`) the block is read transposed, as
+    numpy's `a[ix]` reads it. Any two index arrays that broadcast together
+    select that many entries (`_flat_index`): a batch of padded blocks, or
+    one column of a matrix as a (C, 1) node. The entries are read through
+    one flat index and come out C-contiguous; repeated entries get the sum
+    of their gradients.
     """
     a = as_node(a)
     if len(ix) != a.value.ndim:
@@ -708,19 +712,17 @@ def messages(feats, sub, w, o=None, n_blocks: int = 1) -> Node:
     a (G, d, d) weight stack `w` and, with a feed-forward, its (G, d, d')
     stack `o` after a ReLU.
 
-    `feats` is one block of rows, (n, d), or several: `n_blocks` blocks
-    stacked by rows, (K * n, d), or a (K, n, d) batch. A batch multiplies as
-    (K, 1, n, d) against `sub`, a (K, G, m, n) batch of adjacency blocks or
-    one (G, m, n) stack that every block shares, and the result has `feats`'
-    layout with m rows per block.
+    `feats` holds K blocks of n rows: a (K, n, d) batch, or `n_blocks`
+    blocks stacked by rows, (K * n, d). They multiply as (K, 1, n, d)
+    against `sub`, a (K, G, m, n) batch of adjacency blocks or one
+    (G, m, n) stack that every block shares, and the result has `feats`'
+    layout with m rows per block. One block is a batch of one.
     """
     feats, sub, w = as_node(feats), as_node(sub), as_node(w)
     o = None if o is None else as_node(o)
     x = feats.value
-    batched = n_blocks > 1 or x.ndim == 3
-    if batched:
-        x = x.reshape(n_blocks if x.ndim == 2 else x.shape[0], 1, -1,
-                      x.shape[-1])
+    n_k = x.shape[0] if x.ndim == 3 else n_blocks
+    x = x.reshape(n_k, 1, -1, x.shape[-1])
     xw = x @ w.value
     branch = sub.value @ xw
     if o is not None:
@@ -729,12 +731,11 @@ def messages(feats, sub, w, o=None, n_blocks: int = 1) -> Node:
         act = branch
         act *= mask
         branch = act @ o.value
-    summed = branch.sum(axis=1 if batched else 0)
+    summed = branch.sum(axis=1)
     out = summed.reshape(-1, summed.shape[-1]) if feats.value.ndim == 2 \
         else summed
     # the output gradient, as a block per graph, fills the branch's shape
-    g_shape = summed.shape[:-2] + (1,) + summed.shape[-2:] if batched \
-        else summed.shape
+    g_shape = (n_k, 1, *summed.shape[1:])
     b_shape = branch.shape
 
     def vjp(g, need):
@@ -746,8 +747,15 @@ def messages(feats, sub, w, o=None, n_blocks: int = 1) -> Node:
             g_branch = g_branch @ o.value.swapaxes(-1, -2)
             g_branch *= mask
         g_xw = _unbroadcast(sub.value.swapaxes(-1, -2) @ g_branch, xw.shape)
-        return (_left_grad(g_xw, w.value, x.shape).reshape(feats.value.shape)
-                if need[0] else None,
+        g_feats = None
+        if need[0]:
+            # the graph axis contracted inside one product, as `_left_grad`
+            # does: (K * n, G * d') @ (G * d', d)
+            n_g, d_in, d_out = w.value.shape
+            g_feats = (g_xw.transpose(0, 2, 1, 3).reshape(-1, n_g * d_out)
+                       @ w.value.transpose(1, 0, 2).reshape(d_in, -1)
+                       .swapaxes(-1, -2)).reshape(feats.value.shape)
+        return (g_feats,
                 _left_grad(g_branch, xw, sub.value.shape) if need[1] else None,
                 RightProduct(x, g_xw), g_o)
 

@@ -28,10 +28,12 @@ L-hop supports. Seeded heads (gain/loss/progress) compute only those rows
 (`gnn_forward_rows`); the kernel-rate heads (lrn/fgt) run on the plan of
 every KC. Both entry points run a `PlanBatch`, K plans at once on blocks
 padded to the batch's widest row sets, with padding rows kept exactly zero;
-a single plan is a batch of one and reads its own frozen indices. The
-neighbor union over P, S and R is symmetric, so the rows that feed the
-examined KCs within L hops are the rows they reach: the retrieval read-out
-walks the same plan from the examined KCs out to their support. A plan
+a single plan is a batch of one, with no padding, and runs the same code.
+A batch builds each of its indices once, and a plan keeps its batch of
+one, so propagating a plan again does no index work. The neighbor union
+over P, S and R is symmetric, so the rows that feed the examined KCs
+within L hops are the rows they reach: the retrieval read-out walks the
+same plan from the examined KCs out to their support. A plan
 depends only on the graphs, the layer count and the KC set, so `GrktModel`,
 which owns the graphs, builds each one once and reuses it across stages,
 steps and evaluation passes.
@@ -49,6 +51,7 @@ block, by about one ulp.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -136,19 +139,16 @@ class GraphTensors:
 
 
 class Plan:
-    """Per-layer row sets of one KC set's hop support, with frozen indices.
+    """Per-layer row sets of one KC set's hop support.
 
     `row_sets[0]` is the KC set and `row_sets[l]` its l-hop support: sorted,
     each holding the one before. `align[l-1]` holds the positions of layer
     l-1's rows among layer l's, where the residual embeds them (missing rows
-    are exactly zero), or is None when the two sets are equal. `ix[l-1]`
-    selects the (rows_l, rows_{l-1}) adjacency block, or is None when rows_l,
-    the layer's output, holds all `n_kcs` KCs: the layer then reads the whole
-    adjacency. These are the indices of the plan run alone, a `PlanBatch` of
-    one (`batch`); a batch of several plans pads them to common widths.
+    are exactly zero), or is None when the two sets are equal. `batch` is
+    the plan run alone, a `PlanBatch` of one, built on first use and kept.
     """
 
-    __slots__ = ("row_sets", "row_arrays", "align", "ix", "n_kcs", "_batch")
+    __slots__ = ("row_sets", "row_arrays", "align", "n_kcs", "_batch")
 
     def __init__(self, row_sets: list[tuple[int, ...]], n_kcs: int):
         self.row_sets = tuple(row_sets)
@@ -158,9 +158,6 @@ class Plan:
         self.n_kcs = n_kcs
         self.align = tuple(map(self._embedding, self.row_arrays,
                                self.row_arrays[1:]))
-        self.ix = tuple(
-            None if len(rows) == n_kcs else np.ix_(rows, prev)
-            for prev, rows in zip(self.row_arrays, self.row_arrays[1:]))
         self._batch = None
 
     @property
@@ -191,9 +188,11 @@ class Layer(NamedTuple):
     the K blocks), or None when the two layouts are equal. A layer that is
     not whole reads the adjacency blocks of `prev` (K, in width) and `cur`
     (K, out width), the KC ids of its padded input and output rows (padding
-    reads KC 0), and `valid` (K, out width) marks the output rows that are
-    not padding (None when there is none). In a batch of one, `ix` is the
-    plan's own `np.ix_` block.
+    reads KC 0): `block` selects them from a (G, C, C) stack as a
+    (K, G, out width, in width) batch, and `alpha_rows` selects the input
+    rows' requirement scores from the K stacked (C, 1) columns. `valid`
+    (K, out width) marks the output rows that are not padding (None when
+    there is none).
     """
 
     whole: bool
@@ -201,7 +200,8 @@ class Layer(NamedTuple):
     prev: np.ndarray | None = None
     cur: np.ndarray | None = None
     valid: np.ndarray | None = None
-    ix: tuple | None = None
+    block: tuple | None = None
+    alpha_rows: np.ndarray | None = None
 
 
 class PlanBatch:
@@ -215,8 +215,18 @@ class PlanBatch:
     make the blocks C rows wide anyway. Layer 0, and a layer that is not
     whole, has blocks as wide as its widest row set: plan i's rows first, in
     row-set order, then padding rows, which the layer keeps exactly zero.
-    A batch of one plan has no padding and reads the plan's own indices.
-    `row_sets` are the KCs each layer covers over the whole batch.
+    A batch of one plan, or of plans whose row sets are equally wide, has
+    no padding rows.
+
+    Every index is built once, with the batch or on first use.
+    `padded[l]` holds the row sets of layer l as a (K, width) array padded
+    with KC 0 (None for a whole layer), and `seed_mask` marks the layer-0
+    rows that are not padding as a (K * width, 1) column (None when there
+    is none). `output_kcs` holds the KC id of every output row, (K, last
+    width): a whole layer's block holds every KC in order, and a padded
+    block's padding rows get distinct KCs outside the plan's support, so
+    the blocks scatter into memory without a padding row meeting a real
+    one. `row_sets` are the KCs each layer covers over the whole batch.
     """
 
     def __init__(self, plans: Sequence[Plan]):
@@ -228,7 +238,14 @@ class PlanBatch:
         self.whole = (False, *(int(w) == n_kcs for w in widest[1:]))
         self.widths = tuple(n_kcs if whole else int(w)
                             for whole, w in zip(self.whole, widest))
-        self.layers = tuple(map(self._layer, range(1, len(widest))))
+        padded = [(None, None) if whole
+                  else pad_ids([p.row_arrays[l] for p in self])
+                  for l, whole in enumerate(self.whole)]
+        self.padded = tuple(rows for rows, _ in padded)
+        self.layers = tuple(self._layer(l, padded[l][1])
+                            for l in range(1, len(widest)))
+        seeds = padded[0][1]
+        self.seed_mask = None if seeds is None else seeds.reshape(-1, 1)
 
     @staticmethod
     def of(plans) -> "PlanBatch":
@@ -245,21 +262,23 @@ class PlanBatch:
     def __iter__(self):
         return iter(self.plans)
 
-    @property
+    @functools.cached_property
     def row_sets(self) -> tuple[tuple[int, ...], ...]:
-        if len(self.plans) == 1:
-            return self.plans[0].row_sets
         return tuple(tuple(sorted(set().union(*(p.row_sets[l] for p in self))))
                      for l in range(self.sizes.shape[1]))
 
-    def _layer(self, layer: int) -> Layer:
-        whole, n_kcs = self.whole[layer], self.n_kcs
-        if len(self.plans) == 1:
-            p = self.plans[0]
-            return Layer(whole, p.align[layer - 1],
-                         p.row_arrays[layer - 1][None],
-                         p.row_arrays[layer][None], ix=p.ix[layer - 1])
-        n_prev = self.sizes[:, layer - 1]
+    @functools.cached_property
+    def output_kcs(self) -> np.ndarray:
+        n_keys, width = len(self.plans), self.widths[-1]
+        if self.whole[-1]:
+            return np.broadcast_to(np.arange(width), (n_keys, width))
+        out = _residual_index([p.row_arrays[-1] for p in self],
+                              self.sizes[:, -1], width, self.n_kcs)
+        return out.reshape(n_keys, width) \
+            - (np.arange(n_keys) * self.n_kcs)[:, None]
+
+    def _layer(self, layer: int, valid: np.ndarray | None) -> Layer:
+        whole, n_prev = self.whole[layer], self.sizes[:, layer - 1]
         if self.whole[layer - 1]:  # and so this one: the same layout
             return Layer(True, None)
         if whole:  # embed at the KC ids
@@ -274,20 +293,11 @@ class PlanBatch:
                                     self.widths[layer])
         if whole:
             return Layer(True, embed)
-        n_cur = self.sizes[:, layer]
-        valid = np.arange(self.widths[layer]) < n_cur[:, None]
-        return Layer(False, embed, self.padded(layer - 1), self.padded(layer),
-                     None if valid.all() else valid)
-
-    def padded(self, layer: int) -> np.ndarray:
-        """The layer's row sets as a (K, width) array, padded with KC 0."""
-        if len(self.plans) == 1:
-            return self.plans[0].row_arrays[layer][None]
-        sizes, width = self.sizes[:, layer], self.widths[layer]
-        rows = np.zeros((len(self.plans), width), dtype=np.int64)
-        rows[np.arange(width) < sizes[:, None]] = np.concatenate(
-            [p.row_arrays[layer] for p in self])
-        return rows
+        prev, cur = self.padded[layer - 1], self.padded[layer]
+        offsets = (np.arange(len(self.plans)) * self.n_kcs)[:, None]
+        block = (slice(None), cur[:, None, :, None], prev[:, None, None, :])
+        return Layer(False, embed, prev, cur, valid, block,
+                     (prev + offsets).ravel())
 
     def positions(self, i: int) -> np.ndarray:
         """Where plan i's output rows sit in its block of the last layer."""
@@ -295,20 +305,17 @@ class PlanBatch:
         return p.row_arrays[-1] if self.whole[-1] \
             else np.arange(len(p.output_rows))
 
-    def output_kcs(self) -> np.ndarray:
-        """The KC id of every output row, (K, last width): a whole layer's
-        block holds every KC in order, and a padded block's padding rows
-        get distinct KCs outside the plan's support, so the blocks scatter
-        into memory without a padding row meeting a real one."""
-        width = self.widths[-1]
-        if len(self.plans) == 1 and not self.whole[-1]:
-            return self.plans[0].row_arrays[-1][None]
-        if self.whole[-1]:
-            return np.broadcast_to(np.arange(width), (len(self.plans), width))
-        n = self.sizes[:, -1]
-        out = _residual_index([p.row_arrays[-1] for p in self], n, width,
-                              self.n_kcs).reshape(len(self.plans), width)
-        return out - (np.arange(len(self.plans)) * self.n_kcs)[:, None]
+
+def pad_ids(lists) -> tuple[np.ndarray, np.ndarray | None]:
+    """Lists of ids as an (n, width) array padded with 0, and the mask of
+    its entries that are not padding (None when there are none)."""
+    if len(lists) == 1:
+        return np.asarray(lists[0], dtype=np.int64)[None], None
+    sizes = np.fromiter(map(len, lists), np.int64, len(lists))
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    out = np.zeros(valid.shape, dtype=np.int64)
+    out[valid] = np.concatenate(lists)
+    return out, None if valid.all() else valid
 
 
 def _hop_row_sets(gt: GraphTensors, kcs, layers: int) -> list[tuple[int, ...]]:
@@ -366,7 +373,7 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plans, gt: GraphTensors,
     column of the plans' question requirement scores, block i for plan i,
     and must be present exactly when the head uses question scores.
     Returns the K blocks of output features, laid out as `PlanBatch`
-    describes; their KC ids are `output_kcs()`.
+    describes; their KC ids are `output_kcs`.
 
     A whole layer multiplies by `agg` and the whole `alpha`. If its inputs
     are fewer than every KC, they are embedded in all C rows: by the
@@ -374,6 +381,10 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plans, gt: GraphTensors,
     layer, which has no residual. A layer that is not whole gathers each
     plan's adjacency block and masks its padding rows to zero, so those stay
     zero through the output activation wherever it maps zero to zero.
+
+    `gt` is not read: the batch carries every index. It stays in the
+    signature because the benchmark's tracer (`benchmarks/tracer.py`) reads
+    the third and fourth arguments as `plans.row_sets` and `gt.n_kcs`.
     """
     batch = PlanBatch.of(plans)
     _check_question_context(spec, alpha)
@@ -391,17 +402,10 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plans, gt: GraphTensors,
                 else E.scatter_rows(out, lay.embed, n_cur)
         feats, sub, scale = out, agg, alpha
         if not lay.whole:
-            if n_blocks == 1:
-                block, rows = (slice(None), *lay.ix), lay.prev[0]
-            else:
-                block = (slice(None), lay.cur[:, None, :, None],
-                         lay.prev[:, None, None, :])
-                rows = (lay.prev + (np.arange(n_blocks) * gt.n_kcs)[:, None]) \
-                    .ravel()
             if agg is not None:
-                sub = E.gather_submatrix(agg, block)
+                sub = E.gather_submatrix(agg, lay.block)
             if alpha is not None:
-                scale = E.gather_rows(alpha, rows)
+                scale = E.gather_rows(alpha, lay.alpha_rows)
         elif lay.embed is not None:  # every KC's row, zero outside the inputs
             feats = residual if residual is not None \
                 else E.scatter_rows(out, lay.embed, n_cur)
@@ -449,8 +453,8 @@ def readout_rows(spec: GnnSpec, seed: E.Node, plans, weights_t: list[E.Node],
     whole stack with its last two axes swapped (None when no plan batch has
     such a layer); `agg` and `agg_t` are None when no graph has edges.
     `alpha` is the (K, C) table of the keys' question requirement scores,
-    present exactly when the head uses them. A batch of one plan is the
-    read-out of a single key.
+    present exactly when the head uses them. A single key is a batch of
+    one plan, read out by the same code.
     """
     if spec.use_feedforward or spec.output_activation != "none" \
             or len(set(spec.dims)) != 1:
@@ -481,10 +485,8 @@ def readout_rows(spec: GnnSpec, seed: E.Node, plans, weights_t: list[E.Node],
             scale = None if alpha is None \
                 else E.reshape(alpha, (*alpha.value.shape, 1))
         else:
-            feats = coef
-            sub = E.gather_submatrix(agg, (slice(None),
-                                           lay.prev[:, None, None, :],
-                                           lay.cur[:, None, :, None]))
+            feats, (graphs, rows, cols) = coef, lay.block
+            sub = E.gather_submatrix(agg, (graphs, cols, rows))  # transposed
             scale = None if alpha is None else E.gather_submatrix(
                 alpha, (np.arange(n_keys)[:, None, None], lay.cur[:, :, None]))
             if lay.valid is not None:
@@ -510,6 +512,9 @@ def _residual_index(embeds: list[np.ndarray], n_prev: np.ndarray,
     scatter needs no row selection.
     """
     n_keys = len(embeds)
+    offsets = (np.arange(n_keys) * width)[:, None]
+    if (n_prev == width_prev).all():  # no padded rows: the embeds, stacked
+        return (np.stack(embeds) + offsets).ravel()
     valid = np.arange(width_prev) < n_prev[:, None]
     embed = np.concatenate(embeds)
     pos = np.zeros((n_keys, width_prev), dtype=np.int64)
@@ -518,4 +523,4 @@ def _residual_index(embeds: list[np.ndarray], n_prev: np.ndarray,
     free[np.repeat(np.arange(n_keys), n_prev), embed] = False
     rank = np.cumsum(free, axis=1)
     pos[~valid] = np.nonzero(free & (rank <= (width_prev - n_prev)[:, None]))[1]
-    return (pos + (np.arange(n_keys) * width)[:, None]).ravel()
+    return (pos + offsets).ravel()

@@ -59,7 +59,7 @@ import numpy as np
 from . import engine as E
 from .data import Response, ResponseSequence
 from .gnn import (GnnSpec, GraphTensors, Plan, PlanBatch, gnn_forward_rows,
-                  make_specs, plan_outward, readout_rows)
+                  make_specs, pad_ids, plan_outward, readout_rows)
 from .graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
                      format_graphs, parse_graphs)
 
@@ -95,6 +95,13 @@ class HyperParams:
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
         GraphBuildConfig(eta=self.eta)  # the mining threshold's own rule
+        try:
+            dtype = np.dtype(self.dtype)
+        except TypeError:
+            dtype = None
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"dtype must be float32 or float64, "
+                             f"got {self.dtype!r}")
 
 
 @dataclass
@@ -276,9 +283,6 @@ class KeyBatch:
         self.plans = [cache.plan_out(kcs) for _, kcs in keys]
         self._readout = None
         self._alpha = None
-        # keyed by the next batch's id, not the batch: two batches holding
-        # each other would be a reference cycle. Both live in the cache.
-        self._candidates: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -288,30 +292,17 @@ class KeyBatch:
         stage 1 multiplies: key b's coefficient rows against block b's rows
         of its plan's output KCs, padded with the zero coefficient row."""
         if self._readout is None:
-            coef, valid = _pad([self.tables.coef_index[i] for i in self.idx])
+            coef, valid = pad_ids([self.tables.coef_index[i]
+                                   for i in self.idx])
             if valid is not None:
                 coef[~valid] = self.tables.zero_row
-            kcs, _ = _pad([p.row_arrays[-1] for p in self.plans])
+            kcs, _ = pad_ids([p.row_arrays[-1] for p in self.plans])
             self._readout = coef, _block_rows(kcs, self.n_kcs).reshape(
                 kcs.shape)
         return self._readout
 
     def difficulty(self) -> E.Node:
         return E.gather_rows(self.tables.difficulty, self.idx)
-
-    def candidates(self, nxt: "KeyBatch") -> tuple:
-        """Stage 3's candidates before the keys `nxt`, built once per pair:
-        each block's union of its current and next KC sets as an (n, width)
-        array padded with 0, the flat mask of the entries that are not
-        padding (None when there are none) and their stacked memory rows."""
-        found = self._candidates.get(id(nxt))
-        if found is None:
-            cand, valid = _pad([sorted({*a, *b}) for (_, a), (_, b)
-                                in zip(self.keys, nxt.keys)])
-            found = self._candidates[id(nxt)] = (
-                cand, None if valid is None else valid.ravel(),
-                _block_rows(cand, self.n_kcs))
-        return found
 
     def alpha(self, sel: np.ndarray) -> E.Node:
         """The requirement scores of keys `sel`, one (C, 1) block each."""
@@ -499,21 +490,20 @@ class BatchCache:
         return self.agg_t
 
     def tiled(self, name: str, n: int) -> E.Node:
-        """`h0` or `forget_rates` repeated for n memory blocks (itself for
-        one): a prefix of one tiling for the most blocks asked for."""
-        base = getattr(self, name)
-        if n == 1:
-            return base
-        n_rows = n * self.model.n_kcs
-        full = self._tiled.get(name)
-        if full is None or full.value.shape[0] < n_rows:
-            full = self._tiled[name] = E.gather_rows(
-                base, np.tile(np.arange(self.model.n_kcs), n))
-        if full.value.shape[0] == n_rows:
-            return full
-        if (name, n) not in self._tiled:
-            self._tiled[name, n] = E.gather_rows(full, slice(0, n_rows))
-        return self._tiled[name, n]
+        """`h0` or `forget_rates` repeated for n memory blocks, built once
+        per n: a prefix of one tiling for the most blocks asked for."""
+        found = self._tiled.get((name, n))
+        if found is None:
+            n_rows = n * self.model.n_kcs
+            full = self._tiled.get(name)
+            if full is None or full.value.shape[0] < n_rows:
+                full = self._tiled[name] = E.gather_rows(
+                    getattr(self, name),
+                    np.tile(np.arange(self.model.n_kcs), n))
+            found = self._tiled[name, n] = full \
+                if full.value.shape[0] == n_rows \
+                else E.gather_rows(full, slice(0, n_rows))
+        return found
 
     def plan_out(self, kcs: tuple[int, ...]) -> Plan:
         return self.model.plan(kcs)
@@ -525,18 +515,6 @@ def _arange(n: int) -> np.ndarray:
     out = np.arange(n)
     out.flags.writeable = False
     return out
-
-
-def _pad(lists) -> tuple[np.ndarray, np.ndarray | None]:
-    """Lists of ids as an (n, width) array padded with 0, and the mask of
-    its entries that are not padding (None when there are none)."""
-    if len(lists) == 1:
-        return np.asarray(lists[0], dtype=np.int64)[None], None
-    sizes = np.fromiter(map(len, lists), np.int64, len(lists))
-    valid = np.arange(sizes.max()) < sizes[:, None]
-    out = np.zeros(valid.shape, dtype=np.int64)
-    out[valid] = np.concatenate(lists)
-    return out, None if valid.all() else valid
 
 
 def _block_rows(kcs: np.ndarray, n_kcs: int,
@@ -552,11 +530,9 @@ def _block_rows(kcs: np.ndarray, n_kcs: int,
 
 def _mask_padding(feats: E.Node, batch: PlanBatch) -> E.Node:
     """`feats` with the padding rows of the batch's layer-0 blocks zeroed."""
-    if len(batch) == 1 or (batch.sizes[:, 0] == batch.widths[0]).all():
+    if batch.seed_mask is None:
         return feats
-    n = batch.sizes[:, 0]
-    mask = (np.arange(batch.widths[0]) < n[:, None]).reshape(-1, 1)
-    return E.mul(E.as_node(mask.astype(feats.value.dtype)), feats)
+    return E.mul(E.as_node(batch.seed_mask.astype(feats.value.dtype)), feats)
 
 
 class GrktModel:
@@ -641,14 +617,14 @@ class GrktModel:
             sel = _arange(n) if len(blocks) == n else np.array(blocks)
             batch = PlanBatch.of(keys.plans if len(blocks) == n
                                  else [keys.plans[b] for b in blocks])
-            seeds = batch.padded(0)
+            seeds = batch.padded[0]
             feats = cache.mlp(
                 head, E.gather_rows(H, _block_rows(seeds, n_c, sel)),
                 [keys.terms(cache, head, 0, sel, seeds.shape[1])])
             parts.append(gnn_forward_rows(
                 self.specs[head], _mask_padding(feats, batch), batch, self.gt,
                 cache.weights[head], cache.agg, keys.alpha(sel)))
-            rows.append(_block_rows(batch.output_kcs(), n_c, sel)
+            rows.append(_block_rows(batch.output_kcs, n_c, sel)
                         if len(blocks) < n or not batch.whole[-1] else None)
         if len(rows) == 1 and rows[0] is None:
             update = parts[0]  # every block whole, in order
@@ -671,8 +647,8 @@ class GrktModel:
         increment per KC that actually received progress. The gate runs on
         every block's candidates at once, progress propagates over the
         blocks whose gate opened, and forgetting is one `E.forget` node over
-        all rows. A step's candidates are cached per pair of key batches
-        (`KeyBatch.candidates`).
+        all rows. A block's candidates are the union of its current and
+        next KC sets.
         """
         cur = cache.keys(questions, kc_sets)
         nxt = cache.keys(next_questions, next_kc_sets)
@@ -680,9 +656,10 @@ class GrktModel:
         counters = counters.reshape(n, n_c)
         dt = (np.asarray(dt_seconds, dtype=np.float64) / 60.0).clip(
             0.0, DT_CAP_MINUTES)
-        cand, valid, cand_rows = cur.candidates(nxt)
+        cand, valid = pad_ids([sorted({*a, *b}) for (_, a), (_, b)
+                               in zip(cur.keys, nxt.keys)])
         width = cand.shape[1]
-        memory = E.gather_rows(H, cand_rows)
+        memory = E.gather_rows(H, _block_rows(cand, n_c))
         every = _arange(n)
 
         def question_terms(head):
@@ -694,6 +671,7 @@ class GrktModel:
         decisions = pi.value.argmax(axis=1)  # hard gate; ties mean no learning
         learned = decisions == 1
         if valid is not None:
+            valid = valid.ravel()
             decisions, learned = decisions[valid], learned & valid
         E.log_gate(decisions.tobytes())
 
@@ -707,13 +685,13 @@ class GrktModel:
             sel = np.flatnonzero(per_block.any(axis=1))
             batch = PlanBatch.of([self.plan(tuple(cand[b, per_block[b]]
                                                   .tolist())) for b in sel])
-            seed_rows, _ = _pad([np.flatnonzero(per_block[b]) + b * width
-                                 for b in sel])
+            seed_rows, _ = pad_ids([np.flatnonzero(per_block[b]) + b * width
+                                    for b in sel])
             seed = _mask_padding(E.gather_rows(p_all, seed_rows.ravel()),
                                  batch)
             progress = gnn_forward_rows(self.specs["prg"], seed, batch, self.gt,
                                         cache.weights["prg"], cache.agg)
-            kcs = batch.output_kcs()
+            kcs = batch.output_kcs
             dest = _block_rows(kcs, n_c, sel)
             learned_mask = np.zeros(n * n_c, dtype=bool)
             learned_mask[dest] = (progress.value != 0).any(axis=1)
@@ -729,8 +707,7 @@ class GrktModel:
             new_H = E.add(new_H, gained)
 
         # every row forgets unless it learned
-        nvec_all = -(counters + 1.0).reshape(-1, 1) \
-            * (dt[0] if n == 1 else np.repeat(dt, n_c)[:, None])
+        nvec_all = (-(counters + 1.0) * dt[:, None]).reshape(-1, 1)
         new_H = E.forget(
             new_H, H, cache.tiled("h0", n), None if learned_mask is None
             else (~learned_mask).astype(H.value.dtype).reshape(-1, 1),

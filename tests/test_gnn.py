@@ -526,16 +526,17 @@ def test_plan_skips_the_gather_exactly_when_the_layer_output_is_all_kcs(
                                       replace=False)}
     every_kc = plan_outward(gt, range(6), layers)
     for plan in (plan_outward(gt, kcs, layers), every_kc):
+        batch = plan.batch
         for layer in range(1, layers + 1):
             rows_in, rows_out = plan.row_sets[layer - 1], plan.row_sets[layer]
-            assert (plan.ix[layer - 1] is None) == (len(rows_out) == 6)
-            if plan.ix[layer - 1] is not None:
-                rows, cols = plan.ix[layer - 1]
-                assert rows.ravel().tolist() == list(rows_out)
-                assert cols.ravel().tolist() == list(rows_in)
-    assert every_kc.ix == (None,) * layers
-    assert Plan([(0, 1), (0, 1)], 3).ix[0] is not None
-    assert Plan([(0,), (0, 1, 2)], 3).ix[0] is None
+            assert batch.whole[layer] == (len(rows_out) == 6)
+            if not batch.whole[layer]:
+                lay = batch.layers[layer - 1]
+                assert lay.cur.ravel().tolist() == list(rows_out)
+                assert lay.prev.ravel().tolist() == list(rows_in)
+    assert every_kc.batch.whole[1:] == (True,) * layers
+    assert not Plan([(0, 1), (0, 1)], 3).batch.whole[1]
+    assert Plan([(0,), (0, 1, 2)], 3).batch.whole[1]
 
 
 def test_plan_embeds_each_layer_in_the_next():
@@ -573,7 +574,7 @@ def embedded_layers(plan, n_kcs):
     Layer l, forward or read out, reads rows l-1 and writes rows l.
     """
     return [layer for layer in range(1, len(plan.row_sets))
-            if plan.ix[layer - 1] is None
+            if plan.batch.whole[layer]
             and len(plan.row_sets[layer - 1]) < n_kcs]
 
 
@@ -611,7 +612,7 @@ def test_whole_adjacency_layers_match_the_gathered_block_bitwise(head):
     model = dense_model()
     plan = model.plan(tuple(range(model.n_kcs)))
     gathering = Plan(plan.row_sets, model.n_kcs + 1)  # never all KCs
-    assert None in plan.ix and None not in gathering.ix
+    assert any(plan.batch.whole) and not any(gathering.batch.whole)
     assert embedded_layers(plan, model.n_kcs) == []
     spec = model.specs[head]
     rng = np.random.default_rng(18)
@@ -630,7 +631,7 @@ def test_whole_adjacency_readout_matches_the_gathered_block_bitwise():
     model = dense_model()
     plan = model.plan(tuple(range(5)))  # both row sets of every layer
     gathering = Plan(plan.row_sets, model.n_kcs + 1)  # never all KCs
-    assert None in plan.ix and None not in gathering.ix
+    assert any(plan.batch.whole) and not any(gathering.batch.whole)
     assert embedded_layers(plan, model.n_kcs) == []
     rng = np.random.default_rng(19)
     seed = rng.normal(size=(5, 3))
@@ -744,14 +745,14 @@ def test_whole_transposed_adjacency_is_built_once_and_only_for_a_whole_layer():
     sparse = path_graph_model(layers=1)
     _, cache = sparse.begin("eval")
     oracles.readout(cache, 0, (0,))
-    assert None not in sparse.plan((0,)).ix and cache.agg_t is None
+    assert not any(sparse.plan((0,)).batch.whole) and cache.agg_t is None
 
     model = dense_model()
     rng = np.random.default_rng(20)
     H = rng.normal(size=(model.n_kcs, 3))
     _, cache = model.begin("eval")
     for kcs in ((1, 3), (0,)):  # each plan's first layer is whole
-        assert model.plan(kcs).ix[0] is None
+        assert model.plan(kcs).batch.whole[1]
         _, mastery = model.stage1_predict(E.as_node(H), [1], [kcs], cache)
         if kcs == (1, 3):
             built = cache.agg_t
@@ -787,7 +788,7 @@ def read_out_batches(model, keys):
 def batch_layers(plans, n_layers):
     """Per read-out layer of a batch: 'whole' when every plan's output holds
     every KC, else 'gathered'."""
-    return ["whole" if all(p.ix[k] is None for p in plans) else "gathered"
+    return ["whole" if all(p.batch.whole[k + 1] for p in plans) else "gathered"
             for k in range(n_layers)]
 
 

@@ -10,7 +10,7 @@ import graphkt.model
 from graphkt import engine as E
 from graphkt.data import Response, ResponseSequence
 from graphkt.graphs import KcRelationGraphs
-from graphkt.gnn import gnn_forward_rows, readout_rows
+from graphkt.gnn import PlanBatch, gnn_forward_rows, readout_rows
 from graphkt.metrics import consistency
 from graphkt.model import (DT_CAP_MINUTES, BatchCache, GrktModel, HyperParams,
                            Step, trace_rows)
@@ -202,6 +202,46 @@ def test_gradient_check_through_one_readout_read_at_two_memories(monkeypatch):
                    if name.startswith(prefix)), prefix
 
 
+@pytest.mark.parametrize("dtype", ["int64", "bool", "float16", "complex128",
+                                   "no-such-type"])
+def test_hyperparams_reject_a_dtype_other_than_float32_or_float64(dtype):
+    with pytest.raises(ValueError, match="float32 or float64"):
+        HyperParams(dtype=dtype)
+    for ok in ("float32", "float64", np.float64):
+        assert HyperParams(dtype=ok).dtype == ok
+
+
+def test_a_second_pass_over_a_sequence_builds_no_batch_of_one(monkeypatch):
+    # batch-1 training runs each sequence with a fresh BatchCache per step:
+    # a plan keeps its batch of one, so once every KC set of the sequence
+    # has been seen no stage builds batch indices again
+    rng = np.random.default_rng(31)
+    hp = HyperParams(d_e=4, d_k=4, d_h=5, layers=2, seed=31)
+    model = GrktModel(hp, 12, 10, random_graphs(rng, 10, 6, 6))
+    force_learning(model)  # stage 3 propagates progress on every step
+    seq = random_sequence(rng, 12, 10, 15, max_kcs=3)
+    model.forward_sequence(seq, model.begin("train")[1])
+    sizes = []
+    init = PlanBatch.__init__
+
+    def spy(self, plans):
+        sizes.append(len(plans))
+        init(self, plans)
+
+    heads = []
+
+    def rows(spec, *rest):
+        heads.append(spec.name)
+        return gnn_forward_rows(spec, *rest)
+
+    monkeypatch.setattr(PlanBatch, "__init__", spy)
+    monkeypatch.setattr(graphkt.model, "gnn_forward_rows", rows)
+    model.forward_sequence(seq, model.begin("train")[1])
+    model.store.release()
+    assert {"gain", "loss", "prg"} <= set(heads)
+    assert 1 not in sizes
+
+
 def test_stage1_rejects_unknown_question(desk_model):
     _, cache = desk_model.begin("eval")
     with pytest.raises(ValueError, match="unknown question"):
@@ -340,7 +380,7 @@ def test_kernel_rates_run_on_the_all_kc_plan_without_gathering(monkeypatch,
     _, cache = model.begin("train")
     every_kc = model.plan(tuple(range(7)))
     assert calls == [("lrn", every_kc), ("fgt", every_kc)]
-    assert every_kc.ix == (None,) * layers
+    assert every_kc.batch.whole[1:] == (True,) * layers
     assert cache.learn_rates.value.shape == cache.forget_rates.value.shape \
         == (7, 4)
 
