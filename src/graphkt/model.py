@@ -793,7 +793,12 @@ class GrktModel:
                          seq_index: int = 0, emit_trace: bool = False,
                          disable_stage3: bool = False) -> SeqResult:
         """Predictions (and optionally a trace) over one sequence's real
-        steps: the recurrence over a batch of one."""
+        steps: the recurrence over a batch of one.
+
+        Nothing in the package calls it; training, evaluation, `trace` and
+        `gradcheck` run their batches through `steps`. It stays as the
+        batch-of-one API that the benchmark harness and the acceptance
+        tests call."""
         preds: list[tuple[E.Node, int]] = []
         trace = MasteryTrace(seq.student, seq_index) if emit_trace else None
         for t, step in enumerate(self.steps([seq.real()], cache,

@@ -40,7 +40,7 @@ class TrainConfig:
     drop_similarity: bool = False      # -SIM
     drop_prerequisite: bool = False    # -PRE; with -SIM, no graphs at all
     use_full_graphs: bool = False
-    min_cooccurrence: int = 10
+    min_cooccurrence: int = GraphBuildConfig.min_cooccurrence
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -102,26 +102,30 @@ def graphs_for_fold(ds: Dataset, fold: FoldSplit, cfg: TrainConfig) -> KcRelatio
     return apply_ablation(mined, cfg)
 
 
-def _lockstep(model: GrktModel, ds: Dataset, indices, cfg: TrainConfig,
-              cache, read) -> list:
+def lockstep(model: GrktModel, ds: Dataset, indices, disable_stage3: bool,
+             cache, read) -> list[list]:
     """`read(step, t)` for every step of the sequences at `indices`, run in
-    lockstep; the results come back per sequence, in the caller's order."""
+    lockstep; one list of results per sequence, in the caller's order."""
     per_seq: list[list] = [[] for _ in indices]
     steps = model.steps([ds.sequences[i].real() for i in indices], cache,
-                        cfg.disable_stage3)
+                        disable_stage3)
     for t, step in enumerate(steps):
         for b, item in zip(step.seqs, read(step, t)):
             per_seq[b].append(item)
-    return [item for items in per_seq for item in items]
+    return per_seq
 
 
 def _predictions(model: GrktModel, ds: Dataset, indices,
                  cfg: TrainConfig) -> list[tuple[float, int]]:
+    def read(step, t):
+        return [(float(p), r.correct)
+                for p, r in zip(step.a_hat.value, step.responses)]
+
     with E.no_grad():
         _, cache = model.begin("eval")
-        return _lockstep(model, ds, list(indices), cfg, cache, lambda step, t: [
-            (float(p), r.correct)
-            for p, r in zip(step.a_hat.value, step.responses)])
+        per_seq = lockstep(model, ds, list(indices), cfg.disable_stage3,
+                           cache, read)
+    return [pair for pairs in per_seq for pair in pairs]
 
 
 def evaluate(model: GrktModel, ds: Dataset, indices,
@@ -140,7 +144,9 @@ def evaluate(model: GrktModel, ds: Dataset, indices,
 
     with E.no_grad():
         _, cache = model.begin("eval")
-        rows = _lockstep(model, ds, list(indices), cfg, cache, read)
+        per_seq = lockstep(model, ds, list(indices), cfg.disable_stage3,
+                           cache, read)
+    rows = [row for seq_rows in per_seq for row in seq_rows]
     records = [rec for rec, _, _ in rows]
     pairs = [(r.score, r.label) for r in records]
     return metrics.ReasonabilityReport(

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline on a small synthetic corpus."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -545,3 +546,184 @@ def test_checkpoint_must_cover_the_data(pipeline, tmp_path, capsys):
         assert f"covers {ds.n_kcs + 1} KCs" in err
         assert f"the data has {ds.n_kcs} KCs" in err
         assert not (tmp_path / "runs").exists()
+
+
+# -- one settings table; defaults written once ---------------------------------
+
+# train's settings by config key, each a HyperParams or TrainConfig field;
+# the ablations go by the paper's names
+TRAIN_SETTINGS = {
+    **{name: (HyperParams, name) for name in (
+        "d_e", "d_k", "d_h", "layers", "lr", "l2", "eta", "seed",
+        "batch_size", "patience")},
+    **{name: (TrainConfig, name) for name in (
+        "max_epochs", "use_full_graphs", "min_cooccurrence")},
+    "no_lf": (TrainConfig, "disable_stage3"),
+    "no_sim": (TrainConfig, "drop_similarity"),
+    "no_pre": (TrainConfig, "drop_prerequisite"),
+}
+
+
+def test_settings_table_covers_every_field_but_dtype_and_hp():
+    covered = {(cls, name) for cls, name in TRAIN_SETTINGS.values()}
+    assert covered == {(cls, f.name) for cls, skip in (
+        (HyperParams, "dtype"), (TrainConfig, "hp"))
+        for f in dataclasses.fields(cls) if f.name != skip}
+
+
+@pytest.mark.parametrize("key", sorted(TRAIN_SETTINGS))
+def test_every_setting_is_both_a_train_flag_and_a_config_key(tmp_path, key):
+    cls, name = TRAIN_SETTINGS[key]
+    default = getattr(cls(), name)
+    # a valid value other than the default
+    value = True if isinstance(default, bool) else \
+        default + 1 if isinstance(default, int) else default / 2
+    flag = ["--" + key.replace("_", "-")]
+    if not isinstance(default, bool):
+        flag.append(str(value))
+    by_flag = _train_config(build_parser().parse_args(
+        ["train", "--data", "log.csv", *flag]))
+    assert getattr(by_flag.hp if cls is HyperParams else by_flag,
+                   name) == value
+    assert by_flag != TrainConfig()
+    _, args = _config_args(tmp_path, f"{key} = {value}\n")
+    assert _train_config(args) == by_flag
+
+
+def test_min_cooccurrence_flag_mines_as_the_config_key(pipeline, tmp_path):
+    data = str(pipeline / "synth" / "data.csv")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("min_cooccurrence = 2\n")
+    common = ["train", "--data", data, "--seq-len", "12", "--min-len", "4",
+              "--fold", "0", "--k", "3", "--val-frac", "0.2", "--d-e", "3",
+              "--d-k", "3", "--d-h", "4", "--layers", "1", "--max-epochs", "1"]
+    assert run(common + ["--config", str(cfg),
+                         "--out", str(tmp_path / "file")]) == 0
+    assert run(common + ["--min-cooccurrence", "2",
+                         "--out", str(tmp_path / "flag")]) == 0
+    resolved = [json.loads((tmp_path / run_ / "manifest.json").read_text())
+                ["train_config"] for run_ in ("file", "flag")]
+    assert resolved[0] == resolved[1] and resolved[0]["min_cooccurrence"] == 2
+    by_file, by_flag = (GrktModel.load(tmp_path / run_ / "checkpoint.npz")[0]
+                        for run_ in ("file", "flag"))
+    assert format_graphs(by_flag.graphs) == format_graphs(by_file.graphs)
+    # and not the graphs of the default threshold
+    ds = preprocess(ingest_csv(data), seq_len=12, min_len=4)
+    fold = make_folds(ds, k=3, val_frac=0.2, seed=0)[0]
+    assert format_graphs(by_flag.graphs) != format_graphs(build_graphs(
+        ds, GraphBuildConfig(eta=HyperParams().eta),
+        sequence_indices=[*fold.train, *fold.val]))
+
+
+def test_build_graphs_mines_at_train_s_defaults():
+    args = build_parser().parse_args(["build-graphs", "--data", "log.csv"])
+    assert (args.eta, args.min_cooccurrence) == (
+        TrainConfig().hp.eta, TrainConfig().min_cooccurrence)
+
+
+# -- trace and gradcheck run their sequences in lockstep -----------------------
+
+
+@pytest.fixture(scope="module")
+def short_sequences(pipeline, tmp_path_factory):
+    """A checkpoint trained on the pipeline corpus cut into sequences of at
+    most 6, so that a student has several."""
+    out = tmp_path_factory.mktemp("short") / "train"
+    assert run(["train", "--data", str(pipeline / "synth" / "data.csv"),
+                "--seq-len", "6", "--min-len", "4",
+                "--graphs", str(pipeline / "graphs" / "graphs.txt"),
+                "--out", str(out), "--seed", "1", "--fold", "0", "--k", "3",
+                "--val-frac", "0.2", "--d-e", "3", "--d-k", "3", "--d-h", "4",
+                "--layers", "1", "--max-epochs", "1"]) == 0
+    return out / "checkpoint.npz"
+
+
+def _traced_alone(checkpoint, data, indices):
+    """Trace rows of each sequence at `indices`, run alone."""
+    model, trained = GrktModel.load(checkpoint)
+    ds = preprocess(ingest_csv(data), seq_len=trained["seq_len"],
+                    min_len=trained["min_len"])
+    with E.no_grad():
+        _, cache = model.begin("eval")
+        return ds, [row for i in indices for row in trace_rows(
+            model.forward_sequence(ds.sequences[i], cache, seq_index=i,
+                                   emit_trace=True,
+                                   disable_stage3=trained["disable_stage3"])
+            .trace)]
+
+
+def test_trace_runs_a_students_sequences_in_one_lockstep_pass(
+        pipeline, short_sequences, tmp_path, monkeypatch):
+    data = pipeline / "synth" / "data.csv"
+    batches = []
+    steps = GrktModel.steps
+
+    def counted(self, sequences, *args, **kwargs):
+        batches.append(len(sequences))
+        return steps(self, sequences, *args, **kwargs)
+
+    monkeypatch.setattr(GrktModel, "steps", counted)
+    out = tmp_path / "trace"
+    assert run(["trace", "--data", str(data), "--checkpoint",
+                str(short_sequences), "--student", "s00003",
+                "--out", str(out)]) == 0
+    monkeypatch.undo()
+    traced = json.loads((out / "trace.json").read_text())
+    order = list(dict.fromkeys(r["seq_index"] for r in traced))
+    assert len(order) >= 2 and order == sorted(order)
+    assert batches == [len(order)]
+    ds, want = _traced_alone(short_sequences, data, order)
+    assert order == [i for i, s in enumerate(ds.sequences)
+                     if s.student == ds.students.to_dense["s00003"]]
+    assert len(traced) == len(want)
+    floats = ("mastery_pre", "mastery_post", "predicted")
+    for got, row in zip(traced, want):
+        assert {k: got[k] for k in got if k not in floats} == \
+            {k: row[k] for k in row if k not in floats}
+        for k in floats:
+            assert abs(got[k] - row[k]) <= 1e-12
+
+
+def test_trace_of_one_sequence_is_its_batch_of_one(pipeline, short_sequences,
+                                                   tmp_path):
+    data = pipeline / "synth" / "data.csv"
+    out = tmp_path / "trace"
+    assert run(["trace", "--data", str(data), "--checkpoint",
+                str(short_sequences), "--seq", "1", "--out", str(out)]) == 0
+    _, want = _traced_alone(short_sequences, data, [1])
+    assert (out / "trace.json").read_text() == json.dumps(want)
+
+
+def test_trace_of_a_student_without_sequences_fails(pipeline, tmp_path,
+                                                    capsys):
+    lines = (pipeline / "synth" / "data.csv").read_text().splitlines()
+    # two responses of a new student, to questions the checkpoint covers
+    late = [",".join(["late", *line.split(",")[1:]]) for line in lines[1:3]]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([*lines, *late]) + "\n")
+    assert run(["trace", "--data", str(data),
+                "--checkpoint", str(pipeline / "train" / "checkpoint.npz"),
+                "--student", "late", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: student 'late' has fewer responses than the checkpoint's "
+        "min_len (4): no sequence to trace\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_gradcheck_checks_a_lockstep_batch_of_uneven_lengths(tmp_path,
+                                                             monkeypatch):
+    lengths = []
+    steps = GrktModel.steps
+
+    def recorded(self, sequences, *args, **kwargs):
+        lengths.append([len(s) for s in sequences])
+        return steps(self, sequences, *args, **kwargs)
+
+    def alone(*args, **kwargs):
+        raise AssertionError("gradcheck ran a sequence alone")
+
+    monkeypatch.setattr(GrktModel, "steps", recorded)
+    monkeypatch.setattr(GrktModel, "forward_sequence", alone)
+    assert run(["gradcheck", "--out", str(tmp_path), "--coords", "25",
+                "--seed", "1"]) == 0
+    assert lengths and all(seen == [5, 3] for seen in lengths)
