@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -90,11 +91,18 @@ def _add_data_flags(p):
                    help="treat the timestamp column as an ordering rank")
 
 
+def _default(fn, name: str):
+    """The default of `fn`'s parameter `name`, so a flag that feeds it
+    states no default of its own."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def _add_preprocess_flags(p):
     """How `preprocess` cuts the log; eval and trace read it from the
     checkpoint."""
-    p.add_argument("--seq-len", type=int, default=100)
-    p.add_argument("--min-len", type=int, default=10)
+    for name in ("seq_len", "min_len"):
+        p.add_argument("--" + name.replace("_", "-"), type=int,
+                       default=_default(preprocess, name))
 
 
 # train's settings: every HyperParams field but dtype and every TrainConfig
@@ -372,6 +380,7 @@ def cmd_gradcheck(args) -> int:
     print(report.summary())
     with open(out / "gradcheck.json", "w", encoding="utf-8") as fh:
         json.dump({"passed": report.passed, "checked": report.n_checked,
+                   "atol_only": report.n_atol_only,
                    "skipped": report.n_skipped,
                    "max_rel_err": report.max_rel_err,
                    "groups": report.group_errors}, fh, indent=2)
@@ -407,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-cooccurrence", type=int,
                    default=GraphBuildConfig.min_cooccurrence)
     p.add_argument("--labels", help="expert-labeled relation CSV")
-    p.add_argument("--min-confidence", type=float, default=5.0)
+    p.add_argument("--min-confidence", type=float,
+                   default=_default(load_labeled_graphs, "min_confidence"))
     p.set_defaults(func=cmd_build_graphs)
 
     p = sub.add_parser("train", help="train on one fold or cross-validate",
@@ -418,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--graphs", help="pre-built graph file (default: mine)")
     p.add_argument("--fold", default="0", help="fold index or 'all'")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--val-frac", type=float, default=0.1)
+    p.add_argument("--k", type=int, default=_default(make_folds, "k"))
+    p.add_argument("--val-frac", type=float,
+                   default=_default(make_folds, "val_frac"))
     p.set_defaults(func=cmd_train)
 
     # eval and trace take the model, its relation graphs, its ablations and

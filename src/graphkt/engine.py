@@ -21,11 +21,11 @@ fast path for a 1-D index, with duplicate indices summed. Buffers backward
 allocates are therefore C-ordered. The index is rebuilt each time rather
 than stored; `SparseGrad` gives the memory figures behind that choice.
 
-A matmul's right-operand gradient `a^T @ g` is deferred (`RightProduct`):
-a weight multiplied once per response gets one product over all of its
-uses, with the left operands and output gradients concatenated along the
-row axis, when it leaves the recording, instead of one product and one
-full-size add per use. `backward` gives the order and the memory this holds.
+A matmul's right-operand gradient `a^T @ g` comes back as a
+`RightProduct`: `backward` multiplies it as it arrives and folds it into one
+running total per node, which joins the node's gradient when the node
+leaves the recording. A weight used once per response therefore holds one
+sum, not its uses' operands; `backward` gives the order.
 
 The sweep consumes the recording: each node leaves it as it is processed and
 drops its vjp edges and its gradient (the root keeps its gradient), so the
@@ -45,12 +45,13 @@ per response: `mlp` (an MLP head, relu(x W1 + terms) W2 + b2), `messages`
 stage-1 sum of gathered memory rows times gathered coefficient rows) and
 `forget` (stage-3 decay toward the initial memory). Each computes the
 chain's values in the chain's order, and its vjp (`_fused`) the chain's
-gradients: weight gradients stay deferred `RightProduct`s, gathered rows'
+gradients: weight gradients are `RightProduct`s, gathered rows'
 gradients `SparseGrad`s, and an adjacency's gradient goes through
 `_left_grad`, so backward's order and determinism are unchanged. The
-forward keeps what the vjp needs and the vjp builds the rest, so a no-grad
-pass builds no gradient-only array. They log the same ReLU and clamp masks
-to the smoothness digest as the primitives.
+forward keeps what the vjp cannot cheaply rebuild and the vjp builds the
+rest (`messages` and `readout` keep only their inputs), so a no-grad pass
+builds no gradient-only array. They log the same ReLU and clamp masks to
+the smoothness digest as the primitives.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ import functools
 import gc
 import hashlib
 import json
+import math
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -183,12 +185,18 @@ def _make(value: np.ndarray, edges) -> Node:
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
+    """Sum `grad` down to `shape` (inverse of numpy broadcasting).
+
+    Leading axes of size one, as a batch of one block has, are dropped by a
+    reshape: the sum over one entry is that entry, bit for bit.
+    """
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = grad.reshape(grad.shape[extra:]) \
+            if math.prod(grad.shape[:extra]) == 1 \
+            else grad.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -285,8 +293,11 @@ def _left_grad(g: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
 
 
 class RightProduct:
-    """A matmul's right-operand gradient `a^T @ g`, not yet multiplied;
-    `backward` holds these per node and reduces them with `reduce_products`.
+    """A matmul's right-operand gradient `a^T @ g`, not yet multiplied.
+
+    `backward` multiplies each pair as it arrives and folds it into one
+    running total per node (`_fold`), so it keeps the node's sum, not the
+    pair's operands.
     """
 
     __slots__ = ("a", "g")
@@ -296,26 +307,26 @@ class RightProduct:
         self.g = g
 
 
-def reduce_products(pairs: list[RightProduct], shape) -> np.ndarray:
-    """The sum of `a^T @ g` over `pairs`, summed down to `shape`.
+def _fold(total: np.ndarray | None, pair: RightProduct, shape) -> np.ndarray:
+    """`total` plus `pair`'s product summed down to `shape`.
 
-    A single pair is multiplied alone. Otherwise pairs whose operands have
-    the same leading (stack) axes are concatenated along the row axis, so
-    `sum_i a_i^T g_i` is one product per group, and the groups are added in
-    order of first appearance. The result is a fresh array.
+    The product is a fresh array, so the first pair's becomes the total and
+    later ones are added into it in place.
     """
-    if len(pairs) == 1:
-        p = pairs[0]
-        return _unbroadcast(p.a.swapaxes(-1, -2) @ p.g, shape)
-    groups: dict[tuple, list[RightProduct]] = {}
-    for p in pairs:
-        groups.setdefault((p.a.shape[:-2], p.g.shape[:-2]), []).append(p)
+    part = _unbroadcast(pair.a.swapaxes(-1, -2) @ pair.g, shape)
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+def reduce_products(pairs: list[RightProduct], shape) -> np.ndarray:
+    """The sum of `a^T @ g` over `pairs`, summed down to `shape`: one
+    product per pair, folded in order into a fresh array, exactly as
+    `backward` folds a node's pairs as they arrive."""
     total = None
-    for group in groups.values():
-        a = np.concatenate([p.a for p in group], axis=-2)
-        g = np.concatenate([p.g for p in group], axis=-2)
-        part = _unbroadcast(a.swapaxes(-1, -2) @ g, shape)
-        total = part if total is None else total + part
+    for p in pairs:
+        total = _fold(total, p, shape)
     return total
 
 
@@ -650,17 +661,17 @@ def readout(a, a_rows: np.ndarray, b, b_rows: np.ndarray) -> Node:
 
     `a_rows` and `b_rows` are (n, m) row indices into two nodes of d
     columns; the result is (n,). The gradients are `SparseGrad`s through
-    the raveled indices, as `gather_rows` gives them.
+    the raveled indices, as `gather_rows` gives them. The vjp gathers the
+    rows again rather than keeping them.
     """
     a, b = as_node(a), as_node(b)
-    a_val, b_val = a.value[a_rows], b.value[b_rows]
-    out = (a_val * b_val).sum(axis=(1, 2))
+    out = (a.value[a_rows] * b.value[b_rows]).sum(axis=(1, 2))
 
     def vjp(g, need):
         g = g[:, None, None]
-        return (SparseGrad(a_rows.reshape(-1), (g * b_val).reshape(
+        return (SparseGrad(a_rows.reshape(-1), (g * b.value[b_rows]).reshape(
                     a_rows.size, -1)) if need[0] else None,
-                SparseGrad(b_rows.reshape(-1), (g * a_val).reshape(
+                SparseGrad(b_rows.reshape(-1), (g * a.value[a_rows]).reshape(
                     b_rows.size, -1)) if need[1] else None)
 
     return _fused(out, (a, b), vjp)
@@ -717,6 +728,11 @@ def messages(feats, sub, w, o=None, n_blocks: int = 1) -> Node:
     against `sub`, a (K, G, m, n) batch of adjacency blocks or one
     (G, m, n) stack that every block shares, and the result has `feats`'
     layout with m rows per block. One block is a batch of one.
+
+    The node keeps only its inputs. The vjp recomputes `feats @ w_g` and,
+    with a feed-forward, the branch products and their ReLU mask, bit for
+    bit as the forward computed them, rather than holding these
+    (K, G, rows, d) arrays from the forward until backward.
     """
     feats, sub, w = as_node(feats), as_node(sub), as_node(w)
     o = None if o is None else as_node(o)
@@ -728,9 +744,8 @@ def messages(feats, sub, w, o=None, n_blocks: int = 1) -> Node:
     if o is not None:
         mask = branch > 0
         _log_mask(mask)
-        act = branch
-        act *= mask
-        branch = act @ o.value
+        branch *= mask
+        branch = branch @ o.value
     summed = branch.sum(axis=1)
     out = summed.reshape(-1, summed.shape[-1]) if feats.value.ndim == 2 \
         else summed
@@ -739,10 +754,14 @@ def messages(feats, sub, w, o=None, n_blocks: int = 1) -> Node:
     b_shape = branch.shape
 
     def vjp(g, need):
+        xw = x @ w.value
         g_branch = np.empty(b_shape, dtype=g.dtype)
         g_branch[...] = g.reshape(g_shape)
         g_o = None
         if o is not None:
+            act = sub.value @ xw
+            mask = act > 0
+            act *= mask
             g_o = RightProduct(act, g_branch)
             g_branch = g_branch @ o.value.swapaxes(-1, -2)
             g_branch *= mask
@@ -779,16 +798,12 @@ def backward(root: Node) -> None:
     into that buffer in place. Contributions arrive in reverse tape order, so
     the reduction order is fixed and gradients are bitwise deterministic.
 
-    A matmul's right-operand contribution arrives as a `RightProduct` and is
-    held, with its operands, until the node leaves the recording: its pairs
-    are then reduced with `reduce_products` and added after the node's other
-    contributions. Leaves are reduced after the sweep. The held operands are
-    the left operand's value (kept by the tape anyway) and the output
-    gradient, which would otherwise be freed at once; for weights used by
-    every response (`mlp.*`, `req`, the GNN stacks) they are held through
-    most of the sweep. On the benchmark's training steps (seed 1) the held
-    output gradients peaked at 20 MB on `paper`, mostly the GNN stacks'
-    (G, n, d) ones, and at 2 MB on `desk`.
+    A matmul's right-operand contribution arrives as a `RightProduct`. It is
+    multiplied at once and folded into one running total per node, in
+    arrival order, so its operands are freed as soon as they were used
+    (`reduce_products` is the same fold over a list). The total joins the
+    node's gradient after the node's other contributions, when the node
+    leaves the recording; leaves get theirs after the sweep.
 
     The sweep pops each node off the recording and drops its edges and,
     except for the root, its gradient, so the recording is empty afterwards
@@ -807,13 +822,12 @@ def backward(root: Node) -> None:
     # ids of nodes whose grad buffer backward allocated; no node is created
     # during the sweep, so a freed node's id is never reused by a live one
     owned: set[int] = set()
-    # id -> (node, its RightProducts in arrival order)
-    held: dict[int, tuple[Node, list[RightProduct]]] = {}
+    # id -> [node, the running total of its RightProducts]
+    totals: dict[int, list] = {}
     while tape:
         node = tape.pop()
-        if id(node) in held:
-            _accumulate(node, reduce_products(held.pop(id(node))[1],
-                                              node.value.shape), owned)
+        if id(node) in totals:
+            _accumulate(node, totals.pop(id(node))[1], owned)
         g, edges = node.grad, node.edges
         node.edges = ()
         if node is not root:
@@ -823,11 +837,12 @@ def backward(root: Node) -> None:
         for parent, vjp in edges:
             contrib = vjp(g)
             if type(contrib) is RightProduct:
-                held.setdefault(id(parent), (parent, []))[1].append(contrib)
+                entry = totals.setdefault(id(parent), [parent, None])
+                entry[1] = _fold(entry[1], contrib, parent.value.shape)
             else:
                 _accumulate(parent, contrib, owned)
-    for leaf, pairs in held.values():
-        _accumulate(leaf, reduce_products(pairs, leaf.value.shape), owned)
+    for leaf, total in totals.values():
+        _accumulate(leaf, total, owned)
 
 
 def _accumulate(parent: Node, contrib, owned: set[int]) -> None:
@@ -1003,10 +1018,15 @@ class ParameterStore:
 
 @dataclass
 class GradCheckReport:
+    """What `grad_check` compared. `n_atol_only` counts the checked
+    coordinates whose analytic and numeric gradients are both at most `atol`
+    in magnitude: they pass on `atol` alone and test no relative error."""
+
     tolerance: float
     n_checked: int
     n_skipped: int
     max_rel_err: float
+    n_atol_only: int = 0
     group_errors: dict[str, float] = field(default_factory=dict)
     failures: list[tuple[str, int, float]] = field(default_factory=list)
 
@@ -1018,7 +1038,8 @@ class GradCheckReport:
     def summary(self) -> str:
         lines = [
             f"gradient check: {'PASS' if self.passed else 'FAIL'} "
-            f"(checked={self.n_checked}, skipped={self.n_skipped}, "
+            f"(checked={self.n_checked}, atol_only={self.n_atol_only}, "
+            f"skipped={self.n_skipped}, "
             f"max_rel_err={self.max_rel_err:.3e}, tol={self.tolerance:.1e})"
         ]
         for name in sorted(self.group_errors):
@@ -1082,6 +1103,7 @@ def grad_check(store: ParameterStore, build_loss, rng,
         denom = max(abs(exact), abs(numeric))
         rel = 0.0 if diff <= atol else diff / max(denom, atol)
         report.n_checked += 1
+        report.n_atol_only += int(denom <= atol)
         report.max_rel_err = max(report.max_rel_err, rel)
         report.group_errors[name] = max(report.group_errors.get(name, 0.0), rel)
         if rel >= tolerance:

@@ -727,3 +727,34 @@ def test_gradcheck_checks_a_lockstep_batch_of_uneven_lengths(tmp_path,
     assert run(["gradcheck", "--out", str(tmp_path), "--coords", "25",
                 "--seed", "1"]) == 0
     assert lengths and all(seen == [5, 3] for seen in lengths)
+
+
+def test_gradcheck_reports_coordinates_that_pass_on_atol_alone(tmp_path,
+                                                                capsys):
+    assert run(["gradcheck", "--out", str(tmp_path), "--coords", "50",
+                "--seed", "0"]) == 0
+    doc = json.loads((tmp_path / "gradcheck.json").read_text())
+    assert 0 <= doc["atol_only"] < doc["checked"] == 50
+    assert f"atol_only={doc['atol_only']}," in capsys.readouterr().out
+
+
+def test_parser_defaults_are_the_library_defaults():
+    import inspect
+
+    from graphkt.graphs import load_labeled_graphs
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    want = {"seq_len": default(preprocess, "seq_len"),
+            "min_len": default(preprocess, "min_len")}
+    build = vars(build_parser().parse_args(["build-graphs", "--data", "x"]))
+    train = vars(build_parser().parse_args(["train", "--data", "x"]))
+    assert {name: build[name] for name in want} == want
+    assert build["min_confidence"] == default(load_labeled_graphs,
+                                              "min_confidence")
+    assert build["eta"] == HyperParams.eta
+    assert build["min_cooccurrence"] == GraphBuildConfig.min_cooccurrence
+    assert {name: train[name] for name in want} == want
+    assert (train["k"], train["val_frac"]) == (default(make_folds, "k"),
+                                               default(make_folds, "val_frac"))

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -992,6 +993,83 @@ def test_right_operand_products_group_by_leading_axes():
     single = E.reduce_products(pairs[1:2], (3, 2))
     assert np.array_equal(single, (np.swapaxes(pairs[1].a, -1, -2)
                                    @ pairs[1].g).sum(axis=0))
+
+
+# -- what backward holds ------------------------------------------------------
+
+
+def _backward_peak(n_uses: int, rows: int = 1000, d: int = 32) -> int:
+    """Traced bytes allocated at the peak of a backward through a weight
+    that `n_uses` matmuls share, each with a (rows, d) output gradient."""
+    rng = np.random.default_rng(60)
+    store = E.ParameterStore()
+    store.add("W", rng.normal(size=(d, d)))
+    x = E.as_node(rng.normal(size=(rows, d)))
+    bound = store.bind()
+    loss = E.sum_all(E.matmul(x, bound["W"]))
+    for _ in range(n_uses - 1):
+        loss = E.add(loss, E.sum_all(E.matmul(x, bound["W"])))
+    tracemalloc.start()
+    try:
+        store.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = n_uses * (x.value.T @ np.ones((rows, d)))
+    assert np.abs(store["W"].grad - want).max() <= 1e-12 * np.abs(want).max()
+    return peak
+
+
+def test_weight_gradient_uses_are_folded_as_they_arrive():
+    # each use's output gradient is 256 kB; holding them until the weight
+    # leaves the recording would make 64 uses peak about 8 times 8 uses
+    few, many = _backward_peak(8), _backward_peak(64)
+    grad_bytes = 1000 * 32 * 8
+    assert many <= few + grad_bytes // 4, (few, many)
+
+
+@pytest.mark.parametrize("layout", ["stacked", "batched"])
+@pytest.mark.parametrize("feed_forward", [False, True])
+def test_recorded_messages_keep_no_product_or_branch(layout, feed_forward):
+    # K = 3 blocks of n = 5 rows, G = 2 graphs, m = 4 output rows, widths
+    # 6 -> 7 -> 8: no input shares a shape with x @ w or a branch
+    rng = np.random.default_rng(61)
+    n_k, n_g, n_in, n_out = 3, 2, 5, 4
+    store = E.ParameterStore()
+    store.add("feats", rng.normal(size=(n_k, n_in, 6)))
+    store.add("sub", rng.normal(size=(n_k, n_g, n_out, n_in)))
+    store.add("w", rng.normal(size=(n_g, 6, 7)))
+    store.add("o", rng.normal(size=(n_g, 7, 8)))
+    bound = store.bind()
+    feats = bound["feats"] if layout == "batched" \
+        else E.reshape(bound["feats"], (n_k * n_in, 6))
+    node = E.messages(feats, bound["sub"], bound["w"],
+                      bound["o"] if feed_forward else None, n_blocks=n_k)
+    products = {(n_k, n_g, n_in, 7), (n_k, n_g, n_out, 7),
+                (n_k, n_g, n_out, 8)}
+
+    kept, seen = [], set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            kept.append(obj)
+            if obj.base is not None:
+                walk(obj.base)
+        elif isinstance(obj, E.Node):
+            walk(obj.value)  # an input: its edges are its own node's
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif callable(obj):
+            for cell in getattr(obj, "__closure__", None) or ():
+                walk(cell.cell_contents)
+
+    walk(node.edges)
+    assert kept and not [a.shape for a in kept if a.shape in products]
+    store.release()
 
 
 # -- softplus -----------------------------------------------------------------
