@@ -344,8 +344,8 @@ def cmd_gradcheck(args) -> int:
     if args.coords < 1:
         raise CliError(f"--coords {args.coords}: must be at least 1")
     out = _out_dir(args)
-    rng = np.random.default_rng(args.seed or 0)
-    hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=1, seed=args.seed or 0)
+    rng = np.random.default_rng(args.seed)
+    hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=1, seed=args.seed)
     n_kcs, n_questions = 6, 5
     graphs = KcRelationGraphs(
         n_kcs, {(0, 1): 0.9, (2, 3): 0.8}, {(1, 2): 0.7, (4, 5): 0.9})
@@ -374,7 +374,7 @@ def cmd_gradcheck(args) -> int:
                               for step in steps])
 
     report = E.grad_check(model.store, build_loss,
-                          np.random.default_rng(args.seed or 0),
+                          np.random.default_rng(args.seed),
                           n_coords=args.coords, h=1e-5,
                           tolerance=args.tolerance)
     print(report.summary())

@@ -7,12 +7,15 @@ parameter storage, Adam updates and a finite-difference gradient checker.
 
 `ParameterStore.bind` starts a linear recording of every grad-requiring
 node; `backward` is one reverse sweep over that recording, which must end at
-the loss. Gather vjps return a `SparseGrad` (index, values) instead of a
-zeroed full-size array, so backward pays for the rows a gather touched.
-`backward` adds in place only into gradient buffers it allocated itself, one
-per node, and always in reverse tape order; the reduction order is therefore
-fixed by tape construction order and two runs with identical inputs produce
-bitwise-identical gradients.
+the loss. Every vjp returns its contribution as an array, or, for a gather,
+as a `SparseGrad` (index, values) instead of a zeroed full-size array, so
+backward pays for the rows a gather touched. `backward` adds each
+contribution to its parent's gradient as it arrives, in place only into
+buffers it allocated itself, one per node, and always in reverse tape order;
+the reduction order is therefore fixed by tape construction order and two
+runs with identical inputs produce bitwise-identical gradients. A weight's
+gradient is multiplied per use and summed into its one buffer, so backward
+holds a sum per weight, not its uses' operands.
 
 `gather_submatrix` reads a block through one flat index into the raveled
 operand, so the block is C-contiguous, and its gradient is added with
@@ -20,12 +23,6 @@ operand, so the block is C-contiguous, and its gradient is added with
 fast path for a 1-D index, with duplicate indices summed. Buffers backward
 allocates are therefore C-ordered. The index is rebuilt each time rather
 than stored; `SparseGrad` gives the memory figures behind that choice.
-
-A matmul's right-operand gradient `a^T @ g` comes back as a
-`RightProduct`: `backward` multiplies it as it arrives and folds it into one
-running total per node, which joins the node's gradient when the node
-leaves the recording. A weight used once per response therefore holds one
-sum, not its uses' operands; `backward` gives the order.
 
 The sweep consumes the recording: each node leaves it as it is processed and
 drops its vjp edges and its gradient (the root keeps its gradient), so the
@@ -45,9 +42,9 @@ per response: `mlp` (an MLP head, relu(x W1 + terms) W2 + b2), `messages`
 stage-1 sum of gathered memory rows times gathered coefficient rows) and
 `forget` (stage-3 decay toward the initial memory). Each computes the
 chain's values in the chain's order, and its vjp (`_fused`) the chain's
-gradients: weight gradients are `RightProduct`s, gathered rows'
-gradients `SparseGrad`s, and an adjacency's gradient goes through
-`_left_grad`, so backward's order and determinism are unchanged. The
+gradients: weight gradients are products summed to the weight's shape,
+gathered rows' gradients `SparseGrad`s, and an adjacency's gradient goes
+through `_left_grad`, so backward's order and determinism are unchanged. The
 forward keeps what the vjp cannot cheaply rebuild and the vjp builds the
 rest (`messages` and `readout` keep only their inputs), so a no-grad pass
 builds no gradient-only array. They log the same ReLU and clamp masks to
@@ -263,13 +260,13 @@ def matmul(a, b) -> Node:
     """Matrix product; N-D operands multiply matrix stacks over leading axes.
 
     An operand with fewer or size-1 leading axes is broadcast, and its
-    gradient is summed back over them (see `_left_grad`).
+    gradient is summed back over them (see `_left_grad` and `_right_grad`).
     """
     a, b = as_node(a), as_node(b)
     val = a.value @ b.value
     return _make(val, (
         (a, lambda g: _left_grad(g, b.value, a.value.shape)),
-        (b, lambda g: RightProduct(a.value, g)),
+        (b, lambda g: _right_grad(a.value, g, b.value.shape)),
     ))
 
 
@@ -292,42 +289,9 @@ def _left_grad(g: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
     return _unbroadcast(g @ b.swapaxes(-1, -2), shape)
 
 
-class RightProduct:
-    """A matmul's right-operand gradient `a^T @ g`, not yet multiplied.
-
-    `backward` multiplies each pair as it arrives and folds it into one
-    running total per node (`_fold`), so it keeps the node's sum, not the
-    pair's operands.
-    """
-
-    __slots__ = ("a", "g")
-
-    def __init__(self, a: np.ndarray, g: np.ndarray):
-        self.a = a
-        self.g = g
-
-
-def _fold(total: np.ndarray | None, pair: RightProduct, shape) -> np.ndarray:
-    """`total` plus `pair`'s product summed down to `shape`.
-
-    The product is a fresh array, so the first pair's becomes the total and
-    later ones are added into it in place.
-    """
-    part = _unbroadcast(pair.a.swapaxes(-1, -2) @ pair.g, shape)
-    if total is None:
-        return part
-    total += part
-    return total
-
-
-def reduce_products(pairs: list[RightProduct], shape) -> np.ndarray:
-    """The sum of `a^T @ g` over `pairs`, summed down to `shape`: one
-    product per pair, folded in order into a fresh array, exactly as
-    `backward` folds a node's pairs as they arrive."""
-    total = None
-    for p in pairs:
-        total = _fold(total, p, shape)
-    return total
+def _right_grad(a: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
+    """A right operand's gradient `a^T @ g`, summed down to its `shape`."""
+    return _unbroadcast(a.swapaxes(-1, -2) @ g, shape)
 
 
 def transpose(a) -> Node:
@@ -599,7 +563,7 @@ def _fused(value: np.ndarray, parents, vjp) -> Node:
     """One node for a chain of ops over `parents`.
 
     `vjp(g, need)` returns the chain's contribution to every parent, in
-    order: an array, a `SparseGrad` or a `RightProduct`, or None where
+    order: an array or a `SparseGrad`, as any vjp returns, or None where
     `need` (one bool per parent) is False. Backward runs the node's edges
     one after the other with the same `g`: the first runs `vjp`, and each
     reads its own contribution. Without a recording input the node is the
@@ -648,9 +612,10 @@ def mlp(x, w1, terms, w2, b2) -> Node:
         g_pre = g @ w2.value.T
         g_pre *= mask
         return (g_pre @ w1.value.T if need[0] else None,
-                RightProduct(x.value, g_pre),
+                _right_grad(x.value, g_pre, w1.value.shape)
+                if need[1] else None,
                 *(_unbroadcast(g_pre, t.value.shape) for t in terms),
-                RightProduct(hidden, g),
+                _right_grad(hidden, g, w2.value.shape) if need[-2] else None,
                 _unbroadcast(g, b2.value.shape))
 
     return _fused(out, (x, w1, *terms, w2, b2), vjp)
@@ -761,8 +726,9 @@ def messages(feats, sub, w, o=None, n_blocks: int = 1) -> Node:
         if o is not None:
             act = sub.value @ xw
             mask = act > 0
-            act *= mask
-            g_o = RightProduct(act, g_branch)
+            if need[3]:
+                act *= mask
+                g_o = _right_grad(act, g_branch, o.value.shape)
             g_branch = g_branch @ o.value.swapaxes(-1, -2)
             g_branch *= mask
         g_xw = _unbroadcast(sub.value.swapaxes(-1, -2) @ g_branch, xw.shape)
@@ -776,7 +742,7 @@ def messages(feats, sub, w, o=None, n_blocks: int = 1) -> Node:
                        .swapaxes(-1, -2)).reshape(feats.value.shape)
         return (g_feats,
                 _left_grad(g_branch, xw, sub.value.shape) if need[1] else None,
-                RightProduct(x, g_xw), g_o)
+                _right_grad(x, g_xw, w.value.shape) if need[2] else None, g_o)
 
     return _fused(out, (feats, sub, w) if o is None else (feats, sub, w, o),
                   vjp)
@@ -791,19 +757,14 @@ def backward(root: Node) -> None:
 
     The recording must end at `root`: creation order is then a topological
     order (an op's inputs always exist before it), so one reverse pass
-    reaches every node after all of its consumers. A node's first dense
-    contribution is kept as is (it may be shared with other nodes); from its
-    second contribution on, or its first `SparseGrad`, the node gets a buffer
-    that backward allocates for it alone, and later contributions are added
-    into that buffer in place. Contributions arrive in reverse tape order, so
-    the reduction order is fixed and gradients are bitwise deterministic.
-
-    A matmul's right-operand contribution arrives as a `RightProduct`. It is
-    multiplied at once and folded into one running total per node, in
-    arrival order, so its operands are freed as soon as they were used
-    (`reduce_products` is the same fold over a list). The total joins the
-    node's gradient after the node's other contributions, when the node
-    leaves the recording; leaves get theirs after the sweep.
+    reaches every node after all of its consumers. Every edge's vjp returns
+    an array or a `SparseGrad`, and one rule adds it to the parent's
+    gradient as it arrives: a node's first dense contribution is kept as is
+    (it may be shared with other nodes); from its second contribution on, or
+    its first `SparseGrad`, the node gets a buffer that backward allocates
+    for it alone, and later contributions are added into that buffer in
+    place. Contributions arrive in reverse tape order, so the reduction order
+    is fixed and gradients are bitwise deterministic.
 
     The sweep pops each node off the recording and drops its edges and,
     except for the root, its gradient, so the recording is empty afterwards
@@ -822,12 +783,8 @@ def backward(root: Node) -> None:
     # ids of nodes whose grad buffer backward allocated; no node is created
     # during the sweep, so a freed node's id is never reused by a live one
     owned: set[int] = set()
-    # id -> [node, the running total of its RightProducts]
-    totals: dict[int, list] = {}
     while tape:
         node = tape.pop()
-        if id(node) in totals:
-            _accumulate(node, totals.pop(id(node))[1], owned)
         g, edges = node.grad, node.edges
         node.edges = ()
         if node is not root:
@@ -835,14 +792,7 @@ def backward(root: Node) -> None:
         if g is None:
             continue
         for parent, vjp in edges:
-            contrib = vjp(g)
-            if type(contrib) is RightProduct:
-                entry = totals.setdefault(id(parent), [parent, None])
-                entry[1] = _fold(entry[1], contrib, parent.value.shape)
-            else:
-                _accumulate(parent, contrib, owned)
-    for leaf, total in totals.values():
-        _accumulate(leaf, total, owned)
+            _accumulate(parent, vjp(g), owned)
 
 
 def _accumulate(parent: Node, contrib, owned: set[int]) -> None:

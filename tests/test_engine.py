@@ -664,9 +664,7 @@ def test_matmul_of_2d_operands_is_unchanged():
     (_, vjp_a), (_, vjp_b) = node.edges
     assert np.array_equal(node.value, a_val @ b_val)
     assert np.array_equal(vjp_a(g), g @ b_val.T)
-    # the right operand's product is deferred; one pair is multiplied alone
-    assert np.array_equal(E.reduce_products([vjp_b(g)], b_val.shape),
-                          a_val.T @ g)
+    assert np.array_equal(vjp_b(g), a_val.T @ g)
 
 
 def test_dense_and_sparse_contributions_match_dense_reference(monkeypatch):
@@ -851,7 +849,6 @@ def _reference_backward(root):
     """The sweep without consuming the recording, as an oracle."""
     root.grad = np.ones_like(root.value)
     owned = set()
-    held = {}  # id -> (node, its deferred right-operand products)
 
     def add(parent, contrib):
         grad = parent.grad
@@ -872,19 +869,10 @@ def _reference_backward(root):
             owned.add(id(parent))
 
     for node in reversed(E._TAPE):
-        if id(node) in held:
-            add(node, E.reduce_products(held.pop(id(node))[1],
-                                        node.value.shape))
         if node.grad is None:
             continue
         for parent, vjp in node.edges:
-            contrib = vjp(node.grad)
-            if type(contrib) is E.RightProduct:
-                held.setdefault(id(parent), (parent, []))[1].append(contrib)
-            else:
-                add(parent, contrib)
-    for leaf, pairs in held.values():
-        add(leaf, E.reduce_products(pairs, leaf.value.shape))
+            add(parent, vjp(node.grad))
 
 
 def test_backward_consumes_the_recording_and_keeps_leaf_grads_bitwise():
@@ -927,7 +915,7 @@ def test_backward_consumes_the_recording_and_keeps_leaf_grads_bitwise():
     model.store.release()
 
 
-# -- deferred right-operand products --------------------------------------------
+# -- right-operand products ---------------------------------------------------
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -979,20 +967,26 @@ def test_right_operand_products_reduce_to_the_per_pair_sum(dtype):
 
 
 def test_right_operand_products_group_by_leading_axes():
+    # a (3, 2) right operand's vjp, fed gradients with and without leading
+    # axes, sums each product down to (3, 2)
     rng = np.random.default_rng(22)
-    pairs = [E.RightProduct(rng.normal(size=a), rng.normal(size=g))
+    b = E.Node(rng.normal(size=(3, 2)), requires_grad=True)
+    pairs = [(rng.normal(size=a), rng.normal(size=g))
              for a, g in (((4, 3), (4, 2)), ((2, 4, 3), (2, 4, 2)),
                           ((1, 3), (1, 2)), ((5, 3), (2, 5, 2)),
                           ((2, 2, 3), (2, 2, 2)))]
-    got = E.reduce_products(pairs, (3, 2))
-    want = sum((np.swapaxes(p.a, -1, -2) @ p.g).reshape(-1, 3, 2).sum(axis=0)
-               for p in pairs)
-    assert got.shape == (3, 2)
+    parts = []
+    for a, g in pairs:
+        (_, vjp_b), = E.matmul(E.as_node(a), b).edges
+        parts.append(vjp_b(g))
+    assert all(part.shape == (3, 2) for part in parts)
+    got = sum(parts)
+    want = sum((np.swapaxes(a, -1, -2) @ g).reshape(-1, 3, 2).sum(axis=0)
+               for a, g in pairs)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    # a single pair is multiplied exactly as the plain vjp would
-    single = E.reduce_products(pairs[1:2], (3, 2))
-    assert np.array_equal(single, (np.swapaxes(pairs[1].a, -1, -2)
-                                   @ pairs[1].g).sum(axis=0))
+    # a stacked pair is multiplied and summed exactly as the plain product
+    a, g = pairs[1]
+    assert np.array_equal(parts[1], (np.swapaxes(a, -1, -2) @ g).sum(axis=0))
 
 
 # -- what backward holds ------------------------------------------------------
