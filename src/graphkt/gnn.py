@@ -29,14 +29,16 @@ L-hop supports. Seeded heads (gain/loss/progress) compute only those rows
 every KC. Both entry points run a `PlanBatch`, K plans at once on blocks
 padded to the batch's widest row sets, with padding rows kept exactly zero;
 a single plan is a batch of one, with no padding, and runs the same code.
-A batch builds each of its indices once, and a plan keeps its batch of
-one, so propagating a plan again does no index work. The neighbor union
-over P, S and R is symmetric, so the rows that feed the examined KCs
-within L hops are the rows they reach: the retrieval read-out walks the
-same plan from the examined KCs out to their support. A plan
-depends only on the graphs, the layer count and the KC set, so `GrktModel`,
-which owns the graphs, builds each one once and reuses it across stages,
-steps and evaluation passes.
+A batch builds each of its indices once. A plan keeps its batch of one,
+and the model's stages get their multi-plan batches from
+`model.BatchCache.plan_batch`, which hands an evaluation pass the batches
+of the pass before, so evaluating the same sequences again does no index
+work. The neighbor union over P, S and R is symmetric, so the rows that
+feed the examined KCs within L hops are the rows they reach: the retrieval
+read-out walks the same plan from the examined KCs out to their support. A
+plan depends only on the graphs, the layer count and the KC set, so
+`GrktModel`, which owns the graphs, builds each one once and reuses it
+across stages, steps and evaluation passes.
 
 A layer whose widest output row set in the batch holds every KC multiplies
 by the whole adjacency instead of gathering blocks of it: padding would make
@@ -227,6 +229,11 @@ class PlanBatch:
     block's padding rows get distinct KCs outside the plan's support, so
     the blocks scatter into memory without a padding row meeting a real
     one. `row_sets` are the KCs each layer covers over the whole batch.
+
+    A batch depends only on its plans. A batch of one lives with its plan
+    (`Plan.batch`); the model's multi-plan batches come from
+    `model.BatchCache.plan_batch`, which keeps an evaluation pass's batches
+    until the next pass has run.
     """
 
     def __init__(self, plans: Sequence[Plan]):

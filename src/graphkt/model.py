@@ -253,7 +253,7 @@ class QuestionTables:
             seed = E.mul(cache.w_h_row, E.as_node(
                 ((np.arange(n_seed.max()) < n_seed) / n_seed)[:, :, None]
                 .astype(dtype)))
-            batch = PlanBatch.of([plans[i] for i in members])
+            batch = cache.plan_batch([plans[i] for i in members])
             requirement = self.requirement if len(members) == n_keys \
                 else E.gather_rows(self.requirement, members)
             coef = readout_rows(model.specs["rtv"], seed, batch, cache.rtv_t,
@@ -346,6 +346,14 @@ class BatchCache:
     its step's keys (`keys`). A key `prepare` did not see is built when a
     step first needs it. Propagation plans do not depend on the parameters;
     `plan_out` fetches them from the model's own cache.
+
+    Nor do the multi-plan `PlanBatch`es the stages run (`plan_batch`). An
+    eval-mode cache reuses those of the model's previous eval-mode cache,
+    and its own replace them on the model, so the model holds one pass's
+    batches and a pass in progress one more. Every epoch validates the same
+    sequences, so each pass finds its batches built. A train-mode cache
+    builds its batches afresh: training batches are drawn at random, and
+    their groupings do not recur.
     """
 
     def __init__(self, model: "GrktModel", bound: dict[str, E.Node], mode: str):
@@ -405,19 +413,24 @@ class BatchCache:
         self._keys: dict[tuple, tuple[QuestionTables, int]] = {}
         self._batches: dict[tuple, KeyBatch] = {}
         self._tiled: dict = {}
+        self._plan_batches: dict[tuple[Plan, ...], PlanBatch] = {}
+        self._previous: dict[tuple[Plan, ...], PlanBatch] = {}
+        if mode == "eval":
+            self._previous = model._eval_batches
+            model._eval_batches = self._plan_batches
 
     # -- building ------------------------------------------------------------
 
     def prepare(self, responses: Sequence[Response]) -> None:
         """Build the question-side tables of the responses' keys that are
-        not built yet, as one batch in order of first appearance. Every
-        response's ids are checked first."""
-        for r in responses:
-            self.model._check_ids(r.question, r.kcs)
-        new = dict.fromkeys((r.question, r.kcs) for r in responses
-                            if (r.question, r.kcs) not in self._keys)
+        not built yet, as one batch in order of first appearance. Each new
+        key's ids are checked first, once."""
+        new = list(dict.fromkeys((r.question, r.kcs) for r in responses
+                                 if (r.question, r.kcs) not in self._keys))
+        for q, kcs in new:
+            self.model._check_ids(q, kcs)
         if new:
-            self._build(list(new))
+            self._build(new)
 
     def _build(self, keys: list[tuple[int, tuple]]) -> None:
         tables = QuestionTables(self, keys)
@@ -508,6 +521,18 @@ class BatchCache:
     def plan_out(self, kcs: tuple[int, ...]) -> Plan:
         return self.model.plan(kcs)
 
+    def plan_batch(self, plans: Sequence[Plan]) -> PlanBatch:
+        """`PlanBatch.of(plans)`; in eval mode, the batch of these plans
+        this pass or the previous one built, if either did. Plans live as
+        long as the model, so their identities key the batches."""
+        if self.mode == "train" or len(plans) == 1:
+            return PlanBatch.of(plans)
+        key = tuple(plans)
+        if key not in self._plan_batches:
+            found = self._previous.get(key)
+            self._plan_batches[key] = PlanBatch(key) if found is None else found
+        return self._plan_batches[key]
+
 
 @functools.lru_cache(maxsize=None)
 def _arange(n: int) -> np.ndarray:
@@ -553,6 +578,8 @@ class GrktModel:
             else init_parameters(hp, n_questions, n_kcs)
         # plans depend only on the graphs, the layer count and the KC set
         self._plans: dict[tuple[int, ...], Plan] = {}
+        # the multi-plan batches of the latest eval pass (`BatchCache`)
+        self._eval_batches: dict[tuple[Plan, ...], PlanBatch] = {}
 
     def plan(self, kcs: tuple[int, ...]) -> Plan:
         """The plan for `kcs`, built once; stages 1 and 2 share it."""
@@ -615,8 +642,8 @@ class GrktModel:
             if not blocks:
                 continue
             sel = _arange(n) if len(blocks) == n else np.array(blocks)
-            batch = PlanBatch.of(keys.plans if len(blocks) == n
-                                 else [keys.plans[b] for b in blocks])
+            batch = cache.plan_batch(keys.plans if len(blocks) == n
+                                     else [keys.plans[b] for b in blocks])
             seeds = batch.padded[0]
             feats = cache.mlp(
                 head, E.gather_rows(H, _block_rows(seeds, n_c, sel)),
@@ -683,8 +710,8 @@ class GrktModel:
                 p_all = E.mul(p_all, E.slice_cols(pi, 1, 2))
             per_block = learned.reshape(n, width)
             sel = np.flatnonzero(per_block.any(axis=1))
-            batch = PlanBatch.of([self.plan(tuple(cand[b, per_block[b]]
-                                                  .tolist())) for b in sel])
+            batch = cache.plan_batch([
+                self.plan(tuple(cand[b, per_block[b]].tolist())) for b in sel])
             seed_rows, _ = pad_ids([np.flatnonzero(per_block[b]) + b * width
                                     for b in sel])
             seed = _mask_padding(E.gather_rows(p_all, seed_rows.ravel()),

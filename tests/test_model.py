@@ -242,6 +242,95 @@ def test_a_second_pass_over_a_sequence_builds_no_batch_of_one(monkeypatch):
     assert 1 not in sizes
 
 
+def reuse_corpus(seed=71, dtype="float64"):
+    """Eight sequences of uneven lengths over 9 KCs, on a model whose
+    stage-3 gate always opens: every stage runs multi-plan batches."""
+    rng = np.random.default_rng(seed)
+    rows = [(s, r.question, r.kcs, r.correct, r.timestamp)
+            for s in range(8)
+            for r in random_sequence(rng, 6, 9, 6 + s, max_kcs=3).responses]
+    ds = make_dataset(rows, n_questions=6, n_kcs=9)
+    hp = HyperParams(d_e=4, d_k=4, d_h=5, layers=2, seed=seed, dtype=dtype)
+    model = randomize(GrktModel(hp, 6, 9, random_graphs(rng, 9, 6, 6)), 0.6,
+                      seed=seed + 1)
+    force_learning(model)
+    return ds, model, TrainConfig(hp=hp)
+
+
+def count_plan_batches(monkeypatch) -> list[int]:
+    """The plan count of every `PlanBatch` built from now on."""
+    built = []
+    init = PlanBatch.__init__
+
+    def spy(self, plans):
+        built.append(len(plans))
+        init(self, plans)
+
+    monkeypatch.setattr(PlanBatch, "__init__", spy)
+    return built
+
+
+def test_a_second_evaluation_pass_builds_no_plan_batch(monkeypatch):
+    ds, model, cfg = reuse_corpus()
+    built = count_plan_batches(monkeypatch)
+    first = evaluate(model, ds, range(8), cfg).to_dict()
+    assert any(size > 1 for size in built)
+    built.clear()
+    assert evaluate(model, ds, range(8), cfg).to_dict() == first
+    assert not built
+
+
+def test_train_mode_builds_its_plan_batches_afresh(monkeypatch):
+    ds, model, cfg = reuse_corpus()
+    evaluate(model, ds, range(8), cfg)  # every plan's batch of one exists
+    held, held_batches = model._eval_batches, dict(model._eval_batches)
+    built = count_plan_batches(monkeypatch)
+    counts = []
+    for _ in range(2):
+        built.clear()
+        _, cache = model.begin("train")
+        for _ in model.steps([seq.real() for seq in ds.sequences], cache):
+            pass
+        model.store.release()
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+    assert model._eval_batches is held and held == held_batches
+
+
+def test_the_model_holds_one_evaluation_pass_of_plan_batches():
+    first, second = range(0, 5), range(4, 8)
+
+    def held(model):
+        """The row sets of the plans of each batch the model holds."""
+        return sorted(tuple(p.row_sets for p in plans)
+                      for plans in model._eval_batches)
+
+    def fresh_pass(indices):
+        ds, model, cfg = reuse_corpus()
+        evaluate(model, ds, indices, cfg)
+        return held(model)
+
+    want_first, want_second = fresh_pass(first), fresh_pass(second)
+    assert want_first != want_second
+    ds, model, cfg = reuse_corpus()
+    evaluate(model, ds, first, cfg)
+    assert held(model) == want_first
+    keys = set(model._eval_batches)
+    evaluate(model, ds, second, cfg)
+    assert held(model) == want_second
+    for _ in range(3):
+        evaluate(model, ds, first, cfg)
+        assert held(model) == want_first
+        assert set(model._eval_batches) == keys
+
+
+def test_float32_evaluation_passes_report_identically():
+    ds, model, cfg = reuse_corpus(dtype="float32")
+    assert model.store.dtype == np.float32
+    first = evaluate(model, ds, range(8), cfg).to_dict()
+    assert evaluate(model, ds, range(8), cfg).to_dict() == first
+
+
 def test_stage1_rejects_unknown_question(desk_model):
     _, cache = desk_model.begin("eval")
     with pytest.raises(ValueError, match="unknown question"):
@@ -284,6 +373,28 @@ def test_prepare_checks_every_id_before_building_a_table(desk_model,
     assert not built  # the good keys were not built either
     cache.prepare(good)
     assert sum(len(args[2]) for args in built) == 2
+
+
+def test_prepare_checks_each_new_key_once(desk_model, monkeypatch):
+    checked = []
+    check = desk_model._check_ids
+    monkeypatch.setattr(desk_model, "_check_ids",
+                        lambda q, kcs: checked.append((q, kcs)) or check(q, kcs))
+    _, cache = desk_model.begin("eval")
+    a, b, c = (Response(0, (0,), 1, 0), Response(2, (1, 3), 0, 30),
+               Response(1, (2,), 1, 60))
+    cache.prepare([a, b, a, b, c, a])
+    assert checked == [(0, (0,)), (2, (1, 3)), (1, (2,))]
+    cache.prepare([b, Response(4, (5,), 0, 90), c])
+    assert checked[3:] == [(4, (5,))]
+
+
+def test_prepare_names_the_first_bad_response_among_repeated_keys(desk_model):
+    _, cache = desk_model.begin("eval")
+    good = [Response(0, (0,), 1, 0), Response(2, (1, 3), 0, 30)]
+    with pytest.raises(ValueError, match="unknown KC id 7$"):
+        cache.prepare([*good, Response(1, (2, 7), 0, 60), *good,
+                       Response(9, (1,), 0, 90)])
 
 
 def test_repeated_and_unsorted_kcs_predict_bitwise_as_the_kc_set():
