@@ -31,14 +31,15 @@ from .data import ColumnSchema, Response, ingest_csv, make_folds, preprocess
 from .graphs import (GRAPH_VERSION, GraphBuildConfig, KcRelationGraphs,
                      build_graphs, export_graphs, import_graphs,
                      load_labeled_graphs)
-from .model import (BatchCache, GrktModel, HyperParams, MasteryTrace,
-                    trace_rows)
+from .model import BatchCache, GrktModel, HyperParams
 from .synth import SynthConfig, generate, write_csv, write_ground_truth
 from .train import (TrainConfig, bce_loss_node, cross_validate, evaluate,
                     lockstep, train_fold)
 
 FORMAT_VERSIONS = {"graphs": GRAPH_VERSION,
                    "checkpoint": E.ParameterStore.VERSION, "manifest": 1}
+TRACE_FIELDS = ("student", "seq_index", "step", "timestamp", "kc",
+                "mastery_pre", "mastery_post", "predicted", "correct")
 
 
 class CliError(RuntimeError):
@@ -320,17 +321,18 @@ def cmd_trace(args) -> int:
         indices = [args.seq]
     out = _out_dir(args)
 
-    with E.no_grad():  # every selected sequence in one lockstep pass
-        _, cache = model.begin("eval")
-        traced = lockstep(model, ds, indices, run["disable_stage3"], cache,
-                          lambda step, t: model.trace_step(step, t, cache))
-    rows = [row for idx, steps in zip(indices, traced) for row in trace_rows(
-        MasteryTrace(ds.sequences[idx].student, idx, steps))]
+    # every selected sequence in one lockstep pass; one row per (step, KC)
+    pre, post, scores = lockstep(model, ds, indices, run["disable_stage3"],
+                                 "pre", "post", "scores")
+    responses = [(ds.sequences[i].student, i, t, r.timestamp, r.correct)
+                 for i in indices for t, r in enumerate(ds.sequences[i].real())]
+    rows = [dict(zip(TRACE_FIELDS, (*head, kc, p, q, score, correct)))
+            for (*head, correct), score, ps, qs in zip(
+                responses, scores.tolist(), pre.tolist(), post.tolist())
+            for kc, (p, q) in enumerate(zip(ps, qs))]
 
     with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "student", "seq_index", "step", "timestamp", "kc",
-            "mastery_pre", "mastery_post", "predicted", "correct"])
+        writer = csv.DictWriter(fh, fieldnames=TRACE_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     with open(out / "trace.json", "w", encoding="utf-8") as fh:

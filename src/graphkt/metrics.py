@@ -46,12 +46,12 @@ class ReasonabilityReport:
 
 
 def auc(pairs) -> float:
-    """Rank-based AUC; tied scores get half credit.
+    """Rank-based AUC of a list of (score, label) pairs or an (n, 2) array;
+    tied scores get half credit.
 
     Raises UndefinedMetric when only one class is present.
     """
-    scores = np.asarray([p[0] for p in pairs], dtype=np.float64)
-    labels = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    scores, labels = np.asarray(pairs, dtype=np.float64).reshape(-1, 2).T
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -66,31 +66,35 @@ def auc(pairs) -> float:
 
 
 def accuracy(pairs) -> float:
-    """Fraction of responses where (score >= 0.5) matches the label."""
-    pairs = list(pairs)
-    if not pairs:
+    """Fraction of responses where (score >= 0.5) matches the label, over a
+    list of (score, label) pairs or an (n, 2) array."""
+    scores, labels = np.asarray(pairs, dtype=np.float64).reshape(-1, 2).T
+    if not scores.size:
         raise ValueError("accuracy of an empty set is undefined")
-    hits = sum(1 for score, label in pairs
-               if (1 if score >= 0.5 else 0) == label)
-    return hits / len(pairs)
+    return int(((scores >= 0.5) == labels).sum()) / scores.size
+
+
+def consistency_ratios(pre, post, examined) -> np.ndarray:
+    """Per row of (n, C) masteries around an update, the share of KCs whose
+    mastery did not increase; NaN unless an `examined` KC strictly fell."""
+    qualifies = (examined & (pre > post)).any(axis=1)
+    return np.where(qualifies, (pre >= post).sum(axis=1) / pre.shape[1],
+                    np.nan)
 
 
 def step_consistency(step) -> float | None:
-    """Share of all KCs whose mastery did not increase across one update.
-
-    Only a step where some examined KC's mastery strictly declines
-    qualifies; any other step has no ratio (None).
-    """
-    pre = np.asarray(step.pre, dtype=np.float64)
-    post = np.asarray(step.post, dtype=np.float64)
-    if not any(pre[c] > post[c] for c in step.examined):
-        return None
-    return int((pre >= post).sum()) / pre.size
+    """`consistency_ratios` of one traced step; None when it does not
+    qualify."""
+    examined = np.isin(np.arange(len(step.pre)), step.examined)
+    ratio = consistency_ratios(*np.atleast_2d(step.pre, step.post, examined))[0]
+    return None if np.isnan(ratio) else float(ratio)
 
 
 def mean_consistency(ratios) -> float:
-    """Mean of the qualifying ratios; 1.0 (vacuously) when there are none."""
-    kept = [r for r in ratios if r is not None]
+    """Mean of the qualifying ratios, summed in order; a step with no ratio
+    is None or NaN. 1.0 (vacuously) when there are none."""
+    ratios = np.asarray(ratios, dtype=np.float64)
+    kept = ratios[~np.isnan(ratios)].tolist()
     return sum(kept) / len(kept) if kept else 1.0
 
 
@@ -98,7 +102,7 @@ def consistency(traces) -> float:
     """Mean fraction of KCs moving consistently at qualifying updates, over
     mastery traces or their steps."""
     steps = (s for item in traces for s in getattr(item, "steps", [item]))
-    return mean_consistency(map(step_consistency, steps))
+    return mean_consistency([step_consistency(s) for s in steps])
 
 
 def gaucm(records) -> float:
@@ -107,11 +111,15 @@ def gaucm(records) -> float:
     Questions whose answers are all one class have no AUC and are excluded
     from both the numerator and the weight total. One lexsort by (question,
     mastery) ranks every question's answers at once, tied masteries sharing
-    their block's average rank, as `auc` ranks them.
+    their block's average rank, as `auc` ranks them. `records` may also be
+    one EvalRecord whose fields are arrays, one entry per response.
     """
-    question = np.fromiter((r.question for r in records), np.int64)
-    mastery = np.fromiter((r.mastery for r in records), np.float64)
-    label = np.fromiter((r.label for r in records), np.int64)
+    question, mastery, label = (
+        np.asarray(getattr(records, name), dtype)
+        if isinstance(records, EvalRecord)
+        else np.fromiter((getattr(r, name) for r in records), dtype)
+        for name, dtype in (("question", np.int64), ("mastery", np.float64),
+                            ("label", np.int64)))
     order = np.lexsort((mastery, question))
     question, mastery, label = question[order], mastery[order], label[order]
     n = len(order)

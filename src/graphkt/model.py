@@ -43,9 +43,9 @@ op chain per step over every block, on index sets padded to common widths
 update lands on a row outside its block's support, so each sequence's
 memory equals that of the sequence run alone up to rounding, and its rows
 outside the support are untouched. One sequence is a batch of one, with no
-padding and the ops of a single-sequence pass. Sequence predictions, mastery
-traces, re-ask probes and training batches all consume its per-step
-records.
+padding and the ops of a single-sequence pass. Training batches consume its
+per-step records; evaluation, validation and traces read each as arrays
+(`StepArrays`).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import engine as E
+from . import metrics
 from .data import Response, ResponseSequence
 from .gnn import (GnnSpec, GraphTensors, Plan, PlanBatch, gnn_forward_rows,
                   make_specs, pad_ids, plan_outward, readout_rows)
@@ -791,31 +792,6 @@ class GrktModel:
         return H if H.value.shape[0] == n_rows \
             else E.gather_rows(H, slice(0, n_rows))
 
-    def trace_step(self, step: Step, t: int,
-                   cache: BatchCache) -> list[TraceStep]:
-        """Per-KC mastery around the strengthening update of step `t`, one
-        TraceStep per response of the step."""
-        n = len(step.responses)
-        pre = self._mastery(step.before, n, cache)
-        post = self._mastery(step.after, n, cache)
-        scores = step.a_hat.value
-        return [TraceStep(examined=r.kcs, pre=pre[b], post=post[b], step=t,
-                          timestamp=r.timestamp, predicted=float(scores[b]),
-                          correct=r.correct)
-                for b, r in enumerate(step.responses)]
-
-    def reask(self, step: Step, cache: BatchCache) -> list[tuple[float, int]]:
-        """Score each question of the step asked again right after its
-        response.
-
-        A counterfactual probe: it reads the strengthened memory and changes
-        nothing. Returns (score, observed correctness) per response.
-        """
-        rs = step.responses
-        again, _ = self.stage1_predict(step.after, [r.question for r in rs],
-                                       [r.kcs for r in rs], cache)
-        return [(float(s), r.correct) for s, r in zip(again.value, rs)]
-
     def forward_sequence(self, seq: ResponseSequence, cache: BatchCache,
                          seq_index: int = 0, emit_trace: bool = False,
                          disable_stage3: bool = False) -> SeqResult:
@@ -832,12 +808,11 @@ class GrktModel:
                                             disable_stage3)):
             preds.append((step.a_hat, step.responses[0].correct))
             if trace is not None:
-                trace.steps.extend(self.trace_step(step, t, cache))
+                r, read = step.responses[0], StepArrays(self, step, cache)
+                trace.steps.append(TraceStep(
+                    r.kcs, read.pre[0], read.post[0], t, r.timestamp,
+                    float(read.scores[0]), r.correct))
         return SeqResult(preds=preds, trace=trace)
-
-    def _mastery(self, H: E.Node, n: int, cache: BatchCache) -> np.ndarray:
-        """(n, C) per-KC mastery of n memory blocks."""
-        return (H.value @ cache.w_h_col.value).reshape(n, self.n_kcs)
 
     # -- persistence --------------------------------------------------------
 
@@ -877,20 +852,48 @@ class GrktModel:
             raise ValueError(f"{path}: malformed model fields ({exc})") from None
 
 
-def trace_rows(trace: MasteryTrace) -> list[dict]:
-    """Flatten a trace to plot-ready rows, one per (step, KC)."""
-    rows = []
-    for step in trace.steps:
-        for c in range(len(step.pre)):
-            rows.append({
-                "student": trace.student,
-                "seq_index": trace.seq_index,
-                "step": step.step,
-                "timestamp": step.timestamp,
-                "kc": c,
-                "mastery_pre": float(step.pre[c]),
-                "mastery_post": float(step.post[c]),
-                "predicted": step.predicted,
-                "correct": step.correct,
-            })
-    return rows
+class StepArrays:
+    """One lockstep `Step` read as arrays, row b for the step's response b.
+
+    Evaluation, validation, `graphkt trace` and `forward_sequence`'s trace
+    all read a step through it. The arrays past stage 1's outputs are
+    computed when first read, so a reader pays for what it reads.
+    """
+
+    def __init__(self, model: GrktModel, step: Step, cache: BatchCache):
+        self.model, self.step, self.cache = model, step, cache
+        self.scores = step.a_hat.value     # (n,) stage-1 P(correct)
+        self.mastery = step.mastery.value  # (n,) stage-1 examined mastery
+        self.labels, self.questions = np.array(
+            [(r.correct, r.question) for r in step.responses], np.int64).T
+
+    def _per_kc(self, H: E.Node) -> np.ndarray:
+        return (H.value @ self.cache.w_h_col.value).reshape(
+            len(self.scores), self.model.n_kcs)
+
+    # (n, C) per-KC mastery before and after the strengthening update
+    pre = functools.cached_property(lambda self: self._per_kc(self.step.before))
+    post = functools.cached_property(lambda self: self._per_kc(self.step.after))
+    # (n,) each response's consistency ratio, NaN where it does not qualify
+    consistency = functools.cached_property(
+        lambda self: metrics.consistency_ratios(self.pre, self.post,
+                                                self.examined))
+
+    @functools.cached_property
+    def examined(self) -> np.ndarray:
+        """(n, C) mask of each response's KCs."""
+        kc_sets = [r.kcs for r in self.step.responses]
+        mask = np.zeros((len(kc_sets), self.model.n_kcs), dtype=bool)
+        mask[np.repeat(np.arange(len(kc_sets)), [len(k) for k in kc_sets]),
+             [c for k in kc_sets for c in k]] = True
+        return mask
+
+    @functools.cached_property
+    def reask(self) -> np.ndarray:
+        """(n,) each question's score asked again right after its response:
+        a counterfactual probe, reading the strengthened memory."""
+        rs = self.step.responses
+        again, _ = self.model.stage1_predict(
+            self.step.after, [r.question for r in rs], [r.kcs for r in rs],
+            self.cache)
+        return again.value

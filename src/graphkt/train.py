@@ -22,7 +22,7 @@ from . import engine as E
 from . import metrics
 from .data import Dataset, FoldSplit, make_folds
 from .graphs import GraphBuildConfig, KcRelationGraphs, build_graphs
-from .model import GrktModel, HyperParams
+from .model import GrktModel, HyperParams, StepArrays
 
 
 class TrainingDiverged(RuntimeError):
@@ -103,58 +103,45 @@ def graphs_for_fold(ds: Dataset, fold: FoldSplit, cfg: TrainConfig) -> KcRelatio
 
 
 def lockstep(model: GrktModel, ds: Dataset, indices, disable_stage3: bool,
-             cache, read) -> list[list]:
-    """`read(step, t)` for every step of the sequences at `indices`, run in
-    lockstep; one list of results per sequence, in the caller's order."""
-    per_seq: list[list] = [[] for _ in indices]
-    steps = model.steps([ds.sequences[i].real() for i in indices], cache,
-                        disable_stage3)
-    for t, step in enumerate(steps):
-        for b, item in zip(step.seqs, read(step, t)):
-            per_seq[b].append(item)
-    return per_seq
+             *columns: str) -> list[np.ndarray]:
+    """The named `StepArrays` columns of every response at `indices`, from
+    one no-grad lockstep pass, sequence by sequence in the caller's order."""
+    parts, seqs = [[] for _ in columns], []
+    with E.no_grad():
+        _, cache = model.begin("eval")
+        for step in model.steps([ds.sequences[i].real() for i in indices],
+                                cache, disable_stage3):
+            read = StepArrays(model, step, cache)
+            for name, part in zip(columns, parts):
+                part.append(getattr(read, name))
+            seqs.extend(step.seqs)
+    order = np.argsort(np.asarray(seqs, dtype=np.int64), kind="stable")
+    return [np.concatenate(part)[order] if part else np.zeros(0)
+            for part in parts]
 
 
 def _predictions(model: GrktModel, ds: Dataset, indices,
-                 cfg: TrainConfig) -> list[tuple[float, int]]:
-    def read(step, t):
-        return [(float(p), r.correct)
-                for p, r in zip(step.a_hat.value, step.responses)]
-
-    with E.no_grad():
-        _, cache = model.begin("eval")
-        per_seq = lockstep(model, ds, list(indices), cfg.disable_stage3,
-                           cache, read)
-    return [pair for pairs in per_seq for pair in pairs]
+                 cfg: TrainConfig) -> np.ndarray:
+    """(n, 2) (score, label) rows of every response at `indices`."""
+    return np.column_stack(lockstep(model, ds, indices, cfg.disable_stage3,
+                                    "scores", "labels"))
 
 
 def evaluate(model: GrktModel, ds: Dataset, indices,
              cfg: TrainConfig) -> metrics.ReasonabilityReport:
     """All five metrics over the given sequences, from one lockstep pass of
     the recurrence."""
-
-    def read(step, t):
-        # each step's consistency, taken as soon as it is traced
-        return [(metrics.EvalRecord(score=trace.predicted, label=r.correct,
-                                    question=r.question, mastery=float(m)),
-                 metrics.step_consistency(trace), again)
-                for r, trace, m, again in zip(
-                    step.responses, model.trace_step(step, t, cache),
-                    step.mastery.value, model.reask(step, cache))]
-
-    with E.no_grad():
-        _, cache = model.begin("eval")
-        per_seq = lockstep(model, ds, list(indices), cfg.disable_stage3,
-                           cache, read)
-    rows = [row for seq_rows in per_seq for row in seq_rows]
-    records = [rec for rec, _, _ in rows]
-    pairs = [(r.score, r.label) for r in records]
+    scores, labels, questions, mastery, reask, ratios = lockstep(
+        model, ds, indices, cfg.disable_stage3, "scores", "labels",
+        "questions", "mastery", "reask", "consistency")
+    pairs = np.column_stack((scores, labels))
     return metrics.ReasonabilityReport(
         auc=metrics.auc(pairs),
         acc=metrics.accuracy(pairs),
-        consistency=metrics.mean_consistency([ratio for _, ratio, _ in rows]),
-        gaucm=metrics.gaucm(records),
-        repetition=metrics.accuracy([again for _, _, again in rows]),
+        consistency=metrics.mean_consistency(ratios),
+        gaucm=metrics.gaucm(metrics.EvalRecord(
+            score=scores, label=labels, question=questions, mastery=mastery)),
+        repetition=metrics.accuracy(np.column_stack((reask, labels))),
     )
 
 
@@ -204,13 +191,13 @@ def train_fold(ds: Dataset, fold: FoldSplit, cfg: TrainConfig,
             n_steps += n_preds
         report.train_losses.append(epoch_loss / max(n_steps, 1))
 
-        val_pairs = _predictions(model, ds, fold.val, cfg)
+        val = _predictions(model, ds, fold.val, cfg)
         try:
-            val_auc = metrics.auc(val_pairs)
+            val_auc = metrics.auc(val)
         except (metrics.UndefinedMetric, ValueError):
             val_auc = 0.5  # degenerate validation set: no early-stop signal
         report.val_auc.append(val_auc)
-        report.val_acc.append(metrics.accuracy(val_pairs) if val_pairs else 0.0)
+        report.val_acc.append(metrics.accuracy(val) if len(val) else 0.0)
 
         if val_auc > report.best_val_auc:
             report.best_val_auc = val_auc

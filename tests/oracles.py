@@ -18,6 +18,7 @@ from graphkt.data import Dataset, Response
 from graphkt.graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
                             PairCounts, build_graphs, pair_counts)
 from graphkt.metrics import UndefinedMetric, accuracy, auc
+from graphkt.model import MasteryTrace, StepArrays
 
 
 # -- learned scores and projections -------------------------------------------
@@ -253,12 +254,13 @@ def predict_next(model, history, q_next: int, kcs_next, t_next: int, cache,
 
 
 def reask_scores(model, seq, disable_stage3: bool = False):
-    """Counterfactual immediate re-ask of each answered question."""
+    """Counterfactual immediate re-ask of each answered question: (score,
+    observed correctness) per response."""
     with E.no_grad():
         _, cache = model.begin("eval")
-        return [pair
-                for step in model.steps([seq.real()], cache, disable_stage3)
-                for pair in model.reask(step, cache)]
+        return [(float(StepArrays(model, step, cache).reask[0]),
+                 step.responses[0].correct)
+                for step in model.steps([seq.real()], cache, disable_stage3)]
 
 
 class Reasker:
@@ -269,6 +271,26 @@ class Reasker:
 
     def reask_scores(self, seq, disable_stage3: bool = False):
         return reask_scores(self.model, seq, disable_stage3)
+
+
+def trace_rows(trace: MasteryTrace) -> list[dict]:
+    """Flatten a trace to plot-ready rows, one per (step, KC): the rows
+    `graphkt trace` writes."""
+    rows = []
+    for step in trace.steps:
+        for c in range(len(step.pre)):
+            rows.append({
+                "student": trace.student,
+                "seq_index": trace.seq_index,
+                "step": step.step,
+                "timestamp": step.timestamp,
+                "kc": c,
+                "mastery_pre": float(step.pre[c]),
+                "mastery_post": float(step.post[c]),
+                "predicted": step.predicted,
+                "correct": step.correct,
+            })
+    return rows
 
 
 # -- loss and metrics ---------------------------------------------------------

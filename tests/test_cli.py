@@ -1,7 +1,9 @@
 """End-to-end command-line pipeline on a small synthetic corpus."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -13,8 +15,9 @@ from graphkt.cli import CliError, _train_config, build_parser, run
 from graphkt.data import ingest_csv, make_folds, preprocess
 from graphkt.graphs import (GRAPH_VERSION, GraphBuildConfig, KcRelationGraphs,
                             build_graphs, format_graphs, import_graphs)
-from graphkt.model import GrktModel, HyperParams, trace_rows
+from graphkt.model import GrktModel, HyperParams
 from graphkt.train import TrainConfig
+from tests.oracles import trace_rows
 from tests.test_engine import REJECTED_CHECKPOINTS
 
 
@@ -692,6 +695,35 @@ def test_trace_of_one_sequence_is_its_batch_of_one(pipeline, short_sequences,
                 str(short_sequences), "--seq", "1", "--out", str(out)]) == 0
     _, want = _traced_alone(short_sequences, data, [1])
     assert (out / "trace.json").read_text() == json.dumps(want)
+
+
+def test_trace_of_a_student_writes_the_oracle_rows(pipeline, short_sequences,
+                                                   tmp_path):
+    # a student with sequences of uneven length: trace.csv and trace.json
+    # hold, byte for byte, the oracle's rows over each sequence run alone
+    data = pipeline / "synth" / "data.csv"
+    model, trained = GrktModel.load(short_sequences)
+    ds = preprocess(ingest_csv(data), seq_len=trained["seq_len"],
+                    min_len=trained["min_len"])
+    by_student = {}
+    for i, seq in enumerate(ds.sequences):
+        by_student.setdefault(seq.student, []).append(i)
+    sid, indices = next(
+        (sid, indices) for sid, indices in sorted(by_student.items())
+        if len({ds.sequences[i].valid_len for i in indices}) > 1)
+    out = tmp_path / "trace"
+    assert run(["trace", "--data", str(data), "--checkpoint",
+                str(short_sequences), "--student",
+                ds.students.from_dense[sid], "--out", str(out)]) == 0
+    _, want = _traced_alone(short_sequences, data, indices)
+    assert {r["seq_index"] for r in want} == set(indices)
+    assert (out / "trace.json").read_text() == json.dumps(want)
+    expected = io.StringIO(newline="")
+    writer = csv.DictWriter(expected, fieldnames=list(want[0]))
+    writer.writeheader()
+    writer.writerows(want)
+    assert (out / "trace.csv").read_bytes() \
+        == expected.getvalue().encode("utf-8")
 
 
 def test_trace_of_a_student_without_sequences_fails(pipeline, tmp_path,

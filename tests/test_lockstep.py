@@ -17,7 +17,7 @@ from graphkt import engine as E
 from graphkt.data import Response, ResponseSequence, make_folds
 from graphkt.gnn import PlanBatch, gnn_forward_rows, readout_rows
 from graphkt.metrics import consistency
-from graphkt.model import GrktModel, HyperParams
+from graphkt.model import GrktModel, HyperParams, StepArrays, TraceStep
 from graphkt.train import TrainConfig, bce_loss_node, train_fold
 from tests.conftest import make_dataset, random_graphs, random_sequence
 from tests.oracles import hop_support
@@ -106,14 +106,17 @@ def run_lockstep(model, seqs, disable_stage3):
             assert step.seqs == sorted(step.seqs, key=lambda b: -len(seqs[b]))
             before = step.before.value.reshape(n, n_c, -1)
             after = step.after.value.reshape(n, n_c, -1)
-            traces = model.trace_step(step, t, cache)
+            read = StepArrays(model, step, cache)
             for j, (b, r) in enumerate(zip(step.seqs, step.responses)):
                 assert r is seqs[b][t]
                 outside = sorted(set(range(n_c))
                                  - hop_support(model.graphs, r.kcs, layers))
                 assert before[j, outside].tobytes() \
                     == after[j, outside].tobytes()
-                per_seq[b].append((traces[j], step.mastery.value[j]))
+                trace = TraceStep(r.kcs, read.pre[j], read.post[j], t,
+                                  r.timestamp, float(read.scores[j]),
+                                  r.correct)
+                per_seq[b].append((trace, step.mastery.value[j]))
     return per_seq
 
 

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphkt.metrics import (EvalRecord, UndefinedMetric, accuracy, auc,
-                             consistency, gaucm)
+                             consistency, consistency_ratios, gaucm,
+                             mean_consistency)
 from graphkt.model import TraceStep
 from tests.oracles import gaucm_per_question, repetition
 
@@ -175,6 +176,46 @@ def test_consistency_matches_oracle(seed):
             rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist()))
         steps.append(make_step(examined, pre, post))
     assert consistency(steps) == consistency_oracle(steps)
+
+
+@st.composite
+def step_blocks(draw):
+    """(pre, post, examined) of 1-6 blocks over 1-6 KCs; masteries on a
+    coarse grid so that pre == post ties are common."""
+    n, n_c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    grid = st.lists(st.lists(st.integers(0, 3), min_size=n_c, max_size=n_c),
+                    min_size=n, max_size=n)
+    pre, post = (np.array(draw(grid), dtype=float) / 4 for _ in range(2))
+    examined = np.zeros((n, n_c), dtype=bool)
+    for b in range(n):
+        examined[b, sorted(draw(st.sets(st.integers(0, n_c - 1),
+                                        min_size=1)))] = True
+    return pre, post, examined
+
+
+def as_steps(pre, post, examined):
+    return [make_step(np.flatnonzero(m), p, q)
+            for p, q, m in zip(pre, post, examined)]
+
+
+@given(step_blocks())
+@example((np.array([[1.0, 0.5, 0.3]]), np.array([[0.8, 0.9, 0.3]]),
+          np.array([[True, False, False]])))  # qualifies, ratio 2/3
+@example((np.array([[0.5, 0.2], [0.4, 0.4]]), np.array([[0.5, 0.9],
+                                                         [0.4, 0.4]]),
+          np.array([[True, False], [False, True]])))  # ties only: no ratio
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_consistency_ratios_match_oracle(blocks):
+    pre, post, examined = blocks
+    ratios = consistency_ratios(pre, post, examined)
+    steps = as_steps(pre, post, examined)
+    for ratio, step in zip(ratios, steps):
+        qualifies = any(step.pre[c] > step.post[c] for c in step.examined)
+        assert np.isnan(ratio) == (not qualifies)
+        if qualifies:
+            assert ratio == consistency_oracle([step])
+    assert mean_consistency(ratios) == consistency(steps) \
+        == consistency_oracle(steps)
 
 
 # -- gaucm ------------------------------------------------------------------------

@@ -13,11 +13,12 @@ from graphkt.graphs import KcRelationGraphs
 from graphkt.gnn import PlanBatch, gnn_forward_rows, readout_rows
 from graphkt.metrics import consistency
 from graphkt.model import (DT_CAP_MINUTES, BatchCache, GrktModel, HyperParams,
-                           Step, trace_rows)
+                           Step, StepArrays)
 from graphkt.train import TrainConfig, bce_loss_node, evaluate
 from tests.conftest import make_dataset, random_graphs, random_sequence
 from tests import oracles
-from tests.oracles import constrain_nonneg_vector, hop_support, predict_next
+from tests.oracles import (constrain_nonneg_vector, hop_support, predict_next,
+                           trace_rows)
 from tests.oracles import mastery as mastery_oracle
 
 
@@ -33,13 +34,13 @@ def randomize(model, scale=1.0, seed=0):
 
 
 def traced_mastery(model, H):
-    """Per-KC mastery of memory H, projected as `trace_step` projects it."""
+    """Per-KC mastery of memory H, projected as `StepArrays` projects it."""
     with E.no_grad():
         _, cache = model.begin("eval")
         memory = E.as_node(H)
         step = Step([Response(0, (0,), 1, 0)], [0], E.as_node([0.5]),
                     E.as_node([0.0]), memory, memory)
-        return model.trace_step(step, 0, cache)[0].pre
+        return StepArrays(model, step, cache).pre[0]
 
 
 def test_mastery_zero_memory(desk_model):

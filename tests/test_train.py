@@ -14,8 +14,8 @@ from graphkt.graphs import KcRelationGraphs
 from graphkt.model import GrktModel, HyperParams
 from graphkt.train import (TrainConfig, TrainReport, TrainingDiverged,
                            apply_ablation,
-                           bce_loss_node, cross_validate, evaluate,
-                           graphs_for_fold, train_fold)
+                           _predictions, bce_loss_node, cross_validate,
+                           evaluate, graphs_for_fold, train_fold)
 from tests.conftest import make_dataset, random_graphs, random_sequence
 from tests.oracles import Reasker, bce_loss, reask_scores, repetition
 from tests.test_model import randomize
@@ -332,8 +332,8 @@ def lockstep_order(lengths):
 def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
     # evaluate runs its sequences in lockstep; its inputs to the metrics
     # equal what forward_sequence and reask_scores produce on each sequence
-    # alone: exactly on labels, order, examined KCs, steps and timestamps,
-    # within 1e-12 relative on predictions and masteries
+    # alone: exactly on labels, questions, order and examined KCs, within
+    # 1e-12 relative on predictions, masteries and re-ask scores
     rng = np.random.default_rng(60)
     rows = [(s, r.question, r.kcs, r.correct, r.timestamp)
             for s in range(5)
@@ -351,36 +351,54 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
         with monkeypatch.context() as m:
             for name in ("auc", "accuracy"):
                 def spy(arg, fn=getattr(metrics, name), name=name):
-                    seen.setdefault(name, []).append(list(arg))
+                    seen.setdefault(name, []).append(np.asarray(arg).tolist())
                     return fn(arg)
                 m.setattr(metrics, name, spy)
-            m.setattr(metrics, "step_consistency",
-                      lambda step, fn=metrics.step_consistency:
-                      traced.append(step) or fn(step))
+
+            def spy_gaucm(records, fn=metrics.gaucm):
+                seen["gaucm"] = [np.asarray(getattr(records, field)).tolist()
+                                 for field in ("label", "question", "mastery")]
+                return fn(records)
+
+            def spy_rule(pre, post, examined, fn=metrics.consistency_ratios):
+                traced.append((pre, post, examined))
+                return fn(pre, post, examined)
+
+            m.setattr(metrics, "gaucm", spy_gaucm)
+            m.setattr(metrics, "consistency_ratios", spy_rule)
             return evaluate(model, ds, indices, cfg), seen, traced
 
     report, seen, traced = spied_evaluate()
+    seqs = [ds.sequences[i] for i in indices]
     with E.no_grad():
         _, cache = model.begin("eval")
-        results = [model.forward_sequence(ds.sequences[i], cache, seq_index=i,
+        results = [model.forward_sequence(seq, cache, seq_index=i,
                                           emit_trace=True,
                                           disable_stage3=disable_stage3)
-                   for i in indices]
+                   for i, seq in zip(indices, seqs)]
+        masteries = [step.mastery.value.item() for seq in seqs
+                     for step in model.steps([seq.real()], cache,
+                                             disable_stage3)]
     pairs = [(p.value.item(), a) for res in results for p, a in res.preds]
     for got in (seen["auc"][0], seen["accuracy"][0]):
         assert [a for _, a in got] == [a for _, a in pairs]
         assert close([p for p, _ in got], [p for p, _ in pairs])
-    # each step is traced as the lockstep reaches it
+    labels, questions, mastery = seen["gaucm"]
+    assert labels == [a for _, a in pairs]
+    assert questions == [r.question for seq in seqs for r in seq.real()]
+    assert close(mastery, masteries)
+    # each step is read as the lockstep reaches it, one row per response
     lengths = [len(res.trace.steps) for res in results]
     want_steps = [results[b].trace.steps[t]
                   for b, t in lockstep_order(lengths)]
-    assert len(traced) == len(want_steps) == sum(lengths)
-    for got, want in zip(traced, want_steps):
-        assert (got.examined, got.step, got.timestamp, got.correct) \
-            == (want.examined, want.step, want.timestamp, want.correct)
-        assert close(got.predicted, want.predicted)
-        assert close(got.pre, want.pre) and close(got.post, want.post)
-    seqs = [ds.sequences[i] for i in indices]
+    assert [len(pre) for pre, _, _ in traced] \
+        == [sum(n > t for n in lengths) for t in range(max(lengths))]
+    got_rows = [(pre[j], post[j], examined[j])
+                for pre, post, examined in traced for j in range(len(pre))]
+    assert len(got_rows) == len(want_steps) == sum(lengths)
+    for (pre, post, examined), want in zip(got_rows, want_steps):
+        assert np.flatnonzero(examined).tolist() == sorted(want.examined)
+        assert close(pre, want.pre) and close(post, want.post)
     reasked = [pair for seq in seqs
                for pair in reask_scores(model, seq,
                                         disable_stage3=disable_stage3)]
@@ -394,13 +412,13 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
     # the same batch run twice gives the same result, bit for bit
     again, seen_again, traced_again = spied_evaluate()
     assert again == report and seen_again == seen
+    assert len(traced_again) == len(traced)
     for a, b in zip(traced, traced_again):
-        assert a.pre.tobytes() == b.pre.tobytes()
-        assert a.post.tobytes() == b.post.tobytes()
+        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
 
 def test_evaluate_streams_consistency_over_a_desk_fold(monkeypatch):
-    # evaluate reduces each step to its ratio as soon as it is traced; the
+    # evaluate reduces each step to its ratios as soon as it is read; the
     # result equals the metric over the full traces of each sequence run
     # alone: exactly when every ratio is 1.0, else within 1e-12 relative
     model, seqs = desk_setup(70, 10)
@@ -420,13 +438,53 @@ def test_evaluate_streams_consistency_over_a_desk_fold(monkeypatch):
         == metrics.consistency(traces) == 1.0
 
     # the model keeps every ratio at 1.0; a stand-in rule with varied ratios
-    # and skipped steps shows that every step counts, in the caller's order
-    monkeypatch.setattr(metrics, "step_consistency", lambda step: None
-                        if step.step % 3 == 0 else float(step.post[step.step]))
+    # and skipped rows shows that every response counts, in the caller's
+    # order; a one-row call (step_consistency) applies the same stand-in
+    def stand_in(pre, post, examined):
+        return np.where(post[:, 0] > post[:, 1], np.nan, post[:, 2])
+
+    monkeypatch.setattr(metrics, "consistency_ratios", stand_in)
+    ratios = [metrics.step_consistency(step)
+              for t in traces for step in t.steps]
+    assert None in ratios and len(set(ratios)) > 2
     streamed = evaluate(model, ds, fold.test, cfg).consistency
     want = metrics.consistency(traces)
     assert want != 1.0 and close(streamed, want)
     assert evaluate(model, ds, fold.test, cfg).consistency == streamed
+
+
+def per_response_predictions(model, ds, indices, disable_stage3):
+    """Validation's (score, label) pairs read one response at a time from
+    one lockstep pass, each sequence's in time order."""
+    per_seq = [[] for _ in indices]
+    with E.no_grad():
+        _, cache = model.begin("eval")
+        for step in model.steps([ds.sequences[i].real() for i in indices],
+                                cache, disable_stage3):
+            for b, p, r in zip(step.seqs, step.a_hat.value, step.responses):
+                per_seq[b].append((float(p), r.correct))
+    return [pair for pairs in per_seq for pair in pairs]
+
+
+@pytest.mark.parametrize("disable_stage3", [False, True])
+def test_validation_reads_the_per_step_arrays(disable_stage3):
+    # validation's pairs, AUC and ACC on a desk fold equal, bit for bit,
+    # those read one response at a time
+    model, seqs = desk_setup(71, 12)
+    rows = [(s, r.question, r.kcs, r.correct, r.timestamp)
+            for s, seq in enumerate(seqs[:6])
+            for r in seq.responses[:40 - 5 * (s % 3)]]
+    rows += [(s, r.question, r.kcs, r.correct, r.timestamp)
+             for s, seq in enumerate(seqs[6:], 6) for r in seq.responses]
+    ds = make_dataset(rows, n_questions=30, n_kcs=50)
+    fold = make_folds(ds, k=3, val_frac=0.3, seed=0)[0]
+    cfg = TrainConfig(hp=model.hp, disable_stage3=disable_stage3)
+    assert len({ds.sequences[i].valid_len for i in fold.val}) > 1
+    got = _predictions(model, ds, fold.val, cfg)
+    want = per_response_predictions(model, ds, fold.val, disable_stage3)
+    assert got.tolist() == [[p, a] for p, a in want]
+    assert metrics.auc(got).hex() == metrics.auc(want).hex()
+    assert metrics.accuracy(got).hex() == metrics.accuracy(want).hex()
 
 
 def test_reports_write_their_fields_in_order():
