@@ -4,13 +4,13 @@ __version__ = "0.1.0"
 
 from .data import ColumnSchema, Dataset, FoldSplit, Response, ResponseSequence
 from .graphs import GraphBuildConfig, KcRelationGraphs
-from .model import GrktModel, HyperParams, MasteryTrace
+from .model import GrktModel, HyperParams
 from .train import TrainConfig
 
 __all__ = [
     "ColumnSchema", "Dataset", "FoldSplit", "Response", "ResponseSequence",
     "GraphBuildConfig", "KcRelationGraphs",
-    "GrktModel", "HyperParams", "MasteryTrace",
+    "GrktModel", "HyperParams",
     "TrainConfig",
     "__version__",
 ]

@@ -82,27 +82,12 @@ def consistency_ratios(pre, post, examined) -> np.ndarray:
                     np.nan)
 
 
-def step_consistency(step) -> float | None:
-    """`consistency_ratios` of one traced step; None when it does not
-    qualify."""
-    examined = np.isin(np.arange(len(step.pre)), step.examined)
-    ratio = consistency_ratios(*np.atleast_2d(step.pre, step.post, examined))[0]
-    return None if np.isnan(ratio) else float(ratio)
-
-
 def mean_consistency(ratios) -> float:
     """Mean of the qualifying ratios, summed in order; a step with no ratio
-    is None or NaN. 1.0 (vacuously) when there are none."""
+    is NaN. 1.0 (vacuously) when there are none."""
     ratios = np.asarray(ratios, dtype=np.float64)
     kept = ratios[~np.isnan(ratios)].tolist()
     return sum(kept) / len(kept) if kept else 1.0
-
-
-def consistency(traces) -> float:
-    """Mean fraction of KCs moving consistently at qualifying updates, over
-    mastery traces or their steps."""
-    steps = (s for item in traces for s in getattr(item, "steps", [item]))
-    return mean_consistency([step_consistency(s) for s in steps])
 
 
 def gaucm(records) -> float:
@@ -114,6 +99,8 @@ def gaucm(records) -> float:
     their block's average rank, as `auc` ranks them. `records` may also be
     one EvalRecord whose fields are arrays, one entry per response.
     """
+    if not isinstance(records, EvalRecord):
+        records = list(records)  # each field below reads it once
     question, mastery, label = (
         np.asarray(getattr(records, name), dtype)
         if isinstance(records, EvalRecord)

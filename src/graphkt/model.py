@@ -44,15 +44,15 @@ update lands on a row outside its block's support, so each sequence's
 memory equals that of the sequence run alone up to rounding, and its rows
 outside the support are untouched. One sequence is a batch of one, with no
 padding and the ops of a single-sequence pass. Training batches consume its
-per-step records; evaluation, validation and traces read each as arrays
-(`StepArrays`).
+per-step records; evaluation, validation and `graphkt trace` read each as
+arrays (`StepArrays`), the one reader of a step's mastery.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Iterator, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,6 +95,8 @@ class HyperParams:
             raise ValueError("lr must be positive and l2 non-negative")
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         GraphBuildConfig(eta=self.eta)  # the mining threshold's own rule
         try:
             dtype = np.dtype(self.dtype)
@@ -106,27 +108,8 @@ class HyperParams:
 
 
 @dataclass
-class TraceStep:
-    examined: tuple[int, ...]
-    pre: np.ndarray   # per-KC mastery before the strengthening update
-    post: np.ndarray  # per-KC mastery after it
-    step: int = 0
-    timestamp: int = 0
-    predicted: float = 0.0
-    correct: int = 0
-
-
-@dataclass
-class MasteryTrace:
-    student: int
-    seq_index: int
-    steps: list[TraceStep] = field(default_factory=list)
-
-
-@dataclass
 class SeqResult:
     preds: list[tuple[E.Node, int]]
-    trace: MasteryTrace | None = None
 
 
 @dataclass
@@ -793,26 +776,16 @@ class GrktModel:
             else E.gather_rows(H, slice(0, n_rows))
 
     def forward_sequence(self, seq: ResponseSequence, cache: BatchCache,
-                         seq_index: int = 0, emit_trace: bool = False,
                          disable_stage3: bool = False) -> SeqResult:
-        """Predictions (and optionally a trace) over one sequence's real
-        steps: the recurrence over a batch of one.
+        """Predictions over one sequence's real steps: the recurrence over a
+        batch of one.
 
         Nothing in the package calls it; training, evaluation, `trace` and
         `gradcheck` run their batches through `steps`. It stays as the
-        batch-of-one API that the benchmark harness and the acceptance
-        tests call."""
-        preds: list[tuple[E.Node, int]] = []
-        trace = MasteryTrace(seq.student, seq_index) if emit_trace else None
-        for t, step in enumerate(self.steps([seq.real()], cache,
-                                            disable_stage3)):
-            preds.append((step.a_hat, step.responses[0].correct))
-            if trace is not None:
-                r, read = step.responses[0], StepArrays(self, step, cache)
-                trace.steps.append(TraceStep(
-                    r.kcs, read.pre[0], read.post[0], t, r.timestamp,
-                    float(read.scores[0]), r.correct))
-        return SeqResult(preds=preds, trace=trace)
+        batch-of-one API that the benchmark harness and the tests call."""
+        return SeqResult(preds=[
+            (step.a_hat, step.responses[0].correct)
+            for step in self.steps([seq.real()], cache, disable_stage3)])
 
     # -- persistence --------------------------------------------------------
 
@@ -855,9 +828,9 @@ class GrktModel:
 class StepArrays:
     """One lockstep `Step` read as arrays, row b for the step's response b.
 
-    Evaluation, validation, `graphkt trace` and `forward_sequence`'s trace
-    all read a step through it. The arrays past stage 1's outputs are
-    computed when first read, so a reader pays for what it reads.
+    Evaluation, validation and `graphkt trace` all read a step through it.
+    The arrays past stage 1's outputs are computed when first read, so a
+    reader pays for what it reads.
     """
 
     def __init__(self, model: GrktModel, step: Step, cache: BatchCache):

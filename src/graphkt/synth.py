@@ -50,6 +50,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("n_kcs", "n_questions", "n_students", "seq_len_min"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+        if self.seq_len_min > self.seq_len_max:
+            raise ValueError(f"seq_len_min {self.seq_len_min} exceeds "
+                             f"seq_len_max {self.seq_len_max}")
+        if not 1 <= self.kcs_per_question_max <= self.n_kcs:
+            raise ValueError(f"kcs_per_question_max must lie in 1..n_kcs "
+                             f"({self.n_kcs}), got {self.kcs_per_question_max}")
         for name in ("guess", "slip", "pre_density", "sim_density"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphkt import engine as E
-from graphkt.data import Dataset, Response
+from graphkt import metrics
+from graphkt.data import Dataset, Response, ResponseSequence
 from graphkt.graphs import (GRAPH_KINDS, GraphBuildConfig, KcRelationGraphs,
                             PairCounts, build_graphs, pair_counts)
 from graphkt.metrics import UndefinedMetric, accuracy, auc
-from graphkt.model import MasteryTrace, StepArrays
+from graphkt.model import StepArrays
 
 
 # -- learned scores and projections -------------------------------------------
@@ -273,22 +274,55 @@ class Reasker:
         return reask_scores(self.model, seq, disable_stage3)
 
 
-def trace_rows(trace: MasteryTrace) -> list[dict]:
+@dataclass
+class SeqTrace:
+    """The mastery trace of one sequence run alone, row t for its real
+    response t."""
+    student: int
+    seq_index: int
+    responses: list[Response]
+    scores: np.ndarray    # (T,) stage-1 P(correct)
+    pre: np.ndarray       # (T, C) per-KC mastery before strengthening
+    post: np.ndarray      # (T, C) per-KC mastery after it
+    examined: np.ndarray  # (T, C) mask of each response's KCs
+
+
+def trace_alone(model, seq: ResponseSequence, cache, seq_index: int = 0,
+                disable_stage3: bool = False) -> SeqTrace:
+    """Run `seq` alone through `GrktModel.steps` and read each step through
+    `StepArrays` as the recurrence reaches it."""
+    rows = []
+    for step in model.steps([seq.real()], cache, disable_stage3):
+        read = StepArrays(model, step, cache)
+        rows.append((read.scores, read.pre, read.post, read.examined))
+    scores, pre, post, examined = (np.concatenate(col) for col in zip(*rows))
+    return SeqTrace(seq.student, seq_index, seq.real(), scores, pre, post,
+                    examined)
+
+
+def trace_ratios(traces) -> np.ndarray:
+    """Every step's `metrics.consistency_ratios`, trace after trace."""
+    return np.concatenate([metrics.consistency_ratios(t.pre, t.post,
+                                                      t.examined)
+                           for t in traces])
+
+
+def trace_rows(trace: SeqTrace) -> list[dict]:
     """Flatten a trace to plot-ready rows, one per (step, KC): the rows
     `graphkt trace` writes."""
     rows = []
-    for step in trace.steps:
-        for c in range(len(step.pre)):
+    for t, r in enumerate(trace.responses):
+        for c in range(trace.pre.shape[1]):
             rows.append({
                 "student": trace.student,
                 "seq_index": trace.seq_index,
-                "step": step.step,
-                "timestamp": step.timestamp,
+                "step": t,
+                "timestamp": r.timestamp,
                 "kc": c,
-                "mastery_pre": float(step.pre[c]),
-                "mastery_post": float(step.post[c]),
-                "predicted": step.predicted,
-                "correct": step.correct,
+                "mastery_pre": float(trace.pre[t, c]),
+                "mastery_post": float(trace.post[t, c]),
+                "predicted": float(trace.scores[t]),
+                "correct": r.correct,
             })
     return rows
 

@@ -16,14 +16,15 @@ from graphkt.data import (ColumnSchema, Response, ResponseSequence,
                           make_folds, preprocess)
 from graphkt.graphs import KcRelationGraphs
 from graphkt.metrics import EvalRecord, UndefinedMetric, accuracy, auc, \
-    consistency, gaucm
+    gaucm, mean_consistency
 from graphkt.model import BatchCache, GrktModel, HyperParams
 from graphkt.synth import SynthConfig, generate
 from graphkt.train import TrainConfig, bce_loss_node, train_fold
 from tests.conftest import random_graphs, random_sequence
-from tests.oracles import hop_support, repetition
+from tests.oracles import hop_support, repetition, trace_alone, trace_ratios
 from tests.test_metrics import (FakeSeq, StubModel, accuracy_oracle,
-                                auc_oracle, consistency_oracle, gaucm_oracle)
+                                auc_oracle, consistency, consistency_oracle,
+                                gaucm_oracle, make_step)
 from tests.test_model import randomize
 
 
@@ -50,9 +51,8 @@ def test_acceptance_1_consistency_exactly_one():
         traces = []
         for s in range(5):
             seq = random_sequence(rng, 7, 9, int(rng.integers(4, 15)), s)
-            traces.append(model.forward_sequence(seq, cache,
-                                                 emit_trace=True).trace)
-        values.append(consistency(traces))
+            traces.append(trace_alone(model, seq, cache))
+        values.append(mean_consistency(trace_ratios(traces)))
 
     # and on a trained model over a generated dataset
     res = generate(SynthConfig(n_kcs=12, n_questions=30, n_students=40,
@@ -64,10 +64,8 @@ def test_acceptance_1_consistency_exactly_one():
     model, _ = train_fold(ds, fold, TrainConfig(hp=hp, max_epochs=2),
                           graphs=res.graphs, compute_test_metrics=False)
     _, cache = model.begin("eval")
-    traces = [model.forward_sequence(ds.sequences[i], cache,
-                                     emit_trace=True).trace
-              for i in fold.test]
-    values.append(consistency(traces))
+    traces = [trace_alone(model, ds.sequences[i], cache) for i in fold.test]
+    values.append(mean_consistency(trace_ratios(traces)))
 
     assert all(v == 1.0 for v in values), values
     report(1, f"consistency == 1.0 exactly on {len(values)} model/data draws "
@@ -230,14 +228,15 @@ def hand_instance():
 def test_acceptance_2_forward_matches_straight_line_oracle():
     model, seq = hand_instance()
     _, cache = model.begin("eval")
-    res = model.forward_sequence(seq, cache, emit_trace=True)
-    got_preds = [p.value.item() for p, _ in res.preds]
+    trace = trace_alone(model, seq, cache)
+    got_preds = trace.scores.tolist()
     ref = StraightLineReference(model.store, model.graphs)
     want_preds, want_trace = ref.run(seq)
     diff = max(abs(a - b) for a, b in zip(got_preds, want_preds))
-    for step, (pre, post) in zip(res.trace.steps, want_trace):
-        diff = max(diff, np.abs(step.pre - pre).max(),
-                   np.abs(step.post - post).max())
+    for got_pre, got_post, (pre, post) in zip(trace.pre, trace.post,
+                                              want_trace):
+        diff = max(diff, np.abs(got_pre - pre).max(),
+                   np.abs(got_post - post).max())
     assert diff < 1e-10, diff
     report(2, f"hand instance matches the straight-line oracle "
               f"(max abs diff {diff:.2e} < 1e-10)")
@@ -247,7 +246,6 @@ def test_acceptance_2_metrics_match_oracles():
     rng = np.random.default_rng(77)
     worst_auc = worst_gaucm = 0.0
     checked = 0
-    from graphkt.model import TraceStep
     for trial in range(110):
         n = int(rng.integers(8, 60))
         scores = rng.choice([0.1, 0.3, 0.5, 0.5, 0.8, 0.9], size=n)
@@ -273,7 +271,7 @@ def test_acceptance_2_metrics_match_oracles():
         for _ in range(int(rng.integers(3, 15))):
             pre = rng.normal(size=5)
             post = pre + rng.normal(scale=0.4, size=5)
-            steps.append(TraceStep(examined=(int(rng.integers(5)),),
+            steps.append(make_step(examined=(int(rng.integers(5)),),
                                    pre=pre, post=post))
         assert consistency(steps) == consistency_oracle(steps)
 

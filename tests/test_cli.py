@@ -17,7 +17,7 @@ from graphkt.graphs import (GRAPH_VERSION, GraphBuildConfig, KcRelationGraphs,
                             build_graphs, format_graphs, import_graphs)
 from graphkt.model import GrktModel, HyperParams
 from graphkt.train import TrainConfig
-from tests.oracles import trace_rows
+from tests.oracles import trace_alone, trace_rows
 from tests.test_engine import REJECTED_CHECKPOINTS
 
 
@@ -254,6 +254,25 @@ def one_sequence_log(data, tmp_path):
     return path
 
 
+@pytest.mark.parametrize("flags,field", [
+    (["--seed", "-1"], "seed"),
+    (["--kcs", "0"], "n_kcs"),
+    (["--questions", "0"], "n_questions"),
+    (["--students", "0"], "n_students"),
+    (["--seq-len-min", "0"], "seq_len_min"),
+    (["--seq-len-min", "12", "--seq-len-max", "8"], "seq_len_min"),
+    (["--kcs", "1"], "kcs_per_question_max"),  # the default is 2
+], ids=["seed", "kcs", "questions", "students", "seq-len-min",
+        "seq-len-order", "kcs-per-question"])
+def test_synth_rejects_sizes_it_cannot_generate(tmp_path, capsys, flags,
+                                                field):
+    out = tmp_path / "out"
+    assert run(["synth", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", sorted(FAILED_RUNS))
 def test_failed_run_creates_no_output_directory(pipeline, tmp_path, case):
     files = {"data": pipeline / "synth" / "data.csv",
@@ -379,6 +398,7 @@ def test_config_file_rejects_values_that_do_not_convert(tmp_path, capsys,
      "min_cooccurrence must be at least 1"),
     ("max_epochs = 0\n", 1, "max_epochs must be at least 1"),
     ("eta = 1.5\n", 1, "eta must lie in (0, 1), got 1.5"),
+    ("d_e = 6\nseed = -2\n", 2, "seed must be non-negative, got -2"),
 ])
 def test_config_file_rejects_values_that_fail_validation(tmp_path, capsys,
                                                          text, line, message):
@@ -391,6 +411,15 @@ def test_config_file_rejects_values_that_fail_validation(tmp_path, capsys,
     # the same value from a flag names no file
     assert run(["train", "--data", "log.csv", "--d-e", "-1"]) == 1
     assert capsys.readouterr().err == "error: d_e must be positive\n"
+
+
+def test_negative_seed_flag_names_the_setting(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["train", "--data", "log.csv", "--seed", "-1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err \
+        == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 def test_config_file_values_convert_to_field_types(tmp_path):
@@ -436,19 +465,19 @@ def test_no_lf_checkpoint_is_evaluated_and_traced_without_stage3(pipeline,
     def forward(stage3_off):
         with E.no_grad():
             _, cache = model.begin("eval")
-            return [model.forward_sequence(seq, cache, seq_index=i,
-                                           emit_trace=True,
-                                           disable_stage3=stage3_off)
+            return [trace_alone(model, seq, cache, seq_index=i,
+                                disable_stage3=stage3_off)
                     for i, seq in enumerate(ds.sequences)]
 
     without = forward(True)
-    pairs = [(p.value.item(), a) for res in without for p, a in res.preds]
+    pairs = [(float(p), r.correct) for res in without
+             for p, r in zip(res.scores, res.responses)]
     scored = json.loads((tmp_path / "eval" / "metrics.json").read_text())
     assert scored["auc"] == metrics.auc(pairs)
     assert scored["acc"] == metrics.accuracy(pairs)
     traced = json.loads((tmp_path / "trace" / "trace.json").read_text())
-    assert traced == trace_rows(without[0].trace)
-    assert traced != trace_rows(forward(False)[0].trace)
+    assert traced == trace_rows(without[0])
+    assert traced != trace_rows(forward(False)[0])
 
 
 @pytest.mark.parametrize("graph_flags,dropped", [
@@ -480,9 +509,8 @@ def test_eval_reproduces_train(pipeline, tmp_path, graph_flags, dropped):
     seq = preprocess(ingest_csv(data), seq_len=12, min_len=4).sequences[0]
     with E.no_grad():
         _, cache = model.begin("eval")
-        want = model.forward_sequence(
-            seq, cache, emit_trace=True,
-            disable_stage3=run_fields["disable_stage3"]).trace
+        want = trace_alone(model, seq, cache,
+                           disable_stage3=run_fields["disable_stage3"])
     traced = json.loads((tmp_path / "trace" / "trace.json").read_text())
     assert traced == trace_rows(want)
     # the checkpoint carries the graphs the model trained on
@@ -649,10 +677,8 @@ def _traced_alone(checkpoint, data, indices):
     with E.no_grad():
         _, cache = model.begin("eval")
         return ds, [row for i in indices for row in trace_rows(
-            model.forward_sequence(ds.sequences[i], cache, seq_index=i,
-                                   emit_trace=True,
-                                   disable_stage3=trained["disable_stage3"])
-            .trace)]
+            trace_alone(model, ds.sequences[i], cache, seq_index=i,
+                        disable_stage3=trained["disable_stage3"]))]
 
 
 def test_trace_runs_a_students_sequences_in_one_lockstep_pass(

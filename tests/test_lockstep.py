@@ -2,11 +2,11 @@
 
 `GrktModel.steps` runs B sequences as one op chain per step, on stacked
 memory blocks padded to common widths. Every case here checks, against
-`forward_sequence` on each sequence alone: labels, order, examined KCs,
-steps and timestamps exactly; predictions, masteries and traced masteries
-within 1e-12 relative; the padding rows of every propagation exactly zero;
-memory rows outside each sequence's hop support bitwise unchanged by
-strengthening; and consistency exactly 1.0.
+each sequence traced alone (`oracles.trace_alone`): labels, order, examined
+KCs, steps and timestamps exactly; predictions, masteries and traced
+masteries within 1e-12 relative; the padding rows of every propagation
+exactly zero; memory rows outside each sequence's hop support bitwise
+unchanged by strengthening; and consistency exactly 1.0.
 """
 
 import numpy as np
@@ -16,11 +16,11 @@ import graphkt.model
 from graphkt import engine as E
 from graphkt.data import Response, ResponseSequence, make_folds
 from graphkt.gnn import PlanBatch, gnn_forward_rows, readout_rows
-from graphkt.metrics import consistency
-from graphkt.model import GrktModel, HyperParams, StepArrays, TraceStep
+from graphkt.metrics import mean_consistency
+from graphkt.model import GrktModel, HyperParams, StepArrays
 from graphkt.train import TrainConfig, bce_loss_node, train_fold
 from tests.conftest import make_dataset, random_graphs, random_sequence
-from tests.oracles import hop_support
+from tests.oracles import hop_support, trace_alone, trace_ratios
 from tests.test_gnn import star_model
 from tests.test_model import randomize
 
@@ -88,15 +88,15 @@ def spy_gate(monkeypatch, opened):
 def run_alone(model, seqs, disable_stage3):
     with E.no_grad():
         _, cache = model.begin("eval")
-        return [model.forward_sequence(ResponseSequence(0, s, len(s)), cache,
-                                       emit_trace=True,
-                                       disable_stage3=disable_stage3)
+        return [trace_alone(model, ResponseSequence(0, s, len(s)), cache,
+                            disable_stage3=disable_stage3)
                 for s in seqs]
 
 
 def run_lockstep(model, seqs, disable_stage3):
-    """Per sequence, its (trace step, mastery) pairs from one lockstep run;
-    checks strengthening's locality on every memory block."""
+    """Per sequence, its (step, response, score, pre, post, consistency
+    ratio, mastery) rows from one lockstep run; checks strengthening's
+    locality on every memory block."""
     n_c, layers = model.n_kcs, model.hp.layers
     per_seq = [[] for _ in seqs]
     with E.no_grad():
@@ -113,10 +113,9 @@ def run_lockstep(model, seqs, disable_stage3):
                                  - hop_support(model.graphs, r.kcs, layers))
                 assert before[j, outside].tobytes() \
                     == after[j, outside].tobytes()
-                trace = TraceStep(r.kcs, read.pre[j], read.post[j], t,
-                                  r.timestamp, float(read.scores[j]),
-                                  r.correct)
-                per_seq[b].append((trace, step.mastery.value[j]))
+                per_seq[b].append((t, r, read.scores[j], read.pre[j],
+                                   read.post[j], read.consistency[j],
+                                   step.mastery.value[j]))
     return per_seq
 
 
@@ -128,19 +127,18 @@ def check_lockstep(model, seqs, disable_stage3, monkeypatch):
         spy_gate(m, opened)
         lock = run_lockstep(model, seqs, disable_stage3)
     for res, got in zip(alone, lock):
-        want = res.trace.steps
-        assert len(got) == len(want) == len(res.preds)
-        for (trace, mastery), ref, (pred, label) in zip(got, want, res.preds):
-            assert (trace.examined, trace.step, trace.timestamp,
-                    trace.correct) == (ref.examined, ref.step, ref.timestamp,
-                                       ref.correct)
-            assert trace.correct == label
-            assert close(trace.predicted, pred.value.item())
-            assert close(trace.pre, ref.pre) and close(trace.post, ref.post)
+        want = res.responses
+        assert len(got) == len(want) == len(res.scores)
+        for i, ((t, r, score, pre, post, _, mastery), ref) in \
+                enumerate(zip(got, want)):
+            assert (r.kcs, t, r.timestamp, r.correct) \
+                == (ref.kcs, i, ref.timestamp, ref.correct)
+            assert close(score, res.scores[i])
+            assert close(pre, res.pre[i]) and close(post, res.post[i])
             assert np.isfinite(mastery)
-    traces = [trace for items in lock for trace, _ in items]
-    assert consistency(traces) == 1.0
-    assert consistency([r.trace for r in alone]) == 1.0
+    ratios = [ratio for items in lock for *_, ratio, _ in items]
+    assert mean_consistency(ratios) == 1.0
+    assert mean_consistency(trace_ratios(alone)) == 1.0
     return seen, opened
 
 

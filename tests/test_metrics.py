@@ -1,14 +1,14 @@
 """Metrics against brute-force oracles on random inputs."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphkt.metrics import (EvalRecord, UndefinedMetric, accuracy, auc,
-                             consistency, consistency_ratios, gaucm,
-                             mean_consistency)
-from graphkt.model import TraceStep
+                             consistency_ratios, gaucm, mean_consistency)
 from tests.oracles import gaucm_per_question, repetition
 
 
@@ -129,9 +129,33 @@ def test_accuracy_matches_count_oracle(seed):
 # -- consistency ------------------------------------------------------------------
 
 
+class Step(NamedTuple):
+    """One update as `consistency_oracle` reads it: the examined KCs and
+    the per-KC mastery around it."""
+    examined: tuple[int, ...]
+    pre: np.ndarray
+    post: np.ndarray
+
+
 def make_step(examined, pre, post):
-    return TraceStep(examined=tuple(examined), pre=np.array(pre, dtype=float),
-                     post=np.array(post, dtype=float))
+    return Step(tuple(examined), np.array(pre, dtype=float),
+                np.array(post, dtype=float))
+
+
+def stack_steps(steps):
+    """Steps as the (n, C) pre, post and examined-mask arrays that
+    `consistency_ratios` reads."""
+    pre, post = (np.array([getattr(s, f) for s in steps]) for f in
+                 ("pre", "post"))
+    examined = np.zeros(pre.shape, dtype=bool)
+    for b, step in enumerate(steps):
+        examined[b, list(step.examined)] = True
+    return pre, post, examined
+
+
+def consistency(steps):
+    """`mean_consistency` of the steps' `consistency_ratios`."""
+    return mean_consistency(consistency_ratios(*stack_steps(steps)))
 
 
 def test_consistency_all_consistent():
@@ -155,7 +179,8 @@ def test_consistency_hand_value_five_sixths():
 def test_consistency_vacuous_is_one():
     steps = [make_step([0], [0.1, 0.2], [0.5, 0.6])]  # examined KC rises
     assert consistency(steps) == 1.0
-    assert consistency([]) == 1.0
+    assert mean_consistency(consistency_ratios(
+        np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2), bool))) == 1.0
 
 
 def test_consistency_requires_strict_decline_to_qualify():
@@ -241,6 +266,12 @@ def test_gaucm_excludes_single_class_questions():
 def test_gaucm_undefined_when_nothing_eligible():
     with pytest.raises(UndefinedMetric):
         gaucm([rec(0.9, 1, 1, 0.5), rec(0.8, 1, 1, 0.6)])
+
+
+def test_gaucm_reads_a_generator_as_the_list():
+    records = [rec(0.9, 1, 1, 0.9), rec(0.8, 0, 1, 0.2),
+               rec(0.9, 1, 2, 0.8), rec(0.4, 0, 2, 0.1)]
+    assert gaucm(r for r in records) == gaucm(records) == 1.0
 
 
 @pytest.mark.parametrize("seed", range(10))

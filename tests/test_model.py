@@ -11,14 +11,14 @@ from graphkt import engine as E
 from graphkt.data import Response, ResponseSequence
 from graphkt.graphs import KcRelationGraphs
 from graphkt.gnn import PlanBatch, gnn_forward_rows, readout_rows
-from graphkt.metrics import consistency
+from graphkt.metrics import mean_consistency
 from graphkt.model import (DT_CAP_MINUTES, BatchCache, GrktModel, HyperParams,
                            Step, StepArrays)
 from graphkt.train import TrainConfig, bce_loss_node, evaluate
 from tests.conftest import make_dataset, random_graphs, random_sequence
 from tests import oracles
 from tests.oracles import (constrain_nonneg_vector, hop_support, predict_next,
-                           trace_rows)
+                           trace_alone, trace_ratios, trace_rows)
 from tests.oracles import mastery as mastery_oracle
 
 
@@ -641,9 +641,9 @@ def test_forward_single_step_skips_stage3(desk_model):
     model = randomize(desk_model, 0.5, seed=20)
     seq = ResponseSequence(0, [Response(0, (0,), 1, 100)], 1)
     _, cache = model.begin("eval")
-    res = model.forward_sequence(seq, cache, emit_trace=True)
-    assert len(res.preds) == 1
-    assert len(res.trace.steps) == 1
+    res = trace_alone(model, seq, cache)
+    assert len(res.scores) == 1
+    assert len(res.pre) == len(res.post) == 1
 
 
 def test_forward_deterministic(desk_model, desk_sequence):
@@ -651,14 +651,13 @@ def test_forward_deterministic(desk_model, desk_sequence):
 
     def run():
         _, cache = model.begin("eval")
-        res = model.forward_sequence(desk_sequence, cache, emit_trace=True)
-        return [p.value.item() for p, _ in res.preds], res.trace
+        res = trace_alone(model, desk_sequence, cache)
+        return res.scores.tolist(), res
 
     p1, t1 = run()
     p2, t2 = run()
     assert p1 == p2
-    for a, b in zip(t1.steps, t2.steps):
-        assert np.array_equal(a.pre, b.pre) and np.array_equal(a.post, b.post)
+    assert np.array_equal(t1.pre, t2.pre) and np.array_equal(t1.post, t2.post)
 
 
 def test_forward_ignores_padding(desk_model, desk_sequence):
@@ -686,16 +685,14 @@ def test_consistency_is_exactly_one_for_any_parameters(seed):
     traces = []
     for s in range(4):
         seq = random_sequence(rng, 6, 7, int(rng.integers(3, 12)), student=s)
-        traces.append(model.forward_sequence(seq, cache, emit_trace=True).trace)
-    assert consistency(traces) == 1.0
+        traces.append(trace_alone(model, seq, cache))
+    assert mean_consistency(trace_ratios(traces)) == 1.0
 
 
 def test_trace_rows_flatten(desk_model, desk_sequence):
     model = randomize(desk_model, 0.5, seed=30)
     _, cache = model.begin("eval")
-    res = model.forward_sequence(desk_sequence, cache, emit_trace=True,
-                                 seq_index=3)
-    rows = trace_rows(res.trace)
+    rows = trace_rows(trace_alone(model, desk_sequence, cache, seq_index=3))
     assert len(rows) == 5 * 6
     assert {r["seq_index"] for r in rows} == {3}
     assert all(set(r) == {"student", "seq_index", "step", "timestamp", "kc",

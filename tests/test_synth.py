@@ -145,3 +145,10 @@ def test_recovery_on_empty_planting():
     assert report.planted_edges == {"P": 0, "R": 0}
     assert report.recall == {"P": 1.0, "R": 1.0}
     assert report.precision == {"P": 1.0, "R": 1.0}
+
+
+# the sizes synth's flags reach are tested in test_cli
+@pytest.mark.parametrize("value", [0, SMALL["n_kcs"] + 1])
+def test_config_rejects_kcs_per_question_outside_the_kcs(value):
+    with pytest.raises(ValueError, match="kcs_per_question_max"):
+        SynthConfig(**{**SMALL, "kcs_per_question_max": value})

@@ -17,7 +17,8 @@ from graphkt.train import (TrainConfig, TrainReport, TrainingDiverged,
                            _predictions, bce_loss_node, cross_validate,
                            evaluate, graphs_for_fold, train_fold)
 from tests.conftest import make_dataset, random_graphs, random_sequence
-from tests.oracles import Reasker, bce_loss, reask_scores, repetition
+from tests.oracles import (Reasker, bce_loss, reask_scores, repetition,
+                           trace_alone, trace_ratios)
 from tests.test_model import randomize
 
 
@@ -331,7 +332,7 @@ def lockstep_order(lengths):
 @pytest.mark.parametrize("disable_stage3", [False, True])
 def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
     # evaluate runs its sequences in lockstep; its inputs to the metrics
-    # equal what forward_sequence and reask_scores produce on each sequence
+    # equal what trace_alone and reask_scores produce on each sequence
     # alone: exactly on labels, questions, order and examined KCs, within
     # 1e-12 relative on predictions, masteries and re-ask scores
     rng = np.random.default_rng(60)
@@ -372,14 +373,14 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
     seqs = [ds.sequences[i] for i in indices]
     with E.no_grad():
         _, cache = model.begin("eval")
-        results = [model.forward_sequence(seq, cache, seq_index=i,
-                                          emit_trace=True,
-                                          disable_stage3=disable_stage3)
+        results = [trace_alone(model, seq, cache, seq_index=i,
+                               disable_stage3=disable_stage3)
                    for i, seq in zip(indices, seqs)]
         masteries = [step.mastery.value.item() for seq in seqs
                      for step in model.steps([seq.real()], cache,
                                              disable_stage3)]
-    pairs = [(p.value.item(), a) for res in results for p, a in res.preds]
+    pairs = [(float(p), r.correct) for res in results
+             for p, r in zip(res.scores, res.responses)]
     for got in (seen["auc"][0], seen["accuracy"][0]):
         assert [a for _, a in got] == [a for _, a in pairs]
         assert close([p for p, _ in got], [p for p, _ in pairs])
@@ -388,24 +389,26 @@ def test_evaluate_is_one_pass_of_the_recurrence(monkeypatch, disable_stage3):
     assert questions == [r.question for seq in seqs for r in seq.real()]
     assert close(mastery, masteries)
     # each step is read as the lockstep reaches it, one row per response
-    lengths = [len(res.trace.steps) for res in results]
-    want_steps = [results[b].trace.steps[t]
-                  for b, t in lockstep_order(lengths)]
+    lengths = [len(res.responses) for res in results]
+    want_steps = [(results[b], t) for b, t in lockstep_order(lengths)]
     assert [len(pre) for pre, _, _ in traced] \
         == [sum(n > t for n in lengths) for t in range(max(lengths))]
     got_rows = [(pre[j], post[j], examined[j])
                 for pre, post, examined in traced for j in range(len(pre))]
     assert len(got_rows) == len(want_steps) == sum(lengths)
-    for (pre, post, examined), want in zip(got_rows, want_steps):
-        assert np.flatnonzero(examined).tolist() == sorted(want.examined)
-        assert close(pre, want.pre) and close(post, want.post)
+    for (pre, post, examined), (want, t) in zip(got_rows, want_steps):
+        assert np.flatnonzero(examined).tolist() \
+            == sorted(want.responses[t].kcs)
+        assert close(pre, want.pre[t]) and close(post, want.post[t])
     reasked = [pair for seq in seqs
                for pair in reask_scores(model, seq,
                                         disable_stage3=disable_stage3)]
     assert [a for _, a in seen["accuracy"][1]] == [a for _, a in reasked]
     assert close([p for p, _ in seen["accuracy"][1]],
                  [p for p, _ in reasked])
-    assert report.consistency == metrics.consistency(want_steps) == 1.0
+    ratios = [trace_ratios([res]) for res in results]
+    assert report.consistency == metrics.mean_consistency(
+        [ratios[b][t] for b, t in lockstep_order(lengths)]) == 1.0
     assert abs(report.repetition - repetition(Reasker(model), seqs,
                                               disable_stage3)) < 1e-12
 
@@ -429,26 +432,24 @@ def test_evaluate_streams_consistency_over_a_desk_fold(monkeypatch):
     cfg = TrainConfig(hp=model.hp)
     with E.no_grad():
         _, cache = model.begin("eval")
-        traces = [model.forward_sequence(ds.sequences[i], cache,
-                                         emit_trace=True).trace
+        traces = [trace_alone(model, ds.sequences[i], cache)
                   for i in fold.test]
-    assert any(metrics.step_consistency(step) is not None
-               for t in traces for step in t.steps)
+    assert any(not np.isnan(ratio) for ratio in trace_ratios(traces))
     assert evaluate(model, ds, fold.test, cfg).consistency \
-        == metrics.consistency(traces) == 1.0
+        == metrics.mean_consistency(trace_ratios(traces)) == 1.0
 
     # the model keeps every ratio at 1.0; a stand-in rule with varied ratios
     # and skipped rows shows that every response counts, in the caller's
-    # order; a one-row call (step_consistency) applies the same stand-in
+    # order; trace_ratios applies the same stand-in to each trace
     def stand_in(pre, post, examined):
         return np.where(post[:, 0] > post[:, 1], np.nan, post[:, 2])
 
     monkeypatch.setattr(metrics, "consistency_ratios", stand_in)
-    ratios = [metrics.step_consistency(step)
-              for t in traces for step in t.steps]
+    ratios = [None if np.isnan(ratio) else float(ratio)
+              for ratio in trace_ratios(traces)]
     assert None in ratios and len(set(ratios)) > 2
     streamed = evaluate(model, ds, fold.test, cfg).consistency
-    want = metrics.consistency(traces)
+    want = metrics.mean_consistency(trace_ratios(traces))
     assert want != 1.0 and close(streamed, want)
     assert evaluate(model, ds, fold.test, cfg).consistency == streamed
 
