@@ -17,12 +17,14 @@ runs with identical inputs produce bitwise-identical gradients. A weight's
 gradient is multiplied per use and summed into its one buffer, so backward
 holds a sum per weight, not its uses' operands.
 
-`gather_submatrix` reads a block through one flat index into the raveled
-operand, so the block is C-contiguous, and its gradient is added with
-`np.add.at` through the same flat index into the raveled buffer: numpy's
-fast path for a 1-D index, with duplicate indices summed. Buffers backward
-allocates are therefore C-ordered. The index is rebuilt each time rather
-than stored; `SparseGrad` gives the memory figures behind that choice.
+`gather_submatrix` fills a zero block at given positions from given
+positions of the raveled operand, and its gradient is added with `np.add.at`
+at those operand positions into the raveled buffer: numpy's fast path for a
+1-D index, with duplicate positions summed. Buffers backward allocates are
+therefore C-ordered. The caller keeps the positions: a GNN layer's padded
+adjacency blocks read only the entries that lie on a graph edge, recorded
+once per `gnn.PlanBatch`, since every other entry of the degree-normalized
+adjacency is exactly zero.
 
 The sweep consumes the recording: each node leaves it as it is processed and
 drops its vjp edges and its gradient (the root keeps its gradient), so the
@@ -53,7 +55,6 @@ the smoothness digest as the primitives.
 
 from __future__ import annotations
 
-import functools
 import gc
 import hashlib
 import json
@@ -405,75 +406,39 @@ def stack(nodes) -> Node:
 class SparseGrad:
     """A gradient that is zero outside `index`, as returned by gather vjps.
 
-    `index` is whatever selected the gathered values: a row index array, a
-    row slice or the tuple of broadcasting row and column index arrays that
-    `gather_submatrix` takes. `add_into` adds the values into a full-size
-    buffer with `np.add.at`, so duplicate indices sum. A block (a tuple) is
-    added through one flat index into the raveled buffer, with the values
-    raveled to match: that call takes numpy's fast path for a 1-D index,
-    which a tuple index misses. The buffer must be C-ordered, because
-    raveling any other layout copies it and the add would be lost with the
-    copy; `add_into` raises instead.
+    `index` is whatever selected the gathered values: a row index array or
+    a row slice, or, with `raveled`, positions in the raveled operand, as
+    `gather_submatrix` reads them. `add_into` adds the values into a
+    full-size buffer with `np.add.at`, so duplicate indices sum. Raveled
+    positions are added into the raveled buffer, which must therefore be
+    C-ordered: raveling any other layout copies it and the add would be
+    lost with the copy; `add_into` raises instead.
 
-    The flat index is rebuilt from the block's index arrays for each add
-    instead of being stored. Measured on the benchmark's `paper` workload
-    (peak RSS about 230 MB), keeping each gather's index on the tape raised
-    the peak by 14-22%, and caching one per plan block would have held
-    153 MB there (1,783 blocks after burn-in, 24 training steps and one
-    evaluation) and 53 MB on `wide-sparse` (4,308 blocks).
+    A block's positions are held by its caller for as long as the block is
+    reused (`gnn.PlanBatch`), and cover only the block's entries on a graph
+    edge, so they are a small share of the block: after burn-in and one
+    evaluation pass the benchmark's `wide-sparse` workload holds about 3 MB
+    of them. Indices of every padded entry would have been about 124 MB for
+    its evaluation batches alone.
     """
 
-    __slots__ = ("index", "values")
+    __slots__ = ("index", "values", "raveled")
 
-    def __init__(self, index, values):
+    def __init__(self, index, values, raveled: bool = False):
         self.index = index
         self.values = values
+        self.raveled = raveled
 
     def add_into(self, buf: np.ndarray) -> None:
-        if type(self.index) is slice:  # distinct rows: a plain add
+        if self.raveled:
+            if not buf.flags.c_contiguous:
+                raise ValueError("a block gradient needs a C-ordered buffer: "
+                                 "raveling this one would copy it")
+            np.add.at(buf.reshape(-1), self.index, self.values)
+        elif type(self.index) is slice:  # distinct rows: a plain add
             buf[self.index] += self.values
-            return
-        if type(self.index) is not tuple:
+        else:
             np.add.at(buf, self.index, self.values)
-            return
-        if not buf.flags.c_contiguous:
-            raise ValueError("a block gradient needs a C-ordered buffer: "
-                             "raveling this one would copy it")
-        flat = _flat_index(buf.shape, self.index).reshape(-1)
-        np.add.at(buf.reshape(-1), flat, self.values.reshape(-1))
-
-
-def _flat_index(shape, ix) -> np.ndarray:
-    """Positions in the raveled array of `shape` that the block `ix` selects.
-
-    `ix` is a pair of non-negative row and column index arrays that
-    broadcast against each other, with a leading `slice(None)` for a
-    (G, R, K) stack. The result is the C-ordered index of the broadcast
-    shape, built with two broadcast adds; for a stack the (G, 1, 1) matrix
-    offsets join the broadcast, so the stack axis comes third from last.
-    (n, 1) rows and (1, m) columns select an (n, m) block, and (1, n) rows
-    and (m, 1) columns the transposed block. Index arrays with more axes
-    select a batch of blocks: (B, 1, n, 1) rows and (B, 1, 1, m) columns
-    read a (B, G, n, m) batch of stacked blocks, and (B, 1, 1, m) rows and
-    (B, 1, n, 1) columns the batch of their transposes.
-    """
-    rows, cols = ix[-2], ix[-1]
-    if len(ix) == 2:
-        return rows * shape[1] + cols
-    offsets = _stack_offsets(shape[0], shape[1] * shape[2])
-    return rows * shape[2] + offsets + cols
-
-
-@functools.lru_cache(maxsize=None)
-def _stack_offsets(n_mats: int, mat_size: int) -> np.ndarray:
-    """Where each matrix of a raveled stack starts, as a (G, 1, 1) column.
-
-    Cached because `np.arange` costs about as much as the rest of a small
-    block's index; each entry is G integers, one per stack shape.
-    """
-    offsets = np.arange(0, n_mats * mat_size, mat_size)[:, None, None]
-    offsets.flags.writeable = False
-    return offsets
 
 
 def gather_rows(a, idx) -> Node:
@@ -495,25 +460,20 @@ def gather_rows(a, idx) -> Node:
         flat, g.reshape(len(flat), *g.shape[idx.ndim:]))),))
 
 
-def gather_submatrix(a, ix) -> Node:
-    """Select a row/column block of a node.
+def gather_submatrix(a, shape, block_pos: np.ndarray,
+                     src_pos: np.ndarray) -> Node:
+    """A zero block of `shape` holding entries of a node at given positions.
 
-    `ix` is a pair of row and column index arrays that broadcast together,
-    (n, 1) rows and (1, m) columns for an (n, m) block; a stack of matrices
-    takes `(slice(None), *ix)`, the same block of each. With the two index
-    arrays transposed (`(rows.T, cols.T)`) the block is read transposed, as
-    numpy's `a[ix]` reads it. Any two index arrays that broadcast together
-    select that many entries (`_flat_index`): a batch of padded blocks, or
-    one column of a matrix as a (C, 1) node. The entries are read through
-    one flat index and come out C-contiguous; repeated entries get the sum
-    of their gradients.
+    Entry `block_pos[i]` of the raveled block is entry `src_pos[i]` of the
+    raveled node; every other entry is zero, and gets no gradient. The
+    block is C-contiguous, and a position of the node read more than once
+    gets the sum of its gradients, added in `block_pos` order.
     """
     a = as_node(a)
-    if len(ix) != a.value.ndim:
-        raise ValueError("gather_submatrix takes an np.ix_ pair, with a "
-                         "leading slice(None) for a stack")
-    val = a.value.take(_flat_index(a.value.shape, ix))
-    return _make(val, ((a, lambda g: SparseGrad(ix, g)),))
+    val = np.zeros(shape, a.value.dtype)
+    val.reshape(-1)[block_pos] = a.value.take(src_pos)
+    return _make(val, ((a, lambda g: SparseGrad(
+        src_pos, g.take(block_pos), raveled=True)),))
 
 
 def scatter_rows(rows, idx, n_rows: int) -> Node:

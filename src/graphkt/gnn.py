@@ -118,8 +118,10 @@ class GraphTensors:
     `kinds` names those graphs in `GRAPH_KINDS` order and `mask_norm` stacks
     their masks, shape (len(kinds), C, C). Rows with no neighbors are zero,
     so an empty neighbor list contributes nothing instead of dividing by zero.
-    `union` is the boolean (C, C) neighbor relation over P, S and R, which
-    plans expand hops with.
+    `edges` marks the nonzero entries of `mask_norm`, the ones that
+    gathered adjacency blocks read (`Layer.edge_block`), and `union` is the
+    boolean (C, C) neighbor relation over P, S and R, which plans expand
+    hops with.
     """
 
     def __init__(self, graphs: KcRelationGraphs):
@@ -137,7 +139,8 @@ class GraphTensors:
         self.kinds: tuple[str, ...] = tuple(masks)
         self.mask_norm = np.stack(list(masks.values())) if masks \
             else np.zeros((0, graphs.n_kcs, graphs.n_kcs))
-        self.union = (self.mask_norm > 0).any(axis=0)
+        self.edges = self.mask_norm != 0
+        self.union = self.edges.any(axis=0)
 
 
 class Plan:
@@ -190,11 +193,13 @@ class Layer(NamedTuple):
     the K blocks), or None when the two layouts are equal. A layer that is
     not whole reads the adjacency blocks of `prev` (K, in width) and `cur`
     (K, out width), the KC ids of its padded input and output rows (padding
-    reads KC 0): `block` selects them from a (G, C, C) stack as a
-    (K, G, out width, in width) batch, and `alpha_rows` selects the input
-    rows' requirement scores from the K stacked (C, 1) columns. `valid`
-    (K, out width) marks the output rows that are not padding (None when
-    there is none).
+    reads KC 0), as a (K, G, out width, in width) batch of blocks of a
+    (G, C, C) stack (`edge_block`). `alpha_rows` selects the input rows'
+    requirement scores from the K stacked (C, 1) columns, and `out_rows`,
+    (K, out width), the output rows'. `valid` (K, out width) marks the
+    output rows that are not padding (None when there is none). `edges`
+    holds the blocks' positions on a graph edge, forward and transposed,
+    as each is first read.
     """
 
     whole: bool
@@ -202,8 +207,20 @@ class Layer(NamedTuple):
     prev: np.ndarray | None = None
     cur: np.ndarray | None = None
     valid: np.ndarray | None = None
-    block: tuple | None = None
     alpha_rows: np.ndarray | None = None
+    out_rows: np.ndarray | None = None
+    edges: dict | None = None
+
+    def edge_block(self, gt: GraphTensors, transposed: bool) -> tuple:
+        """`E.gather_submatrix`'s arguments after the adjacency, for this
+        layer's padded blocks, transposed or not: their shape and the
+        raveled positions of their entries on an edge of `gt`, in the
+        blocks and in the (G, C, C) stack, built on first use and kept."""
+        found = self.edges.get(transposed)
+        if found is None:
+            found = self.edges[transposed] = _edge_positions(
+                gt.edges, self.cur, self.prev, transposed)
+        return found
 
 
 class PlanBatch:
@@ -220,7 +237,9 @@ class PlanBatch:
     A batch of one plan, or of plans whose row sets are equally wide, has
     no padding rows.
 
-    Every index is built once, with the batch or on first use.
+    Every index is built once, with the batch or on first use, the
+    positions of a layer's blocks on a graph edge included, so they live
+    exactly as long as the batch.
     `padded[l]` holds the row sets of layer l as a (K, width) array padded
     with KC 0 (None for a whole layer), and `seed_mask` marks the layer-0
     rows that are not padding as a (K * width, 1) column (None when there
@@ -302,9 +321,8 @@ class PlanBatch:
             return Layer(True, embed)
         prev, cur = self.padded[layer - 1], self.padded[layer]
         offsets = (np.arange(len(self.plans)) * self.n_kcs)[:, None]
-        block = (slice(None), cur[:, None, :, None], prev[:, None, None, :])
-        return Layer(False, embed, prev, cur, valid, block,
-                     (prev + offsets).ravel())
+        return Layer(False, embed, prev, cur, valid, (prev + offsets).ravel(),
+                     cur + offsets, {})
 
     def positions(self, i: int) -> np.ndarray:
         """Where plan i's output rows sit in its block of the last layer."""
@@ -323,6 +341,34 @@ def pad_ids(lists) -> tuple[np.ndarray, np.ndarray | None]:
     out = np.zeros(valid.shape, dtype=np.int64)
     out[valid] = np.concatenate(lists)
     return out, None if valid.all() else valid
+
+
+def _edge_positions(edges: np.ndarray, out_ids: np.ndarray,
+                    in_ids: np.ndarray, transposed: bool) -> tuple:
+    """Where the (K, G, m, n) padded blocks of a layer meet a graph edge.
+
+    Block entry [k, g, i, j] is entry [g, out_ids[k, i], in_ids[k, j]] of
+    the (G, C, C) stack, or [g, in_ids[k, j], out_ids[k, i]] when
+    `transposed`. Returns the blocks' shape and the raveled positions of
+    the entries that `edges` marks, in the blocks and in the stack, as
+    int32 when they fit. Every other entry of a degree-normalized adjacency
+    is exactly zero, so a block filled at these positions only is the
+    padded block, bit for bit.
+    """
+    n_kcs = edges.shape[1]
+    rows, cols = out_ids[:, None, :, None], in_ids[:, None, None, :]
+    if transposed:
+        rows, cols = cols, rows
+    on = edges[np.arange(len(edges))[:, None, None], rows, cols]
+    block_pos = np.flatnonzero(on)
+    k, g, i, j = np.unravel_index(block_pos, on.shape)
+    rows, cols = out_ids[k, i], in_ids[k, j]
+    if transposed:
+        rows, cols = cols, rows
+    src_pos = (g * n_kcs + rows) * n_kcs + cols
+    dtype = np.int32 if max(on.size, edges.size) <= np.iinfo(np.int32).max \
+        else np.int64
+    return on.shape, block_pos.astype(dtype), src_pos.astype(dtype)
 
 
 def _hop_row_sets(gt: GraphTensors, kcs, layers: int) -> list[tuple[int, ...]]:
@@ -386,12 +432,9 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plans, gt: GraphTensors,
     are fewer than every KC, they are embedded in all C rows: by the
     residual's scatter, or by a scatter of their own in a width-changing
     layer, which has no residual. A layer that is not whole gathers each
-    plan's adjacency block and masks its padding rows to zero, so those stay
-    zero through the output activation wherever it maps zero to zero.
-
-    `gt` is not read: the batch carries every index. It stays in the
-    signature because the benchmark's tracer (`benchmarks/tracer.py`) reads
-    the third and fourth arguments as `plans.row_sets` and `gt.n_kcs`.
+    plan's adjacency block, its entries on an edge of `gt` only (the rest
+    of `agg` is exactly zero), and masks its padding rows to zero, so those
+    stay zero through the output activation wherever it maps zero to zero.
     """
     batch = PlanBatch.of(plans)
     _check_question_context(spec, alpha)
@@ -410,7 +453,7 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plans, gt: GraphTensors,
         feats, sub, scale = out, agg, alpha
         if not lay.whole:
             if agg is not None:
-                sub = E.gather_submatrix(agg, lay.block)
+                sub = E.gather_submatrix(agg, *lay.edge_block(gt, False))
             if alpha is not None:
                 scale = E.gather_rows(alpha, lay.alpha_rows)
         elif lay.embed is not None:  # every KC's row, zero outside the inputs
@@ -430,9 +473,9 @@ def gnn_forward_rows(spec: GnnSpec, x0: E.Node, plans, gt: GraphTensors,
     return _apply_output_activation(spec, out)
 
 
-def readout_rows(spec: GnnSpec, seed: E.Node, plans, weights_t: list[E.Node],
-                 agg: E.Node | None, agg_t: E.Node | None,
-                 alpha: E.Node | None = None) -> E.Node:
+def readout_rows(spec: GnnSpec, seed: E.Node, plans, gt: GraphTensors,
+                 weights_t: list[E.Node], agg: E.Node | None,
+                 agg_t: E.Node | None, alpha: E.Node | None = None) -> E.Node:
     """Input coefficients of weighted read-outs of a linear head, K at once.
 
     For a head without feed-forward or output activation (so of constant
@@ -453,10 +496,13 @@ def readout_rows(spec: GnnSpec, seed: E.Node, plans, weights_t: list[E.Node],
     swapped (empty when no graph has edges) and the residual embeds each
     key's rows as `gnn_forward_rows` does, with one scatter for the batch.
     The transposed blocks are read from `agg` through each plan's row sets
-    swapped, padded to (K, G, N_k, N_{k-1}). A padded column meets a zero
-    row of B_{k-1}, and the padded rows' requirement scores are masked to
-    zero, so the padded rows of B_k stay exactly zero and the padded block
-    entries get exactly zero gradient. A whole layer reads `agg_t`, the
+    swapped, padded to (K, G, N_k, N_{k-1}), at their entries on an edge
+    of `gt` only, as `gnn_forward_rows` reads its blocks. A padded column
+    meets a zero row of B_{k-1}, and the padded rows' requirement scores
+    are masked to zero, so the padded rows of B_k stay exactly zero and the
+    padded block entries get exactly zero gradient. Each layer reads the
+    scores through its own reshape of `alpha`, so each layer's gradient
+    joins alpha's as one contribution. A whole layer reads `agg_t`, the
     whole stack with its last two axes swapped (None when no plan batch has
     such a layer); `agg` and `agg_t` are None when no graph has edges.
     `alpha` is the (K, C) table of the keys' question requirement scores,
@@ -492,10 +538,10 @@ def readout_rows(spec: GnnSpec, seed: E.Node, plans, weights_t: list[E.Node],
             scale = None if alpha is None \
                 else E.reshape(alpha, (*alpha.value.shape, 1))
         else:
-            feats, (graphs, rows, cols) = coef, lay.block
-            sub = E.gather_submatrix(agg, (graphs, cols, rows))  # transposed
-            scale = None if alpha is None else E.gather_submatrix(
-                alpha, (np.arange(n_keys)[:, None, None], lay.cur[:, :, None]))
+            feats = coef
+            sub = E.gather_submatrix(agg, *lay.edge_block(gt, True))
+            scale = None if alpha is None else E.gather_rows(
+                E.reshape(alpha, (-1, 1)), lay.out_rows)
             if lay.valid is not None:
                 mask = _row_mask(lay.valid, (n_keys, width, 1), agg.value.dtype)
                 scale = mask if scale is None else E.mul(scale, mask)

@@ -240,9 +240,9 @@ class QuestionTables:
             batch = cache.plan_batch([plans[i] for i in members])
             requirement = self.requirement if len(members) == n_keys \
                 else E.gather_rows(self.requirement, members)
-            coef = readout_rows(model.specs["rtv"], seed, batch, cache.rtv_t,
-                                cache.agg, cache.whole_transposed(batch),
-                                requirement)
+            coef = readout_rows(model.specs["rtv"], seed, batch, model.gt,
+                                cache.rtv_t, cache.agg,
+                                cache.whole_transposed(batch), requirement)
             width = coef.value.shape[1]
             parts.append(E.reshape(coef, (len(members) * width, d_k)))
             for j, i in enumerate(members):

@@ -65,8 +65,11 @@ class SynthConfig:
         for name in ("guess", "slip", "pre_density", "sim_density"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.decay_rate < 0:
-            raise ValueError("decay_rate must be non-negative")
+        for name in ("decay_rate", "transfer", "mastery_noise",
+                     "noise_smoothing"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass

@@ -131,6 +131,62 @@ def sum_axis(a, axis, keepdims: bool = True) -> E.Node:
     return E._make(val, ((a, vjp),))
 
 
+# -- the padded block gather --------------------------------------------------
+
+
+def flat_index(shape, ix) -> np.ndarray:
+    """Positions in the raveled array of `shape` that the block `ix` selects.
+
+    `ix` is a pair of non-negative row and column index arrays that
+    broadcast against each other, with a leading `slice(None)` for a
+    (G, R, K) stack. The result is the C-ordered index of the broadcast
+    shape, built with two broadcast adds; for a stack the (G, 1, 1) matrix
+    offsets join the broadcast, so the stack axis comes third from last.
+    (n, 1) rows and (1, m) columns select an (n, m) block, and (1, n) rows
+    and (m, 1) columns the transposed block. Index arrays with more axes
+    select a batch of blocks: (B, 1, n, 1) rows and (B, 1, 1, m) columns
+    read a (B, G, n, m) batch of stacked blocks, and (B, 1, 1, m) rows and
+    (B, 1, n, 1) columns the batch of their transposes.
+    """
+    rows, cols = ix[-2], ix[-1]
+    if len(ix) == 2:
+        return rows * shape[1] + cols
+    mat_size = shape[1] * shape[2]
+    offsets = np.arange(0, shape[0] * mat_size, mat_size)[:, None, None]
+    return rows * shape[2] + offsets + cols
+
+
+def every_entry(shape, ix) -> tuple:
+    """`E.gather_submatrix`'s arguments after the operand, to read every
+    entry of the block `ix` (`flat_index`) of an array of `shape`."""
+    flat = flat_index(shape, ix)
+    return flat.shape, np.arange(flat.size), flat.reshape(-1)
+
+
+def padded_block(layer, gt, transposed: bool) -> tuple:
+    """`gnn.Layer.edge_block` as blocks were read before they read only
+    their edges: every entry of the layer's padded blocks, edge or not,
+    through the flat index of the whole batch, rebuilt on each read."""
+    rows, cols = layer.cur[:, None, :, None], layer.prev[:, None, None, :]
+    if transposed:
+        rows, cols = cols, rows
+    return every_entry(gt.mask_norm.shape, (slice(None), rows, cols))
+
+
+def gather_submatrix(a, shape, block_pos, src_pos) -> E.Node:
+    """Reference block gather of every entry (`every_entry` positions), as
+    the engine gathered blocks before they read only their edges: `take`
+    through the flat index, and a vjp that adds every entry's gradient with
+    `np.add.at` through the same index into the parent's raveled buffer.
+    Backward adds the entries of one position in the same order as the
+    engine's gather does, so gradients agree bitwise."""
+    a = E.as_node(a)
+    if not np.array_equal(block_pos, np.arange(np.prod(shape))):
+        raise ValueError("the reference gather reads every entry in order")
+    return E._make(a.value.take(src_pos).reshape(shape), ((a, lambda g: (
+        E.SparseGrad(src_pos, g.reshape(-1), raveled=True))),))
+
+
 # -- graph structure and statistics -------------------------------------------
 
 

@@ -262,8 +262,12 @@ def one_sequence_log(data, tmp_path):
     (["--seq-len-min", "0"], "seq_len_min"),
     (["--seq-len-min", "12", "--seq-len-max", "8"], "seq_len_min"),
     (["--kcs", "1"], "kcs_per_question_max"),  # the default is 2
+    (["--transfer", "-2"], "transfer"),
+    (["--mastery-noise", "-1"], "mastery_noise"),
+    (["--noise-smoothing", "-3"], "noise_smoothing"),
 ], ids=["seed", "kcs", "questions", "students", "seq-len-min",
-        "seq-len-order", "kcs-per-question"])
+        "seq-len-order", "kcs-per-question", "transfer", "mastery-noise",
+        "noise-smoothing"])
 def test_synth_rejects_sizes_it_cannot_generate(tmp_path, capsys, flags,
                                                 field):
     out = tmp_path / "out"

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkt import engine as E
+from graphkt import gnn
+from tests import oracles
 from tests.oracles import (constrain_nonneg_matrix, constrain_nonneg_vector,
-                           sigmoid_two_masks, sum_axis)
+                           every_entry, sigmoid_two_masks, sum_axis)
 
 
 def numeric_grad(build, store, name, h=1e-6):
@@ -59,8 +61,8 @@ OPS = {
         E.concat([b["W"], E.mul(b["W"], 2.0)], axis=1), 2, 7)),
     "gather_scatter": lambda b, c: E.sum_all(E.mul(E.scatter_rows(
         E.gather_rows(b["W"], [2, 0]), [1, 3], 5), c["s5"])),
-    "submatrix": lambda b, c: E.sum_all(E.mul(
-        E.gather_submatrix(b["W"], np.ix_([0, 3], [1, 2])), c["s2"])),
+    "submatrix": lambda b, c: E.sum_all(E.mul(E.gather_submatrix(
+        b["W"], *every_entry((4, 4), np.ix_([0, 3], [1, 2]))), c["s2"])),
     "sum_axis": lambda b, c: E.sum_all(E.mul(sum_axis(b["W"], 0), c["row"])),
     "reshape": lambda b, c: E.sum_all(E.mul(E.reshape(
         E.sigmoid(b["W"]), (2, 8)), c["t28"])),
@@ -78,15 +80,23 @@ OPS = {
         E.stack([b["W"], E.mul(b["W"], c["s"])]),
         E.stack([E.sigmoid(b["W"]), c["x"]])), c["s2x"])),
     "submatrix_stacked": lambda b, c: E.sum_all(E.mul(E.gather_submatrix(
-        E.stack([b["W"], E.sigmoid(b["W"])]),
-        (slice(None), *np.ix_([3, 0, 3], [1, 2]))), c["s232"])),
+        E.stack([b["W"], E.sigmoid(b["W"])]), *every_entry(
+            (2, 4, 4), (slice(None), *np.ix_([3, 0, 3], [1, 2])))),
+        c["s232"])),
     # two transposed padded blocks of the stack, (2 keys, 2 graphs, 3, 2)
     "submatrix_batched": lambda b, c: E.sum_all(E.mul(E.gather_submatrix(
-        E.stack([b["W"], E.sigmoid(b["W"])]),
-        (slice(None), np.array([[1, 2], [0, 0]])[:, None, None, :],
-         np.array([[3, 0, 3], [2, 1, 0]])[:, None, :, None])), c["s2232"])),
+        E.stack([b["W"], E.sigmoid(b["W"])]), *every_entry((2, 4, 4), (
+            slice(None), np.array([[1, 2], [0, 0]])[:, None, None, :],
+            np.array([[3, 0, 3], [2, 1, 0]])[:, None, :, None]))),
+        c["s2232"])),
+    # some entries of such a batch, one stack entry read twice
+    "submatrix_some_entries": lambda b, c: E.sum_all(E.mul(E.gather_submatrix(
+        E.stack([b["W"], E.sigmoid(b["W"])]), (2, 2, 3, 2),
+        np.array([0, 3, 4, 9, 10, 23]), np.array([5, 0, 5, 17, 30, 12])),
+        c["s2232"])),
     "submatrix_column": lambda b, c: E.sum_all(E.mul(E.gather_submatrix(
-        b["W"], (np.array([[2]]), np.arange(4)[:, None])), c["col"])),
+        b["W"], *every_entry((4, 4), (np.array([[2]]), np.arange(4)[:, None]))),
+        c["col"])),
     # the left operand broadcast over a batch axis of the right one
     "matmul_stack_bcast_batch": lambda b, c: E.sum_all(E.mul(E.matmul(
         E.stack([b["W"], E.sigmoid(b["W"])]), c["x32"]), c["x32"])),
@@ -500,25 +510,38 @@ def _dense_gather_rows(a, idx):
     return E._make(a.value[idx], ((a, vjp),))
 
 
-def _dense_gather_submatrix(a, ix):
-    """Reference block gather with a dense vjp, through the engine's flat
-    index (a batch of stacked blocks has no numpy `a[ix]` equivalent)."""
+def _with_padded_blocks(monkeypatch, fn):
+    """Run `fn` with blocks read as before they read only their edges: every
+    padded entry, through the reference gather (`oracles.gather_submatrix`),
+    each read building its flat index."""
+    with monkeypatch.context() as m:
+        m.setattr(E, "gather_submatrix", oracles.gather_submatrix)
+        m.setattr(gnn.Layer, "edge_block", oracles.padded_block)
+        return fn()
+
+
+def _dense_gather_submatrix(a, shape, block_pos, src_pos):
+    """Reference block gather with a dense vjp: a zeroed full-size array
+    plus `np.add.at` through the raveled positions."""
     a = E.as_node(a)
-    flat = E._flat_index(a.value.shape, ix)
+    val = np.zeros(shape, a.value.dtype)
+    val.reshape(-1)[block_pos] = a.value.take(src_pos)
 
     def vjp(g):
         out = np.zeros(a.value.size, dtype=a.value.dtype)
-        np.add.at(out, flat.ravel(), g.ravel())
+        np.add.at(out, src_pos, g.reshape(-1)[block_pos])
         return out.reshape(a.value.shape)
 
-    return E._make(a.value.take(flat), ((a, vjp),))
+    return E._make(val, ((a, vjp),))
 
 
 def _with_dense_gathers(monkeypatch, fn):
-    """Run `fn` with the reference dense-vjp gathers patched into the engine."""
+    """Run `fn` with the reference dense-vjp gathers patched into the
+    engine, blocks read at every padded entry."""
     with monkeypatch.context() as m:
         m.setattr(E, "gather_rows", _dense_gather_rows)
         m.setattr(E, "gather_submatrix", _dense_gather_submatrix)
+        m.setattr(gnn.Layer, "edge_block", oracles.padded_block)
         return fn()
 
 
@@ -562,7 +585,8 @@ def test_gather_submatrix_sums_like_add_at():
     ix = np.ix_([2, 0, 2], [1, 1])
     weights = rng.normal(size=(3, 2))
     bound = store.bind()
-    store.backward(E.sum_all(E.mul(E.gather_submatrix(bound["W"], ix), weights)))
+    store.backward(E.sum_all(E.mul(
+        E.gather_submatrix(bound["W"], *every_entry((4, 4), ix)), weights)))
     expected = np.zeros((4, 4))
     np.add.at(expected, ix, weights)
     assert np.array_equal(store["W"].grad, expected)
@@ -575,7 +599,7 @@ def test_stacked_gather_submatrix_sums_like_add_at():
     ix = (slice(None), *np.ix_([2, 0, 2], [1, 1, 3]))
     weights = rng.normal(size=(3, 3, 3))
     bound = store.bind()
-    block = E.gather_submatrix(bound["A"], ix)
+    block = E.gather_submatrix(bound["A"], *every_entry((3, 4, 4), ix))
     assert np.array_equal(block.value,
                           store.value("A")[:, [2, 0, 2]][:, :, [1, 1, 3]])
     store.backward(E.sum_all(E.mul(block, weights)))
@@ -600,7 +624,7 @@ BLOCKS = {
 def test_gathered_block_is_c_contiguous_and_exact(block, order):
     shape, ix = BLOCKS[block]
     a = np.asarray(np.random.default_rng(19).normal(size=shape), order=order)
-    value = E.gather_submatrix(a, ix).value
+    value = E.gather_submatrix(a, *every_entry(shape, ix)).value
     assert value.flags.c_contiguous
     assert np.array_equal(value, a[ix])
 
@@ -615,8 +639,8 @@ def test_block_gradient_of_a_fortran_ordered_leaf_sums_like_add_at(block):
     assert not store.value("A").flags.c_contiguous
     weights = rng.normal(size=store.value("A")[ix].shape)
     bound = store.bind()
-    store.backward(E.sum_all(E.mul(E.gather_submatrix(bound["A"], ix),
-                                   weights)))
+    store.backward(E.sum_all(E.mul(
+        E.gather_submatrix(bound["A"], *every_entry(shape, ix)), weights)))
     expected = np.zeros(shape)
     np.add.at(expected, ix, weights)
     assert np.array_equal(bound["A"].grad, expected)
@@ -632,7 +656,7 @@ def test_block_gradient_after_fortran_ordered_dense_contributions():
     weights, x, y = (rng.normal(size=s) for s in ((3, 3), shape[::-1],
                                                   shape[::-1]))
     bound = store.bind()
-    block = E.gather_submatrix(bound["W"], ix)
+    block = E.gather_submatrix(bound["W"], *every_entry(shape, ix))
     loss = E.add(E.add(E.sum_all(E.mul(block, weights)),
                        E.sum_all(E.mul(E.transpose(bound["W"]), x))),
                  E.sum_all(E.mul(E.transpose(bound["W"]), y)))
@@ -643,14 +667,36 @@ def test_block_gradient_after_fortran_ordered_dense_contributions():
 
 
 def test_block_gradient_refuses_a_buffer_it_cannot_ravel_in_place():
-    grad = E.SparseGrad(np.ix_([0], [1]), np.ones((1, 1)))
+    grad = E.SparseGrad(np.array([1]), np.ones(1), raveled=True)
     with pytest.raises(ValueError, match="C-ordered"):
         grad.add_into(np.zeros((3, 4), order="F"))
 
 
-def test_gather_submatrix_rejects_an_index_of_the_wrong_rank():
-    with pytest.raises(ValueError, match="np.ix_ pair"):
-        E.gather_submatrix(np.zeros((2, 3, 3)), np.ix_([0], [1]))
+def test_gather_submatrix_rejects_positions_outside_the_operand():
+    with pytest.raises(IndexError):
+        E.gather_submatrix(np.zeros((2, 3, 3)), (1, 2), np.array([0, 1]),
+                           np.array([0, 18]))
+    with pytest.raises(IndexError):
+        E.gather_submatrix(np.zeros((2, 3, 3)), (1, 2), np.array([0, 2]),
+                           np.array([0, 17]))
+
+
+def test_gathered_block_is_zero_and_gets_no_gradient_off_its_positions():
+    rng = np.random.default_rng(22)
+    store = E.ParameterStore()
+    store.add("A", rng.normal(size=(2, 3, 3)))
+    block_pos, src_pos = np.array([1, 4, 5]), np.array([7, 0, 7])
+    weights = rng.normal(size=(2, 3))
+    bound = store.bind()
+    block = E.gather_submatrix(bound["A"], (2, 3), block_pos, src_pos)
+    expected = np.zeros(6)
+    expected[block_pos] = store.value("A").reshape(-1)[src_pos]
+    assert block.value.flags.c_contiguous
+    assert np.array_equal(block.value, expected.reshape(2, 3))
+    store.backward(E.sum_all(E.mul(block, weights)))
+    grad = np.zeros(18)
+    np.add.at(grad, src_pos, weights.reshape(-1)[block_pos])
+    assert np.array_equal(store["A"].grad, grad.reshape(2, 3, 3))
 
 
 def test_matmul_of_2d_operands_is_unchanged():
@@ -682,7 +728,8 @@ def test_dense_and_sparse_contributions_match_dense_reference(monkeypatch):
             picked = E.gather_rows(H, rows)
             terms.append(E.sum_all(E.sigmoid(E.matmul(picked, bound["W"]))))
             H = E.add(E.mul(H, 0.9), E.mul(bound["U"], 0.1))
-        block = E.gather_submatrix(H, np.ix_([1, 4], [0, 2]))
+        block = E.gather_submatrix(H, *every_entry((6, 3),
+                                                   np.ix_([1, 4], [0, 2])))
         terms.append(E.sum_all(E.mul(block, block)))
         total = terms[0]
         for term in terms[1:]:
@@ -735,7 +782,8 @@ def test_gather_vjp_from_edges_is_callable():
     store.add("W", rng.normal(size=(4, 4)))
     bound = store.bind()
     rows = E.gather_rows(bound["W"], [1, 3])
-    block = E.gather_submatrix(bound["W"], np.ix_([0, 2], [1, 3]))
+    block = E.gather_submatrix(bound["W"],
+                               *every_entry((4, 4), np.ix_([0, 2], [1, 3])))
     for node, index in ((rows, np.array([1, 3])), (block, np.ix_([0, 2], [1, 3]))):
         (parent, vjp), = node.edges
         assert parent is bound["W"] and callable(vjp)
@@ -780,6 +828,71 @@ def test_model_gradients_match_dense_reference_and_repeat(monkeypatch):
         assert np.abs(first[name] - dense[name]).max() < 1e-12, name
     assert any(np.any(first[n] != 0) for n in model.store.names()
                if n.startswith("gnn.prg"))  # stage 3 gave some progress
+
+
+def _graphs_of_density(rng, n_kcs, density):
+    """P (random direction) and R edges, each on about `density` of the KC
+    pairs: no edge at 0, every pair joined at 1."""
+    from graphkt.graphs import KcRelationGraphs
+    pairs = [(i, j) for i in range(n_kcs) for j in range(i + 1, n_kcs)]
+    p = {(e if rng.random() < 0.5 else e[::-1]): 0.8 for e in pairs
+         if rng.random() < density}
+    r = {e: 0.7 for e in pairs
+         if e not in p and e[::-1] not in p and rng.random() < density}
+    return KcRelationGraphs(n_kcs, p, r)
+
+
+@pytest.mark.parametrize("n_seqs", [1, 3, 5])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("density", [0.0, 0.01, 1.0],
+                         ids=["empty", "sparse", "complete"])
+def test_edge_blocks_match_the_padded_gather_bitwise(monkeypatch, density,
+                                                     layers, n_seqs):
+    # a lockstep training batch of n_seqs sequences: every block that
+    # gnn_forward_rows and readout_rows gather, the loss and every parameter
+    # gradient equal those of the reference gather of every padded entry
+    from graphkt.model import GrktModel, HyperParams
+    from graphkt.train import bce_loss_node
+    from tests.conftest import random_sequence
+
+    rng = np.random.default_rng([layers, n_seqs, int(density * 100)])
+    n_kcs, n_q = 40, 12
+    graphs = _graphs_of_density(rng, n_kcs, density)
+    hp = HyperParams(d_e=4, d_k=3, d_h=5, layers=layers, seed=3)
+    store = GrktModel(hp, n_q, n_kcs, graphs).store
+    values = {n: rng.normal(0.0, 0.7, size=store.value(n).shape)
+              for n in store.names()}
+    seqs = [random_sequence(rng, n_q, n_kcs, 6, student=s, max_kcs=4).real()
+            for s in range(n_seqs)]
+
+    def run():
+        model = GrktModel(hp, n_q, n_kcs, graphs)  # no batch built yet
+        for name, value in values.items():
+            model.store.value(name)[...] = value
+        blocks, gather = [], E.gather_submatrix
+        with monkeypatch.context() as m:
+            m.setattr(E, "gather_submatrix",
+                      lambda *args: blocks.append(gather(*args)) or blocks[-1])
+            _, cache = model.begin("train")
+            loss = bce_loss_node([
+                (step.a_hat, np.array([r.correct for r in step.responses]))
+                for step in model.steps(seqs, cache, False)])
+            model.store.zero_grad()
+            model.store.backward(loss)
+        return ([b.value for b in blocks], loss.value.item(),
+                {n: model.store[n].grad.copy() for n in values})
+
+    blocks, loss, grads = run()
+    want_blocks, want_loss, want_grads = _with_padded_blocks(monkeypatch, run)
+    assert len(blocks) == len(want_blocks)
+    for got, want in zip(blocks, want_blocks):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert loss == want_loss
+    for name in values:
+        assert np.array_equal(grads[name], want_grads[name]), name
+    if density == 0.01:  # batches of blocks, some entries on an edge
+        assert any(b.shape[0] > 1 for b in blocks)
+        assert any(b.any() for b in blocks)
 
 
 # -- recording lifetime ------------------------------------------------------

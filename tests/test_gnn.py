@@ -257,7 +257,7 @@ def read_out(model, cache, plans, seeds, questions, agg_t=None,
     alpha = None if questions is None else E.concat(
         [E.transpose(oracles.alpha_col(cache, q)) for q in questions], axis=0)
     return readout_rows(spec or model.specs["rtv"], E.as_node(padded), plans,
-                        cache.rtv_t, cache.agg, agg_t, alpha)
+                        model.gt, cache.rtv_t, cache.agg, agg_t, alpha)
 
 
 def test_readout_weighs_the_forward_output_rows_on_any_plan():
@@ -305,15 +305,15 @@ def test_readout_refuses_a_nonlinear_head_and_a_wrong_seed():
     alpha = E.transpose(oracles.alpha_col(cache, 0))
     for head in ("gain", "loss", "prg", "lrn", "fgt"):
         with pytest.raises(ValueError, match="not linear"):
-            readout_rows(model.specs[head], seed, plans, cache.rtv_t,
-                         cache.agg, None, alpha)
+            readout_rows(model.specs[head], seed, plans, model.gt,
+                         cache.rtv_t, cache.agg, None, alpha)
     with pytest.raises(ValueError, match="requires"):
-        readout_rows(model.specs["rtv"], seed, plans, cache.rtv_t, cache.agg,
-                     None)
+        readout_rows(model.specs["rtv"], seed, plans, model.gt, cache.rtv_t,
+                     cache.agg, None)
     for wrong in ((1, 2, 3), (2, 1, 3), (1, 3)):
         with pytest.raises(ValueError, match="seed"):
             readout_rows(model.specs["rtv"], E.as_node(np.ones(wrong)), plans,
-                         cache.rtv_t, cache.agg, None, alpha)
+                         model.gt, cache.rtv_t, cache.agg, None, alpha)
 
 
 # -- sign and locality properties --------------------------------------------

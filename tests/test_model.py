@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import graphkt.gnn
 import graphkt.model
 from graphkt import engine as E
 from graphkt.data import Response, ResponseSequence
@@ -296,6 +297,50 @@ def test_train_mode_builds_its_plan_batches_afresh(monkeypatch):
         counts.append(len(built))
     assert counts[0] == counts[1] > 0
     assert model._eval_batches is held and held == held_batches
+
+
+def count_edge_positions(monkeypatch) -> list[int]:
+    """The plan count of every batch whose blocks' edge positions are
+    built from now on, once per layer and direction."""
+    built = []
+    build = graphkt.gnn._edge_positions
+
+    def spy(edges, out_ids, *rest):
+        built.append(len(out_ids))
+        return build(edges, out_ids, *rest)
+
+    monkeypatch.setattr(graphkt.gnn, "_edge_positions", spy)
+    return built
+
+
+def test_a_second_evaluation_pass_builds_no_edge_positions(monkeypatch):
+    ds, model, cfg = reuse_corpus()
+    built = count_edge_positions(monkeypatch)
+    first = evaluate(model, ds, range(8), cfg).to_dict()
+    assert any(size > 1 for size in built)
+    built.clear()
+    assert evaluate(model, ds, range(8), cfg).to_dict() == first
+    assert not built
+
+
+def test_a_plan_builds_its_edge_positions_once_across_training_steps(
+        monkeypatch):
+    ds, model, _ = reuse_corpus()
+    built = count_edge_positions(monkeypatch)
+    steps = []
+    for _ in range(2):
+        built.clear()
+        _, cache = model.begin("train")
+        model.store.zero_grad()
+        model.store.backward(bce_loss_node(
+            model.forward_sequence(ds.sequences[0], cache).preds))
+        model.store.adam_step(lr=0.01)
+        steps.append(sorted(built))
+    first, second = steps
+    # a plan's batch of one keeps its positions; a train-mode batch of
+    # several plans lives for one step and builds them again
+    assert 1 in first and 1 not in second
+    assert [k for k in first if k > 1] == second and second
 
 
 def test_the_model_holds_one_evaluation_pass_of_plan_batches():
