@@ -345,6 +345,8 @@ def cmd_trace(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.coords < 1:
         raise CliError(f"--coords {args.coords}: must be at least 1")
+    if not 0 < args.tolerance < np.inf:
+        raise CliError(f"--tolerance {args.tolerance}: must lie in (0, inf)")
     out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
     hp = HyperParams(d_e=4, d_k=4, d_h=6, layers=1, seed=args.seed)

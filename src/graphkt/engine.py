@@ -34,6 +34,10 @@ so Python's cyclic garbage collector has nothing to find in it: it is paused
 while a recording is live and put back as it was when the recording stops.
 Every recording therefore ends in `ParameterStore.backward` or `release`.
 
+A Python number operand stays a number in its constant node (`as_node`):
+numpy's weak promotion keeps float32 graphs in float32, and `_make` drops
+the constant's vjp edge, so `add`, `sub` and `mul` have one path.
+
 `matmul` takes N-D operands (numpy's batched matmul over leading axes, a 2-D
 operand broadcast against a stack); with `stack` this lets one op chain
 propagate over all relation graphs at once.
@@ -42,7 +46,7 @@ Fused ops record one node for a short fixed chain that runs once or more
 per response: `mlp` (an MLP head, relu(x W1 + terms) W2 + b2), `messages`
 (a GNN message layer, sum_g [relu](A_g X W_g) [O_g]), `readout` (the
 stage-1 sum of gathered memory rows times gathered coefficient rows) and
-`forget` (stage-3 decay toward the initial memory). Each computes the
+`forget` (stage-3 learning and forgetting). Each computes the
 chain's values in the chain's order, and its vjp (`_fused`) the chain's
 gradients: weight gradients are products summed to the weight's shape,
 gathered rows' gradients `SparseGrad`s, and an adjacency's gradient goes
@@ -134,10 +138,10 @@ class Node:
 
 
 def as_node(x) -> Node:
-    """Wrap a constant array or scalar as a non-differentiable node."""
+    """Wrap a constant as a non-differentiable node; numbers stay numbers."""
     if isinstance(x, Node):
         return x
-    return Node(np.asarray(x))
+    return Node(x if isinstance(x, (int, float)) else np.asarray(x))
 
 
 def start_tape() -> None:
@@ -204,52 +208,28 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
-# python-number operands stay raw scalars: numpy's weak promotion then keeps
-# float32 graphs in float32, and the constant side needs no vjp edge
-
 
 def add(a, b) -> Node:
-    if isinstance(b, (int, float)):
-        a = as_node(a)
-        return _make(a.value + b, ((a, lambda g: g),))
-    if isinstance(a, (int, float)):
-        b = as_node(b)
-        return _make(a + b.value, ((b, lambda g: g),))
     a, b = as_node(a), as_node(b)
-    val = a.value + b.value
-    return _make(val, (
-        (a, lambda g: _unbroadcast(g, a.value.shape)),
-        (b, lambda g: _unbroadcast(g, b.value.shape)),
+    return _make(a.value + b.value, (
+        (a, lambda g: _unbroadcast(g, np.shape(a.value))),
+        (b, lambda g: _unbroadcast(g, np.shape(b.value))),
     ))
 
 
 def sub(a, b) -> Node:
-    if isinstance(b, (int, float)):
-        a = as_node(a)
-        return _make(a.value - b, ((a, lambda g: g),))
-    if isinstance(a, (int, float)):
-        b = as_node(b)
-        return _make(a - b.value, ((b, lambda g: -g),))
     a, b = as_node(a), as_node(b)
-    val = a.value - b.value
-    return _make(val, (
-        (a, lambda g: _unbroadcast(g, a.value.shape)),
-        (b, lambda g: _unbroadcast(-g, b.value.shape)),
+    return _make(a.value - b.value, (
+        (a, lambda g: _unbroadcast(g, np.shape(a.value))),
+        (b, lambda g: _unbroadcast(-g, np.shape(b.value))),
     ))
 
 
 def mul(a, b) -> Node:
-    if isinstance(b, (int, float)):
-        a = as_node(a)
-        return _make(a.value * b, ((a, lambda g: g * b),))
-    if isinstance(a, (int, float)):
-        b = as_node(b)
-        return _make(a * b.value, ((b, lambda g: g * a),))
     a, b = as_node(a), as_node(b)
-    val = a.value * b.value
-    return _make(val, (
-        (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-        (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
+    return _make(a.value * b.value, (
+        (a, lambda g: _unbroadcast(g * b.value, np.shape(a.value))),
+        (b, lambda g: _unbroadcast(g * a.value, np.shape(b.value))),
     ))
 
 
@@ -339,16 +319,6 @@ def softplus(a) -> Node:
     a = as_node(a)
     out = np.logaddexp(0.0, a.value)
     return _make(out, ((a, lambda g: g * _sigmoid(a.value)),))
-
-
-def clamped_exp(a) -> Node:
-    """exp(clip(x, EXP_CLAMP_LO, EXP_CLAMP_HI)); keeps huge negative kernel
-    exponents finite."""
-    a = as_node(a)
-    inside = (a.value >= EXP_CLAMP_LO) & (a.value <= EXP_CLAMP_HI)
-    _log_mask(inside)
-    out = np.exp(np.clip(a.value, EXP_CLAMP_LO, EXP_CLAMP_HI))
-    return _make(out, ((a, lambda g: g * out * inside),))
 
 
 def log(a) -> Node:
@@ -604,8 +574,9 @@ def readout(a, a_rows: np.ndarray, b, b_rows: np.ndarray) -> Node:
 
 def forget(base, h, h0, keep: np.ndarray | None, nvec: np.ndarray,
            rates) -> Node:
-    """base - keep * (h - h0) * (1 - clamped_exp(nvec * rates)): memory
-    `h` decays toward `h0` at `rates`, on the rows `keep` marks, from `base`.
+    """base - keep * (h - h0) * (1 - exp(nvec * rates)), the exponent clamped
+    to [EXP_CLAMP_LO, EXP_CLAMP_HI]: memory `h` decays toward `h0` at `rates`,
+    on the rows `keep` marks, from `base`; with 0.0 `base` and `h`, learning.
 
     `keep` and `nvec` are constant columns; `keep` None marks every row,
     which a column of ones gives bit for bit.
@@ -624,18 +595,17 @@ def forget(base, h, h0, keep: np.ndarray | None, nvec: np.ndarray,
     out = base.value - kept * fac
 
     def vjp(g, need):
-        g_decay = -g
-        g_diff = g_decay * fac
-        if keep is not None:
+        g_diff = -g * fac if need[1] or need[2] else None
+        if keep is not None and g_diff is not None:
             g_diff *= keep
         g_rates = None
         if need[3]:
-            g_rates = -(g_decay * kept)
+            g_rates = g * kept
             g_rates *= kernel
             g_rates *= inside
             g_rates *= nvec
-        return (_unbroadcast(g, base.value.shape),
-                _unbroadcast(g_diff, h.value.shape),
+        return (_unbroadcast(g, base.value.shape) if need[0] else None,
+                _unbroadcast(g_diff, h.value.shape) if need[1] else None,
                 _unbroadcast(-g_diff, h0.value.shape) if need[2] else None,
                 None if g_rates is None
                 else _unbroadcast(g_rates, rates.value.shape))

@@ -65,8 +65,6 @@ from .graphs import GRAPH_KINDS, KcRelationGraphs
 
 OUTPUT_ACTIVATIONS = ("none", "relu", "neg_relu", "softplus")
 
-GNN_NAMES = ("rtv", "gain", "loss", "prg", "lrn", "fgt")
-
 
 @dataclass(frozen=True)
 class GnnSpec:

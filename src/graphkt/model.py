@@ -91,6 +91,9 @@ class HyperParams:
         for name in ("d_e", "d_k", "d_h", "layers", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("lr", "l2"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lr <= 0 or self.l2 < 0:
             raise ValueError("lr must be positive and l2 non-negative")
         if self.patience < 0:
@@ -657,9 +660,9 @@ class GrktModel:
         Mutates `counters`, (n, C) or (C,) for one block, in place: one
         increment per KC that actually received progress. The gate runs on
         every block's candidates at once, progress propagates over the
-        blocks whose gate opened, and forgetting is one `E.forget` node over
-        all rows. A block's candidates are the union of its current and
-        next KC sets.
+        blocks whose gate opened, and `E.forget` nodes learn on the rows
+        given progress and forget on all rows. A block's candidates are the
+        union of its current and next KC sets.
         """
         cur = cache.keys(questions, kc_sets)
         nxt = cache.keys(next_questions, next_kc_sets)
@@ -686,6 +689,8 @@ class GrktModel:
             decisions, learned = decisions[valid], learned & valid
         E.log_gate(decisions.tobytes())
 
+        nvec = (-(counters + 1.0) * dt[:, None]).reshape(-1, 1).astype(
+            H.value.dtype, copy=False)
         new_H, learned_mask = H, None
         if learned.any():
             p_all = cache.mlp("prg", memory, question_terms("prg"))
@@ -707,23 +712,17 @@ class GrktModel:
             learned_mask = np.zeros(n * n_c, dtype=bool)
             learned_mask[dest] = (progress.value != 0).any(axis=1)
             E.log_gate(np.packbits(learned_mask).tobytes())
-            nvec = -(counters.ravel()[dest] + 1.0).reshape(-1, 1) \
-                * np.repeat(dt[sel], kcs.shape[1])[:, None]
-            rates = E.gather_rows(cache.learn_rates, kcs.ravel())
-            learn_fac = E.sub(1.0, E.clamped_exp(
-                E.mul(E.as_node(nvec.astype(H.value.dtype)), rates)))
-            gained = E.mul(progress, learn_fac)
+            gained = E.forget(0.0, 0.0, progress, None, nvec[dest],
+                              E.gather_rows(cache.learn_rates, kcs.ravel()))
             if len(sel) < n or not batch.whole[-1]:
                 gained = E.scatter_rows(gained, dest, n * n_c)
             new_H = E.add(new_H, gained)
 
         # every row forgets unless it learned
-        nvec_all = (-(counters + 1.0) * dt[:, None]).reshape(-1, 1)
         new_H = E.forget(
             new_H, H, cache.tiled("h0", n), None if learned_mask is None
             else (~learned_mask).astype(H.value.dtype).reshape(-1, 1),
-            nvec_all.astype(H.value.dtype, copy=False),
-            cache.tiled("forget_rates", n))
+            nvec, cache.tiled("forget_rates", n))
         if learned_mask is not None:
             counters[learned_mask.reshape(n, n_c)] += 1
         return new_H

@@ -131,6 +131,16 @@ def sum_axis(a, axis, keepdims: bool = True) -> E.Node:
     return E._make(val, ((a, vjp),))
 
 
+def clamped_exp(a) -> E.Node:
+    """exp(clip(x, EXP_CLAMP_LO, EXP_CLAMP_HI)) as a tape op: the kernel's
+    primitive, which learning chained before it shared `E.forget`."""
+    a = E.as_node(a)
+    inside = (a.value >= E.EXP_CLAMP_LO) & (a.value <= E.EXP_CLAMP_HI)
+    E._log_mask(inside)
+    out = np.exp(np.clip(a.value, E.EXP_CLAMP_LO, E.EXP_CLAMP_HI))
+    return E._make(out, ((a, lambda g: g * out * inside),))
+
+
 # -- the padded block gather --------------------------------------------------
 
 

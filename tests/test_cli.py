@@ -223,6 +223,8 @@ FAILED_RUNS = {
     "trace-seq": ["trace", "--data", "{data}",
                   "--checkpoint", "{checkpoint}", "--seq", "999"],
     "gradcheck-no-coords": ["gradcheck", "--coords", "0"],
+    "gradcheck-nan-tolerance": ["gradcheck", "--tolerance", "nan"],
+    "gradcheck-negative-tolerance": ["gradcheck", "--tolerance", "-1"],
     "train-val-frac-one": ["train", "--data", "{data}", "--graphs", "{graphs}",
                            "--val-frac", "1.0"],
     "train-val-frac-negative": ["train", "--data", "{data}",
@@ -398,6 +400,8 @@ def test_config_file_rejects_values_that_do_not_convert(tmp_path, capsys,
 @pytest.mark.parametrize("text,line,message", [
     ("d_k = 4\nd_e = -1\n", 2, "d_e must be positive"),
     ("lr = 0\n", 1, "lr must be positive and l2 non-negative"),
+    ("lr = nan\n", 1, "lr must be finite, got nan"),
+    ("d_e = 6\nl2 = inf\n", 2, "l2 must be finite, got inf"),
     ("d_e = 6\nmin_cooccurrence = 0\n", 2,
      "min_cooccurrence must be at least 1"),
     ("max_epochs = 0\n", 1, "max_epochs must be at least 1"),
